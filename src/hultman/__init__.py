@@ -35,12 +35,12 @@ from .diagrams import (
     coxeter_coessential,
     has_unique_reduced_word,
     hull_bounds,
+    hull_relaxed_counterexample,
     in_hull,
     is_defined_by_inclusions,
     is_defined_by_pseudo_inclusions,
     reduced_coessential,
-    satisfies_relaxed_right_hull,
-    satisfies_right_hull,
+    right_hull_counterexample,
 )
 from .patterns import (
     ParabolicEmbedding,

@@ -9,21 +9,22 @@ Condition numbering (CLI `--conditions`):
   1 chambers          c(w) = s(w)
   2 distance          l_D(u,w) = l_T(u,w) for all u <= w
   3 pseudo_inclusions defined by (pseudo-)inclusions
-  4 relaxed_hull      (relaxed) right hull condition
+  4 relaxed_hull      (relaxed) right hull condition, decided exactly by
+                      one matching per coessential box (type A: the plain
+                      right hull condition)
   5 bp_avoidance      BP avoidance of the 31 listed patterns (type A: the
                       four classical patterns)
 """
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import arrangements, bruhat, diagrams, patterns
 from .bruhat import BruhatGraph, bruhat_graph, coessential_boxes, group_rank_grids
-from .diagrams import CoessBox, HullBudgetExceeded
+from .diagrams import CoessBox
 from .groups import (
     Element,
     GroupContext,
@@ -32,6 +33,7 @@ from .groups import (
     compose_windows,
     context,
     coxeter_length,
+    format_window,
     invert_window,
     parse_element,
 )
@@ -54,29 +56,25 @@ def group_absolute_lengths(ctx: GroupContext) -> dict[Window, int]:
 @dataclass
 class ClassificationReport:
     element: Element
-    conditions: dict[str, bool | None] = field(default_factory=dict)
+    conditions: dict[str, bool] = field(default_factory=dict)
     c: int | None = None
     s: int | None = None
     distance_witness: tuple[Element, int, int] | None = None  # (u, l_D, l_T)
     violations: tuple[CoessBox, ...] = ()
     hull_counterexample: Window | None = None
     matched_pattern: tuple[Element, patterns.ParabolicEmbedding] | None = None
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def computed(self) -> list[bool]:
-        return [v for v in self.conditions.values() if v is not None]
 
     @property
     def consistent(self) -> bool:
-        return len(set(self.computed)) <= 1
+        return len(set(self.conditions.values())) <= 1
 
     @property
     def is_hultman(self) -> bool | None:
-        vals = self.computed
-        if not vals or not self.consistent:
+        """The common verdict; None when no condition was computed or the
+        computed conditions disagree."""
+        if not self.conditions or not self.consistent:
             return None
-        return vals[0]
+        return next(iter(self.conditions.values()))
 
     def to_json_dict(self) -> dict:
         witness = self.distance_witness
@@ -95,6 +93,11 @@ class ClassificationReport:
             "violations": [
                 {"p": b.p, "q": b.q, "r": b.r} for b in self.violations
             ],
+            "hull_counterexample": (
+                format_window(self.hull_counterexample)
+                if self.hull_counterexample is not None
+                else None
+            ),
             "matched_pattern": (
                 {
                     "pattern": str(self.matched_pattern[0]),
@@ -127,29 +130,6 @@ def _distance_condition(
     return True, None
 
 
-def _hull_condition(
-    w: Element,
-    node_budget: int,
-    samples: int | None,
-    rng: random.Random,
-) -> tuple[bool | None, Window | None, str | None]:
-    """Returns (value, counterexample, note); value None means inconclusive
-    (sampled run without a counterexample, or budget exhausted)."""
-    if samples is not None:
-        verdict = diagrams.sampled_relaxed_right_hull(w, samples, rng)
-        if verdict is False:
-            return False, None, None
-        return None, None, f"sampled {samples} hull windows, no counterexample"
-    try:
-        if w.ctx.family == "A":
-            cex = diagrams.right_hull_counterexample(w, node_budget)
-        else:
-            cex = diagrams.hull_relaxed_counterexample(w, node_budget)
-    except HullBudgetExceeded:
-        return None, None, f"hull enumeration exceeded {node_budget} nodes"
-    return cex is None, cex, None
-
-
 def _pattern_condition(
     w: Element,
 ) -> tuple[bool, tuple[Element, patterns.ParabolicEmbedding] | None]:
@@ -169,13 +149,10 @@ def classify(
     conditions: tuple[int, ...] = ALL_CONDITIONS,
     *,
     graph: BruhatGraph | None = None,
-    hull_node_budget: int = diagrams.DEFAULT_NODE_BUDGET,
-    hull_samples: int | None = None,
-    rng: random.Random | None = None,
     chamber_cache: dict[Window, int] | None = None,
 ) -> ClassificationReport:
-    """Evaluate the requested conditions independently and cross-check."""
-    rng = rng or random.Random(0)
+    """Evaluate the requested conditions independently and cross-check.
+    Every verdict is a definite bool."""
     report = ClassificationReport(w)
     for num in conditions:
         name = CONDITION_NAMES[num]
@@ -203,13 +180,12 @@ def classify(
             else:
                 report.conditions[name] = diagrams.is_defined_by_pseudo_inclusions(w)
         elif num == 4:
-            value, cex, note = _hull_condition(
-                w, hull_node_budget, hull_samples, rng
-            )
-            report.conditions[name] = value
+            if w.ctx.family == "A":
+                cex = diagrams.right_hull_counterexample(w)
+            else:
+                cex = diagrams.hull_relaxed_counterexample(w)
+            report.conditions[name] = cex is None
             report.hull_counterexample = cex
-            if note:
-                report.notes.append(note)
         elif num == 5:
             ok, matched = _pattern_condition(w)
             report.conditions[name] = ok
@@ -226,7 +202,6 @@ class VerificationSummary:
     total: int = 0
     hultman_count: int = 0
     disagreements: list[ClassificationReport] = field(default_factory=list)
-    hull_inconclusive: int = 0
     reports: list[ClassificationReport] = field(default_factory=list)
     elapsed: float = 0.0
 
@@ -241,7 +216,6 @@ class VerificationSummary:
             "conditions": [CONDITION_NAMES[c] for c in self.conditions],
             "total": self.total,
             "hultman_count": self.hultman_count,
-            "hull_inconclusive": self.hull_inconclusive,
             "disagreements": [r.to_json_dict() for r in self.disagreements],
             "elements": [r.to_json_dict() for r in self.reports],
         }
@@ -251,33 +225,20 @@ def verify_equivalence(
     ctx: GroupContext,
     conditions: tuple[int, ...] = ALL_CONDITIONS,
     *,
-    hull_node_budget: int = diagrams.DEFAULT_NODE_BUDGET,
-    hull_samples: int | None = None,
-    seed: int = 0,
     keep_reports: bool = False,
 ) -> VerificationSummary:
     """Classify every group element and check that all computed conditions
-    agree.  Inconclusive hull results (None) are excluded from the
-    agreement check and tallied separately."""
+    agree."""
     start = time.perf_counter()
-    rng = random.Random(seed)
     graph = bruhat_graph(ctx) if 2 in conditions else None
     summary = VerificationSummary(ctx, tuple(conditions))
 
     chamber_cache: dict[Window, int] = {}
     for w in ctx.elements:
         report = classify(
-            w,
-            conditions,
-            graph=graph,
-            hull_node_budget=hull_node_budget,
-            hull_samples=hull_samples,
-            rng=rng,
-            chamber_cache=chamber_cache,
+            w, conditions, graph=graph, chamber_cache=chamber_cache
         )
         summary.total += 1
-        if report.conditions.get("relaxed_hull", False) is None:
-            summary.hull_inconclusive += 1
         if not report.consistent:
             summary.disagreements.append(report)
         elif report.is_hultman:

@@ -1,13 +1,13 @@
 """Command line interface.
 
 Exit codes: 0 on success / full agreement, 1 when an equivalence check
-fails, 2 on usage errors (argparse's convention).
+fails, 2 on usage errors (argparse's convention), bad input, or an output
+file that cannot be written.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Sequence
 
@@ -21,7 +21,7 @@ from .classify import (
     witness_table,
     witness_table_json,
 )
-from .groups import Element, context, coxeter_length, parse_element
+from .groups import Element, context, coxeter_length, format_window, parse_element
 
 
 def _ctx_args(parser: argparse.ArgumentParser) -> None:
@@ -52,20 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True, help="one-line text (a=10) or signed window")
     p.add_argument("--conditions", type=_parse_conditions, default=ALL_CONDITIONS)
     p.add_argument("--explain", action="store_true", help="print supporting data")
-    p.add_argument("--hull-budget", type=int, default=diagrams.DEFAULT_NODE_BUDGET)
     p.add_argument("--json", metavar="PATH", help="write the report as JSON")
 
-    p = sub.add_parser("verify", help="check the equivalence over a whole group")
+    p = sub.add_parser(
+        "verify",
+        help="check the equivalence over a whole group (every verdict is exact)",
+    )
     _ctx_args(p)
     p.add_argument("--conditions", type=_parse_conditions, default=ALL_CONDITIONS)
-    p.add_argument(
-        "--sample-hull",
-        type=int,
-        metavar="K",
-        help="sample K hull windows per element instead of exhaustive enumeration",
-    )
-    p.add_argument("--hull-budget", type=int, default=diagrams.DEFAULT_NODE_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", metavar="PATH", help="write per-element reports as JSON")
 
     p = sub.add_parser(
@@ -100,11 +94,10 @@ def _element_from_args(args: argparse.Namespace) -> Element:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     w = _element_from_args(args)
-    report = classify(w, args.conditions, hull_node_budget=args.hull_budget)
+    report = classify(w, args.conditions)
     print(f"element {w} in {w.ctx.family}_{w.ctx.rank} (length {coxeter_length(w)})")
     for name, value in report.conditions.items():
-        shown = "inconclusive" if value is None else value
-        print(f"  {name}: {shown}")
+        print(f"  {name}: {value}")
     if report.c is not None:
         print(f"  c(w) = {report.c}, s(w) = {report.s}")
     if args.explain:
@@ -118,8 +111,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             u, ld, lt = report.distance_witness
             print(f"  distance witness: u = {u}, l_D = {ld}, l_T = {lt}")
         if report.hull_counterexample:
-            from .groups import format_window
-
             print(f"  hull counterexample: {format_window(report.hull_counterexample)}")
         if report.matched_pattern:
             v, emb = report.matched_pattern
@@ -127,8 +118,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 f"  matched pattern: {v} in {v.ctx.family}_{v.ctx.rank}"
                 f" at positions {emb.indices}"
             )
-        for note in report.notes:
-            print(f"  note: {note}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=2)
@@ -141,18 +130,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ctx = context(args.family, args.rank)
     summary = verify_equivalence(
-        ctx,
-        args.conditions,
-        hull_node_budget=args.hull_budget,
-        hull_samples=args.sample_hull,
-        seed=args.seed,
-        keep_reports=bool(args.json),
+        ctx, args.conditions, keep_reports=bool(args.json)
     )
     names = ", ".join(CONDITION_NAMES[c] for c in summary.conditions)
     print(f"{ctx.family}_{ctx.rank}: {summary.total} elements, conditions [{names}]")
     print(f"  Hultman elements: {summary.hultman_count}")
-    if summary.hull_inconclusive:
-        print(f"  hull checks inconclusive: {summary.hull_inconclusive}")
     print(f"  elapsed: {summary.elapsed:.2f}s")
     if args.json:
         with open(args.json, "w") as fh:
@@ -277,7 +259,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

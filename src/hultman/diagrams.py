@@ -1,6 +1,10 @@
 """Diagrams, coessential sets, inclusion tests, right hulls, and the basic
 elements attached to coessential boxes.
 
+The right hull tests are exact and always definite: each coessential box
+of w is one max-weight perfect matching over the windows inside H(w).
+`hull_windows` enumerates H(w) and serves only as the tests' oracle.
+
 Grid coordinates follow the matrix convention: p is the row (a value),
 q is the column (a position).  For type B elements everything is computed
 in the embedded S_{2n} picture; the central box is (n+1, n).
@@ -11,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
 from .bruhat import (
     bruhat_leq,
@@ -29,13 +33,6 @@ from .groups import (
     coxeter_length,
     invert_window,
 )
-
-DEFAULT_NODE_BUDGET = 10**8
-
-
-class HullBudgetExceeded(RuntimeError):
-    """Raised when hull enumeration visits more nodes than its budget."""
-
 
 @dataclass(frozen=True, order=True)
 class CoessBox:
@@ -129,29 +126,21 @@ def in_hull(u: Element, w: Element) -> bool:
     return window_in_hull(u.window, hull_bounds(w))
 
 
-def hull_windows(
-    bounds: HullBounds, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Iterator[Window]:
+def hull_windows(bounds: HullBounds) -> Iterator[Window]:
     """All windows inside the column bounds, by backtracking with a used-value
-    mask.  Every attempted placement costs one node against the budget."""
+    mask.  Exponential in the degree: this is the test oracle for the
+    matching-based hull tests below, not a production path."""
     n = len(bounds.lo)
     used = [False] * (n + 1)
     current = [0] * n
-    nodes = 0
 
     def extend(j: int) -> Iterator[Window]:
-        nonlocal nodes
         if j == n:
             yield tuple(current)
             return
         for v in range(bounds.lo[j], bounds.hi[j] + 1):
             if used[v]:
                 continue
-            nodes += 1
-            if nodes > node_budget:
-                raise HullBudgetExceeded(
-                    f"hull enumeration exceeded {node_budget} nodes"
-                )
             used[v] = True
             current[j] = v
             yield from extend(j + 1)
@@ -160,108 +149,140 @@ def hull_windows(
     yield from extend(0)
 
 
-def satisfies_right_hull(
-    w: Element, node_budget: int = DEFAULT_NODE_BUDGET
-) -> bool:
-    """Whether every permutation inside H(w) is <= w (early exit on the
-    first counterexample)."""
-    bounds = hull_bounds(w)
-    for u in hull_windows(bounds, node_budget):
-        if not window_leq(u, w.window):
-            return False
-    return True
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """Hungarian method (shortest augmenting paths with potentials) on a
+    square integer matrix: the column assigned to each row in a minimum-cost
+    perfect assignment.  O(N^3)."""
+    n = len(cost)
+    row_pot = [0] * (n + 1)
+    col_pot = [0] * (n + 1)
+    row_of = [0] * (n + 1)  # 1-based row matched to each column; 0 = free
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = [float("inf")] * (n + 1)
+        done = [False] * (n + 1)
+        while row_of[j0]:
+            done[j0] = True
+            i0 = row_of[j0]
+            delta, j1 = float("inf"), 0
+            for j in range(1, n + 1):
+                if done[j]:
+                    continue
+                cur = cost[i0 - 1][j - 1] - row_pot[i0] - col_pot[j]
+                if cur < slack[j]:
+                    slack[j], way[j] = cur, j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if done[j]:
+                    row_pot[row_of[j]] += delta
+                    col_pot[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    col_of = [0] * n
+    for j in range(1, n + 1):
+        col_of[row_of[j] - 1] = j - 1
+    return col_of
 
 
-def right_hull_counterexample(
-    w: Element, node_budget: int = DEFAULT_NODE_BUDGET
+def _best_hull_window(
+    bounds: HullBounds,
+    p: int,
+    q: int,
+    blocked: AbstractSet[tuple[int, int]] = frozenset(),
 ) -> Window | None:
-    bounds = hull_bounds(w)
-    for u in hull_windows(bounds, node_budget):
-        if not window_leq(u, w.window):
+    """A window u inside the hull bounds, using no blocked cell (k, u(k)),
+    that maximises r_u(p,q); None when the bounds leave no such window.
+
+    Windows inside the bounds are the perfect matchings of positions k to
+    values in [lo_k, hi_k] (rook placements on a skew Ferrers board), and
+    r_u(p,q) counts the matched cells with k <= q and v >= p, so the
+    maximum is a max-weight perfect matching with 0/1 weights.
+    """
+    size = len(bounds.lo)
+    forbidden = size + 1  # dearer than any matching of allowed cells
+    cost = [
+        [
+            forbidden
+            if not lo <= v <= hi or (k, v) in blocked
+            else int(not (k <= q and v >= p))
+            for v in range(1, size + 1)
+        ]
+        for k, (lo, hi) in enumerate(zip(bounds.lo, bounds.hi), start=1)
+    ]
+    cols = _min_cost_assignment(cost)
+    if any(cost[k][j] == forbidden for k, j in enumerate(cols)):
+        return None
+    return tuple(j + 1 for j in cols)
+
+
+def _hull_counterexample(
+    w: Element,
+    bounds: HullBounds,
+    blocked: AbstractSet[tuple[int, int]] = frozenset(),
+) -> Window | None:
+    """A window inside the bounds, avoiding blocked cells, that is not <= w.
+
+    u <= w fails exactly when r_u(p,q) > r for some coessential box (p,q,r)
+    of w, so one maximising matching per box decides the question.
+    """
+    for p, q, r in coessential_boxes(w.window):
+        u = _best_hull_window(bounds, p, q, blocked)
+        if u is not None and window_rank(u, p, q) > r:
             return u
     return None
 
 
-def satisfies_relaxed_right_hull(
-    w: Element, node_budget: int = DEFAULT_NODE_BUDGET
-) -> bool:
-    """Type B relaxation of the right hull condition.
+def right_hull_counterexample(w: Element) -> Window | None:
+    """A permutation inside H(w) that is not <= w, or None when the right
+    hull condition holds.  Exact, with one matching per coessential box."""
+    return _hull_counterexample(w, hull_bounds(w))
 
-    Either the plain condition holds over all u in S_{2n}, or
-    r_w(n+1,n) = 1 and every u ⊆ H(w) with r_u(n+1,n) <= 1 is <= w.
-    Enumerating only u in B_n would be wrong; the whole of S_{2n} is
-    scanned.
+
+def hull_relaxed_counterexample(w: Element) -> Window | None:
+    """A window refuting the type B relaxed right hull condition, or None
+    when it holds.
+
+    The condition holds when the plain one does over all u in S_{2n}, or
+    when r_w(n+1,n) = 1 and every u inside H(w) with r_u(n+1,n) <= 1 is
+    <= w.  The windows with r_u(n+1,n) <= 1 are those using no cell of the
+    central quadrant k <= n < u(k), together with, for each quadrant cell,
+    those using that cell and no other quadrant cell; each family is a
+    restricted matching problem.  Windows range over all of S_{2n}, not
+    only over B_n.
     """
     if w.ctx.family != "B":
         raise ValueError("the relaxed right hull condition is a type B notion")
     n = w.ctx.rank
-    center_ok = window_rank(w.window, n + 1, n) == 1
     bounds = hull_bounds(w)
-    plain = True
-    relaxed = True
-    for u in hull_windows(bounds, node_budget):
-        if window_leq(u, w.window):
-            continue
-        plain = False
-        if not center_ok:
-            return False
-        if window_rank(u, n + 1, n) <= 1:
-            relaxed = False
-            return False
-    return plain or (center_ok and relaxed)
+    cex = _hull_counterexample(w, bounds)
+    if (
+        cex is None
+        or window_rank(w.window, n + 1, n) != 1
+        or window_rank(cex, n + 1, n) <= 1
+    ):
+        return cex
 
-
-def hull_relaxed_counterexample(
-    w: Element, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Window | None:
-    """A hull window refuting the relaxed condition, if any."""
-    n = w.ctx.rank
-    center_ok = window_rank(w.window, n + 1, n) == 1
-    bounds = hull_bounds(w)
-    for u in hull_windows(bounds, node_budget):
-        if window_leq(u, w.window):
-            continue
-        if not center_ok or window_rank(u, n + 1, n) <= 1:
-            return u
-    return None
-
-
-def sampled_relaxed_right_hull(
-    w: Element, samples: int, rng: random.Random
-) -> bool | None:
-    """Randomized one-sided check of the relaxed right hull condition.
-
-    Returns False when a counterexample is sampled, None otherwise
-    (no counterexample found; inconclusive).  Sampling draws windows
-    uniformly-ish by shuffling candidate values per column.
-    """
-    n = w.ctx.rank if w.ctx.family == "B" else None
-    center_ok = n is not None and window_rank(w.window, n + 1, n) == 1
-    bounds = hull_bounds(w)
-    size = len(bounds.lo)
-    for _ in range(samples):
-        used = set()
-        win = []
-        for j in range(size):
-            choices = [
-                v
-                for v in range(bounds.lo[j], bounds.hi[j] + 1)
-                if v not in used
-            ]
-            if not choices:
-                break
-            v = rng.choice(choices)
-            used.add(v)
-            win.append(v)
-        if len(win) != size:
-            continue
-        u = tuple(win)
-        if window_leq(u, w.window):
-            continue
-        if n is None:
-            return False  # type A: plain right hull refuted
-        if not center_ok or window_rank(u, n + 1, n) <= 1:
-            return False
+    size = 2 * n
+    quadrant = {(k, v) for k in range(1, n + 1) for v in range(n + 1, size + 1)}
+    restrictions = [quadrant] + [
+        (quadrant - {(k0, v0)})
+        | {(k0, v) for v in range(1, size + 1) if v != v0}
+        | {(k, v0) for k in range(1, size + 1) if k != k0}
+        for k0, v0 in sorted(quadrant)
+        if bounds.lo[k0 - 1] <= v0 <= bounds.hi[k0 - 1]
+    ]
+    for blocked in restrictions:
+        cex = _hull_counterexample(w, bounds, blocked)
+        if cex is not None:
+            return cex
     return None
 
 

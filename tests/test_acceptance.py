@@ -2,7 +2,7 @@
 its elapsed time (run with `pytest -s tests/test_acceptance.py` to see them
 as they complete).
 
-The B_5 equivalence sweep is opt-in: set HULTMAN_B5=1.
+The B_5 equivalence sweep (all five conditions) is opt-in: set HULTMAN_B5=1.
 """
 import math
 import os
@@ -63,10 +63,10 @@ def test_criterion_1_paper_value_regression():
 
 def test_criterion_2_type_a_equivalence():
     start = time.perf_counter()
-    for rank in range(3, 7):
+    for rank, hultman in zip(range(3, 7), (6, 23, 101, 477)):
         summary = verify_equivalence(context("A", rank))
         assert summary.ok, summary.disagreements
-        assert summary.hull_inconclusive == 0  # budget covered S_6 exhaustively
+        assert summary.hultman_count == hultman
     elapsed = time.perf_counter() - start
     assert elapsed < 300
     _report("2 (type A equivalence, S_3..S_6)", elapsed)
@@ -74,10 +74,10 @@ def test_criterion_2_type_a_equivalence():
 
 def test_criterion_3_type_b_equivalence_small():
     start = time.perf_counter()
-    for rank in (2, 3):
+    for rank, hultman in ((2, 8), (3, 38)):
         summary = verify_equivalence(context("B", rank))
         assert summary.ok, summary.disagreements
-        assert summary.hull_inconclusive == 0
+        assert summary.hultman_count == hultman
     elapsed = time.perf_counter() - start
     assert elapsed < 60
     _report("3a (type B equivalence, B_2 and B_3)", elapsed)
@@ -85,9 +85,10 @@ def test_criterion_3_type_b_equivalence_small():
 
 def test_criterion_3_type_b_equivalence_b4():
     start = time.perf_counter()
-    summary = verify_equivalence(B4)  # hull enumeration under the node budget
+    summary = verify_equivalence(B4)
     assert summary.ok, summary.disagreements
     assert summary.total == 384
+    assert summary.hultman_count == 188
     elapsed = time.perf_counter() - start
     assert elapsed < 1800
     _report("3b (type B equivalence, B_4)", elapsed)
@@ -99,12 +100,13 @@ def test_criterion_3_type_b_equivalence_b4():
 )
 def test_criterion_3_type_b_equivalence_b5_opt_in():
     start = time.perf_counter()
-    summary = verify_equivalence(context("B", 5), conditions=(1, 2, 3, 5))
+    summary = verify_equivalence(context("B", 5))
     assert summary.ok, summary.disagreements
     assert summary.total == 3840
+    assert summary.hultman_count == 949
     elapsed = time.perf_counter() - start
     assert elapsed < 4 * 3600
-    _report("3c (type B equivalence, B_5, conditions 1,2,3,5)", elapsed)
+    _report("3c (type B equivalence, B_5, all five conditions)", elapsed)
 
 
 def test_criterion_4_minimal_pattern_reproduction():

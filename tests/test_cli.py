@@ -129,6 +129,21 @@ def test_bad_element_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["classify", "--family", "B", "--rank", "2", "--element", "1234"],
+        ["verify", "--family", "B", "--rank", "2"],
+    ],
+)
+def test_unwritable_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "missing" / "out.json"
+    code = main(command + ["--json", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not path.exists()
+
+
 def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["classify", "--family", "Z", "--rank", "3", "--element", "123"])

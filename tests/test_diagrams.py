@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,16 +17,16 @@ from hultman.diagrams import (
     has_unique_reduced_word,
     hull_bounds,
     hull_equiv_check,
+    hull_relaxed_counterexample,
     hull_windows,
-    HullBudgetExceeded,
     identity_rank,
     in_hull,
+    window_in_hull,
     is_defined_by_inclusions,
     is_defined_by_pseudo_inclusions,
     reduced_coessential,
     reduced_coessential_closed_form,
-    satisfies_relaxed_right_hull,
-    satisfies_right_hull,
+    right_hull_counterexample,
 )
 from hultman.groups import (
     Element,
@@ -137,10 +138,10 @@ def test_below_implies_in_hull(u, w):
 
 
 def test_right_hull_examples():
-    assert satisfies_right_hull(A5.identity)
-    assert not satisfies_right_hull(parse_element("819372564", A9))
-    assert not satisfies_right_hull(parse_element("4231", A4))
-    assert satisfies_right_hull(parse_element("3412", A4))
+    assert right_hull_counterexample(A5.identity) is None
+    assert right_hull_counterexample(parse_element("819372564", A9)) is not None
+    assert right_hull_counterexample(parse_element("4231", A4)) is not None
+    assert right_hull_counterexample(parse_element("3412", A4)) is None
 
 
 def test_right_hull_matches_pattern_theorem_on_s5():
@@ -151,19 +152,69 @@ def test_right_hull_matches_pattern_theorem_on_s5():
             parse_element("42513", A5)]
     for w in A5.elements:
         avoids = all(classical_contains(w, v) is None for v in pats)
-        assert satisfies_right_hull(w) == avoids
+        assert (right_hull_counterexample(w) is None) == avoids
 
 
 def test_relaxed_right_hull_examples():
-    assert satisfies_relaxed_right_hull(B3.identity)
-    assert satisfies_relaxed_right_hull(parse_element("362514", B3))
-    assert not satisfies_relaxed_right_hull(parse_element("426153", B3))
+    assert hull_relaxed_counterexample(B3.identity) is None
+    assert hull_relaxed_counterexample(parse_element("362514", B3)) is None
+    assert hull_relaxed_counterexample(parse_element("426153", B3)) is not None
+    with pytest.raises(ValueError):
+        hull_relaxed_counterexample(parse_element("4231", A4))
 
 
-def test_hull_budget_raises():
-    w0 = context("B", 3).longest_element
-    with pytest.raises(HullBudgetExceeded):
-        satisfies_right_hull(w0, node_budget=10)
+def _enumerated_hull_counterexample(w):
+    """Oracle: the first window of H(w), in enumeration order, refuting the
+    right hull condition (type A) or its relaxation (type B)."""
+    n = w.ctx.rank
+    center_ok = w.ctx.family == "B" and window_rank(w.window, n + 1, n) == 1
+    for u in hull_windows(hull_bounds(w)):
+        if not window_leq(u, w.window) and (
+            not center_ok or window_rank(u, n + 1, n) <= 1
+        ):
+            return u
+    return None
+
+
+def _assert_hull_test_matches_oracle(w):
+    if w.ctx.family == "A":
+        cex = right_hull_counterexample(w)
+    else:
+        cex = hull_relaxed_counterexample(w)
+    assert (cex is None) == (_enumerated_hull_counterexample(w) is None), w
+    if cex is None:
+        return
+    assert sorted(cex) == list(range(1, w.degree + 1)), (w, cex)
+    assert window_in_hull(cex, hull_bounds(w)), (w, cex)
+    assert not window_leq(cex, w.window), (w, cex)
+    n = w.ctx.rank
+    if w.ctx.family == "B" and window_rank(w.window, n + 1, n) == 1:
+        assert window_rank(cex, n + 1, n) <= 1, (w, cex)
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 2), ("B", 3), ("B", 4)],
+)
+def test_hull_matching_agrees_with_enumeration(family, rank):
+    for w in context(family, rank).elements:
+        _assert_hull_test_matches_oracle(w)
+
+
+def test_hull_matching_agrees_with_enumeration_on_b5_sample():
+    cap = 8192
+    elements = list(context("B", 5).elements)
+    random.Random(0).shuffle(elements)
+    small = (
+        w
+        for w in elements
+        if sum(1 for _ in itertools.islice(hull_windows(hull_bounds(w)), cap + 1))
+        <= cap
+    )
+    sample = list(itertools.islice(small, 40))
+    assert len(sample) == 40
+    for w in sample:
+        _assert_hull_test_matches_oracle(w)
 
 
 def test_hull_equiv_check():
@@ -176,7 +227,7 @@ def test_hull_equiv_check():
 def test_hull_equiv_matches_inclusion_equivalence_on_s5():
     # right hull condition iff defined by inclusions
     for w in A5.elements:
-        assert satisfies_right_hull(w) == is_defined_by_inclusions(w)
+        assert (right_hull_counterexample(w) is None) == is_defined_by_inclusions(w)
 
 
 def test_basic_element_b3_values():
