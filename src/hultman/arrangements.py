@@ -236,7 +236,10 @@ def intersection_poset(
                 acc += mobius[y]
         mobius[x] = -acc
         # geometric lattice: mu alternates in sign with codimension
-        assert mobius[x] != 0 and (mobius[x] > 0) == (flats[x].codim % 2 == 0)
+        if mobius[x] == 0 or (mobius[x] > 0) != (flats[x].codim % 2 == 0):
+            raise ArithmeticError(
+                f"Möbius value {mobius[x]} at a codimension-{flats[x].codim} flat"
+            )
     return IntersectionPoset(n, tuple(plane_list), tuple(flats), tuple(mobius))
 
 

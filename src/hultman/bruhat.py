@@ -2,9 +2,12 @@
 
 The tableau criterion drives everything: u <= w iff r_u(p,q) <= r_w(p,q)
 for all p, q, where r_w(p,q) = #{k <= q : w(k) >= p} is the SW rank
-function.  Only the coessential boxes of w need checking (Fulton's lemma),
-which is the production fast path; the full entrywise comparison is kept
-as an oracle.
+function.  Only the coessential boxes of w need checking (Fulton's lemma).
+The production path holds one small-int matrix of rank grids per group
+(`group_rank_grids`) and answers "which u lie below w" for the whole group
+at once with `interval_mask`; interval sizes, distance sweeps and distance
+witnesses all read that mask.  `bruhat_leq_full`, the entrywise comparison
+of whole grids, is kept as the oracle.
 
 For type B elements the order is exactly the one induced from S_{2n}, so
 the same window-level test serves both families.
@@ -14,6 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .groups import (
     Element,
@@ -28,10 +34,6 @@ from .groups import (
 )
 
 RankGrid = tuple[tuple[int, ...], ...]
-
-# Largest group the graph builder will enumerate (B_5 has 3840 elements,
-# S_7 has 5040).
-DEFAULT_MAX_GROUP_ORDER = 10_100
 
 
 def window_rank(window: Window, p: int, q: int) -> int:
@@ -68,14 +70,13 @@ def coessential_boxes(window: Window) -> tuple[tuple[int, int, int], ...]:
     """
     n = len(window)
     inv = invert_window(window)
-    grid = window_rank_grid(window)
     boxes = []
     for p in range(2, n + 1):
         lo = inv[p - 2]  # w^{-1}(p-1)
         hi = inv[p - 1]  # w^{-1}(p)
         for q in range(max(lo, 1), min(hi, n)):
             if window[q - 1] < p <= window[q]:
-                boxes.append((p, q, grid[p - 1][q - 1]))
+                boxes.append((p, q, window_rank(window, p, q)))
     return tuple(boxes)
 
 
@@ -103,30 +104,44 @@ def bruhat_leq_full(u: Element, w: Element) -> bool:
 
 
 @lru_cache(maxsize=None)
-def group_rank_grids(ctx: GroupContext) -> dict[Window, RankGrid]:
-    return {e.window: window_rank_grid(e.window) for e in ctx.elements}
+def group_rank_grids(ctx: GroupContext) -> np.ndarray:
+    """Read-only int8 matrix with one row per element of ctx.elements: the
+    element's rank grid flattened row by row, so r(p,q) is in column
+    (p-1)*N + (q-1).  Ranks never exceed the degree N, and no group of
+    degree 128 or more can be enumerated, so int8 cannot overflow."""
+    windows = np.array([e.window for e in ctx.elements], dtype=np.int8)
+    values = np.arange(1, ctx.degree + 1, dtype=np.int8)
+    # [i, p-1, q-1] = #{k <= q : w_i(k) >= p}
+    grids = np.cumsum(
+        windows[:, None, :] >= values[None, :, None], axis=2, dtype=np.int8
+    ).reshape(len(windows), -1)
+    grids.flags.writeable = False
+    return grids
+
+
+def box_mask(ctx: GroupContext, boxes: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """Boolean mask over ctx.elements: r_u(p,q) <= r for every box (p, q, r).
+    This is the one rank test that runs over a whole group."""
+    grids = group_rank_grids(ctx)
+    cols = [(p - 1) * ctx.degree + q - 1 for p, q, _ in boxes]
+    ranks = np.array([r for _, _, r in boxes], dtype=grids.dtype)
+    return (grids[:, cols] <= ranks).all(axis=1)
+
+
+def interval_mask(w: Element) -> np.ndarray:
+    """[id, w] as a boolean mask over w.ctx.elements, by the coessential
+    boxes of w."""
+    return box_mask(w.ctx, coessential_boxes(w.window))
 
 
 def interval_size(w: Element) -> int:
-    """s(w) = #[id, w], by scanning the whole group."""
-    grids = group_rank_grids(w.ctx)
-    boxes = coessential_boxes(w.window)
-    count = 0
-    for grid in grids.values():
-        if all(grid[p - 1][q - 1] <= r for p, q, r in boxes):
-            count += 1
-    return count
+    """s(w) = #[id, w]."""
+    return int(interval_mask(w).sum())
 
 
-def elements_below(w: Element) -> tuple[Element, ...]:
-    """The interval [id, w], in the group's graded order."""
-    grids = group_rank_grids(w.ctx)
-    boxes = coessential_boxes(w.window)
-    return tuple(
-        e
-        for e in w.ctx.elements
-        if all(grids[e.window][p - 1][q - 1] <= r for p, q, r in boxes)
-    )
+@lru_cache(maxsize=None)
+def group_absolute_lengths(ctx: GroupContext) -> dict[Window, int]:
+    return {e.window: absolute_length(e) for e in ctx.elements}
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +165,7 @@ class BruhatGraph:
 
 
 @lru_cache(maxsize=None)
-def bruhat_graph(ctx: GroupContext, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> BruhatGraph:
-    if ctx.order > max_order:
-        raise ValueError(
-            f"group order {ctx.order} exceeds the enumeration bound {max_order}"
-        )
+def bruhat_graph(ctx: GroupContext) -> BruhatGraph:
     elements = ctx.elements
     index = {e.window: i for i, e in enumerate(elements)}
     lengths = tuple(coxeter_length(e) for e in elements)
@@ -181,15 +192,14 @@ def bruhat_graph(ctx: GroupContext, max_order: int = DEFAULT_MAX_GROUP_ORDER) ->
 def directed_distances_to(graph: BruhatGraph, target: int) -> list[float]:
     """l_D(u, w) for every u at once, for w = elements[target].
 
-    Every directed path moves strictly up in length, so a single sweep in
-    decreasing length order resolves all distances; unreachable vertices
-    get +inf.
+    A directed path u -> w exists only when u <= w, and every edge moves
+    strictly up in length, so one sweep over [id, w) in decreasing length
+    order resolves all distances; every other vertex stays at +inf.
     """
     dist = [math.inf] * len(graph.elements)
     dist[target] = 0
-    for i in range(len(graph.elements) - 1, -1, -1):
-        if i == target:
-            continue
+    below = np.flatnonzero(interval_mask(graph.elements[target])[:target])
+    for i in reversed(below.tolist()):
         best = math.inf
         for j in graph.up[i]:
             dj = dist[j]
@@ -221,19 +231,20 @@ def is_hultman(
     """
     if graph is None:
         graph = bruhat_graph(w.ctx)
+    witness = next(distance_witnesses(w, graph), None)
+    return witness is None, None if witness is None else witness[0]
+
+
+def distance_witnesses(
+    w: Element, graph: BruhatGraph
+) -> Iterator[tuple[Element, int, int]]:
+    """Each u <= w with l_D(u,w) != l_T(u,w), as (u, l_D, l_T), in graded
+    order: the first one has minimal length."""
     dist = directed_distances_to(graph, graph.index[w.window])
     winv = invert_window(w.window)
-    boxes = coessential_boxes(w.window)
-    grids = group_rank_grids(w.ctx)
-    witness = None
-    for i, u in enumerate(graph.elements):
-        grid = grids[u.window]
-        if not all(grid[p - 1][q - 1] <= r for p, q, r in boxes):
-            continue
-        lt = absolute_length(
-            Element(compose_windows(winv, u.window), w.ctx)
-        )
+    abslens = group_absolute_lengths(w.ctx)
+    for i in np.flatnonzero(interval_mask(w)).tolist():
+        u = graph.elements[i]
+        lt = abslens[compose_windows(winv, u.window)]
         if dist[i] != lt:
-            witness = u  # graded order: the first hit has minimal length
-            break
-    return (witness is None), witness
+            yield u, int(dist[i]), lt

@@ -20,17 +20,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import arrangements, bruhat, diagrams, patterns
-from .bruhat import BruhatGraph, bruhat_graph, coessential_boxes, group_rank_grids
+from .bruhat import BruhatGraph, bruhat_graph
+from .bruhat import group_absolute_lengths  # noqa: F401  (still importable from here)
 from .diagrams import CoessBox
 from .groups import (
     Element,
     GroupContext,
     Window,
-    absolute_length,
-    compose_windows,
     context,
     coxeter_length,
     format_window,
@@ -46,11 +44,6 @@ CONDITION_NAMES = {
     5: "bp_avoidance",
 }
 ALL_CONDITIONS = (1, 2, 3, 4, 5)
-
-
-@lru_cache(maxsize=None)
-def group_absolute_lengths(ctx: GroupContext) -> dict[Window, int]:
-    return {e.window: absolute_length(e) for e in ctx.elements}
 
 
 @dataclass
@@ -111,25 +104,6 @@ class ClassificationReport:
         }
 
 
-def _distance_condition(
-    w: Element, graph: BruhatGraph
-) -> tuple[bool, tuple[Element, int, int] | None]:
-    """Hultman distance condition with a minimal-length witness on failure."""
-    dist = bruhat.directed_distances_to(graph, graph.index[w.window])
-    winv = invert_window(w.window)
-    grids = group_rank_grids(w.ctx)
-    boxes = coessential_boxes(w.window)
-    abslens = group_absolute_lengths(w.ctx)
-    for i, u in enumerate(graph.elements):
-        grid = grids[u.window]
-        if not all(grid[p - 1][q - 1] <= r for p, q, r in boxes):
-            continue
-        lt = abslens[compose_windows(winv, u.window)]
-        if dist[i] != lt:
-            return False, (u, int(dist[i]), lt)
-    return True, None
-
-
 def _pattern_condition(
     w: Element,
 ) -> tuple[bool, tuple[Element, patterns.ParabolicEmbedding] | None]:
@@ -170,9 +144,8 @@ def classify(
             report.conditions[name] = report.c == report.s
         elif num == 2:
             g = graph or bruhat_graph(w.ctx)
-            ok, witness = _distance_condition(w, g)
-            report.conditions[name] = ok
-            report.distance_witness = witness
+            report.distance_witness = next(bruhat.distance_witnesses(w, g), None)
+            report.conditions[name] = report.distance_witness is None
         elif num == 3:
             report.violations = diagrams.violated_boxes(w)
             if w.ctx.family == "A":
@@ -390,23 +363,9 @@ def witness_table() -> list[PatternWitnessReport]:
     for w in patterns.condition5_patterns():
         ctx = w.ctx
         graph = bruhat_graph(ctx)
-        dist = bruhat.directed_distances_to(graph, graph.index[w.window])
-        winv = invert_window(w.window)
-        grids = group_rank_grids(ctx)
-        boxes = coessential_boxes(w.window)
-        abslens = group_absolute_lengths(ctx)
         report = PatternWitnessReport(w)
-        recomputed: dict[Window, tuple[int, int]] = {}
-        for i, u in enumerate(graph.elements):
-            if u.window == w.window:
-                continue
-            grid = grids[u.window]
-            if not all(grid[p - 1][q - 1] <= r for p, q, r in boxes):
-                continue
-            lt = abslens[compose_windows(winv, u.window)]
-            if dist[i] != lt:
-                recomputed[u.window] = (int(dist[i]), lt)
-                report.witnesses.append((u, int(dist[i]), lt))
+        report.witnesses = list(bruhat.distance_witnesses(w, graph))
+        recomputed = {u.window: (ld, lt) for u, ld, lt in report.witnesses}
         report.non_hultman_confirmed = bool(report.witnesses)
 
         listed_windows = set()
@@ -420,7 +379,7 @@ def witness_table() -> list[PatternWitnessReport]:
             rec = recomputed.get(u.window)
             if rec is None and below:
                 # below but not a witness: distances agree; report them
-                du = dist[graph.index[u.window]]
+                du = bruhat.directed_distance(u, w, graph)
                 rec_pair = (int(du), bruhat.undirected_distance(u, w))
                 is_witness = False
             elif rec is None:

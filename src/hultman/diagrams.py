@@ -17,12 +17,15 @@ from functools import lru_cache
 from itertools import permutations
 from typing import AbstractSet, Iterator, Sequence
 
+import numpy as np
+
 from .bruhat import (
+    box_mask,
     bruhat_leq,
     coessential_boxes,
+    interval_mask,
     window_leq,
     window_rank,
-    window_rank_grid,
 )
 from .groups import (
     Element,
@@ -437,17 +440,11 @@ def reduced_coessential(w: Element) -> tuple[CoessBox, ...]:
         seen |= orbit
         orbits.append(orbit)
 
-    below = frozenset(
-        v.window for v in w.ctx.elements if window_leq(v.window, w.window)
-    )
+    below = interval_mask(w)
 
     def valid(active: set[tuple[int, int]]) -> bool:
         tests = [(p, q, boxes[(p, q)]) for p, q in active]
-        for v in w.ctx.elements:
-            ok = all(window_rank(v.window, p, q) <= r for p, q, r in tests)
-            if ok != (v.window in below):
-                return False
-        return True
+        return bool((box_mask(w.ctx, tests) == below).all())
 
     active = set(boxes)
     for orbit in orbits:
@@ -523,9 +520,7 @@ def has_unique_reduced_word(v: Element) -> bool:
 def coxeter_coessential(w: Element) -> tuple[Element, ...]:
     """The Coxeter-theoretic coessential set: Bruhat-minimal elements not
     below w, in graded order."""
-    not_below = [
-        v for v in w.ctx.elements if not window_leq(v.window, w.window)
-    ]
+    not_below = [w.ctx.elements[i] for i in np.flatnonzero(~interval_mask(w))]
     minimal: list[Element] = []
     for v in not_below:  # graded order: anything below v was seen earlier
         if not any(window_leq(m.window, v.window) for m in minimal):

@@ -17,8 +17,8 @@ from hultman.arrangements import chamber_count, chamber_count_ff
 from hultman.bruhat import (
     bruhat_graph,
     bruhat_leq,
-    coessential_boxes,
     directed_distance,
+    interval_mask,
     interval_size,
     undirected_distance,
     window_rank_grid,
@@ -198,23 +198,18 @@ def _undirected_bfs_all(graph, start):
     return dist
 
 
-def _restricted_equals_full(ctx):
+def _interval_mask_equals_full(ctx):
+    """The production interval_mask (coessential boxes over the group
+    matrix) against the entrywise comparison of whole rank grids."""
     els = ctx.elements
-    n = ctx.degree
     grids = np.array(
-        [[v for row in window_rank_grid(e.window) for v in row] for e in els],
-        dtype=np.int16,
+        [[v for row in window_rank_grid(e.window) for v in row] for e in els]
     )
     for wi, w in enumerate(els):
         full = (grids <= grids[wi]).all(axis=1)
-        boxes = coessential_boxes(w.window)
-        if boxes:
-            cols = [(p - 1) * n + (q - 1) for p, q, _ in boxes]
-            rvec = np.array([r for _, _, r in boxes], dtype=np.int16)
-            restricted = (grids[:, cols] <= rvec).all(axis=1)
-        else:
-            restricted = np.ones(len(els), dtype=bool)
-        assert (full == restricted).all(), str(w)
+        mask = interval_mask(w)
+        assert (full == mask).all(), str(w)
+        assert interval_size(w) == mask.sum(), str(w)
 
 
 def test_criterion_7_oracle_equivalence():
@@ -237,8 +232,8 @@ def test_criterion_7_oracle_equivalence():
                 assert undirected_distance(u, w) == bfs[j]
 
     # Bruhat comparison: coessential fast path vs full tableau criterion
-    _restricted_equals_full(context("A", 6))
-    _restricted_equals_full(B4)
+    _interval_mask_equals_full(context("A", 6))
+    _interval_mask_equals_full(B4)
     elapsed = time.perf_counter() - start
     _report("7 (oracle equivalence: chambers, distances, tableau)", elapsed)
 

@@ -12,6 +12,8 @@ from hultman.bruhat import (
     coessential_boxes,
     directed_distance,
     directed_distances_to,
+    distance_witnesses,
+    group_rank_grids,
     interval_size,
     is_hultman,
     rank_grid,
@@ -86,6 +88,15 @@ def test_fast_path_equals_full_tableau(ctx):
             assert bruhat_leq(u, w) == bruhat_leq_full(u, w)
 
 
+@pytest.mark.parametrize("ctx", [A4, B3])
+def test_group_rank_grids_are_the_flattened_grids(ctx):
+    grids = group_rank_grids(ctx)
+    assert grids.shape == (ctx.order, ctx.degree**2)
+    assert not grids.flags.writeable
+    for i, e in enumerate(ctx.elements):
+        assert grids[i].tolist() == [v for row in rank_grid(e) for v in row]
+
+
 def test_interval_sizes():
     assert interval_size(A4.identity) == 1
     assert interval_size(parse_element("4231", A4)) == 20
@@ -110,11 +121,6 @@ def test_graph_edges_increase_length():
     for i in range(len(g.elements)):
         for j in g.up[i]:
             assert g.lengths[j] > g.lengths[i]
-
-
-def test_graph_order_bound():
-    with pytest.raises(ValueError):
-        bruhat_graph(context("A", 8), max_order=5000)
 
 
 def _directed_bfs(g, start):
@@ -201,6 +207,28 @@ def test_distance_inequality_and_parity(ctx):
             assert lt <= dist[i]
             if not math.isinf(dist[i]):
                 assert (dist[i] - (g.lengths[j] - g.lengths[i])) % 2 == 0
+
+
+@pytest.mark.parametrize("ctx", [A4, B3])
+def test_restricted_sweep_is_infinite_exactly_off_the_interval(ctx):
+    g = bruhat_graph(ctx)
+    for j, w in enumerate(g.elements):
+        dist = directed_distances_to(g, j)
+        for i, u in enumerate(g.elements):
+            assert math.isinf(dist[i]) == (not bruhat_leq(u, w))
+
+
+@pytest.mark.parametrize("ctx", [A4, B3])
+def test_distance_witnesses_against_bfs(ctx):
+    g = bruhat_graph(ctx)
+    l_d = [_directed_bfs(g, i) for i in range(len(g.elements))]
+    for j, w in enumerate(g.elements):
+        expected = [
+            (u, l_d[i][j], undirected_distance(u, w))
+            for i, u in enumerate(g.elements)
+            if bruhat_leq_full(u, w) and l_d[i][j] != undirected_distance(u, w)
+        ]
+        assert list(distance_witnesses(w, g)) == expected
 
 
 def test_hultman_examples():
