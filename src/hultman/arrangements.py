@@ -1,20 +1,18 @@
 """Inversion arrangements and exact chamber counting.
 
-Hyperplanes come in the three reflection shapes x_i = x_j, x_i = -x_j,
-and x_i = 0 (type A uses only the first).  Intersections of such
-hyperplanes are "signed partition" subspaces: a zero block plus blocks of
-coordinates equal up to sign.  That exact combinatorial encoding avoids
-rational linear algebra entirely; regions are counted by Zaslavsky's
-theorem, sum over intersection-lattice flats of |mu|.
-
-Everything here is exact integer arithmetic.  The finite-field point
-count is an independent test oracle, not a production path.
+Hyperplanes come in the three reflection shapes x_i = x_j, x_i = -x_j and
+x_i = 0 (type A uses only the first), so an arrangement is a signed graph.
+chi(t) counts its proper colourings (Zaslavsky, "Signed graph coloring",
+1982), and one exact subset DP over them gives chi(t) and the chamber count
+c(w) = (-1)^n chi(-1).  The intersection lattice with its Möbius values and
+the finite-field point count are independent test oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,136 +51,85 @@ class Hyperplane:
         return f"x{self.i}{op}x{self.j}=0"
 
 
-@dataclass(frozen=True)
-class FlatPartition:
-    """An intersection subspace: coordinates in `zero` vanish; each block
-    lists (coordinate, sign) pairs equal up to sign, least coordinate
-    first with sign +1.  Dimension = number of blocks."""
-
-    n: int
-    zero: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def codim(self) -> int:
-        return self.n - len(self.blocks)
-
-
-def ambient_flat(n: int) -> FlatPartition:
-    return FlatPartition(
-        n, (), tuple(((c, 1),) for c in range(1, n + 1))
-    )
-
-
-def hyperplane_flat(h: Hyperplane, n: int) -> FlatPartition:
-    constraints = [(h.i, h.j, 1 if h.kind == "diff" else -1)] if h.kind != "zero" else []
-    zero = [h.i] if h.kind == "zero" else []
-    return _from_constraints(n, zero, constraints)
-
-
-def _from_constraints(
-    n: int,
-    zeros: Iterable[int],
-    relations: Iterable[tuple[int, int, int]],
-) -> FlatPartition:
-    """Build the subspace cut out by x_c = 0 (c in zeros) and
-    x_a = s * x_b ((a, b, s) in relations), via union-find with signs.
-
-    Node 0 is the zero sink; sign conflicts send a whole class to zero.
-    """
-    parent = list(range(n + 1))
-    sign = [1] * (n + 1)
-
-    def find(x: int) -> tuple[int, int]:
-        s = 1
-        while parent[x] != x:
-            s *= sign[x]
-            x = parent[x]
-        return x, s
-
-    def union(a: int, b: int, s: int) -> None:
-        # constraint: val_a = s * val_b
-        ra, sa = find(a)
-        rb, sb = find(b)
-        if ra == rb:
-            if ra != 0 and sa != s * sb:
-                parent[ra] = 0  # x = -x forces the class to zero
-            return
-        if ra == 0:
-            parent[rb] = 0
-        elif rb == 0:
-            parent[ra] = 0
+def _block_counts(planes: Iterable[Hyperplane], n: int) -> list[int]:
+    """a[k], so that chi(2m+1) = sum_k a[k] (m)_k.  A proper colouring by
+    -m..m is its zero set Z (no zero plane, no edge inside) plus the blocks
+    of equal |x|, which take k distinct values in 1..m; a[k] sums, over Z
+    and the partitions of the rest into k blocks B, prod_B sigma(B), where
+    sigma(B) counts the signings of B in which each "diff" edge has opposite
+    signs and each "sum" edge equal ones."""
+    same, opposite = [0] * n, [0] * n
+    no_zero = 0
+    for h in planes:
+        if h.kind == "zero":
+            no_zero |= 1 << (h.i - 1)
         else:
-            parent[ra] = rb
-            sign[ra] = sa * s * sb
+            adjacent = opposite if h.kind == "diff" else same
+            adjacent[h.i - 1] |= 1 << (h.j - 1)
+            adjacent[h.j - 1] |= 1 << (h.i - 1)
+    full = (1 << n) - 1
+    # signings[s]: the minus-sets of the valid signings of s, built by
+    # giving the highest vertex v of s a sign that fits its edges
+    signings: list[list[int]] = [[0]]
+    for s in range(1, full + 1):
+        v = s.bit_length() - 1
+        rest = s ^ 1 << v
+        valid = []
+        for minus in signings[rest]:
+            plus = rest ^ minus
+            if not (minus & same[v] or plus & opposite[v]):
+                valid.append(minus)
+            if not (minus & opposite[v] or plus & same[v]):
+                valid.append(minus | 1 << v)
+        signings.append(valid)
+    sigma = [len(valid) for valid in signings]
+    # parts[s][k]: weighted partitions of s into k blocks, built by choosing
+    # the block that holds the lowest vertex of s
+    parts = [[0] * (n + 1) for _ in range(full + 1)]
+    parts[0][0] = 1
+    for s in range(1, full + 1):
+        low = s & -s
+        sub = rest = s ^ low
+        while True:
+            block = sub | low
+            for k, count in enumerate(parts[s ^ block][:n]):
+                parts[s][k + 1] += sigma[block] * count
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    # a zero set has no edge inside: all 2^|z| of its signings are valid
+    zero_sets = [
+        z for z in range(full + 1) if not z & no_zero and sigma[z] == 1 << z.bit_count()
+    ]
+    return [sum(parts[full ^ z][k] for z in zero_sets) for k in range(n + 1)]
 
-    for c in zeros:
-        union(c, 0, 1)
-    for a, b, s in relations:
-        union(a, b, s)
 
-    zero_set = []
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for c in range(1, n + 1):
-        root, s = find(c)
-        if root == 0:
-            zero_set.append(c)
-        else:
-            groups.setdefault(root, []).append((c, s))
-    blocks = []
-    for members in groups.values():
-        members.sort()
-        lead_sign = members[0][1]
-        blocks.append(tuple((c, s * lead_sign) for c, s in members))
-    blocks.sort()
-    return FlatPartition(n, tuple(zero_set), tuple(blocks))
-
-
-def meet(a: FlatPartition, b: FlatPartition) -> FlatPartition:
-    """Intersection of two flats (always nonempty: everything is central)."""
-    if a.n != b.n:
-        raise ValueError("flats live in different ambient spaces")
-    zeros = list(a.zero) + list(b.zero)
-    relations = []
-    for flat in (a, b):
-        for block in flat.blocks:
-            c0, s0 = block[0]
-            for c, s in block[1:]:
-                relations.append((c, c0, s * s0))
-    return _from_constraints(a.n, zeros, relations)
-
-
-def flat_in_hyperplane(f: FlatPartition, h: Hyperplane) -> bool:
-    """Whether the subspace f is contained in the hyperplane h."""
-    where: dict[int, tuple[int, int] | None] = {}
-    for c in f.zero:
-        where[c] = None
-    for bi, block in enumerate(f.blocks):
-        for c, s in block:
-            where[c] = (bi, s)
-    if h.kind == "zero":
-        return where[h.i] is None
-    a, b = where[h.i], where[h.j]
-    if a is None and b is None:
-        return True
-    if a is None or b is None:
-        return False
-    want = 1 if h.kind == "diff" else -1
-    return a[0] == b[0] and a[1] * want == b[1]
+def characteristic_polynomial(planes: Iterable[Hyperplane], n: int) -> tuple[int, ...]:
+    """Coefficients of chi(t), ascending degree, by signed-graph colouring:
+    chi(t) = sum_k a[k] (m)_k with m = (t - 1) / 2."""
+    coeffs = [Fraction(0)] * (n + 1)
+    falling = [Fraction(1)]
+    for k, count in enumerate(_block_counts(planes, n)):
+        for d, c in enumerate(falling):
+            coeffs[d] += count * c
+        falling = _poly_mul(falling, [Fraction(-1 - 2 * k, 2), Fraction(1, 2)])
+    if any(c.denominator != 1 for c in coeffs) or coeffs[n] != 1:
+        raise ArithmeticError(
+            f"colouring count is not a monic integer polynomial: {coeffs}"
+        )
+    return tuple(int(c) for c in coeffs)
 
 
 @dataclass(eq=False)
 class IntersectionPoset:
     """Flats of an arrangement ordered by reverse inclusion, with Mobius
-    values mu(ambient, x)."""
+    values mu(ambient, x).  A flat is the closed set of planes containing
+    it, as a bitmask over `planes`."""
 
     n: int
     planes: tuple[Hyperplane, ...]
-    flats: tuple[FlatPartition, ...]
+    flats: tuple[int, ...]
+    codims: tuple[int, ...]
     mobius: tuple[int, ...]
 
     @property
@@ -192,55 +139,60 @@ class IntersectionPoset:
     def characteristic_polynomial(self) -> tuple[int, ...]:
         """Coefficients of chi(t) = sum_x mu(x) t^{dim x}, ascending degree."""
         coeffs = [0] * (self.n + 1)
-        for flat, m in zip(self.flats, self.mobius):
-            coeffs[flat.dim] += m
+        for codim, m in zip(self.codims, self.mobius):
+            coeffs[self.n - codim] += m
         return tuple(coeffs)
 
 
-def intersection_poset(
-    planes: Iterable[Hyperplane], n: int
-) -> IntersectionPoset:
-    """All intersections of subsets of `planes`, with Mobius values.
+def _reduce(basis: list[tuple[int, list[int]]], v: list[int]) -> list[int]:
+    """v reduced against echelon rows (pivot, row) by fraction-free integer
+    elimination; zero iff v lies in their span."""
+    for p, row in basis:
+        if v[p]:
+            v = [row[p] * x - v[p] * y for x, y in zip(v, row)]
+    return v
 
-    Built by incremental closure: after hyperplane k is processed, the
-    flat set holds every intersection of a subset of the first k planes.
-    """
-    plane_list = sorted(set(planes))
-    flats = [ambient_flat(n)]
-    seen = {flats[0]}
+
+def intersection_poset(planes: Iterable[Hyperplane], n: int) -> IntersectionPoset:
+    """Test oracle for chi(t): every intersection of a subset of `planes`,
+    with its Mobius value, by exact rank closure.  A plane contains the
+    intersection iff its normal lies in the span of the chosen normals."""
+    plane_list = tuple(sorted(set(planes)))
+    normals = []
     for h in plane_list:
-        hf = hyperplane_flat(h, n)
-        for f in list(flats):
-            g = meet(f, hf)
-            if g not in seen:
-                seen.add(g)
-                flats.append(g)
-    flats.sort(key=lambda f: (f.codim, f.zero, f.blocks))
+        v = [0] * n
+        v[h.i - 1] = 1
+        if h.kind != "zero":
+            v[h.j - 1] = -1 if h.kind == "diff" else 1
+        normals.append(v)
 
-    masks = []
-    for f in flats:
-        mask = 0
-        for t, h in enumerate(plane_list):
-            if flat_in_hyperplane(f, h):
-                mask |= 1 << t
-        masks.append(mask)
+    def closure(mask: int) -> tuple[int, int]:
+        basis: list[tuple[int, list[int]]] = []
+        for t, v in enumerate(normals):
+            v = _reduce(basis, v)
+            if mask >> t & 1 and any(v):
+                basis.append((next(p for p, x in enumerate(v) if x), v))
+        closed = [t for t, v in enumerate(normals) if not any(_reduce(basis, v))]
+        return sum(1 << t for t in closed), len(basis)
 
-    mobius = [0] * len(flats)
-    mobius[0] = 1
+    # flat -> codimension; after plane t, every intersection of planes <= t
+    codim = {0: 0}
+    for t in range(len(plane_list)):
+        codim.update(closure(f | 1 << t) for f in list(codim))
+    flats = sorted(codim, key=lambda f: (codim[f], f))
+
+    mobius = [1]
     for x in range(1, len(flats)):
-        mx = masks[x]
-        acc = 0
-        for y in range(x):
-            my = masks[y]
-            if my != mx and (my & mx) == my:
-                acc += mobius[y]
-        mobius[x] = -acc
+        fx = flats[x]
+        mobius.append(-sum(mobius[y] for y in range(x) if flats[y] & fx == flats[y]))
         # geometric lattice: mu alternates in sign with codimension
-        if mobius[x] == 0 or (mobius[x] > 0) != (flats[x].codim % 2 == 0):
+        if mobius[x] == 0 or (mobius[x] > 0) != (codim[fx] % 2 == 0):
             raise ArithmeticError(
-                f"Möbius value {mobius[x]} at a codimension-{flats[x].codim} flat"
+                f"Möbius value {mobius[x]} at a codimension-{codim[fx]} flat"
             )
-    return IntersectionPoset(n, tuple(plane_list), tuple(flats), tuple(mobius))
+    return IntersectionPoset(
+        n, plane_list, tuple(flats), tuple(codim[f] for f in flats), tuple(mobius)
+    )
 
 
 def inversion_reflections(w: Element) -> tuple[Element, ...]:
@@ -260,12 +212,7 @@ def hyperplane_of(t: Element, ctx: GroupContext) -> Hyperplane:
     """The fixed hyperplane of a reflection, in signed coordinates."""
     if t.ctx != ctx:
         raise ValueError("reflection does not belong to the given context")
-    if ctx.family == "A":
-        moved = [i for i in range(1, ctx.rank + 1) if t.window[i - 1] != i]
-        if len(moved) == 2 and t.window[moved[0] - 1] == moved[1]:
-            return Hyperplane("diff", moved[0], moved[1])
-        raise ValueError(f"{t} is not a reflection")
-    sigma = signed_window(t)
+    sigma = signed_window(t) if ctx.family == "B" else t.window
     moved = [k for k in range(1, ctx.rank + 1) if sigma[k - 1] != k]
     if len(moved) == 1 and sigma[moved[0] - 1] == -moved[0]:
         return Hyperplane("zero", moved[0], 0)
@@ -284,13 +231,15 @@ def inversion_arrangement(w: Element) -> tuple[Hyperplane, ...]:
 
 
 def chamber_count(w: Element) -> int:
-    """c(w): chambers of the inversion arrangement, by Zaslavsky's theorem."""
-    poset = intersection_poset(inversion_arrangement(w), w.ctx.rank)
-    return poset.region_count
+    """c(w) = (-1)^n chi(-1), the chambers of the inversion arrangement.
 
-
-def chamber_poset(w: Element) -> IntersectionPoset:
-    return intersection_poset(inversion_arrangement(w), w.ctx.rank)
+    At t = -1, m = -1 and (m)_k = (-1)^k k!, so this is integer arithmetic.
+    """
+    n = w.ctx.rank
+    counts = _block_counts(inversion_arrangement(w), n)
+    return (-1) ** n * sum(
+        count * (-1) ** k * factorial(k) for k, count in enumerate(counts)
+    )
 
 
 def _odd_primes_above(bound: int, count: int) -> list[int]:

@@ -56,6 +56,7 @@ class ClassificationReport:
     violations: tuple[CoessBox, ...] = ()
     hull_counterexample: Window | None = None
     matched_pattern: tuple[Element, patterns.ParabolicEmbedding] | None = None
+    seconds: dict[str, float] = field(default_factory=dict)  # per condition
 
     @property
     def consistent(self) -> bool:
@@ -104,20 +105,6 @@ class ClassificationReport:
         }
 
 
-def _pattern_condition(
-    w: Element,
-) -> tuple[bool, tuple[Element, patterns.ParabolicEmbedding] | None]:
-    if w.ctx.family == "B":
-        return patterns.avoids_condition5_list(w)
-    for v in patterns.condition5_patterns():
-        if v.ctx.family != "A":
-            continue
-        emb = patterns.bp_contains(w, v)
-        if emb is not None:
-            return False, (v, emb)
-    return True, None
-
-
 def classify(
     w: Element,
     conditions: tuple[int, ...] = ALL_CONDITIONS,
@@ -130,6 +117,7 @@ def classify(
     report = ClassificationReport(w)
     for num in conditions:
         name = CONDITION_NAMES[num]
+        start = time.perf_counter()
         if num == 1:
             if chamber_cache is not None and w.window in chamber_cache:
                 report.c = chamber_cache[w.window]
@@ -160,11 +148,12 @@ def classify(
             report.conditions[name] = cex is None
             report.hull_counterexample = cex
         elif num == 5:
-            ok, matched = _pattern_condition(w)
+            ok, matched = patterns.avoids_condition5_list(w)
             report.conditions[name] = ok
             report.matched_pattern = matched
         else:
             raise ValueError(f"unknown condition {num}")
+        report.seconds[name] = time.perf_counter() - start
     return report
 
 
@@ -177,6 +166,7 @@ class VerificationSummary:
     disagreements: list[ClassificationReport] = field(default_factory=list)
     reports: list[ClassificationReport] = field(default_factory=list)
     elapsed: float = 0.0
+    seconds: dict[str, float] = field(default_factory=dict)  # per condition
 
     @property
     def ok(self) -> bool:
@@ -189,6 +179,8 @@ class VerificationSummary:
             "conditions": [CONDITION_NAMES[c] for c in self.conditions],
             "total": self.total,
             "hultman_count": self.hultman_count,
+            "elapsed_s": self.elapsed,
+            "seconds": dict(self.seconds),
             "disagreements": [r.to_json_dict() for r in self.disagreements],
             "elements": [r.to_json_dict() for r in self.reports],
         }
@@ -205,6 +197,7 @@ def verify_equivalence(
     start = time.perf_counter()
     graph = bruhat_graph(ctx) if 2 in conditions else None
     summary = VerificationSummary(ctx, tuple(conditions))
+    summary.seconds = {CONDITION_NAMES[c]: 0.0 for c in summary.conditions}
 
     chamber_cache: dict[Window, int] = {}
     for w in ctx.elements:
@@ -212,6 +205,8 @@ def verify_equivalence(
             w, conditions, graph=graph, chamber_cache=chamber_cache
         )
         summary.total += 1
+        for name, seconds in report.seconds.items():
+            summary.seconds[name] += seconds
         if not report.consistent:
             summary.disagreements.append(report)
         elif report.is_hultman:

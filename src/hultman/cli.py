@@ -136,6 +136,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"{ctx.family}_{ctx.rank}: {summary.total} elements, conditions [{names}]")
     print(f"  Hultman elements: {summary.hultman_count}")
     print(f"  elapsed: {summary.elapsed:.2f}s")
+    for name, seconds in summary.seconds.items():
+        print(f"    {name}: {seconds:.2f}s")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(summary.to_json_dict(), fh, indent=2)
@@ -215,15 +217,14 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
     w = _element_from_args(args)
     refl = arrangements.inversion_reflections(w)
     planes = arrangements.inversion_arrangement(w)
-    poset = arrangements.intersection_poset(planes, w.ctx.rank)
-    chi = poset.characteristic_polynomial()
+    chi = arrangements.characteristic_polynomial(planes, w.ctx.rank)
     print(f"element {w}: |Inv(w)| = {len(refl)} (length {coxeter_length(w)})")
     print("hyperplanes: " + (", ".join(str(h) for h in planes) or "(none)"))
     terms = [
         f"{c:+d}t^{d}" for d, c in reversed(list(enumerate(chi))) if c
     ]
     print("characteristic polynomial: " + " ".join(terms))
-    print(f"c(w) = {poset.region_count}")
+    print(f"c(w) = {arrangements.chamber_count(w)}")
     return 0
 
 

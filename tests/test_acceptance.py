@@ -100,10 +100,11 @@ def test_criterion_3_type_b_equivalence_b4():
 )
 def test_criterion_3_type_b_equivalence_b5_opt_in():
     start = time.perf_counter()
-    summary = verify_equivalence(context("B", 5))
+    summary = verify_equivalence(context("B", 5), keep_reports=True)
     assert summary.ok, summary.disagreements
     assert summary.total == 3840
     assert summary.hultman_count == 949
+    assert sum(r.c for r in summary.reports) == 2505123
     elapsed = time.perf_counter() - start
     assert elapsed < 4 * 3600
     _report("3c (type B equivalence, B_5, all five conditions)", elapsed)

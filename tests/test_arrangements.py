@@ -3,19 +3,15 @@ import random
 import pytest
 
 from hultman.arrangements import (
-    FlatPartition,
     Hyperplane,
-    ambient_flat,
+    _complement_count,
     chamber_count,
     chamber_count_ff,
-    chamber_poset,
-    flat_in_hyperplane,
-    hyperplane_flat,
+    characteristic_polynomial,
     hyperplane_of,
     intersection_poset,
     inversion_arrangement,
     inversion_reflections,
-    meet,
 )
 from hultman.bruhat import interval_size
 from hultman.groups import (
@@ -87,25 +83,12 @@ def test_longest_element_uses_every_reflection():
 
 
 def test_flat_meet_and_zero_propagation():
-    n = 3
-    d12 = hyperplane_flat(Hyperplane("diff", 1, 2), n)
-    s12 = hyperplane_flat(Hyperplane("sum", 1, 2), n)
-    both = meet(d12, s12)
-    # x1 = x2 and x1 = -x2 force both coordinates to zero
-    assert both.zero == (1, 2)
-    assert both.dim == 1
-    assert meet(d12, d12) == d12
-    assert meet(ambient_flat(n), d12) == d12
-
-
-def test_flat_in_hyperplane():
-    n = 3
-    f = hyperplane_flat(Hyperplane("sum", 1, 3), n)
-    assert flat_in_hyperplane(f, Hyperplane("sum", 1, 3))
-    assert not flat_in_hyperplane(f, Hyperplane("diff", 1, 3))
-    z = FlatPartition(2, (1, 2), ())
-    assert flat_in_hyperplane(z, Hyperplane("diff", 1, 2))
-    assert flat_in_hyperplane(z, Hyperplane("sum", 1, 2))
+    # x1 = x2 and x1 = -x2 meet in the origin: chi = t^2 - 2t + 1, 4 regions
+    planes = [Hyperplane("diff", 1, 2), Hyperplane("sum", 1, 2)]
+    assert characteristic_polynomial(planes, 2) == (1, -2, 1)
+    poset = intersection_poset(planes, 2)
+    assert poset.characteristic_polynomial() == (1, -2, 1)
+    assert poset.region_count == 4
 
 
 def test_single_hyperplane_poset():
@@ -136,7 +119,7 @@ def test_chamber_count_values():
     assert chamber_count(A4.identity) == 1
     assert chamber_count(parse_element("3412", A4)) == 14
     assert chamber_count(parse_element("4231", A4)) == 18
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         ctx = context("A", n)
         assert chamber_count(ctx.longest_element) == ctx.order
 
@@ -144,6 +127,28 @@ def test_chamber_count_values():
 def test_chamber_count_of_longest_type_b():
     assert chamber_count(B2.longest_element) == 8
     assert chamber_count(B3.longest_element) == 48
+    assert chamber_count(context("B", 4).longest_element) == 384
+    assert chamber_count(context("B", 5).longest_element) == 3840
+
+
+@pytest.mark.parametrize(
+    "family, rank, total", [("A", 5, 3651), ("A", 6, 90921), ("B", 4, 36225)]
+)
+def test_chamber_count_sums(family, rank, total):
+    # pinned from the intersection-lattice count, which is too slow here
+    assert sum(chamber_count(w) for w in context(family, rank).elements) == total
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3)]
+)
+def test_colouring_polynomial_matches_lattice_oracle(family, rank):
+    for w in context(family, rank).elements:
+        planes = inversion_arrangement(w)
+        chi = characteristic_polynomial(planes, rank)
+        poset = intersection_poset(planes, rank)
+        assert chi == poset.characteristic_polynomial(), w
+        assert chamber_count(w) == poset.region_count, w
 
 
 def test_chamber_count_invariant_under_inverse():
@@ -159,26 +164,22 @@ def test_chambers_at_most_interval_size():
 
 def test_characteristic_polynomial_vanishes_at_one():
     for text in ("3412", "4231", "4321"):
-        poset = chamber_poset(parse_element(text, A4))
-        chi = poset.characteristic_polynomial()
+        planes = inversion_arrangement(parse_element(text, A4))
+        chi = characteristic_polynomial(planes, 4)
         assert sum(chi) == 0  # chi(1) = 0 for a nonempty arrangement
 
 
 def test_mobius_recursion_identity():
     # sum over the interval [ambient, x] of mu is zero for x below ambient
-    poset = chamber_poset(parse_element("426153", B3))
-    masks = []
-    for f in poset.flats:
-        mask = 0
-        for t, h in enumerate(poset.planes):
-            if flat_in_hyperplane(f, h):
-                mask |= 1 << t
-        masks.append(mask)
-    for x in range(1, len(poset.flats)):
+    # (flats are the sets of planes containing them, as bitmasks)
+    poset = intersection_poset(inversion_arrangement(parse_element("426153", B3)), 3)
+    flats = poset.flats
+    assert flats[0] == 0 and len(set(flats)) == len(flats)
+    for x in range(1, len(flats)):
         total = sum(
             poset.mobius[y]
-            for y in range(len(poset.flats))
-            if masks[y] | masks[x] == masks[x]
+            for y in range(len(flats))
+            if flats[y] | flats[x] == flats[x]
         )
         assert total == 0
 
@@ -196,15 +197,11 @@ def test_ff_oracle_matches_zaslavsky_on_samples():
 
 
 def test_ff_oracle_agrees_with_poset_polynomial():
-    # the interpolated polynomial equals the poset's characteristic polynomial
-    from fractions import Fraction
-
+    # the colouring polynomial counts the complement points over F_q
     w = parse_element("426153", B3)
-    chi = chamber_poset(w).characteristic_polynomial()
-    primes = [7, 11, 13, 17]
-    from hultman.arrangements import _complement_count
-
     planes = inversion_arrangement(w)
+    chi = characteristic_polynomial(planes, 3)
+    primes = [7, 11, 13, 17]
     for q in primes:
         val = sum(c * q**d for d, c in enumerate(chi))
         assert _complement_count(planes, 3, q) == val

@@ -75,6 +75,20 @@ def test_verify_command(tmp_path, capsys):
     }
 
 
+def test_verify_reports_seconds_per_condition(tmp_path, capsys):
+    path = tmp_path / "verify.json"
+    code = main(["verify", "--family", "B", "--rank", "3", "--json", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(path.read_text())
+    names = {"chambers", "distance", "pseudo_inclusions", "relaxed_hull", "bp_avoidance"}
+    assert set(doc["seconds"]) == names
+    assert all(s >= 0 for s in doc["seconds"].values())
+    assert sum(doc["seconds"].values()) <= doc["elapsed_s"]
+    for name in names:
+        assert f"    {name}: " in out
+
+
 def test_minimal_patterns_command(capsys):
     code = main(["minimal-patterns", "--max-a", "3", "--max-b", "3"])
     out = capsys.readouterr().out
@@ -101,6 +115,14 @@ def test_chambers_command(capsys):
     assert "|Inv(w)| = 5" in out
     assert "c(w) = 18" in out
     assert "x1-x2" in out or "x1-x4" in out
+
+
+def test_chambers_command_type_b(capsys):
+    code = main(["chambers", "--family", "B", "--rank", "3", "--element", "654321"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "characteristic polynomial: +1t^3 -9t^2 +23t^1 -15t^0" in out
+    assert "c(w) = 48" in out
 
 
 def test_patterns_command(capsys):

@@ -219,6 +219,15 @@ def test_avoids_condition5_examples():
     assert ok
 
 
+def test_avoids_condition5_type_a_is_classical_avoidance():
+    # the four type A patterns are closed under the diagram flip
+    type_a = [v for v in condition5_patterns() if v.ctx.family == "A"]
+    assert len(type_a) == 4
+    for w in context("A", 6).elements:
+        classical = all(classical_contains(w, v) is None for v in type_a)
+        assert avoids_condition5_list(w)[0] == classical, w
+
+
 def test_bp_containment_is_transitive_sampled():
     rng = random.Random(5)
     b4 = list(B4.elements)
