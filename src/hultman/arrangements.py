@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -203,11 +202,6 @@ def inversion_reflections(w: Element) -> tuple[Element, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _reflection_hyperplanes(ctx: GroupContext) -> dict[tuple[int, ...], Hyperplane]:
-    return {t.window: hyperplane_of(t, ctx) for t in ctx.reflections}
-
-
 def hyperplane_of(t: Element, ctx: GroupContext) -> Hyperplane:
     """The fixed hyperplane of a reflection, in signed coordinates."""
     if t.ctx != ctx:
@@ -226,8 +220,21 @@ def hyperplane_of(t: Element, ctx: GroupContext) -> Hyperplane:
 
 
 def inversion_arrangement(w: Element) -> tuple[Hyperplane, ...]:
-    table = _reflection_hyperplanes(w.ctx)
-    return tuple(sorted(table[t.window] for t in inversion_reflections(w)))
+    """The fixed planes of Inv(w), read off the signed window sigma (type
+    A: the window): x_i = x_j for i < j with sigma_i > sigma_j, and in type
+    B also x_i = -x_j for i < j with -sigma_i > sigma_j and x_i = 0 for
+    sigma_i < 0.  `inversion_reflections` is the definition it must match."""
+    b = w.ctx.family == "B"
+    sigma = signed_window(w) if b else w.window
+    n = len(sigma)
+    planes = [Hyperplane("zero", i + 1, 0) for i in range(n) if b and sigma[i] < 0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sigma[i] > sigma[j]:
+                planes.append(Hyperplane("diff", i + 1, j + 1))
+            if b and -sigma[i] > sigma[j]:
+                planes.append(Hyperplane("sum", i + 1, j + 1))
+    return tuple(sorted(planes))
 
 
 def chamber_count(w: Element) -> int:

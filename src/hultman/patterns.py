@@ -11,13 +11,32 @@ Three embedding kinds cover the parabolic subgroups that matter here:
 - "B-in-B": B_m inside B_n on a mirror-closed set of 2m positions.  The
   B_m diagram is rigid, so only the canonical isomorphism applies and the
   flattening is compared to v directly.
+
+Containment is decided by flattening codes, in one numpy kernel.  A plan
+holds, for one (embedding kind, host, pattern size k), the index sets in
+lexicographic order and, for each, the k(k-1)/2 pairs of its positions.
+The code of a host window at an index set has one bit per pair, set when
+the window is larger at the pair's first position; these comparisons
+determine the relative order there, so the window flattens to v exactly
+when its code equals v's.  The bits fill 8-bit words, as many as the
+pairs need, so no code can wrap.  A search entry lists the target windows of one pattern:
+v and its diagram flip for the A kinds, v alone for B-in-B and for
+classical containment (which uses the A-in-A index sets).  For every row
+of a batch of host windows, the kernel returns the first entry whose
+targets one of the row's codes hits, at the first index set where it
+does; temporary arrays are built in blocks of at most about 2^16 cells.
+`bp_contains`, `classical_contains` and `avoids_condition5_list` run it on
+a batch of one; `first_bp_contained` runs it on a whole batch of hosts.
+`relative_order` remains only for `flatten`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .groups import Element, GroupContext, Window, context, parse_element
 
@@ -141,47 +160,192 @@ def b_in_b_index_sets(n: int, m: int) -> Iterator[tuple[int, ...]]:
         yield small + tuple(s - i for i in reversed(small))
 
 
+# Cells (rows x index sets x comparisons or target codes) in one block of
+# the kernel's temporary arrays, so memory stays flat for any batch size.
+_BLOCK_CELLS = 1 << 16
+# Codes are words of 8 bits: uint8 sums of distinct powers of two never wrap.
+_POWERS = (1 << np.arange(8)).astype(np.uint8)
+
+# One search entry: (embedding kind, host size, target windows).  The size
+# is the host's degree for "A-in-A" (which also serves classical
+# containment) and its rank otherwise; the index sets have the targets'
+# length.
+_Entry = tuple[EmbeddingKind, int, tuple[Window, ...]]
+
+
+@lru_cache(maxsize=64)
+def _plan(kind: EmbeddingKind, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index sets of one embedding kind, in lexicographic order, as a
+    (K, k) array of 1-based positions; and every pair a < b of local
+    positions as a (2, T) array, T = k(k-1)/2 rounded up to a whole number
+    of words by pairs (0, 0), which compare a position with itself and
+    always give 0."""
+    if kind == "A-in-A":
+        sets: Iterator[tuple[int, ...]] = combinations(range(1, n + 1), k)
+    elif kind == "A-in-B":
+        sets = a_in_b_index_sets(n, k)
+    else:
+        sets = b_in_b_index_sets(n, k // 2)
+    table = np.array(list(sets), dtype=np.intp).reshape(-1, k)
+    pairs = list(combinations(range(k), 2))
+    pairs += [(0, 0)] * (-len(pairs) % len(_POWERS))
+    local = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    table.flags.writeable = local.flags.writeable = False
+    return table, local
+
+
+def _greater(windows: np.ndarray) -> np.ndarray:
+    """(rows, d * d) comparison table: entry i * d + j says whether the row
+    is larger at position i than at position j (0-based)."""
+    rows, d = windows.shape
+    return (windows[:, :, None] > windows[:, None, :]).reshape(rows, d * d)
+
+
+def _codes(greater: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """(rows, K, words) flattening codes: bit t of column k is the entry
+    pairs[k, t] of the comparison table, and each word is
+    bits @ 2**arange(8).  The pairwise comparisons of an index set
+    determine the relative order there."""
+    bits = greater.take(pairs, axis=1)
+    rows, width, t = bits.shape
+    return bits.reshape(rows, width, t // len(_POWERS), len(_POWERS)) @ _POWERS
+
+
+def _pair_index(sets: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """Flat comparison-table indices of the pairs (a, b) of each index set."""
+    return (sets[:, a] - 1) * d + (sets[:, b] - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """The columns of one plan and the target codes of its entries."""
+
+    sets: np.ndarray  # (K, k) 1-based host positions
+    pairs: np.ndarray  # (K, T) comparison-table indices
+    targets: np.ndarray  # (nt, words) codes
+    owners: np.ndarray  # (nt,) entry index of each target
+
+    @cached_property
+    def cells(self) -> int:
+        """Temporary cells per host row: K x max(T, nt x words)."""
+        width, t = self.pairs.shape
+        return width * max(t, self.targets.size, 1)
+
+
+@lru_cache(maxsize=256)
+def _query(entries: tuple[_Entry | None, ...]) -> tuple[_Block, ...]:
+    """One block per distinct plan among the entries (None entries have no
+    parabolic in the host and never match)."""
+    by_plan: dict[tuple[EmbeddingKind, int, int], list[int]] = {}
+    for e, entry in enumerate(entries):
+        if entry is not None:
+            kind, n, targets = entry
+            by_plan.setdefault((kind, n, len(targets[0])), []).append(e)
+    blocks = []
+    for (kind, n, k), owners in by_plan.items():
+        sets, (a, b) = _plan(kind, n, k)
+        if not len(sets):
+            continue
+        degree = n if kind == "A-in-A" else 2 * n
+        wins = [(t, e) for e in owners for t in entries[e][2]]
+        targets = np.array([t for t, _ in wins], dtype=np.int16)
+        # a target window is a host of degree k whose one index set is 1..k
+        own = np.arange(1, k + 1)[None]
+        blocks.append(
+            _Block(
+                sets,
+                _pair_index(sets, a, b, degree),
+                _codes(_greater(targets), _pair_index(own, a, b, k))[:, 0],
+                np.array([e for _, e in wins], dtype=np.intp),
+            )
+        )
+    return tuple(blocks)
+
+
+def _first_matches(
+    query: tuple[_Block, ...], windows: np.ndarray, none: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel.  For each row of `windows`: the least entry index whose
+    targets one of the row's codes hits (`none` if there is no such entry),
+    the block holding that entry, and the block's first column where it
+    hits, which is the lexicographically first index set."""
+    rows = len(windows)
+    # one row per block, and a last row of `none` for a query with no block
+    best = np.full((len(query) + 1, rows), none, dtype=np.intp)
+    column = np.zeros_like(best)
+    step = max(1, _BLOCK_CELLS // max((b.cells for b in query), default=1))
+    for start in range(0, rows, step):
+        part = slice(start, start + step)
+        greater = _greater(windows[part])
+        for i, block in enumerate(query):
+            codes = _codes(greater, block.pairs)
+            hit = (codes[:, :, None, :] == block.targets).all(axis=-1)
+            owner = np.where(hit, block.owners, none).min(axis=-1)
+            best[i, part] = first = owner.min(axis=1)
+            column[i, part] = (owner == first[:, None]).argmax(axis=1)
+    # an entry lives in one block, so the least entry picks the block
+    where = best.argmin(axis=0)
+    picked = np.arange(rows)
+    return best[where, picked], column[where, picked], where
+
+
+def _host_rows(hosts: Sequence[Element], degree: int) -> np.ndarray:
+    return np.array([w.window for w in hosts], dtype=np.int16).reshape(-1, degree)
+
+
+def _bp_entry(host: GroupContext, v: Element) -> _Entry | None:
+    """BP containment of v as a search entry; None when the host has no
+    parabolic subgroup of v's type (a type B pattern in a type A host)."""
+    if v.ctx.family == "A":
+        kind = "A-in-A" if host.family == "A" else "A-in-B"
+        flip = dynkin_reverse(v).window
+        return kind, host.rank, tuple(dict.fromkeys((v.window, flip)))
+    if host.family == "B":
+        return "B-in-B", host.rank, (v.window,)
+    return None
+
+
+def _first_embedding(
+    w: Element, query: tuple[_Block, ...], count: int
+) -> tuple[int, tuple[int, ...]] | None:
+    """The first matching entry (of `count`) for one host, and its index
+    set; None if no entry matches."""
+    best, column, where = _first_matches(query, _host_rows((w,), w.degree), count)
+    if best[0] == count:
+        return None
+    return int(best[0]), tuple(int(i) for i in query[where[0]].sets[column[0]])
+
+
+def first_bp_contained(hosts: Sequence[Element], pats: Sequence[Element]) -> np.ndarray:
+    """For each host (all in one group), the index in `pats` of the first
+    pattern it BP contains, or -1: one kernel pass over every host."""
+    if not hosts:
+        return np.zeros(0, dtype=np.intp)
+    host = hosts[0].ctx
+    if any(w.ctx != host for w in hosts):
+        raise ValueError("hosts must share one group")
+    query = _query(tuple(_bp_entry(host, v) for v in pats))
+    best, _, _ = _first_matches(query, _host_rows(hosts, host.degree), len(pats))
+    return np.where(best < len(pats), best, -1)
+
+
 def bp_contains(w: Element, v: Element) -> ParabolicEmbedding | None:
     """The first embedding (lexicographic index order) realizing v as the
     flattening of w, or None if w BP avoids v."""
-    host, pat = w.ctx, v.ctx
-    if pat.family == "A":
-        m = pat.rank
-        targets = {v.window, dynkin_reverse(v).window}
-        if host.family == "A":
-            if m > host.rank:
-                return None
-            sets: Iterator[tuple[int, ...]] = combinations(
-                range(1, host.rank + 1), m
-            )
-            kind = "A-in-A"
-        else:
-            if m > host.rank:
-                return None  # a sum-free set picks at most one per mirror pair
-            sets = a_in_b_index_sets(host.rank, m)
-            kind = "A-in-B"
-        for idx in sets:
-            if relative_order([w.window[i - 1] for i in idx]) in targets:
-                return ParabolicEmbedding(host, kind, idx)
+    entry = _bp_entry(w.ctx, v)
+    if entry is None:
         return None
-    # type B pattern: only a type B host has B-parabolics
-    if host.family != "B" or pat.rank > host.rank:
+    found = _first_embedding(w, _query((entry,)), 1)
+    if found is None:
         return None
-    for idx in b_in_b_index_sets(host.rank, pat.rank):
-        if relative_order([w.window[i - 1] for i in idx]) == v.window:
-            return ParabolicEmbedding(host, "B-in-B", idx)
-    return None
+    return ParabolicEmbedding(w.ctx, entry[0], found[1])
 
 
 def classical_contains(w: Element, v: Element) -> tuple[int, ...] | None:
     """Classical pattern containment; returns the lexicographically least
     witness index set, or None."""
-    if v.degree > w.degree:
-        return None
-    for idx in combinations(range(1, w.degree + 1), v.degree):
-        if relative_order([w.window[i - 1] for i in idx]) == v.window:
-            return idx
-    return None
+    found = _first_embedding(w, _query((("A-in-A", w.degree, (v.window,)),)), 1)
+    return None if found is None else found[1]
 
 
 # The 31 minimal Billey-Postnikov obstructions for the Hultman property,
@@ -229,16 +393,21 @@ def condition5_patterns() -> tuple[Element, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _condition5_query(host: GroupContext) -> tuple[_Block, ...]:
+    return _query(tuple(_bp_entry(host, v) for v in condition5_patterns()))
+
+
 def avoids_condition5_list(
     w: Element,
 ) -> tuple[bool, tuple[Element, ParabolicEmbedding] | None]:
     """Whether w BP avoids all 31 listed patterns (a type A host: the four
     type A patterns, since a B pattern has no parabolic in S_n); on failure,
-    the first matched pattern and its embedding."""
-    for v in condition5_patterns():
-        if v.ctx.family == "B" and w.ctx.family == "A":
-            continue
-        emb = bp_contains(w, v)
-        if emb is not None:
-            return False, (v, emb)
-    return True, None
+    the first matched pattern in list order and its first embedding."""
+    pats = condition5_patterns()
+    found = _first_embedding(w, _condition5_query(w.ctx), len(pats))
+    if found is None:
+        return True, None
+    v = pats[found[0]]
+    kind = _bp_entry(w.ctx, v)[0]
+    return False, (v, ParabolicEmbedding(w.ctx, kind, found[1]))

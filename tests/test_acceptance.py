@@ -2,7 +2,9 @@
 its elapsed time (run with `pytest -s tests/test_acceptance.py` to see them
 as they complete).
 
-The B_5 equivalence sweep (all five conditions) is opt-in: set HULTMAN_B5=1.
+The long sweeps are opt-in: set HULTMAN_B5=1.  They are the B_5
+equivalence sweep (all five conditions), the rank-6 minimal-pattern search,
+and the S_8 and B_6 counts by conditions 3 and 5.
 """
 import math
 import os
@@ -94,10 +96,13 @@ def test_criterion_3_type_b_equivalence_b4():
     _report("3b (type B equivalence, B_4)", elapsed)
 
 
-@pytest.mark.skipif(
+OPT_IN = pytest.mark.skipif(
     not os.environ.get("HULTMAN_B5"),
-    reason="B_5 sweep is opt-in: set HULTMAN_B5=1",
+    reason="long sweeps are opt-in: set HULTMAN_B5=1",
 )
+
+
+@OPT_IN
 def test_criterion_3_type_b_equivalence_b5_opt_in():
     start = time.perf_counter()
     summary = verify_equivalence(context("B", 5), keep_reports=True)
@@ -108,6 +113,38 @@ def test_criterion_3_type_b_equivalence_b5_opt_in():
     elapsed = time.perf_counter() - start
     assert elapsed < 4 * 3600
     _report("3c (type B equivalence, B_5, all five conditions)", elapsed)
+
+
+def test_s7_count_by_inclusions_and_bp_avoidance():
+    start = time.perf_counter()
+    summary = verify_equivalence(context("A", 7), (3, 5))
+    assert summary.ok, summary.disagreements
+    assert summary.total == 5040
+    assert summary.hultman_count == 2343
+    _report("S_7 count (conditions 3 and 5)", time.perf_counter() - start)
+
+
+@OPT_IN
+@pytest.mark.parametrize(
+    "family, rank, order, hultman", [("A", 8, 40320, 11762), ("B", 6, 46080, 4843)]
+)
+def test_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultman):
+    start = time.perf_counter()
+    summary = verify_equivalence(context(family, rank), (3, 5))
+    assert summary.ok, summary.disagreements
+    assert summary.total == order
+    assert summary.hultman_count == hultman
+    _report(f"{family}_{rank} count (conditions 3 and 5)", time.perf_counter() - start)
+
+
+@OPT_IN
+def test_no_rank_6_obstruction_opt_in():
+    start = time.perf_counter()
+    found = find_minimal_non_hultman(max_a=7, max_b=6)
+    assert found == find_minimal_non_hultman(max_a=6, max_b=5)
+    assert len(found) == 31
+    assert set(found) == set(condition5_patterns())
+    _report("no rank-6 obstruction (31 patterns)", time.perf_counter() - start)
 
 
 def test_criterion_4_minimal_pattern_reproduction():

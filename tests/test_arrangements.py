@@ -76,6 +76,18 @@ def test_inversion_arrangement_3412():
     }
 
 
+@pytest.mark.parametrize("family, rank", [("A", 5), ("A", 6), ("B", 4)])
+def test_inversion_arrangement_is_the_planes_of_inversion_reflections(family, rank):
+    # the planes themselves, not only their chamber counts: c(w) = c(w^-1),
+    # so reading the inversions of w^-1 would pass a count check
+    ctx = context(family, rank)
+    for w in ctx.elements:
+        planes = inversion_arrangement(w)
+        assert planes == tuple(sorted(planes))
+        assert set(planes) == {hyperplane_of(t, ctx) for t in inversion_reflections(w)}
+        assert len(planes) == coxeter_length(w)
+
+
 def test_longest_element_uses_every_reflection():
     w0 = A5.longest_element
     assert len(inversion_reflections(w0)) == len(A5.reflections) == 10

@@ -143,6 +143,17 @@ def test_patterns_command(capsys):
     assert "BP avoids" in out
 
 
+def test_patterns_command_rank_6_type_b(capsys):
+    # a B_6 pattern spans 12 positions: 66 comparisons, two code words
+    code = main(
+        ["patterns", "--host", "1b6d73a5c8294e", "--pattern", "a5c6294b7183",
+         "--family", "B"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "at positions (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)" in out
+
+
 def test_bad_element_exits_2(capsys):
     code = main(
         ["classify", "--family", "A", "--rank", "4", "--element", "4232"]

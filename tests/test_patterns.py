@@ -1,9 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from hultman.bruhat import bruhat_leq
-from hultman.groups import Element, compose, context, parse_element
+from hultman.groups import Element, compose, context, element_from_signed, parse_element
 from hultman.patterns import (
     CONDITION5_SPECS,
     ParabolicEmbedding,
@@ -27,6 +28,50 @@ A8 = context("A", 8)
 B2 = context("B", 2)
 B3 = context("B", 3)
 B4 = context("B", 4)
+
+
+# Reference implementation: the relative_order scans that the flattening
+# code kernel replaced.  The kernel must return exactly what they return.
+def oracle_bp_contains(w, v):
+    host, pat = w.ctx, v.ctx
+    if pat.family == "A":
+        m = pat.rank
+        targets = {v.window, dynkin_reverse(v).window}
+        if m > host.rank:
+            return None
+        if host.family == "A":
+            sets, kind = combinations(range(1, host.rank + 1), m), "A-in-A"
+        else:
+            sets, kind = a_in_b_index_sets(host.rank, m), "A-in-B"
+        for idx in sets:
+            if relative_order([w.window[i - 1] for i in idx]) in targets:
+                return ParabolicEmbedding(host, kind, idx)
+        return None
+    if host.family != "B" or pat.rank > host.rank:
+        return None
+    for idx in b_in_b_index_sets(host.rank, pat.rank):
+        if relative_order([w.window[i - 1] for i in idx]) == v.window:
+            return ParabolicEmbedding(host, "B-in-B", idx)
+    return None
+
+
+def oracle_classical_contains(w, v):
+    if v.degree > w.degree:
+        return None
+    for idx in combinations(range(1, w.degree + 1), v.degree):
+        if relative_order([w.window[i - 1] for i in idx]) == v.window:
+            return idx
+    return None
+
+
+def oracle_avoids_condition5_list(w):
+    for v in condition5_patterns():
+        if v.ctx.family == "B" and w.ctx.family == "A":
+            continue
+        emb = oracle_bp_contains(w, v)
+        if emb is not None:
+            return False, (v, emb)
+    return True, None
 
 
 def test_classical_containment_examples():
@@ -252,6 +297,70 @@ def test_listed_pattern_containment_implies_non_hultman_on_b3():
     for w in B3.elements:
         if not avoids_condition5_list(w)[0]:
             assert not is_hultman(w, g)[0]
+
+
+@pytest.mark.parametrize("family, rank", [("A", 6), ("B", 4)])
+def test_avoids_condition5_matches_oracle(family, rank):
+    for w in context(family, rank).elements:
+        assert avoids_condition5_list(w) == oracle_avoids_condition5_list(w), w
+
+
+def test_avoids_condition5_matches_oracle_on_b5_sample():
+    sample = random.Random(6).sample(context("B", 5).elements, 400)
+    assert sum(oracle_avoids_condition5_list(w)[0] for w in sample) > 0
+    for w in sample:
+        assert avoids_condition5_list(w) == oracle_avoids_condition5_list(w), w
+
+
+def test_containment_matches_oracle_on_all_small_pairs():
+    # hosts S_5 and B_3; patterns include the identity of A_1 (a code with
+    # no bits), type B patterns in type A hosts, and patterns larger than
+    # the host (S_4 in B_3 has no A-in-B embedding; B_3 has degree 6 > 5)
+    hosts = context("A", 5).elements + B3.elements
+    pats = [e for r in range(1, 5) for e in context("A", r).elements]
+    pats += [e for r in range(1, 4) for e in context("B", r).elements]
+    hits = 0
+    for w in hosts:
+        for v in pats:
+            emb = bp_contains(w, v)
+            assert emb == oracle_bp_contains(w, v), (w, v)
+            assert classical_contains(w, v) == oracle_classical_contains(w, v), (w, v)
+            hits += emb is not None
+    assert 0 < hits < len(hosts) * len(pats)
+
+
+def _random_signed(rank, rng):
+    values = list(range(1, rank + 1))
+    rng.shuffle(values)
+    return element_from_signed([x * rng.choice((1, -1)) for x in values], rank)
+
+
+def test_codes_wider_than_one_word():
+    # a B_6 pattern spans 12 positions, 66 comparisons: two code words
+    rng = random.Random(12)
+    b7 = context("B", 7)
+    w6 = parse_element("-3,5,1,-6,2,-4", context("B", 6))
+    assert bp_contains(w6, w6).indices == tuple(range(1, 13))
+    assert classical_contains(w6, w6) == tuple(range(1, 13))
+    for _ in range(6):
+        host = _random_signed(7, rng)
+        drop = rng.randint(1, 7)
+        emb = ParabolicEmbedding(
+            b7, "B-in-B", tuple(i for i in range(1, 15) if i not in (drop, 15 - drop))
+        )
+        inside = flatten(host, emb)
+        assert bp_contains(host, inside) == oracle_bp_contains(host, inside) is not None
+        for _ in range(20):
+            v = _random_signed(6, rng)
+            assert bp_contains(host, v) == oracle_bp_contains(host, v), (host, v)
+    # two windows of S_12 that differ only in the order of the adjacent
+    # values 7, 8 at positions 11 and 12: their codes differ only in bit
+    # 65, which a single int64 word would drop
+    a12 = context("A", 12)
+    w = parse_element("5b3916c2a487", a12)
+    v = parse_element("5b3916c2a478", a12)
+    assert classical_contains(w, v) is None
+    assert classical_contains(w, w) == tuple(range(1, 13))
 
 
 def test_relative_order_basics():
