@@ -21,9 +21,7 @@ from .bruhat import (
     BruhatGraph,
     bruhat_graph,
     bruhat_leq,
-    directed_distance,
     interval_size,
-    is_hultman,
     rank_grid,
     undirected_distance,
 )

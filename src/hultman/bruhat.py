@@ -5,16 +5,21 @@ for all p, q, where r_w(p,q) = #{k <= q : w(k) >= p} is the SW rank
 function.  Only the coessential boxes of w need checking (Fulton's lemma).
 The production path holds one small-int matrix of rank grids per group
 (`group_rank_grids`) and answers "which u lie below w" for the whole group
-at once with `interval_mask`; interval sizes, distance sweeps and distance
-witnesses all read that mask.  `bruhat_leq_full`, the entrywise comparison
+at once with `interval_mask`.  `bruhat_leq_full`, the entrywise comparison
 of whole grids, is kept as the oracle.
+
+Whole-group data are arrays indexed by row of `ctx.elements`.  The one
+map from windows to rows, `element_rows`, packs each window into an int64
+key and binary-searches the group's sorted keys.  The Bruhat graph is one
+neighbour array with a sentinel row for missing edges, and the distance
+sweep takes one numpy step per length level; l_T is one gather from
+`group_absolute_lengths`.
 
 For type B elements the order is exactly the one induced from S_{2n}, so
 the same window-level test serves both families.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -27,7 +32,6 @@ from .groups import (
     Window,
     absolute_length,
     compose,
-    compose_windows,
     coxeter_length,
     inverse,
     invert_window,
@@ -104,12 +108,59 @@ def bruhat_leq_full(u: Element, w: Element) -> bool:
 
 
 @lru_cache(maxsize=None)
+def group_windows(ctx: GroupContext) -> np.ndarray:
+    """Read-only int8 matrix whose row i is the window of ctx.elements[i].
+    No group of degree 128 or more can be enumerated, so int8 cannot
+    overflow."""
+    windows = np.array([e.window for e in ctx.elements], dtype=np.int8)
+    windows.flags.writeable = False
+    return windows
+
+
+def _window_keys(windows: np.ndarray, degree: int) -> np.ndarray:
+    """One int64 key per row of `windows`: its entries as digits in radix
+    degree + 1, accumulated one column at a time.  Rows of entries in
+    1..degree get distinct keys, whatever their widths."""
+    keys = np.zeros(len(windows), dtype=np.int64)
+    for column in windows.T:
+        keys = keys * (degree + 1) + column
+    return keys
+
+
+@lru_cache(maxsize=None)
+def _sorted_keys(ctx: GroupContext) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the group's windows in increasing order, and the row of
+    ctx.elements that each one belongs to."""
+    if (ctx.degree + 1) ** ctx.degree >= 2**63:
+        raise OverflowError(f"windows of degree {ctx.degree} do not fit an int64 key")
+    keys = _window_keys(group_windows(ctx), ctx.degree)
+    order = np.argsort(keys)
+    return keys[order], order
+
+
+def element_rows(ctx: GroupContext, windows) -> np.ndarray:
+    """The row of ctx.elements of each window, given one window or an
+    (m x degree) array of them.  This is the one map from windows to rows;
+    it raises ValueError for a window that is not in the group."""
+    windows = np.atleast_2d(windows)
+    sorted_keys, order = _sorted_keys(ctx)
+    keys = _window_keys(windows, ctx.degree)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    out_of_range = ((windows < 1) | (windows > ctx.degree)).any(axis=1)
+    missing = (sorted_keys[pos] != keys) | out_of_range
+    if missing.any():
+        window = tuple(windows[np.argmax(missing)].tolist())
+        raise ValueError(f"{window} is not a window of {ctx.family}_{ctx.rank}")
+    return order[pos]
+
+
+@lru_cache(maxsize=None)
 def group_rank_grids(ctx: GroupContext) -> np.ndarray:
     """Read-only int8 matrix with one row per element of ctx.elements: the
     element's rank grid flattened row by row, so r(p,q) is in column
-    (p-1)*N + (q-1).  Ranks never exceed the degree N, and no group of
-    degree 128 or more can be enumerated, so int8 cannot overflow."""
-    windows = np.array([e.window for e in ctx.elements], dtype=np.int8)
+    (p-1)*N + (q-1).  Ranks never exceed the degree N, so int8 cannot
+    overflow."""
+    windows = group_windows(ctx)
     values = np.arange(1, ctx.degree + 1, dtype=np.int8)
     # [i, p-1, q-1] = #{k <= q : w_i(k) >= p}
     grids = np.cumsum(
@@ -140,81 +191,65 @@ def interval_size(w: Element) -> int:
 
 
 @lru_cache(maxsize=None)
-def group_absolute_lengths(ctx: GroupContext) -> dict[Window, int]:
-    return {e.window: absolute_length(e) for e in ctx.elements}
+def group_absolute_lengths(ctx: GroupContext) -> np.ndarray:
+    """Read-only array of l_T by row of ctx.elements, by the cycle formula."""
+    lengths = np.array([absolute_length(e) for e in ctx.elements], dtype=np.int64)
+    lengths.flags.writeable = False
+    return lengths
 
 
 @dataclass(frozen=True, eq=False)
 class BruhatGraph:
     """Directed graph on the group: u -> ut for reflections t with l(ut) > l(u).
 
-    Vertices are indices into `elements`, which is sorted by
-    (Coxeter length, window); every edge strictly increases length.
+    Vertices are rows of ctx.elements, sorted by (Coxeter length, window),
+    with their lengths in `lengths`.  `up` is the N x |T| neighbour array:
+    entry [u, k] is the row of u t_k if the k-th reflection raises the
+    length of u, and the sentinel N (the group order) if it lowers it.
     """
 
     ctx: GroupContext
-    elements: tuple[Element, ...]
-    index: dict[Window, int] = field(repr=False)
-    lengths: tuple[int, ...]
-    up: tuple[tuple[int, ...], ...] = field(repr=False)
-    down: tuple[tuple[int, ...], ...] = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
+    up: np.ndarray = field(repr=False)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.up)
+        return int((self.up < len(self.lengths)).sum())
 
 
 @lru_cache(maxsize=None)
 def bruhat_graph(ctx: GroupContext) -> BruhatGraph:
-    elements = ctx.elements
-    index = {e.window: i for i, e in enumerate(elements)}
-    lengths = tuple(coxeter_length(e) for e in elements)
-    refl = [t.window for t in ctx.reflections]
-    up: list[list[int]] = [[] for _ in elements]
-    down: list[list[int]] = [[] for _ in elements]
-    for i, e in enumerate(elements):
-        for t in refl:
-            j = index[compose_windows(e.window, t)]
-            if lengths[j] > lengths[i]:
-                up[i].append(j)
-            else:
-                down[i].append(j)
-    return BruhatGraph(
-        ctx,
-        elements,
-        index,
-        lengths,
-        tuple(tuple(a) for a in up),
-        tuple(tuple(a) for a in down),
-    )
+    windows = group_windows(ctx)
+    lengths = np.array([coxeter_length(e) for e in ctx.elements], dtype=np.int64)
+    up = np.empty((ctx.order, len(ctx.reflections)), dtype=np.int32)
+    for k, t in enumerate(ctx.reflections):
+        # (u t)(i) = u(t(i)): the columns of u's window permuted by t
+        rows = element_rows(ctx, windows[:, np.array(t.window) - 1])
+        up[:, k] = np.where(lengths[rows] > lengths, rows, ctx.order)
+    lengths.flags.writeable = False
+    up.flags.writeable = False
+    return BruhatGraph(ctx, lengths, up)
 
 
-def directed_distances_to(graph: BruhatGraph, target: int) -> list[float]:
-    """l_D(u, w) for every u at once, for w = elements[target].
+def directed_distances_to(graph: BruhatGraph, target: Element) -> np.ndarray:
+    """l_D(u, w) for every row u at once, for w = target, as a float array
+    that is +inf exactly off [id, w].
 
-    A directed path u -> w exists only when u <= w, and every edge moves
-    strictly up in length, so one sweep over [id, w) in decreasing length
-    order resolves all distances; every other vertex stays at +inf.
+    Every edge strictly raises length, so the up-neighbours of a vertex all
+    lie on higher length levels: one numpy step per level of [id, w), from
+    the top down, resolves the whole interval.
     """
-    dist = [math.inf] * len(graph.elements)
-    dist[target] = 0
-    below = np.flatnonzero(interval_mask(graph.elements[target])[:target])
-    for i in reversed(below.tolist()):
-        best = math.inf
-        for j in graph.up[i]:
-            dj = dist[j]
-            if dj < best:
-                best = dj
-        dist[i] = best + 1
-    return dist
-
-
-def directed_distance(u: Element, w: Element, graph: BruhatGraph | None = None) -> float:
-    """Length of a shortest directed path u -> w in the Bruhat graph."""
-    if graph is None:
-        graph = bruhat_graph(u.ctx)
-    dist = directed_distances_to(graph, graph.index[w.window])
-    return dist[graph.index[u.window]]
+    if target.ctx != graph.ctx:
+        raise ValueError(f"{target} is not an element of the graph's group")
+    order = len(graph.lengths)
+    dist = np.full(order + 1, np.inf)  # dist[order] is the sentinel's: +inf
+    interval = np.flatnonzero(interval_mask(target))
+    dist[interval[-1]] = 0  # w is the last row of [id, w], alone at its length
+    below = interval[:-1]
+    levels = np.split(below, np.flatnonzero(np.diff(graph.lengths[below])) + 1)
+    for rows in reversed(levels):
+        dist[rows] = 1 + dist[graph.up[rows]].min(axis=1, initial=np.inf)
+    return dist[:order]
 
 
 def undirected_distance(u: Element, w: Element) -> int:
@@ -222,17 +257,33 @@ def undirected_distance(u: Element, w: Element) -> int:
     return absolute_length(compose(inverse(w), u))
 
 
-def is_hultman(
-    w: Element, graph: BruhatGraph | None = None
-) -> tuple[bool, Element | None]:
-    """Whether l_D(u,w) = l_T(u,w) for all u <= w.
+def interval_distances(
+    w: Element, graph: BruhatGraph
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows of [id, w], l_D(u, w), l_T(u, w)) as arrays in row order.
 
-    On failure the second component is a witness u of minimal length.
+    Raises ArithmeticError unless l_D >= l_T for every u <= w (a directed
+    path is a product of reflections) and l_D, l_T and l(w) - l(u) share a
+    parity (every reflection has odd length).
     """
-    if graph is None:
-        graph = bruhat_graph(w.ctx)
-    witness = next(distance_witnesses(w, graph), None)
-    return witness is None, None if witness is None else witness[0]
+    ctx = graph.ctx
+    dist = directed_distances_to(graph, w)
+    rows = np.flatnonzero(np.isfinite(dist))
+    l_d = dist[rows].astype(np.int64)
+    # w^{-1} u has the window i -> w^{-1}(u(i))
+    winv = np.array(invert_window(w.window), dtype=np.int8)
+    l_t = group_absolute_lengths(ctx)[
+        element_rows(ctx, winv[group_windows(ctx)[rows] - 1])
+    ]
+    steps = coxeter_length(w) - graph.lengths[rows]
+    bad = (l_d < l_t) | ((l_d - l_t) % 2 != 0) | ((l_d - steps) % 2 != 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"u = {ctx.elements[rows[k]]}, w = {w}: l_D = {l_d[k]}, "
+            f"l_T = {l_t[k]}, l(w) - l(u) = {steps[k]}"
+        )
+    return rows, l_d, l_t
 
 
 def distance_witnesses(
@@ -240,11 +291,8 @@ def distance_witnesses(
 ) -> Iterator[tuple[Element, int, int]]:
     """Each u <= w with l_D(u,w) != l_T(u,w), as (u, l_D, l_T), in graded
     order: the first one has minimal length."""
-    dist = directed_distances_to(graph, graph.index[w.window])
-    winv = invert_window(w.window)
-    abslens = group_absolute_lengths(w.ctx)
-    for i in np.flatnonzero(interval_mask(w)).tolist():
-        u = graph.elements[i]
-        lt = abslens[compose_windows(winv, u.window)]
-        if dist[i] != lt:
-            yield u, int(dist[i]), lt
+    rows, l_d, l_t = interval_distances(w, graph)
+    return (
+        (graph.ctx.elements[rows[k]], int(l_d[k]), int(l_t[k]))
+        for k in np.flatnonzero(l_d != l_t).tolist()
+    )

@@ -129,6 +129,10 @@ def classify(
                     chamber_cache[w.window] = report.c
                     chamber_cache[invert_window(w.window)] = report.c
             report.s = bruhat.interval_size(w)
+            if report.c > report.s:
+                # c(w) <= s(w) holds for every w (Hultman, JCTA 2011;
+                # Hultman-Linusson-Shareshian-Sjostrand, JCTA 2009)
+                raise ArithmeticError(f"{w}: c(w) = {report.c} > s(w) = {report.s}")
             report.conditions[name] = report.c == report.s
         elif num == 2:
             g = graph or bruhat_graph(w.ctx)
@@ -354,10 +358,13 @@ def witness_table() -> list[PatternWitnessReport]:
     reports = []
     for w in patterns.condition5_patterns():
         ctx = w.ctx
-        graph = bruhat_graph(ctx)
+        rows, l_d, l_t = bruhat.interval_distances(w, bruhat_graph(ctx))
+        below = {
+            ctx.elements[row]: (ld, lt)
+            for row, ld, lt in zip(rows.tolist(), l_d.tolist(), l_t.tolist())
+        }
         report = PatternWitnessReport(w)
-        report.witnesses = list(bruhat.distance_witnesses(w, graph))
-        recomputed = {u.window: (ld, lt) for u, ld, lt in report.witnesses}
+        report.witnesses = [(u, ld, lt) for u, (ld, lt) in below.items() if ld != lt]
         report.non_hultman_confirmed = bool(report.witnesses)
 
         listed_windows = set()
@@ -367,19 +374,7 @@ def witness_table() -> list[PatternWitnessReport]:
                 continue
             u = parse_element(ut, ctx)
             listed_windows.add(u.window)
-            below = bruhat.bruhat_leq(u, w)
-            rec = recomputed.get(u.window)
-            if rec is None and below:
-                # below but not a witness: distances agree; report them
-                du = bruhat.directed_distance(u, w, graph)
-                rec_pair = (int(du), bruhat.undirected_distance(u, w))
-                is_witness = False
-            elif rec is None:
-                rec_pair = None
-                is_witness = False
-            else:
-                rec_pair = rec
-                is_witness = True
+            rec = below.get(u)  # None when u is not below w
             parity = (lw - coxeter_length(u)) % 2
             consistent = ld % 2 == parity and lt % 2 == parity
             report.row_comparisons.append(
@@ -389,9 +384,9 @@ def witness_table() -> list[PatternWitnessReport]:
                     str(w),
                     ut,
                     (ld, lt),
-                    rec_pair,
+                    rec,
                     consistent,
-                    is_witness,
+                    rec is not None and rec[0] != rec[1],
                 )
             )
         report.extra_witnesses = [

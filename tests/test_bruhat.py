@@ -1,21 +1,24 @@
 import math
 from collections import deque
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hultman import bruhat
 from hultman.bruhat import (
     bruhat_graph,
     bruhat_leq,
     bruhat_leq_full,
     coessential_boxes,
-    directed_distance,
     directed_distances_to,
     distance_witnesses,
+    element_rows,
     group_rank_grids,
+    group_windows,
     interval_size,
-    is_hultman,
     rank_grid,
     undirected_distance,
     window_rank,
@@ -23,7 +26,7 @@ from hultman.bruhat import (
 from hultman.groups import (
     Element,
     absolute_length,
-    compose,
+    compose_windows,
     context,
     coxeter_length,
     parse_element,
@@ -33,6 +36,7 @@ A4 = context("A", 4)
 A5 = context("A", 5)
 B2 = context("B", 2)
 B3 = context("B", 3)
+B4 = context("B", 4)
 
 
 def test_rank_grid_paper_values():
@@ -107,30 +111,107 @@ def test_graph_shapes():
     assert bruhat_graph(context("A", 2)).edge_count == 1
     assert bruhat_graph(context("A", 3)).edge_count == 9
     assert bruhat_graph(B2).edge_count == 16
+    assert bruhat_graph(context("A", 1)).up.shape == (1, 0)
+
+
+def _up_lists(g):
+    """Up-neighbours of each row, read from `up` without the sentinel."""
+    order = len(g.lengths)
+    return [[j for j in row if j < order] for row in g.up.tolist()]
+
+
+def _down_lists(g):
+    """Down-neighbours derived from `up`: i lies below j when j lies above i."""
+    down = [[] for _ in g.lengths]
+    for i, ups in enumerate(_up_lists(g)):
+        for j in ups:
+            down[j].append(i)
+    return down
+
+
+@lru_cache(maxsize=None)
+def _compose_up_lists(ctx):
+    """Up-neighbours of each row, built element by element with
+    compose_windows and a window -> row dict, in reflection order."""
+    index = {e.window: i for i, e in enumerate(ctx.elements)}
+    lengths = [coxeter_length(e) for e in ctx.elements]
+    up = []
+    for i, e in enumerate(ctx.elements):
+        rows = [index[compose_windows(e.window, t.window)] for t in ctx.reflections]
+        up.append([j for j in rows if lengths[j] > lengths[i]])
+    return up
+
+
+def oracle_directed_distances_to(ctx, target):
+    """Pure-Python list sweep over the compose_windows up-lists: every row
+    below the target, in decreasing order, is one more than its nearest
+    up-neighbour."""
+    up = _compose_up_lists(ctx)
+    row = ctx.elements.index(target)
+    dist = [math.inf] * ctx.order
+    dist[row] = 0
+    for i in reversed(range(row)):
+        dist[i] = 1 + min((dist[j] for j in up[i]), default=math.inf)
+    return dist
+
+
+@pytest.mark.parametrize("ctx", [A4, B3])
+def test_up_is_the_compose_windows_construction(ctx):
+    g = bruhat_graph(ctx)
+    assert g.up.shape == (ctx.order, len(ctx.reflections))
+    assert not g.up.flags.writeable and not g.lengths.flags.writeable
+    assert _up_lists(g) == _compose_up_lists(ctx)
+    assert g.lengths.tolist() == [coxeter_length(e) for e in ctx.elements]
+
+
+@pytest.mark.parametrize("ctx", [A5, B4])
+def test_element_rows_maps_each_window_to_its_row(ctx):
+    rows = element_rows(ctx, group_windows(ctx))
+    assert rows.tolist() == list(range(ctx.order))
+    for i, e in enumerate(ctx.elements):
+        assert element_rows(ctx, e.window).tolist() == [i]
+
+
+def test_element_rows_rejects_windows_outside_the_group():
+    with pytest.raises(ValueError):
+        element_rows(B2, (2, 1, 3, 4))  # in S_4, not centrally symmetric
+    with pytest.raises(ValueError):
+        element_rows(B2, [(1, 2, 3, 4), (1, 2, 3, 5)])
+    with pytest.raises(ValueError):
+        # digits (2, -1) in radix 3 pack to the key of (1, 2)
+        element_rows(context("A", 2), (2, -1))
+
+
+@pytest.mark.parametrize("ctx", [A5, B4])
+def test_sweep_equals_the_list_sweep_oracle(ctx):
+    g = bruhat_graph(ctx)
+    for w in ctx.elements:
+        assert directed_distances_to(g, w).tolist() == oracle_directed_distances_to(ctx, w)
 
 
 def test_graph_degree_sum_is_reflection_count():
     g = bruhat_graph(B3)
+    up, down = _up_lists(g), _down_lists(g)
     refl = len(B3.reflections)
-    for i in range(len(g.elements)):
-        assert len(g.up[i]) + len(g.down[i]) == refl
+    for i in range(B3.order):
+        assert len(up[i]) + len(down[i]) == refl
 
 
 def test_graph_edges_increase_length():
     g = bruhat_graph(B3)
-    for i in range(len(g.elements)):
-        for j in g.up[i]:
+    for i, ups in enumerate(_up_lists(g)):
+        for j in ups:
             assert g.lengths[j] > g.lengths[i]
 
 
-def _directed_bfs(g, start):
-    """Forward BFS oracle for l_D."""
-    dist = [math.inf] * len(g.elements)
+def _directed_bfs(up, start):
+    """Forward BFS oracle for l_D over up-lists."""
+    dist = [math.inf] * len(up)
     dist[start] = 0
     queue = deque([start])
     while queue:
         i = queue.popleft()
-        for j in g.up[i]:
+        for j in up[i]:
             if math.isinf(dist[j]) or dist[j] > dist[i] + 1:
                 dist[j] = dist[i] + 1
                 queue.append(j)
@@ -138,12 +219,13 @@ def _directed_bfs(g, start):
 
 
 def _undirected_bfs(g, start):
-    dist = [math.inf] * len(g.elements)
+    up, down = _up_lists(g), _down_lists(g)
+    dist = [math.inf] * len(up)
     dist[start] = 0
     queue = deque([start])
     while queue:
         i = queue.popleft()
-        for j in list(g.up[i]) + list(g.down[i]):
+        for j in up[i] + down[i]:
             if math.isinf(dist[j]):
                 dist[j] = dist[i] + 1
                 queue.append(j)
@@ -153,56 +235,56 @@ def _undirected_bfs(g, start):
 @pytest.mark.parametrize("ctx", [A4, B3])
 def test_directed_distance_against_bfs(ctx):
     g = bruhat_graph(ctx)
-    for target in range(len(g.elements)):
-        dist = directed_distances_to(g, target)
-        for start in range(len(g.elements)):
-            bfs = _directed_bfs(g, start)
-            assert dist[start] == bfs[target]
-            break  # one start per target keeps this quadratic, not cubic
+    up = _up_lists(g)
+    bfs_from_0 = _directed_bfs(up, 0)
+    for target, w in enumerate(ctx.elements):
+        assert directed_distances_to(g, w)[0] == bfs_from_0[target]
     # and a full cross-check from a fixed start
     start = 1
-    bfs = _directed_bfs(g, start)
-    for target in range(len(g.elements)):
-        assert directed_distances_to(g, target)[start] == bfs[target]
+    bfs = _directed_bfs(up, start)
+    for target, w in enumerate(ctx.elements):
+        assert directed_distances_to(g, w)[start] == bfs[target]
 
 
 def test_distance_examples():
     g = bruhat_graph(A4)
     w = parse_element("4231", A4)
-    assert directed_distance(w, w, g) == 0
     u = parse_element("1324", A4)
-    assert directed_distance(u, w, g) == 4
+    dist = directed_distances_to(g, w)
+    assert dist[A4.elements.index(w)] == 0
+    assert dist[A4.elements.index(u)] == 4
     assert undirected_distance(u, w) == 2
     assert undirected_distance(u, u) == 0
     wb = parse_element("426153", B3)
     ub = parse_element("132546", B3)
-    assert directed_distance(ub, wb) == 4
+    assert directed_distances_to(bruhat_graph(B3), wb)[B3.elements.index(ub)] == 4
     assert undirected_distance(ub, wb) == 2
 
 
 @pytest.mark.parametrize("ctx", [A5, B3])
 def test_dyer_distance_from_identity(ctx):
     g = bruhat_graph(ctx)
+    assert ctx.elements[0] == ctx.identity
     for w in ctx.elements:
-        ld = directed_distance(ctx.identity, w, g)
+        ld = directed_distances_to(g, w)[0]
         assert ld == undirected_distance(ctx.identity, w) == absolute_length(w)
 
 
 @pytest.mark.parametrize("ctx", [A4, B3])
 def test_undirected_distance_is_bfs_distance(ctx):
     g = bruhat_graph(ctx)
-    for i, u in enumerate(g.elements):
+    for i, u in enumerate(ctx.elements):
         bfs = _undirected_bfs(g, i)
-        for j, w in enumerate(g.elements):
+        for j, w in enumerate(ctx.elements):
             assert undirected_distance(u, w) == bfs[j]
 
 
 @pytest.mark.parametrize("ctx", [A4, B3])
 def test_distance_inequality_and_parity(ctx):
     g = bruhat_graph(ctx)
-    for j, w in enumerate(g.elements):
-        dist = directed_distances_to(g, j)
-        for i, u in enumerate(g.elements):
+    for j, w in enumerate(ctx.elements):
+        dist = directed_distances_to(g, w)
+        for i, u in enumerate(ctx.elements):
             lt = undirected_distance(u, w)
             assert lt <= dist[i]
             if not math.isinf(dist[i]):
@@ -212,20 +294,21 @@ def test_distance_inequality_and_parity(ctx):
 @pytest.mark.parametrize("ctx", [A4, B3])
 def test_restricted_sweep_is_infinite_exactly_off_the_interval(ctx):
     g = bruhat_graph(ctx)
-    for j, w in enumerate(g.elements):
-        dist = directed_distances_to(g, j)
-        for i, u in enumerate(g.elements):
+    for w in ctx.elements:
+        dist = directed_distances_to(g, w)
+        for i, u in enumerate(ctx.elements):
             assert math.isinf(dist[i]) == (not bruhat_leq(u, w))
 
 
 @pytest.mark.parametrize("ctx", [A4, B3])
 def test_distance_witnesses_against_bfs(ctx):
+    up = _compose_up_lists(ctx)
+    l_d = [_directed_bfs(up, i) for i in range(ctx.order)]
     g = bruhat_graph(ctx)
-    l_d = [_directed_bfs(g, i) for i in range(len(g.elements))]
-    for j, w in enumerate(g.elements):
+    for j, w in enumerate(ctx.elements):
         expected = [
             (u, l_d[i][j], undirected_distance(u, w))
-            for i, u in enumerate(g.elements)
+            for i, u in enumerate(ctx.elements)
             if bruhat_leq_full(u, w) and l_d[i][j] != undirected_distance(u, w)
         ]
         assert list(distance_witnesses(w, g)) == expected
@@ -233,22 +316,57 @@ def test_distance_witnesses_against_bfs(ctx):
 
 def test_hultman_examples():
     g = bruhat_graph(A4)
-    assert is_hultman(A4.identity, g) == (True, None)
-    ok, witness = is_hultman(parse_element("4231", A4), g)
-    assert not ok and witness is not None
-    assert str(witness) == "1324"  # minimal-length witness
-    ok, witness = is_hultman(parse_element("3412", A4), g)
-    assert ok and witness is None
+    assert next(distance_witnesses(A4.identity, g), None) is None
+    witness = next(distance_witnesses(parse_element("4231", A4), g), None)
+    assert str(witness[0]) == "1324"  # minimal-length witness
+    assert next(distance_witnesses(parse_element("3412", A4), g), None) is None
 
 
-def _cover_reachable(g, start):
+def test_distance_calls_reject_an_element_of_another_group():
+    g = bruhat_graph(B2)
+    for text in ("4231", "2143"):  # both are also windows of B_2
+        w = parse_element(text, A4)
+        with pytest.raises(ValueError):
+            directed_distances_to(g, w)
+        with pytest.raises(ValueError):
+            distance_witnesses(w, g)
+
+
+def _shifted(values, shift):
+    """values + shift, wherever that is finite and not negative."""
+    ok = np.isfinite(values) & (values + shift >= 0)
+    return np.where(ok, values + shift, values)
+
+
+@pytest.mark.parametrize(
+    "sweep_shift, lt_shift",
+    [
+        (-2, 0),  # l_D < l_T, parities intact
+        (0, -1),  # l_D > l_T, but of the other parity
+        (1, 1),  # l_D and l_T agree, but off the parity of l(w) - l(u)
+    ],
+)
+def test_distance_invariants_raise(monkeypatch, sweep_shift, lt_shift):
+    sweep = bruhat.directed_distances_to
+    absolute = bruhat.group_absolute_lengths
+    monkeypatch.setattr(
+        bruhat, "directed_distances_to", lambda g, w: _shifted(sweep(g, w), sweep_shift)
+    )
+    monkeypatch.setattr(
+        bruhat, "group_absolute_lengths", lambda ctx: _shifted(absolute(ctx), lt_shift)
+    )
+    with pytest.raises(ArithmeticError):
+        bruhat.distance_witnesses(A4.longest_element, bruhat_graph(A4))
+
+
+def _cover_reachable(up, lengths, start):
     """Indices reachable from start through covers (length steps of 1)."""
     reach = {start}
     queue = deque([start])
     while queue:
         i = queue.popleft()
-        for j in g.up[i]:
-            if g.lengths[j] == g.lengths[i] + 1 and j not in reach:
+        for j in up[i]:
+            if lengths[j] == lengths[i] + 1 and j not in reach:
                 reach.add(j)
                 queue.append(j)
     return reach
@@ -257,9 +375,10 @@ def _cover_reachable(g, start):
 @pytest.mark.parametrize("ctx", [A4, B3])
 def test_order_is_transitive_closure_of_covers(ctx):
     g = bruhat_graph(ctx)
-    for i, u in enumerate(g.elements):
-        reach = _cover_reachable(g, i)
-        for j, w in enumerate(g.elements):
+    up = _up_lists(g)
+    for i, u in enumerate(ctx.elements):
+        reach = _cover_reachable(up, g.lengths, i)
+        for j, w in enumerate(ctx.elements):
             assert bruhat_leq(u, w) == (j in reach)
 
 

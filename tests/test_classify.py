@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hultman import arrangements
 from hultman.bruhat import (
     bruhat_graph,
     bruhat_leq,
@@ -61,6 +62,13 @@ def test_classify_subset_of_conditions():
     report = classify(parse_element("4231", context("A", 4)), (1, 3))
     assert set(report.conditions) == {"chambers", "pseudo_inclusions"}
     assert report.c == 18 and report.s == 20
+
+
+def test_chamber_count_above_interval_size_raises(monkeypatch):
+    # c(w) <= s(w) for every w, so a larger chamber count is a fault
+    monkeypatch.setattr(arrangements, "chamber_count", lambda w: 21)
+    with pytest.raises(ArithmeticError):
+        classify(parse_element("4231", context("A", 4)), (1,))
 
 
 def test_classify_type_a_uses_plain_inclusions_and_hull():
@@ -144,12 +152,12 @@ def test_reference_rows_shape():
 def test_witness_rows_for_b3_pattern():
     w = parse_element("426153", B3)
     g = bruhat_graph(B3)
-    dist = directed_distances_to(g, g.index[w.window])
+    dist = directed_distances_to(g, w)
     from hultman.bruhat import undirected_distance
 
     witnesses = {
         str(u): (int(dist[i]), undirected_distance(u, w))
-        for i, u in enumerate(g.elements)
+        for i, u in enumerate(B3.elements)
         if u != w and bruhat_leq(u, w) and dist[i] != undirected_distance(u, w)
     }
     assert witnesses == {"132546": (4, 2)}

@@ -291,12 +291,12 @@ def test_bp_containment_is_transitive_sampled():
 
 
 def test_listed_pattern_containment_implies_non_hultman_on_b3():
-    from hultman.bruhat import bruhat_graph, is_hultman
+    from hultman.bruhat import bruhat_graph, distance_witnesses
 
     g = bruhat_graph(B3)
     for w in B3.elements:
         if not avoids_condition5_list(w)[0]:
-            assert not is_hultman(w, g)[0]
+            assert next(distance_witnesses(w, g), None) is not None
 
 
 @pytest.mark.parametrize("family, rank", [("A", 6), ("B", 4)])

@@ -21,8 +21,8 @@ def test_no_bare_assert(path):
     assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
-def _callers(tree, name):
-    """(enclosing function or None, line) of every call to `name`."""
+def _functions_where(tree, match):
+    """(enclosing function or None, line) of every node for which match(node)."""
     found = []
 
     def visit(node, function):
@@ -30,22 +30,46 @@ def _callers(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", getattr(func, "attr", None)) == name:
-                    found.append((function, child.lineno))
+            if match(child):
+                found.append((function, child.lineno))
             visit(child, function)
 
     visit(tree, None)
     return found
 
 
+def _calls_to(name):
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        return getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+    return match
+
+
+def _uses(match):
+    """{(module, enclosing function): line} of every node for which match(node)."""
+    found = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function, line in _functions_where(tree, match):
+            found[(path.name, function)] = line
+    return found
+
+
 def test_relative_order_serves_only_flatten():
     # containment has one implementation, the flattening-code kernel in
     # patterns; a relative_order scan elsewhere would be a second one
-    calls = {}
-    for path in MODULES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for function, line in _callers(tree, "relative_order"):
-            calls[(path.name, function)] = line
+    calls = _uses(_calls_to("relative_order"))
     assert set(calls) == {("patterns.py", "flatten")}, calls
+
+
+def test_up_is_read_only_by_the_sweep():
+    # Bruhat-graph distances have one implementation, the level sweep of
+    # directed_distances_to; another reader of the neighbour array would be
+    # a second sweep
+    reads = _uses(lambda node: isinstance(node, ast.Attribute) and node.attr == "up")
+    assert set(reads) == {
+        ("bruhat.py", "directed_distances_to"),
+        ("bruhat.py", "edge_count"),
+    }, reads
