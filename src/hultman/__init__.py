@@ -9,7 +9,6 @@ from .groups import (
     compose,
     context,
     coxeter_length,
-    cycle_pairing,
     element_from_signed,
     format_window,
     inverse,

@@ -8,12 +8,14 @@ The production path holds one small-int matrix of rank grids per group
 at once with `interval_mask`.  `bruhat_leq_full`, the entrywise comparison
 of whole grids, is kept as the oracle.
 
-Whole-group data are arrays indexed by row of `ctx.elements`.  The one
-map from windows to rows, `element_rows`, packs each window into an int64
-key and binary-searches the group's sorted keys.  The Bruhat graph is one
-neighbour array with a sentinel row for missing edges, and the distance
-sweep takes one numpy step per length level; l_T is one gather from
-`group_absolute_lengths`.
+Whole-group data are arrays indexed by row of `ctx.elements`: its window
+matrix (`group_windows`) and Coxeter lengths (`BruhatGraph.lengths`) come
+from the group's one enumeration, and `group_absolute_lengths` is one
+kernel call over that matrix.  The one map from windows to rows,
+`element_rows`, packs each window into an int64 key and binary-searches
+the group's sorted keys.  The Bruhat graph is one neighbour array with a
+sentinel row for missing edges, and the distance sweep takes one numpy
+step per length level; l_T is one gather from `group_absolute_lengths`.
 
 For type B elements the order is exactly the one induced from S_{2n}, so
 the same window-level test serves both families.
@@ -31,8 +33,8 @@ from .groups import (
     GroupContext,
     Window,
     absolute_length,
+    absolute_lengths,
     compose,
-    coxeter_length,
     inverse,
     invert_window,
 )
@@ -107,14 +109,9 @@ def bruhat_leq_full(u: Element, w: Element) -> bool:
     return all(a <= b for ru, rw in zip(gu, gw) for a, b in zip(ru, rw))
 
 
-@lru_cache(maxsize=None)
 def group_windows(ctx: GroupContext) -> np.ndarray:
-    """Read-only int8 matrix whose row i is the window of ctx.elements[i].
-    No group of degree 128 or more can be enumerated, so int8 cannot
-    overflow."""
-    windows = np.array([e.window for e in ctx.elements], dtype=np.int8)
-    windows.flags.writeable = False
-    return windows
+    """Read-only int8 matrix whose row i is the window of ctx.elements[i]."""
+    return ctx.window_matrix
 
 
 def _window_keys(windows: np.ndarray, degree: int) -> np.ndarray:
@@ -193,7 +190,7 @@ def interval_size(w: Element) -> int:
 @lru_cache(maxsize=None)
 def group_absolute_lengths(ctx: GroupContext) -> np.ndarray:
     """Read-only array of l_T by row of ctx.elements, by the cycle formula."""
-    lengths = np.array([absolute_length(e) for e in ctx.elements], dtype=np.int64)
+    lengths = absolute_lengths(group_windows(ctx), ctx.family)
     lengths.flags.writeable = False
     return lengths
 
@@ -220,13 +217,12 @@ class BruhatGraph:
 @lru_cache(maxsize=None)
 def bruhat_graph(ctx: GroupContext) -> BruhatGraph:
     windows = group_windows(ctx)
-    lengths = np.array([coxeter_length(e) for e in ctx.elements], dtype=np.int64)
+    lengths = ctx.lengths
     up = np.empty((ctx.order, len(ctx.reflections)), dtype=np.int32)
     for k, t in enumerate(ctx.reflections):
         # (u t)(i) = u(t(i)): the columns of u's window permuted by t
         rows = element_rows(ctx, windows[:, np.array(t.window) - 1])
         up[:, k] = np.where(lengths[rows] > lengths, rows, ctx.order)
-    lengths.flags.writeable = False
     up.flags.writeable = False
     return BruhatGraph(ctx, lengths, up)
 
@@ -275,7 +271,7 @@ def interval_distances(
     l_t = group_absolute_lengths(ctx)[
         element_rows(ctx, winv[group_windows(ctx)[rows] - 1])
     ]
-    steps = coxeter_length(w) - graph.lengths[rows]
+    steps = graph.lengths[rows[-1]] - graph.lengths[rows]  # w is the last row
     bad = (l_d < l_t) | ((l_d - l_t) % 2 != 0) | ((l_d - steps) % 2 != 0)
     if bad.any():
         k = int(np.argmax(bad))

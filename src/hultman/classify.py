@@ -110,7 +110,7 @@ def classify(
     conditions: tuple[int, ...] = ALL_CONDITIONS,
     *,
     graph: BruhatGraph | None = None,
-    chamber_cache: dict[Window, int] | None = None,
+    chamber_cache: dict[tuple[GroupContext, Window], int] | None = None,
 ) -> ClassificationReport:
     """Evaluate the requested conditions independently and cross-check.
     Every verdict is a definite bool."""
@@ -119,15 +119,16 @@ def classify(
         name = CONDITION_NAMES[num]
         start = time.perf_counter()
         if num == 1:
-            if chamber_cache is not None and w.window in chamber_cache:
-                report.c = chamber_cache[w.window]
+            key = (w.ctx, w.window)  # groups of equal degree share windows
+            if chamber_cache is not None and key in chamber_cache:
+                report.c = chamber_cache[key]
             else:
                 report.c = arrangements.chamber_count(w)
                 if chamber_cache is not None:
                     # c(w) = c(w^{-1}): the inverse arrangement is the
                     # image of this one under w
-                    chamber_cache[w.window] = report.c
-                    chamber_cache[invert_window(w.window)] = report.c
+                    chamber_cache[key] = report.c
+                    chamber_cache[w.ctx, invert_window(w.window)] = report.c
             report.s = bruhat.interval_size(w)
             if report.c > report.s:
                 # c(w) <= s(w) holds for every w (Hultman, JCTA 2011;
@@ -203,7 +204,7 @@ def verify_equivalence(
     summary = VerificationSummary(ctx, tuple(conditions))
     summary.seconds = {CONDITION_NAMES[c]: 0.0 for c in summary.conditions}
 
-    chamber_cache: dict[Window, int] = {}
+    chamber_cache: dict[tuple[GroupContext, Window], int] = {}
     for w in ctx.elements:
         report = classify(
             w, conditions, graph=graph, chamber_cache=chamber_cache

@@ -242,12 +242,19 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_with_rank(text: str, family: str) -> Element:
+    """Parse element text whose rank is its number of signed-window entries,
+    or of digits (halved in type B)."""
+    if "," in text:
+        rank = len(text.split(","))
+    else:
+        rank = len(text.strip()) if family == "A" else len(text.strip()) // 2
+    return parse_element(text, context(family, rank))
+
+
 def _cmd_patterns(args: argparse.Namespace) -> int:
-    host_text = args.host
-    host_rank = len(host_text) if args.host_family == "A" else len(host_text) // 2
-    w = parse_element(host_text, context(args.host_family, host_rank))
-    pat_rank = len(args.pattern) if args.family == "A" else len(args.pattern) // 2
-    v = parse_element(args.pattern, context(args.family, pat_rank))
+    w = _parse_with_rank(args.host, args.host_family)
+    v = _parse_with_rank(args.pattern, args.family)
     emb = patterns.bp_contains(w, v)
     if emb is None:
         print(f"{w} BP avoids {v} in {v.ctx.family}_{v.ctx.rank}")

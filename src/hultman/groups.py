@@ -1,4 +1,4 @@
-"""Elements of the symmetric and hyperoctahedral groups.
+"""Elements of the symmetric and hyperoctahedral groups, and their lengths.
 
 Conventions used throughout the package:
 
@@ -9,6 +9,14 @@ Conventions used throughout the package:
   w(i) + w(2n+1-i) = 2n+1 for all i.  The embedded window is the single
   source of truth; the length-n signed window is a derived view.
 - Composition is right-to-left: ``compose(u, v)(i) == u(v(i))``.
+
+Each length is one numpy kernel over an (m x degree) window array, run in
+blocks of rows: `coxeter_lengths` counts inversions, `absolute_lengths`
+counts cycles by pointer doubling.  `coxeter_length(w)` and
+`absolute_length(w)` are batches of one.  `GroupContext.elements`, the one
+enumeration of a group, orders the int8 window matrix by (length, window)
+with one `np.lexsort` and keeps it and the lengths, by row, as
+`window_matrix` and `lengths`; `bruhat` builds its group tables from them.
 """
 from __future__ import annotations
 
@@ -18,11 +26,16 @@ from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
+import numpy as np
+
 # Digits for one-line text form; 'a' stands for 10, 'b' for 11, and so on.
 DIGITS = "123456789abcdefghijklmnopqrstuvwxyz"
 
 Window = tuple[int, ...]
 SignedWindow = tuple[int, ...]
+
+# Rows per block of a length kernel: its temporaries stay in the tens of kB.
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -91,14 +104,33 @@ class GroupContext:
 
     @cached_property
     def elements(self) -> tuple["Element", ...]:
-        """Every group element, sorted by (Coxeter length, window)."""
+        """Every group element, sorted by (Coxeter length, window).  Rows of
+        `window_matrix` and `lengths`, stored here, follow the same order."""
         if self.family == "A":
-            wins: Iterator[Window] = itertools.permutations(range(1, self.rank + 1))
+            windows = list(itertools.permutations(range(1, self.rank + 1)))
         else:
-            wins = _type_b_windows(self.rank)
-        els = [Element(w, self) for w in wins]
-        els.sort(key=lambda e: (coxeter_length(e), e.window))
-        return tuple(els)
+            windows = list(_type_b_windows(self.rank))
+        matrix = np.array(windows, dtype=np.int8)
+        lengths = coxeter_lengths(matrix, self.family)
+        # lengths (< 2^13 at degree < 128) are the primary key, as int16 to save memory
+        order = np.lexsort((*matrix.T[::-1], lengths.astype(np.int16)))
+        matrix, lengths = matrix[order], lengths[order]
+        matrix.flags.writeable = lengths.flags.writeable = False
+        self.__dict__.update(_window_matrix=matrix, _lengths=lengths)
+        return tuple(Element(windows[i], self) for i in order.tolist())
+
+    @property
+    def window_matrix(self) -> np.ndarray:
+        """Read-only int8 matrix whose row i is the window of elements[i]
+        (no group of degree 128 or more can be enumerated)."""
+        self.elements  # the enumeration stores it
+        return self.__dict__["_window_matrix"]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Read-only int64 array of Coxeter lengths by row of elements."""
+        self.elements  # the enumeration stores it
+        return self.__dict__["_lengths"]
 
     @cached_property
     def longest_element(self) -> "Element":
@@ -201,29 +233,76 @@ def inverse(w: Element) -> Element:
     return Element(invert_window(w.window), w.ctx)
 
 
-def inversion_count(window: Sequence[int]) -> int:
-    n = len(window)
-    return sum(
-        1 for i in range(n) for j in range(i + 1, n) if window[i] > window[j]
-    )
+@lru_cache(maxsize=None)
+def _position_pairs(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of positions i < j of a window, as two index arrays."""
+    return np.triu_indices(degree, 1)
+
+
+def coxeter_lengths(windows: Sequence[Sequence[int]], family: str) -> np.ndarray:
+    """Coxeter length of each row of an (m x degree) window array.
+
+    Type A counts inversions.  Type B uses the embedded form of the
+    signed-permutation length (Björner–Brenti, Combinatorics of Coxeter
+    Groups, ch. 8): (inv(w) + #{i <= n : w(i) > n}) / 2, with inv taken in
+    S_{2n}.
+    """
+    windows = np.asarray(windows)
+    degree = windows.shape[1]
+    i, j = _position_pairs(degree)
+    lengths = np.empty(len(windows), dtype=np.int64)
+    for k in range(0, len(windows), BLOCK_ROWS):
+        block = windows[k : k + BLOCK_ROWS]
+        inv = (block[:, i] > block[:, j]).sum(axis=1)
+        if family == "B":
+            inv = (inv + (block[:, : degree // 2] > degree // 2).sum(axis=1)) // 2
+        lengths[k : k + BLOCK_ROWS] = inv
+    return lengths
+
+
+def absolute_lengths(windows: Sequence[Sequence[int]], family: str) -> np.ndarray:
+    """Reflection length of each row of an (m x degree) window array.
+
+    Type A: degree - #cycles.  Type B: n minus the number of pairs of
+    distinct mirrored cycles, (#cycles - #self-mirrored cycles) / 2, where
+    the mirror of a cycle c is w_0 c w_0.  Each cycle is labelled by its
+    least point, found by pointer doubling.
+    """
+    windows = np.asarray(windows)
+    degree = windows.shape[1]
+    lengths = np.empty(len(windows), dtype=np.int64)
+    for k in range(0, len(windows), BLOCK_ROWS):
+        block = windows[k : k + BLOCK_ROWS]
+        # point numbers run on from row to row: a row's points are its
+        # 0-based positions plus one offset, so minima stay within the row
+        point = np.arange(block.size).reshape(block.shape)
+        image = (block - 1 + (point - point % degree)).ravel()
+        leader = point.ravel()
+        # after r rounds, leader[i] is the least of the first 2^r points of
+        # i's orbit, and image[i] is 2^r steps along it
+        for _ in range((degree - 1).bit_length()):
+            leader = np.minimum(leader, leader[image])
+            image = image[image]
+        leader = leader.reshape(block.shape)
+        is_leader = leader == point
+        cycles = is_leader.sum(axis=1)
+        if family == "A":
+            lengths[k : k + BLOCK_ROWS] = degree - cycles
+        else:
+            # a cycle is its own mirror when it holds its least point's mirror
+            mirrored = (is_leader & (leader[:, ::-1] == point)).sum(axis=1)
+            lengths[k : k + BLOCK_ROWS] = degree // 2 - (cycles - mirrored) // 2
+    return lengths
 
 
 def coxeter_length(w: Element) -> int:
-    """Length with respect to the simple generators.
-
-    Type A counts window inversions.  Type B uses the signed-window formula
-    inv(σ) + Σ_{σ(i)<0} |σ(i)|, which differs from the S_{2n} inversion
-    count of the embedded window.
-    """
-    if w.ctx.family == "A":
-        return inversion_count(w.window)
-    sigma = signed_window(w)
-    return inversion_count_signed(sigma) + sum(-s for s in sigma if s < 0)
+    """Length with respect to the simple generators (`coxeter_lengths`)."""
+    return int(coxeter_lengths([w.window], w.ctx.family)[0])
 
 
-def inversion_count_signed(sigma: Sequence[int]) -> int:
-    n = len(sigma)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
+def absolute_length(w: Element) -> int:
+    """Length with respect to all reflections (`absolute_lengths`)."""
+    return int(absolute_lengths([w.window], w.ctx.family)[0])
 
 
 def signed_window(w: Element) -> SignedWindow:
@@ -281,89 +360,6 @@ def format_window(window: Sequence[int]) -> str:
 
 def format_signed(w: Element) -> str:
     return ",".join(str(s) for s in signed_window(w))
-
-
-def window_cycles(window: Window) -> list[tuple[int, ...]]:
-    """Disjoint cycles (fixed points included), each starting at its least
-    point, sorted by least point."""
-    n = len(window)
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = window[i - 1]
-        cycles.append(tuple(cyc))
-    return cycles
-
-
-def _canonical_cycle(cyc: Sequence[int]) -> tuple[int, ...]:
-    k = cyc.index(min(cyc))
-    return tuple(cyc[k:]) + tuple(cyc[:k])
-
-
-@dataclass(frozen=True)
-class CycleUnit:
-    """A cycle of the embedded window paired with its mirror w_0 c w_0.
-
-    A self-mirrored cycle is an odd unit; a pair of distinct mirrored
-    cycles is an even unit.  A trivial unit is a mirror pair of fixed
-    points.
-    """
-
-    cycles: tuple[tuple[int, ...], ...]
-    parity: str  # "even" or "odd"
-    trivial: bool
-
-
-@dataclass(frozen=True)
-class CyclePairing:
-    units: tuple[CycleUnit, ...]
-
-    @property
-    def even_count(self) -> int:
-        return sum(1 for u in self.units if u.parity == "even")
-
-
-def cycle_pairing(w: Element) -> CyclePairing:
-    """Mirror-paired cycle decomposition of a type B element.
-
-    Reflection length in B_n is n minus the number of even units.
-    """
-    if w.ctx.family != "B":
-        raise ValueError("cycle pairing is defined for type B elements only")
-    n2 = w.degree
-
-    def mirror(c: Sequence[int]) -> tuple[int, ...]:
-        return _canonical_cycle([n2 + 1 - i for i in c])
-
-    remaining = {c: c for c in window_cycles(w.window)}
-    units = []
-    for cyc in sorted(remaining):
-        if cyc not in remaining:
-            continue
-        mir = mirror(cyc)
-        if mir == cyc:
-            del remaining[cyc]
-            units.append(CycleUnit((cyc,), "odd", False))
-        else:
-            del remaining[cyc]
-            del remaining[mir]
-            trivial = len(cyc) == 1
-            units.append(CycleUnit((cyc, mir), "even", trivial))
-    return CyclePairing(tuple(units))
-
-
-def absolute_length(w: Element) -> int:
-    """Reflection length: n - cyc(w) in type A, n - ecyc(w) in type B."""
-    if w.ctx.family == "A":
-        return w.degree - len(window_cycles(w.window))
-    return w.ctx.rank - cycle_pairing(w).even_count
 
 
 @lru_cache(maxsize=None)

@@ -71,6 +71,22 @@ def test_chamber_count_above_interval_size_raises(monkeypatch):
         classify(parse_element("4231", context("A", 4)), (1,))
 
 
+@pytest.mark.parametrize("first", ["A", "B"])
+def test_chamber_cache_keeps_groups_apart(first):
+    # 4321 is a window of both A_4 and B_2 (c = 24 and c = 8); a cache keyed
+    # by window alone gave the second group the first one's count
+    elements = {
+        "A": parse_element("4321", context("A", 4)),
+        "B": parse_element("4321", B2),
+    }
+    cache = {}
+    for family in (first, "B" if first == "A" else "A"):
+        w = elements[family]
+        report = classify(w, (1,), chamber_cache=cache)
+        assert report.c == classify(w, (1,)).c
+        assert report.conditions == {"chambers": True}
+
+
 def test_classify_type_a_uses_plain_inclusions_and_hull():
     report = classify(parse_element("3412", context("A", 4)))
     assert all(v is True for v in report.conditions.values())

@@ -154,6 +154,24 @@ def test_patterns_command_rank_6_type_b(capsys):
     assert "at positions (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)" in out
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["--host", "1,2,3", "--pattern", "21", "--family", "A"],
+         "123456 BP avoids 21 in A_2"),
+        (["--host=-3,2,-1", "--pattern", "2,1", "--family", "B"],
+         "426153 BP avoids 2143 in B_2"),
+    ],
+)
+def test_patterns_command_signed_windows_take_rank_from_entries(capsys, argv, expected):
+    # the rank of a comma-separated signed window is its number of entries,
+    # not half its text length
+    code = main(["patterns"] + argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert expected in out
+
+
 def test_bad_element_exits_2(capsys):
     code = main(
         ["classify", "--family", "A", "--rank", "4", "--element", "4232"]

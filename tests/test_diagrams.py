@@ -33,7 +33,6 @@ from hultman.groups import (
     compose,
     context,
     coxeter_length,
-    inversion_count,
     parse_element,
 )
 
@@ -52,7 +51,7 @@ def boxes(w):
 @settings(max_examples=60)
 def test_diagram_size_complements_inversions(perm):
     w = Element(tuple(perm), context("A", 6))
-    assert len(diagram(w)) == 15 - inversion_count(w.window)
+    assert len(diagram(w)) == 15 - coxeter_length(w)
 
 
 @given(st.permutations(list(range(1, 7))))

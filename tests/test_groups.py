@@ -1,16 +1,21 @@
 import itertools
+from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hultman.bruhat import bruhat_graph, group_absolute_lengths
 from hultman.groups import (
     Element,
     absolute_length,
+    absolute_lengths,
     compose,
     context,
     coxeter_length,
-    cycle_pairing,
+    coxeter_lengths,
     element_from_signed,
     format_signed,
     format_window,
@@ -24,6 +29,152 @@ A4 = context("A", 4)
 B2 = context("B", 2)
 B3 = context("B", 3)
 B5 = context("B", 5)
+
+
+# --- oracles: the per-element length formulas, one element at a time --------
+
+
+def _inversions(seq):
+    return sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
+
+
+def oracle_coxeter_length(w):
+    """Type A: the inversion count.  Type B: the signed-window formula
+    inv(σ) + Σ_{σ(i)<0} |σ(i)|, which differs from the S_{2n} inversion
+    count of the embedded window."""
+    if w.ctx.family == "A":
+        return _inversions(w.window)
+    sigma = signed_window(w)
+    return _inversions(sigma) + sum(-s for s in sigma if s < 0)
+
+
+def window_cycles(window):
+    """Disjoint cycles (fixed points included), each starting at its least
+    point, sorted by least point."""
+    n = len(window)
+    seen = [False] * (n + 1)
+    cycles = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = window[i - 1]
+        cycles.append(tuple(cyc))
+    return cycles
+
+
+def _canonical_cycle(cyc: Sequence[int]) -> tuple[int, ...]:
+    k = cyc.index(min(cyc))
+    return tuple(cyc[k:]) + tuple(cyc[:k])
+
+
+@dataclass(frozen=True)
+class CycleUnit:
+    """A cycle of the embedded window paired with its mirror w_0 c w_0.
+
+    A self-mirrored cycle is an odd unit; a pair of distinct mirrored
+    cycles is an even unit.  A trivial unit is a mirror pair of fixed
+    points.
+    """
+
+    cycles: tuple[tuple[int, ...], ...]
+    parity: str  # "even" or "odd"
+    trivial: bool
+
+
+@dataclass(frozen=True)
+class CyclePairing:
+    units: tuple[CycleUnit, ...]
+
+    @property
+    def even_count(self) -> int:
+        return sum(1 for u in self.units if u.parity == "even")
+
+
+def cycle_pairing(w):
+    """Mirror-paired cycle decomposition of a type B element.
+
+    Reflection length in B_n is n minus the number of even units.
+    """
+    n2 = w.degree
+
+    def mirror(c):
+        return _canonical_cycle([n2 + 1 - i for i in c])
+
+    remaining = {c: c for c in window_cycles(w.window)}
+    units = []
+    for cyc in sorted(remaining):
+        if cyc not in remaining:
+            continue
+        mir = mirror(cyc)
+        if mir == cyc:
+            del remaining[cyc]
+            units.append(CycleUnit((cyc,), "odd", False))
+        else:
+            del remaining[cyc]
+            del remaining[mir]
+            trivial = len(cyc) == 1
+            units.append(CycleUnit((cyc, mir), "even", trivial))
+    return CyclePairing(tuple(units))
+
+
+def oracle_absolute_length(w):
+    """Reflection length: n - cyc(w) in type A, n - ecyc(w) in type B."""
+    if w.ctx.family == "A":
+        return w.degree - len(window_cycles(w.window))
+    return w.ctx.rank - cycle_pairing(w).even_count
+
+
+ORACLE_GROUPS = [context("A", n) for n in range(1, 8)] + [
+    context("B", n) for n in range(1, 6)
+]
+
+
+def _group_id(ctx):
+    return f"{'S' if ctx.family == 'A' else 'B'}_{ctx.rank}"
+
+
+def _all_windows(ctx):
+    """Every window of the group, built without its enumeration."""
+    if ctx.family == "A":
+        return list(itertools.permutations(range(1, ctx.rank + 1)))
+    return [
+        element_from_signed([s * v for s, v in zip(signs, perm)], ctx.rank).window
+        for perm in itertools.permutations(range(1, ctx.rank + 1))
+        for signs in itertools.product((1, -1), repeat=ctx.rank)
+    ]
+
+
+@pytest.mark.parametrize("ctx", ORACLE_GROUPS, ids=_group_id)
+def test_length_kernels_equal_the_oracles(ctx):
+    windows = _all_windows(ctx)
+    elements = [Element(win, ctx) for win in windows]
+    assert coxeter_lengths(windows, ctx.family).tolist() == [
+        oracle_coxeter_length(w) for w in elements
+    ]
+    assert absolute_lengths(windows, ctx.family).tolist() == [
+        oracle_absolute_length(w) for w in elements
+    ]
+
+
+@pytest.mark.parametrize("ctx", ORACLE_GROUPS, ids=_group_id)
+def test_enumeration_follows_the_oracle_lengths(ctx):
+    length = {win: oracle_coxeter_length(Element(win, ctx)) for win in _all_windows(ctx)}
+    graded = sorted(length, key=lambda win: (length[win], win))
+    assert [w.window for w in ctx.elements] == graded
+    assert ctx.window_matrix.dtype == np.int8
+    assert ctx.window_matrix.tolist() == [list(win) for win in graded]
+    oracle = [length[win] for win in graded]
+    assert ctx.lengths.tolist() == oracle
+    assert bruhat_graph(ctx).lengths.tolist() == oracle
+    assert group_absolute_lengths(ctx).tolist() == [
+        oracle_absolute_length(w) for w in ctx.elements
+    ]
+    assert not ctx.window_matrix.flags.writeable and not ctx.lengths.flags.writeable
 
 
 def test_parse_digit_text():

@@ -73,3 +73,13 @@ def test_up_is_read_only_by_the_sweep():
         ("bruhat.py", "directed_distances_to"),
         ("bruhat.py", "edge_count"),
     }, reads
+
+
+def test_no_whole_group_path_computes_lengths_per_element():
+    # a group's lengths come from one kernel call over its window matrix;
+    # a coxeter_length or absolute_length call on a whole-group path would
+    # be a per-element length pass over the group
+    whole_group = {"elements", "bruhat_graph", "group_absolute_lengths", "interval_distances"}
+    for name in ("coxeter_length", "absolute_length"):
+        calls = _uses(_calls_to(name))
+        assert not {function for _, function in calls} & whole_group, (name, calls)
