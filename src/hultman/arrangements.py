@@ -19,8 +19,8 @@ import numpy as np
 from .groups import (
     Element,
     GroupContext,
-    compose,
-    coxeter_length,
+    compose_windows,
+    coxeter_lengths,
     signed_window,
 )
 
@@ -195,11 +195,14 @@ def intersection_poset(planes: Iterable[Hyperplane], n: int) -> IntersectionPose
 
 
 def inversion_reflections(w: Element) -> tuple[Element, ...]:
-    """Inv(w) = {t in T : l(wt) < l(w)}; its size equals l(w)."""
-    lw = coxeter_length(w)
-    return tuple(
-        t for t in w.ctx.reflections if coxeter_length(compose(w, t)) < lw
+    """Inv(w) = {t in T : l(wt) < l(w)}; its size equals l(w).  One length
+    call covers w and every wt."""
+    reflections = w.ctx.reflections
+    *lengths, lw = coxeter_lengths(
+        [compose_windows(w.window, t.window) for t in reflections] + [w.window],
+        w.ctx.family,
     )
+    return tuple(t for t, length in zip(reflections, lengths) if length < lw)
 
 
 def hyperplane_of(t: Element, ctx: GroupContext) -> Hyperplane:

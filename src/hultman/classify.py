@@ -10,8 +10,9 @@ Condition numbering (CLI `--conditions`):
   2 distance          l_D(u,w) = l_T(u,w) for all u <= w
   3 pseudo_inclusions defined by (pseudo-)inclusions
   4 relaxed_hull      (relaxed) right hull condition, decided exactly by
-                      one matching per coessential box (type A: the plain
-                      right hull condition)
+                      one order-preserving dynamic program per coessential
+                      box and board, O(N^2) each (type A: the plain right
+                      hull condition)
   5 bp_avoidance      BP avoidance of the 31 listed patterns (type A: the
                       four classical patterns)
 """

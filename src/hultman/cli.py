@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Classify every element of a group and check that the computed "
             "conditions agree.  Confirmed Hultman counts: S_3..S_7 have 6, "
             "23, 101, 477 and 2343 and B_2..B_5 have 8, 38, 188 and 949 (all "
-            "five conditions); S_8 has 11762 and B_6 has 4843 (conditions 3 "
-            "and 5)."
+            "five conditions); S_8 has 11762 and B_6 has 4843 (conditions 3, "
+            "4 and 5)."
         ),
     )
     _ctx_args(p)

@@ -1,8 +1,9 @@
 """Diagrams, coessential sets, inclusion tests, right hulls, and the basic
 elements attached to coessential boxes.
 
-The right hull tests are exact and always definite: each coessential box
-of w is one max-weight perfect matching over the windows inside H(w).
+The right hull tests are exact and always definite.  The bounds of H(w)
+are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
+dynamic program per coessential box find the largest r_u(p,q) inside it.
 `hull_windows` enumerates H(w) and serves only as the tests' oracle.
 
 Grid coordinates follow the matrix convention: p is the row (a value),
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import AbstractSet, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .groups import (
     Window,
     compose,
     context,
-    coxeter_length,
+    coxeter_lengths,
     invert_window,
 )
 
@@ -132,7 +133,7 @@ def in_hull(u: Element, w: Element) -> bool:
 def hull_windows(bounds: HullBounds) -> Iterator[Window]:
     """All windows inside the column bounds, by backtracking with a used-value
     mask.  Exponential in the degree: this is the test oracle for the
-    matching-based hull tests below, not a production path."""
+    dynamic program below, not a production path."""
     n = len(bounds.lo)
     used = [False] * (n + 1)
     current = [0] * n
@@ -152,92 +153,79 @@ def hull_windows(bounds: HullBounds) -> Iterator[Window]:
     yield from extend(0)
 
 
-def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
-    """Hungarian method (shortest augmenting paths with potentials) on a
-    square integer matrix: the column assigned to each row in a minimum-cost
-    perfect assignment.  O(N^3)."""
-    n = len(cost)
-    row_pot = [0] * (n + 1)
-    col_pot = [0] * (n + 1)
-    row_of = [0] * (n + 1)  # 1-based row matched to each column; 0 = free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        row_of[0] = i
-        j0 = 0
-        slack = [float("inf")] * (n + 1)
-        done = [False] * (n + 1)
-        while row_of[j0]:
-            done[j0] = True
-            i0 = row_of[j0]
-            delta, j1 = float("inf"), 0
-            for j in range(1, n + 1):
-                if done[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - row_pot[i0] - col_pot[j]
-                if cur < slack[j]:
-                    slack[j], way[j] = cur, j0
-                if slack[j] < delta:
-                    delta, j1 = slack[j], j
-            for j in range(n + 1):
-                if done[j]:
-                    row_pot[row_of[j]] += delta
-                    col_pot[j] -= delta
-                else:
-                    slack[j] -= delta
-            j0 = j1
-        while j0:
-            j1 = way[j0]
-            row_of[j0] = row_of[j1]
-            j0 = j1
-    col_of = [0] * n
-    for j in range(1, n + 1):
-        col_of[row_of[j] - 1] = j - 1
-    return col_of
-
-
 def _best_hull_window(
-    bounds: HullBounds,
+    lo: Sequence[int],
+    hi: Sequence[int],
     p: int,
     q: int,
-    blocked: AbstractSet[tuple[int, int]] = frozenset(),
+    forced: tuple[int, int] | None = None,
 ) -> Window | None:
-    """A window u inside the hull bounds, using no blocked cell (k, u(k)),
-    that maximises r_u(p,q); None when the bounds leave no such window.
+    """A window u with lo_k <= u(k) <= hi_k maximising r_u(p,q), or None
+    when the bounds hold no window.  `forced` = (k0, v0) also asks for
+    u(k0) = v0.
 
-    Windows inside the bounds are the perfect matchings of positions k to
-    values in [lo_k, hi_k] (rook placements on a skew Ferrers board), and
-    r_u(p,q) counts the matched cells with k <= q and v >= p, so the
-    maximum is a max-weight perfect matching with 0/1 weights.
+    Uncrossing: lo and hi are nondecreasing, so swapping an inverted pair
+    of values keeps u inside the bounds, and some maximiser fills the low
+    values 1..p-1 and the high values p..N each in increasing order.  The
+    sweep over positions k keeps the best score for each count i of low
+    values placed: k takes low value i+1 or high value p+k-1-i, only inside
+    [lo_k, hi_k], and scores when it takes a high value with k <= q.
+    A forced cell deletes position k0 and value v0, shifting later ones
+    (and the bounds, which stay nondecreasing) down by one; the box becomes
+    (p - [v0 < p], q - [k0 <= q]).
     """
-    size = len(bounds.lo)
-    forbidden = size + 1  # dearer than any matching of allowed cells
-    cost = [
-        [
-            forbidden
-            if not lo <= v <= hi or (k, v) in blocked
-            else int(not (k <= q and v >= p))
-            for v in range(1, size + 1)
-        ]
-        for k, (lo, hi) in enumerate(zip(bounds.lo, bounds.hi), start=1)
-    ]
-    cols = _min_cost_assignment(cost)
-    if any(cost[k][j] == forbidden for k, j in enumerate(cols)):
+    if forced is not None:
+        k0, v0 = forced
+        u = _best_hull_window(
+            [v - (v > v0) for k, v in enumerate(lo, 1) if k != k0],
+            [v - (v >= v0) for k, v in enumerate(hi, 1) if k != k0],
+            p - (v0 < p),
+            q - (k0 <= q),
+        )
+        if u is None:
+            return None
+        window = [v + (v >= v0) for v in u]
+        window.insert(k0 - 1, v0)
+        return tuple(window)
+
+    score = [0] + [-1] * (p - 1)  # by count of low values; -1: unreachable
+    took_low = []
+    for k, (low_k, high_k) in enumerate(zip(lo, hi), start=1):
+        gain = int(k <= q)
+        nxt = [-1] * p
+        via_low = [False] * p
+        # high value p+k-1-i keeps the count i; low value i raises it from i-1
+        for i in range(min(k + 1, p)):
+            if score[i] >= 0 and low_k <= p + k - 1 - i <= high_k:
+                nxt[i] = score[i] + gain
+            if i and score[i - 1] > nxt[i] and low_k <= i <= high_k:
+                nxt[i], via_low[i] = score[i - 1], True
+        score = nxt
+        took_low.append(via_low)
+    i = p - 1
+    if score[i] < 0:
         return None
-    return tuple(j + 1 for j in cols)
+    u = [0] * len(took_low)
+    for k in range(len(took_low), 0, -1):
+        if took_low[k - 1][i]:
+            u[k - 1] = i
+            i -= 1
+        else:
+            u[k - 1] = p + k - 1 - i
+    return tuple(u)
 
 
 def _hull_counterexample(
-    w: Element,
-    bounds: HullBounds,
-    blocked: AbstractSet[tuple[int, int]] = frozenset(),
+    w: Element, bounds: HullBounds, forced: tuple[int, int] | None = None
 ) -> Window | None:
-    """A window inside the bounds, avoiding blocked cells, that is not <= w.
+    """A window inside the bounds (with the forced cell, if any) that is not
+    <= w.
 
     u <= w fails exactly when r_u(p,q) > r for some coessential box (p,q,r)
-    of w, so one maximising matching per box decides the question.
+    of w, so one maximising window per box decides the question.
     """
     for p, q, r in coessential_boxes(w.window):
-        u = _best_hull_window(bounds, p, q, blocked)
+        u = _best_hull_window(bounds.lo, bounds.hi, p, q, forced)
         if u is not None and window_rank(u, p, q) > r:
             return u
     return None
@@ -245,8 +233,16 @@ def _hull_counterexample(
 
 def right_hull_counterexample(w: Element) -> Window | None:
     """A permutation inside H(w) that is not <= w, or None when the right
-    hull condition holds.  Exact, with one matching per coessential box."""
+    hull condition holds.  Exact, with one dynamic program per coessential
+    box."""
     return _hull_counterexample(w, hull_bounds(w))
+
+
+def _without_quadrant(bounds: HullBounds, n: int) -> HullBounds:
+    """The bounds with the central quadrant k <= n < v blocked:
+    hi_k := min(hi_k, n) for k <= n, which keeps hi nondecreasing."""
+    hi = tuple(min(h, n) if k <= n else h for k, h in enumerate(bounds.hi, 1))
+    return HullBounds(bounds.lo, hi)
 
 
 def hull_relaxed_counterexample(w: Element) -> Window | None:
@@ -255,11 +251,13 @@ def hull_relaxed_counterexample(w: Element) -> Window | None:
 
     The condition holds when the plain one does over all u in S_{2n}, or
     when r_w(n+1,n) = 1 and every u inside H(w) with r_u(n+1,n) <= 1 is
-    <= w.  The windows with r_u(n+1,n) <= 1 are those using no cell of the
-    central quadrant k <= n < u(k), together with, for each quadrant cell,
-    those using that cell and no other quadrant cell; each family is a
-    restricted matching problem.  Windows range over all of S_{2n}, not
-    only over B_n.
+    <= w.  The windows with r_u(n+1,n) <= 1 use no cell of the central
+    quadrant k <= n < u(k), or exactly one.  The first family lies inside
+    the bounds with hi_k capped at n for k <= n; for each quadrant cell
+    (k0, v0) inside H(w), the second lies inside those capped bounds with
+    the cell forced.  Each is one more board for the dynamic program,
+    tried only when the plain test's counterexample has r_u(n+1,n) >= 2.
+    Windows range over all of S_{2n}, not only over B_n.
     """
     if w.ctx.family != "B":
         raise ValueError("the relaxed right hull condition is a type B notion")
@@ -273,17 +271,14 @@ def hull_relaxed_counterexample(w: Element) -> Window | None:
     ):
         return cex
 
-    size = 2 * n
-    quadrant = {(k, v) for k in range(1, n + 1) for v in range(n + 1, size + 1)}
-    restrictions = [quadrant] + [
-        (quadrant - {(k0, v0)})
-        | {(k0, v) for v in range(1, size + 1) if v != v0}
-        | {(k, v0) for k in range(1, size + 1) if k != k0}
-        for k0, v0 in sorted(quadrant)
-        if bounds.lo[k0 - 1] <= v0 <= bounds.hi[k0 - 1]
+    capped = _without_quadrant(bounds, n)
+    cells = [
+        (k0, v0)
+        for k0 in range(1, n + 1)
+        for v0 in range(max(n + 1, bounds.lo[k0 - 1]), bounds.hi[k0 - 1] + 1)
     ]
-    for blocked in restrictions:
-        cex = _hull_counterexample(w, bounds, blocked)
+    for forced in [None] + cells:
+        cex = _hull_counterexample(w, capped, forced)
         if cex is not None:
             return cex
     return None
@@ -501,16 +496,19 @@ def count_reduced_words(v: Element) -> int:
     """Number of reduced expressions, via R(v) = sum over descents of R(vs).
 
     Exact arbitrary-precision integers; counts grow quickly with length.
+    One length call covers v and every vs.
     """
-    length = coxeter_length(v)
+    products = [compose(v, s) for s in v.ctx.generators]
+    *lengths, length = coxeter_lengths(
+        [vs.window for vs in products] + [v.window], v.ctx.family
+    )
     if length == 0:
         return 1
-    total = 0
-    for s in v.ctx.generators:
-        vs = compose(v, s)
-        if coxeter_length(vs) < length:
-            total += count_reduced_words(vs)
-    return total
+    return sum(
+        count_reduced_words(vs)
+        for vs, vs_length in zip(products, lengths)
+        if vs_length < length
+    )
 
 
 def has_unique_reduced_word(v: Element) -> bool:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hultman.bruhat import bruhat_leq, rank_grid, window_leq, window_rank
 from hultman.diagrams import (
     CoessBox,
+    _best_hull_window,
+    _without_quadrant,
     basic_element,
     basic_element_bruteforce,
     coessential_set,
@@ -214,6 +216,139 @@ def test_hull_matching_agrees_with_enumeration_on_b5_sample():
     assert len(sample) == 40
     for w in sample:
         _assert_hull_test_matches_oracle(w)
+
+
+def oracle_min_cost_assignment(cost):
+    """Hungarian method (shortest augmenting paths with potentials) on a
+    square integer matrix: the column assigned to each row in a minimum-cost
+    perfect assignment.  O(N^3)."""
+    n = len(cost)
+    row_pot = [0] * (n + 1)
+    col_pot = [0] * (n + 1)
+    row_of = [0] * (n + 1)  # 1-based row matched to each column; 0 = free
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = [float("inf")] * (n + 1)
+        done = [False] * (n + 1)
+        while row_of[j0]:
+            done[j0] = True
+            i0 = row_of[j0]
+            delta, j1 = float("inf"), 0
+            for j in range(1, n + 1):
+                if done[j]:
+                    continue
+                cur = cost[i0 - 1][j - 1] - row_pot[i0] - col_pot[j]
+                if cur < slack[j]:
+                    slack[j], way[j] = cur, j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if done[j]:
+                    row_pot[row_of[j]] += delta
+                    col_pot[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    col_of = [0] * n
+    for j in range(1, n + 1):
+        col_of[row_of[j] - 1] = j - 1
+    return col_of
+
+
+def oracle_best_hull_window(bounds, p, q, blocked=frozenset()):
+    """A window u inside the hull bounds, using no blocked cell (k, u(k)),
+    that maximises r_u(p,q); None when the bounds leave no such window.
+
+    Windows inside the bounds are the perfect matchings of positions k to
+    values in [lo_k, hi_k], and r_u(p,q) counts the matched cells with
+    k <= q and v >= p, so the maximum is a max-weight perfect matching with
+    0/1 weights.
+    """
+    size = len(bounds.lo)
+    forbidden = size + 1  # dearer than any matching of allowed cells
+    cost = [
+        [
+            forbidden
+            if not lo <= v <= hi or (k, v) in blocked
+            else int(not (k <= q and v >= p))
+            for v in range(1, size + 1)
+        ]
+        for k, (lo, hi) in enumerate(zip(bounds.lo, bounds.hi), start=1)
+    ]
+    cols = oracle_min_cost_assignment(cost)
+    if any(cost[k][j] == forbidden for k, j in enumerate(cols)):
+        return None
+    return tuple(j + 1 for j in cols)
+
+
+def _hull_boards(w):
+    """(bounds, forced cell, blocked cells) of each board the hull tests
+    solve for w: the plain board and, in type B, the central quadrant
+    blocked and each quadrant cell inside the hull forced.  The bounds and
+    forced cell feed the dynamic program; the blocked cells feed the
+    oracle, which always works on the plain bounds."""
+    bounds = hull_bounds(w)
+    yield bounds, None, frozenset()
+    if w.ctx.family != "B":
+        return
+    n = w.ctx.rank
+    size = 2 * n
+    quadrant = {(k, v) for k in range(1, n + 1) for v in range(n + 1, size + 1)}
+    capped = _without_quadrant(bounds, n)
+    yield capped, None, frozenset(quadrant)
+    for k0, v0 in sorted(quadrant):
+        if bounds.lo[k0 - 1] <= v0 <= bounds.hi[k0 - 1]:
+            blocked = (
+                (quadrant - {(k0, v0)})
+                | {(k0, v) for v in range(1, size + 1) if v != v0}
+                | {(k, v0) for k in range(1, size + 1) if k != k0}
+            )
+            yield capped, (k0, v0), frozenset(blocked)
+
+
+def _assert_hull_dp_matches_oracle(w):
+    hull = hull_bounds(w)
+    for bounds, forced, blocked in _hull_boards(w):
+        for p, q, _ in boxes(w):
+            u = _best_hull_window(bounds.lo, bounds.hi, p, q, forced)
+            expected = oracle_best_hull_window(hull, p, q, blocked)
+            case = (str(w), p, q, forced)
+            assert (u is None) == (expected is None), case
+            if u is None:
+                continue
+            assert window_rank(u, p, q) == window_rank(expected, p, q), case
+            assert sorted(u) == list(range(1, w.degree + 1)), case
+            assert window_in_hull(u, hull), case
+            assert not any((k, v) in blocked for k, v in enumerate(u, 1)), case
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", m) for m in range(1, 7)] + [("B", m) for m in range(1, 5)]
+)
+def test_hull_dp_matches_hungarian_oracle(family, rank):
+    for w in context(family, rank).elements:
+        _assert_hull_dp_matches_oracle(w)
+
+
+def test_hull_dp_matches_hungarian_oracle_on_b5_sample():
+    for w in random.Random(5).sample(context("B", 5).elements, 300):
+        _assert_hull_dp_matches_oracle(w)
+
+
+def test_hull_dp_handles_empty_and_forced_boards():
+    # no window fits when two positions share a single value; a forced cell
+    # outside the remaining bounds leaves none either
+    assert _best_hull_window((1, 1), (1, 1), 2, 1) is None
+    tight = (1, 2, 3)
+    assert _best_hull_window(tight, tight, 2, 2) == (1, 2, 3)
+    assert _best_hull_window(tight, tight, 2, 2, forced=(2, 2)) == (1, 2, 3)
+    assert _best_hull_window(tight, tight, 2, 2, forced=(1, 2)) is None
 
 
 def test_hull_equiv_check():

@@ -83,3 +83,18 @@ def test_no_whole_group_path_computes_lengths_per_element():
     for name in ("coxeter_length", "absolute_length"):
         calls = _uses(_calls_to(name))
         assert not {function for _, function in calls} & whole_group, (name, calls)
+
+
+def test_hull_enumeration_and_hungarian_solver_stay_oracles():
+    # the right hull tests have one implementation, the dynamic program in
+    # diagrams; the Hungarian solver lives in the tests, and the exponential
+    # hull enumeration serves only as their oracle
+    defined = [
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_min_cost_assignment"
+    ]
+    assert defined == [], defined
+    calls = _uses(_calls_to("hull_windows"))
+    assert calls == {}, calls
