@@ -30,6 +30,7 @@ from .diagrams import (
     coessential_set,
     count_reduced_words,
     coxeter_coessential,
+    defined_by_inclusions_mask,
     has_unique_reduced_word,
     hull_bounds,
     hull_relaxed_counterexample,

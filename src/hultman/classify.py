@@ -229,22 +229,21 @@ def find_minimal_non_hultman(
     """BP-containment-minimal elements not defined by (pseudo-)inclusions,
     over S_4..S_{max_a} and B_3..B_{max_b}, in scan order.
 
-    Groups are scanned small-to-large, and a candidate that BP contains a
-    pattern found in an earlier group is dominated.  Within one group the
-    only containments are an element and its diagram flip, which are
-    mutual, so same-group patterns never dominate each other; hence the
-    domination step is one batched pass per group (`first_bp_contained`)
-    of every candidate against the patterns of the earlier groups.
+    The candidates of a group come from one pass of the whole-group
+    kernel `diagrams.defined_by_inclusions_mask`.  Groups are scanned
+    small-to-large, and a candidate that BP contains a pattern found in an
+    earlier group is dominated.  Within one group the only containments
+    are an element and its diagram flip, which are mutual, so same-group
+    patterns never dominate each other; hence the domination step is one
+    batched pass per group (`first_bp_contained`) of every candidate
+    against the patterns of the earlier groups.
     """
     contexts = [context("A", m) for m in range(4, max_a + 1)]
     contexts += [context("B", m) for m in range(3, max_b + 1)]
     minimal: list[Element] = []
     for ctx in contexts:
-        if ctx.family == "A":
-            defined = diagrams.is_defined_by_inclusions
-        else:
-            defined = diagrams.is_defined_by_pseudo_inclusions
-        candidates = [w for w in ctx.elements if not defined(w)]
+        defined = diagrams.defined_by_inclusions_mask(ctx)
+        candidates = [w for w, ok in zip(ctx.elements, defined) if not ok]
         first = patterns.first_bp_contained(candidates, tuple(minimal))
         minimal += [w for w, p in zip(candidates, first) if p < 0]
     return tuple(minimal)

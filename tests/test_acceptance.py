@@ -2,10 +2,10 @@
 its elapsed time (run with `pytest -s tests/test_acceptance.py` to see them
 as they complete).
 
-The B_5 equivalence sweep (all five conditions) runs in tier-1.  The long
-sweeps are opt-in: set HULTMAN_B5=1.  They are the rank-6 minimal-pattern
-search and the S_8 (11762) and B_6 (4843) counts, confirmed by conditions
-3, 4 and 5.
+The B_5 equivalence sweep (all five conditions) and the rank-6
+minimal-pattern search run in tier-1.  The long sweeps are opt-in: set
+HULTMAN_B5=1.  They are the S_8 (11762) and B_6 (4843) counts, confirmed
+by conditions 3, 4 and 5.
 """
 import math
 import os
@@ -137,8 +137,7 @@ def test_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultma
     _report(f"{family}_{rank} count (conditions 3, 4 and 5)", time.perf_counter() - start)
 
 
-@OPT_IN
-def test_no_rank_6_obstruction_opt_in():
+def test_no_rank_6_obstruction():
     start = time.perf_counter()
     found = find_minimal_non_hultman(max_a=7, max_b=6)
     assert found == find_minimal_non_hultman(max_a=6, max_b=5)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,18 @@ def test_classify_condition_subset(capsys):
     assert code == 0
     assert "c(w) = 18, s(w) = 20" in out
     assert "distance" not in out
+
+
+def test_python_m_hultman_runs_the_cli():
+    # a source checkout runs the command line without an install
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run(
+        [sys.executable, "-m", "hultman", "verify", "--family", "B", "--rank", "2"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Hultman elements: 8" in done.stdout
 
 
 def test_verify_command(tmp_path, capsys):

@@ -15,6 +15,7 @@ from hultman.diagrams import (
     coessential_set,
     count_reduced_words,
     coxeter_coessential,
+    defined_by_inclusions_mask,
     diagram,
     has_unique_reduced_word,
     hull_bounds,
@@ -105,6 +106,20 @@ def test_pseudo_inclusions_examples():
         is_defined_by_pseudo_inclusions(A4.identity)
 
 
+def test_defined_by_inclusions_mask_matches_per_element():
+    groups = [("A", m) for m in range(1, 8)] + [("B", m) for m in range(1, 6)]
+    for family, rank in groups:
+        ctx = context(family, rank)
+        if family == "A":
+            expected = [is_defined_by_inclusions(w) for w in ctx.elements]
+        else:
+            expected = [is_defined_by_pseudo_inclusions(w) for w in ctx.elements]
+        assert defined_by_inclusions_mask(ctx).tolist() == expected, ctx
+    # the Hultman counts of S_8 and B_6, confirmed by conditions 3, 4 and 5
+    assert defined_by_inclusions_mask(context("A", 8)).sum() == 11762
+    assert defined_by_inclusions_mask(context("B", 6)).sum() == 4843
+
+
 def test_ne_edge_box_lemma():
     # r_w(p,q) = q-p+1 iff w(k) >= p for all k > q iff {1..p-1} is hit by q
     for w in A5.elements:
@@ -162,6 +177,19 @@ def test_relaxed_right_hull_examples():
     assert hull_relaxed_counterexample(parse_element("426153", B3)) is not None
     with pytest.raises(ValueError):
         hull_relaxed_counterexample(parse_element("4231", A4))
+
+
+@pytest.mark.parametrize("text", ["c4325678ba91", "c4326587ba91"])
+def test_relaxed_hull_refuted_on_the_quadrant_capped_board(text):
+    # r_w(7,6) = 1 and the plain counterexample has r_u(7,6) >= 2, so the
+    # restricted boards decide; the first to refute is the board with the
+    # whole central quadrant blocked, giving a window with r_u(7,6) = 0
+    w = parse_element(text, context("B", 6))
+    assert window_rank(w.window, 7, 6) == 1
+    assert window_rank(right_hull_counterexample(w), 7, 6) >= 2
+    cex = hull_relaxed_counterexample(w)
+    assert cex == (1, 2, 5, 6, 3, 4, 7, 8, 9, 10, 11, 12)
+    assert window_rank(cex, 7, 6) == 0
 
 
 def _enumerated_hull_counterexample(w):

@@ -85,6 +85,28 @@ def test_no_whole_group_path_computes_lengths_per_element():
         assert not {function for _, function in calls} & whole_group, (name, calls)
 
 
+def test_minimal_pattern_search_reads_condition_3_off_the_whole_group_kernel():
+    # the candidates of each group come from one pass of
+    # defined_by_inclusions_mask; naming a per-element inclusion test in the
+    # search or in the kernel, called or passed on, would bring back an
+    # element-by-element scan of the group
+    per_element = {
+        "violated_boxes",
+        "is_defined_by_inclusions",
+        "is_defined_by_pseudo_inclusions",
+        "coessential_boxes",
+    }
+
+    def names_one(node):
+        if isinstance(node, ast.Name):
+            return node.id in per_element
+        return isinstance(node, ast.Attribute) and node.attr in per_element
+
+    uses = _uses(names_one)
+    whole_group = {"find_minimal_non_hultman", "defined_by_inclusions_mask"}
+    assert not {function for _, function in uses} & whole_group, uses
+
+
 def test_hull_enumeration_and_hungarian_solver_stay_oracles():
     # the right hull tests have one implementation, the dynamic program in
     # diagrams; the Hungarian solver lives in the tests, and the exponential
