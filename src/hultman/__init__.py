@@ -45,6 +45,7 @@ from .patterns import (
     avoids_condition5_list,
     bp_contains,
     classical_contains,
+    condition5_matches,
     condition5_patterns,
     flatten,
 )

@@ -147,7 +147,7 @@ def element_rows(ctx: GroupContext, windows) -> np.ndarray:
     missing = (sorted_keys[pos] != keys) | out_of_range
     if missing.any():
         window = tuple(windows[np.argmax(missing)].tolist())
-        raise ValueError(f"{window} is not a window of {ctx.family}_{ctx.rank}")
+        raise ValueError(f"{window} is not a window of {ctx.name}")
     return order[pos]
 
 

@@ -22,6 +22,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import arrangements, bruhat, diagrams, patterns
 from .bruhat import BruhatGraph, bruhat_graph
 from .bruhat import group_absolute_lengths  # noqa: F401  (still importable from here)
@@ -198,25 +200,70 @@ def verify_equivalence(
     *,
     keep_reports: bool = False,
 ) -> VerificationSummary:
-    """Classify every group element and check that all computed conditions
-    agree."""
+    """Decide every requested condition on every group element and check
+    that they agree.
+
+    Each condition fills one verdict array by row of ctx.elements.
+    Conditions 3 and 5 come from one whole-group pass each
+    (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`);
+    conditions 1, 2 and 4 from `classify`, one element at a time.  Full
+    reports are built only for disagreeing rows, or for every row with
+    `keep_reports`.
+    """
     start = time.perf_counter()
-    graph = bruhat_graph(ctx) if 2 in conditions else None
     summary = VerificationSummary(ctx, tuple(conditions))
     summary.seconds = {CONDITION_NAMES[c]: 0.0 for c in summary.conditions}
+    total = len(ctx.elements)
+    whole: dict[int, np.ndarray] = {}  # verdicts of the whole-group passes
+    if 3 in conditions:
+        clock = time.perf_counter()
+        whole[3] = diagrams.defined_by_inclusions_mask(ctx)
+        summary.seconds[CONDITION_NAMES[3]] = time.perf_counter() - clock
+    if 5 in conditions:
+        clock = time.perf_counter()
+        matched, indices = patterns.condition5_matches(ctx)
+        whole[5] = matched < 0
+        summary.seconds[CONDITION_NAMES[5]] = time.perf_counter() - clock
 
-    chamber_cache: dict[tuple[GroupContext, Window], int] = {}
-    for w in ctx.elements:
-        report = classify(
-            w, conditions, graph=graph, chamber_cache=chamber_cache
-        )
-        summary.total += 1
-        for name, seconds in report.seconds.items():
-            summary.seconds[name] += seconds
-        if not report.consistent:
+    per_element = tuple(c for c in summary.conditions if c not in whole)
+    verdicts = {**whole, **{c: np.empty(total, dtype=bool) for c in per_element}}
+    partial: dict[int, ClassificationReport] = {}  # rows that get a report
+    if per_element:
+        graph = bruhat_graph(ctx) if 2 in per_element else None
+        chamber_cache: dict[tuple[GroupContext, Window], int] = {}
+        for row, w in enumerate(ctx.elements):
+            report = classify(
+                w, per_element, graph=graph, chamber_cache=chamber_cache
+            )
+            for name, seconds in report.seconds.items():
+                summary.seconds[name] += seconds
+            for c in per_element:
+                verdicts[c][row] = report.conditions[CONDITION_NAMES[c]]
+            values = set(report.conditions.values())
+            values.update(bool(v[row]) for v in whole.values())
+            if keep_reports or len(values) > 1:
+                partial[row] = report
+
+    stack = np.array([verdicts[c] for c in summary.conditions], dtype=bool)
+    stack = stack.reshape(len(summary.conditions), total)
+    hultman = stack.all(axis=0)
+    disagree = ~hultman & stack.any(axis=0)
+    summary.total = total
+    summary.hultman_count = int(hultman.sum()) if summary.conditions else 0
+    for row in range(total) if keep_reports else np.flatnonzero(disagree).tolist():
+        w = ctx.elements[row]
+        report = partial.get(row) or ClassificationReport(w)
+        if 3 in whole:
+            report.violations = diagrams.violated_boxes(w)
+        if 5 in whole:
+            report.matched_pattern = patterns.condition5_embedding(
+                ctx, int(matched[row]), indices[row]
+            )
+        report.conditions = {
+            CONDITION_NAMES[c]: bool(verdicts[c][row]) for c in summary.conditions
+        }
+        if disagree[row]:
             summary.disagreements.append(report)
-        elif report.is_hultman:
-            summary.hultman_count += 1
         if keep_reports:
             summary.reports.append(report)
     summary.elapsed = time.perf_counter() - start

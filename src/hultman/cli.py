@@ -59,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the equivalence over a whole group (every verdict is exact)",
         description=(
             "Classify every element of a group and check that the computed "
-            "conditions agree.  Confirmed Hultman counts: S_3..S_7 have 6, "
+            "conditions agree.  Conditions 3 and 5 are decided in one "
+            "whole-group pass each; conditions 1, 2 and 4 element by element.  "
+            "Confirmed Hultman counts: S_3..S_7 have 6, "
             "23, 101, 477 and 2343 and B_2..B_5 have 8, 38, 188 and 949 (all "
             "five conditions); S_8 has 11762 and B_6 has 4843 (conditions 3, "
             "4 and 5)."
@@ -109,7 +111,7 @@ def _element_from_args(args: argparse.Namespace) -> Element:
 def _cmd_classify(args: argparse.Namespace) -> int:
     w = _element_from_args(args)
     report = classify(w, args.conditions)
-    print(f"element {w} in {w.ctx.family}_{w.ctx.rank} (length {coxeter_length(w)})")
+    print(f"element {w} in {w.ctx.name} (length {coxeter_length(w)})")
     for name, value in report.conditions.items():
         print(f"  {name}: {value}")
     if report.c is not None:
@@ -129,7 +131,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         if report.matched_pattern:
             v, emb = report.matched_pattern
             print(
-                f"  matched pattern: {v} in {v.ctx.family}_{v.ctx.rank}"
+                f"  matched pattern: {v} in {v.ctx.name}"
                 f" at positions {emb.indices}"
             )
     if args.json:
@@ -147,7 +149,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ctx, args.conditions, keep_reports=bool(args.json)
     )
     names = ", ".join(CONDITION_NAMES[c] for c in summary.conditions)
-    print(f"{ctx.family}_{ctx.rank}: {summary.total} elements, conditions [{names}]")
+    print(f"{ctx.name}: {summary.total} elements, conditions [{names}]")
     print(f"  Hultman elements: {summary.hultman_count}")
     print(f"  elapsed: {summary.elapsed:.2f}s")
     for name, seconds in summary.seconds.items():
@@ -173,7 +175,7 @@ def _cmd_minimal_patterns(args: argparse.Namespace) -> int:
     }
     got = {(v.ctx.family, v.ctx.rank, v.window) for v in found}
     for v in found:
-        print(f"{v.ctx.family}_{v.ctx.rank}: {v}")
+        print(f"{v.ctx.name}: {v}")
     print(f"total: {len(found)}")
     if args.json:
         with open(args.json, "w") as fh:
@@ -202,7 +204,7 @@ def _cmd_witnesses(args: argparse.Namespace) -> int:
     for rep in reports:
         w = rep.pattern
         status = "non-Hultman confirmed" if rep.non_hultman_confirmed else "HULTMAN?"
-        print(f"{w.ctx.family}_{w.ctx.rank} {w}: {status}, "
+        print(f"{w.ctx.name} {w}: {status}, "
               f"{len(rep.witnesses)} witnesses")
         for comp in rep.row_comparisons:
             if comp.matches:
@@ -257,10 +259,10 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
     v = _parse_with_rank(args.pattern, args.family)
     emb = patterns.bp_contains(w, v)
     if emb is None:
-        print(f"{w} BP avoids {v} in {v.ctx.family}_{v.ctx.rank}")
+        print(f"{w} BP avoids {v} in {v.ctx.name}")
     else:
         print(
-            f"{w} BP contains {v} in {v.ctx.family}_{v.ctx.rank} "
+            f"{w} BP contains {v} in {v.ctx.name} "
             f"at positions {emb.indices}"
         )
         print(f"flattening: {patterns.flatten(w, emb)}")

@@ -57,6 +57,11 @@ class GroupContext:
         return self.rank if self.family == "A" else 2 * self.rank
 
     @property
+    def name(self) -> str:
+        """The group as the paper writes it: S_n for type A, B_n for type B."""
+        return f"{'S' if self.family == 'A' else 'B'}_{self.rank}"
+
+    @property
     def order(self) -> int:
         if self.family == "A":
             return factorial(self.rank)

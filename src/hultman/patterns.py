@@ -14,19 +14,25 @@ Three embedding kinds cover the parabolic subgroups that matter here:
 
 Containment is decided by flattening codes, in one numpy kernel.  A plan
 holds, for one (embedding kind, host, pattern size k), the index sets in
-lexicographic order and, for each, the k(k-1)/2 pairs of its positions.
-The code of a host window at an index set has one bit per pair, set when
-the window is larger at the pair's first position; these comparisons
-determine the relative order there, so the window flattens to v exactly
-when its code equals v's.  The bits fill 8-bit words, as many as the
-pairs need, so no code can wrap.  A search entry lists the target windows of one pattern:
+lexicographic order and the k(k-1)/2 pairs a < b of local positions.  The
+comparisons [x_a > x_b] of a host window x at an index set fix its
+relative order there, and so does their weighted sum, the Lehmer rank
+sum_{a<b} [x_a > x_b] (k-1-a)!, which lies in 0..k!-1.  The code of a
+window at an index set is that rank: one int64, computed for every index
+set at once by one matrix product of the comparison bits with the place
+values.  It fits for k <= 20; beyond, the Lehmer digits are split over as
+many int64 words as they need.  The window flattens to v exactly when its
+code equals v's.  A search entry lists the target windows of one pattern:
 v and its diagram flip for the A kinds, v alone for B-in-B and for
 classical containment (which uses the A-in-A index sets).  For every row
 of a batch of host windows, the kernel returns the first entry whose
 targets one of the row's codes hits, at the first index set where it
-does; temporary arrays are built in blocks of at most about 2^16 cells.
-`bp_contains`, `classical_contains` and `avoids_condition5_list` run it on
-a batch of one; `first_bp_contained` runs it on a whole batch of hosts.
+does.  It takes the rows in blocks whose largest temporary array stays
+under about 256 KiB (or one row).  `bp_contains` and `classical_contains`
+run it on a batch of one.  `first_bp_contained` runs it on a batch of
+hosts against any patterns, and `condition5_matches` on a whole group (or
+on a batch of one, for `avoids_condition5_list`) against the 31 listed
+patterns.
 `relative_order` remains only for `flatten`.
 """
 from __future__ import annotations
@@ -160,11 +166,11 @@ def b_in_b_index_sets(n: int, m: int) -> Iterator[tuple[int, ...]]:
         yield small + tuple(s - i for i in reversed(small))
 
 
-# Cells (rows x index sets x comparisons or target codes) in one block of
-# the kernel's temporary arrays, so memory stays flat for any batch size.
-_BLOCK_CELLS = 1 << 16
-# Codes are words of 8 bits: uint8 sums of distinct powers of two never wrap.
-_POWERS = (1 << np.arange(8)).astype(np.uint8)
+# Bytes of the largest kernel temporary for one block of host rows, so
+# memory stays flat for any batch size.
+_BLOCK_BYTES = 1 << 18
+# A code word is an int64, so its digits' ranges may multiply to at most 2^63.
+_WORD_LIMIT = 1 << 63
 
 # One search entry: (embedding kind, host size, target windows).  The size
 # is the host's degree for "A-in-A" (which also serves classical
@@ -177,9 +183,7 @@ _Entry = tuple[EmbeddingKind, int, tuple[Window, ...]]
 def _plan(kind: EmbeddingKind, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The index sets of one embedding kind, in lexicographic order, as a
     (K, k) array of 1-based positions; and every pair a < b of local
-    positions as a (2, T) array, T = k(k-1)/2 rounded up to a whole number
-    of words by pairs (0, 0), which compare a position with itself and
-    always give 0."""
+    positions, in `combinations` order, as a (2, k(k-1)/2) array."""
     if kind == "A-in-A":
         sets: Iterator[tuple[int, ...]] = combinations(range(1, n + 1), k)
     elif kind == "A-in-B":
@@ -187,11 +191,34 @@ def _plan(kind: EmbeddingKind, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         sets = b_in_b_index_sets(n, k // 2)
     table = np.array(list(sets), dtype=np.intp).reshape(-1, k)
-    pairs = list(combinations(range(k), 2))
-    pairs += [(0, 0)] * (-len(pairs) % len(_POWERS))
-    local = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    local = np.array(list(combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
     table.flags.writeable = local.flags.writeable = False
     return table, local
+
+
+@lru_cache(maxsize=64)
+def _weights(k: int) -> np.ndarray:
+    """(k(k-1)/2, words) int64 place values of the pairs of `_plan`.
+
+    The Lehmer digit L_a = #{b > a : x_a > x_b} of a sequence of k distinct
+    values lies in 0..k-1-a, and the digits determine the relative order.
+    The pair (a, b) adds the place value of digit a to its word when
+    x_a > x_b.  Digits are grouped from the right into words whose ranges
+    multiply to at most 2^63.  For k <= 20 that is one word, where digit a
+    has place value (k-1-a)!, so the code is the Lehmer rank in 0..k!-1.
+    """
+    word, place = [0] * k, [0] * k
+    words, value = 0, 1
+    for a in reversed(range(k)):
+        if value * (k - a) > _WORD_LIMIT:
+            words, value = words + 1, 1
+        word[a], place[a] = words, value
+        value *= k - a
+    weights = np.zeros((k * (k - 1) // 2, words + 1), dtype=np.int64)
+    for t, (a, _) in enumerate(combinations(range(k), 2)):
+        weights[t, word[a]] = place[a]
+    weights.flags.writeable = False
+    return weights
 
 
 def _greater(windows: np.ndarray) -> np.ndarray:
@@ -201,14 +228,11 @@ def _greater(windows: np.ndarray) -> np.ndarray:
     return (windows[:, :, None] > windows[:, None, :]).reshape(rows, d * d)
 
 
-def _codes(greater: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """(rows, K, words) flattening codes: bit t of column k is the entry
-    pairs[k, t] of the comparison table, and each word is
-    bits @ 2**arange(8).  The pairwise comparisons of an index set
-    determine the relative order there."""
-    bits = greater.take(pairs, axis=1)
-    rows, width, t = bits.shape
-    return bits.reshape(rows, width, t // len(_POWERS), len(_POWERS)) @ _POWERS
+def _codes(greater: np.ndarray, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(rows, K, words) int64 flattening codes: the matrix product of the
+    comparison-table entries at pairs[k] with their place values.  Equal
+    codes mean equal relative orders."""
+    return greater.take(pairs, axis=1) @ weights
 
 
 def _pair_index(sets: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
@@ -218,18 +242,25 @@ def _pair_index(sets: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class _Block:
-    """The columns of one plan and the target codes of its entries."""
+    """The columns of one plan and the target codes of its entries.
+
+    A column matches a target when the host's code there equals the
+    target's: the Lehmer rank of the relative order, in one int64 for
+    k <= 20.  Each distinct target code is kept once, with its least owner.
+    """
 
     sets: np.ndarray  # (K, k) 1-based host positions
     pairs: np.ndarray  # (K, T) comparison-table indices
-    targets: np.ndarray  # (nt, words) codes
-    owners: np.ndarray  # (nt,) entry index of each target
+    weights: np.ndarray  # (T, words) place values
+    targets: np.ndarray  # (words, nt) distinct codes, owners ascending
+    owners: np.ndarray  # (nt,) least entry index of each code
 
     @cached_property
-    def cells(self) -> int:
-        """Temporary cells per host row: K x max(T, nt x words)."""
+    def row_bytes(self) -> int:
+        """Bytes of the largest kernel temporary per host row: the K x T
+        bits cast to int64 for the product, or the K x nt owners."""
         width, t = self.pairs.shape
-        return width * max(t, self.targets.size, 1)
+        return 8 * width * max(t, self.targets.shape[1], 1)
 
 
 @lru_cache(maxsize=256)
@@ -247,16 +278,22 @@ def _query(entries: tuple[_Entry | None, ...]) -> tuple[_Block, ...]:
         if not len(sets):
             continue
         degree = n if kind == "A-in-A" else 2 * n
-        wins = [(t, e) for e in owners for t in entries[e][2]]
-        targets = np.array([t for t, _ in wins], dtype=np.int16)
+        weights = _weights(k)
         # a target window is a host of degree k whose one index set is 1..k
-        own = np.arange(1, k + 1)[None]
+        own = _pair_index(np.arange(1, k + 1)[None], a, b, k)
+        wins = [(t, e) for e in owners for t in entries[e][2]]
+        windows = np.array([t for t, _ in wins], dtype=np.int16)
+        least: dict[tuple[int, ...], int] = {}
+        for code, (_, e) in zip(_codes(_greater(windows), own, weights)[:, 0].tolist(), wins):
+            least.setdefault(tuple(code), e)  # owners ascend: the first is least
+        targets = np.array(list(least), dtype=np.int64).reshape(-1, weights.shape[1])
         blocks.append(
             _Block(
                 sets,
                 _pair_index(sets, a, b, degree),
-                _codes(_greater(targets), _pair_index(own, a, b, k))[:, 0],
-                np.array([e for _, e in wins], dtype=np.intp),
+                weights,
+                np.ascontiguousarray(targets.T),
+                np.array(list(least.values()), dtype=np.intp),
             )
         )
     return tuple(blocks)
@@ -273,14 +310,18 @@ def _first_matches(
     # one row per block, and a last row of `none` for a query with no block
     best = np.full((len(query) + 1, rows), none, dtype=np.intp)
     column = np.zeros_like(best)
-    step = max(1, _BLOCK_CELLS // max((b.cells for b in query), default=1))
+    step = max(1, _BLOCK_BYTES // max((b.row_bytes for b in query), default=1))
     for start in range(0, rows, step):
         part = slice(start, start + step)
         greater = _greater(windows[part])
         for i, block in enumerate(query):
-            codes = _codes(greater, block.pairs)
-            hit = (codes[:, :, None, :] == block.targets).all(axis=-1)
-            owner = np.where(hit, block.owners, none).min(axis=-1)
+            codes = _codes(greater, block.pairs, block.weights)
+            # (nt, rows, K): the targets axis leads, so that the owner
+            # reduction runs over whole (rows, K) slices
+            hit = codes[:, :, 0] == block.targets[0, :, None, None]
+            for j in range(1, len(block.targets)):
+                hit &= codes[:, :, j] == block.targets[j, :, None, None]
+            owner = np.where(hit, block.owners[:, None, None], none).min(axis=0)
             best[i, part] = first = owner.min(axis=1)
             column[i, part] = (owner == first[:, None]).argmax(axis=1)
     # an entry lives in one block, so the least entry picks the block
@@ -394,8 +435,52 @@ def condition5_patterns() -> tuple[Element, ...]:
 
 
 @lru_cache(maxsize=None)
-def _condition5_query(host: GroupContext) -> tuple[_Block, ...]:
-    return _query(tuple(_bp_entry(host, v) for v in condition5_patterns()))
+def _condition5_query(host: GroupContext) -> tuple[tuple[_Block, ...], np.ndarray, np.ndarray]:
+    """The blocks of the listed patterns in `host`; every block's index
+    sets, padded with zeros to the widest, stacked over a last zero row;
+    and the row in that stack where each block starts, then the zero row."""
+    query = _query(tuple(_bp_entry(host, v) for v in condition5_patterns()))
+    width = max((b.sets.shape[1] for b in query), default=0)
+    sizes = [len(b.sets) for b in query]
+    stacked = np.zeros((sum(sizes) + 1, width), dtype=np.intp)
+    starts = np.cumsum([0] + sizes)
+    for block, start in zip(query, starts):
+        stacked[start : start + len(block.sets), : block.sets.shape[1]] = block.sets
+    stacked.flags.writeable = starts.flags.writeable = False
+    return query, stacked, starts
+
+
+def condition5_matches(
+    ctx: GroupContext, windows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Condition 5 for many elements of ctx in one kernel pass.
+
+    For each row of `windows` (by default the rows of ctx.elements): the
+    index in `condition5_patterns()` of the first listed pattern the row BP
+    contains, or -1; and that pattern's first index set, as a row of
+    1-based positions whose first v.degree entries are the set (the rest,
+    and the whole row for -1, are zeros).
+    """
+    if windows is None:
+        windows = ctx.window_matrix
+    query, stacked, starts = _condition5_query(ctx)
+    count = len(CONDITION5_SPECS)
+    best, column, where = _first_matches(query, windows, count)
+    found = best < count
+    rows = np.where(found, starts[where] + column, len(stacked) - 1)
+    return np.where(found, best, -1), stacked[rows]
+
+
+def condition5_embedding(
+    host: GroupContext, pattern: int, indices: np.ndarray
+) -> tuple[Element, ParabolicEmbedding] | None:
+    """One row of `condition5_matches` as (pattern, first embedding), or
+    None for -1."""
+    if pattern < 0:
+        return None
+    v = condition5_patterns()[pattern]
+    kind = _bp_entry(host, v)[0]
+    return v, ParabolicEmbedding(host, kind, tuple(indices[: v.degree].tolist()))
 
 
 def avoids_condition5_list(
@@ -403,11 +488,8 @@ def avoids_condition5_list(
 ) -> tuple[bool, tuple[Element, ParabolicEmbedding] | None]:
     """Whether w BP avoids all 31 listed patterns (a type A host: the four
     type A patterns, since a B pattern has no parabolic in S_n); on failure,
-    the first matched pattern in list order and its first embedding."""
-    pats = condition5_patterns()
-    found = _first_embedding(w, _condition5_query(w.ctx), len(pats))
-    if found is None:
-        return True, None
-    v = pats[found[0]]
-    kind = _bp_entry(w.ctx, v)[0]
-    return False, (v, ParabolicEmbedding(w.ctx, kind, found[1]))
+    the first matched pattern in list order and its first embedding.  A
+    batch of one of `condition5_matches`."""
+    pattern, indices = condition5_matches(w.ctx, _host_rows((w,), w.degree))
+    matched = condition5_embedding(w.ctx, int(pattern[0]), indices[0])
+    return matched is None, matched

@@ -2,10 +2,10 @@
 its elapsed time (run with `pytest -s tests/test_acceptance.py` to see them
 as they complete).
 
-The B_5 equivalence sweep (all five conditions) and the rank-6
-minimal-pattern search run in tier-1.  The long sweeps are opt-in: set
-HULTMAN_B5=1.  They are the S_8 (11762) and B_6 (4843) counts, confirmed
-by conditions 3, 4 and 5.
+The B_5 equivalence sweep (all five conditions), the rank-6
+minimal-pattern search and the S_8 (11762) and B_6 (4843) counts by
+condition 5 alone run in tier-1.  The long sweeps are opt-in: set
+HULTMAN_B5=1.  They confirm those counts by conditions 3, 4 and 5.
 """
 import math
 import os
@@ -122,6 +122,18 @@ def test_s7_count_by_inclusions_and_bp_avoidance():
     assert summary.total == 5040
     assert summary.hultman_count == 2343
     _report("S_7 count (conditions 3 and 5)", time.perf_counter() - start)
+
+
+@pytest.mark.parametrize(
+    "family, rank, order, hultman", [("A", 8, 40320, 11762), ("B", 6, 46080, 4843)]
+)
+def test_count_by_bp_avoidance_alone(family, rank, order, hultman):
+    start = time.perf_counter()
+    summary = verify_equivalence(context(family, rank), (5,))
+    assert summary.ok
+    assert summary.total == order
+    assert summary.hultman_count == hultman
+    _report(f"{family}_{rank} count (condition 5 alone)", time.perf_counter() - start)
 
 
 @OPT_IN

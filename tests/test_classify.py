@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from hultman import arrangements
+from hultman import arrangements, diagrams, patterns
 from hultman.bruhat import (
     bruhat_graph,
     bruhat_leq,
@@ -135,6 +136,80 @@ def test_verify_json_roundtrip():
     doc = summary.to_json_dict()
     assert doc["total"] == 8 and len(doc["elements"]) == 8
     json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "ctx, conditions",
+    [
+        (context("A", 4), ALL_CONDITIONS),
+        (B3, ALL_CONDITIONS),
+        (B3, (3, 5)),
+        (B3, (2, 5)),
+    ],
+)
+def test_verify_reports_equal_classify(ctx, conditions):
+    # conditions 3 and 5 come from whole-group passes, the rest from
+    # classify; every kept report must read as if classify made it
+    summary = verify_equivalence(ctx, conditions, keep_reports=True)
+    assert [r.element for r in summary.reports] == list(ctx.elements)
+    for report in summary.reports:
+        expected = classify(report.element, conditions)
+        assert report.to_json_dict() == expected.to_json_dict()
+        assert list(report.conditions) == list(expected.conditions)
+
+
+@pytest.mark.parametrize("flipped", [3, 5])
+def test_verify_reports_a_whole_group_disagreement(monkeypatch, flipped):
+    # a whole-group verdict flipped to True at one non-Hultman row must
+    # give exactly that row's report, with the other conditions' data
+    w = parse_element("426153", B3)
+    row = B3.elements.index(w)
+    expected = classify(w, (1, 3, 5))
+    mask, matches = diagrams.defined_by_inclusions_mask, patterns.condition5_matches
+    if flipped == 3:
+        def wrong(ctx):
+            out = mask(ctx).copy()
+            out[row] = True
+            return out
+        monkeypatch.setattr(diagrams, "defined_by_inclusions_mask", wrong)
+    else:
+        def wrong(ctx):
+            pattern, indices = matches(ctx)
+            pattern, indices = pattern.copy(), indices.copy()
+            pattern[row], indices[row] = -1, 0
+            return pattern, indices
+        monkeypatch.setattr(patterns, "condition5_matches", wrong)
+    summary = verify_equivalence(B3, (1, 3, 5))
+    (report,) = summary.disagreements
+    assert report.element == w
+    assert summary.hultman_count == 38
+    assert report.conditions == {
+        **expected.conditions, CONDITION_NAMES[flipped]: True
+    }
+    assert (report.c, report.s) == (expected.c, expected.s)
+    assert report.violations == expected.violations
+    if flipped == 3:
+        assert report.matched_pattern == expected.matched_pattern
+    else:
+        assert report.matched_pattern is None
+
+
+def test_verify_never_decides_conditions_3_and_5_per_element(monkeypatch):
+    def per_element(w):
+        raise AssertionError(f"per-element verdict for {w}")
+
+    monkeypatch.setattr(patterns, "avoids_condition5_list", per_element)
+    monkeypatch.setattr(diagrams, "is_defined_by_pseudo_inclusions", per_element)
+    summary = verify_equivalence(B3, keep_reports=True)
+    assert summary.ok and summary.hultman_count == 38
+
+
+def test_verify_counts_agree_with_the_verdict_arrays():
+    summary = verify_equivalence(context("A", 5), (3, 5))
+    defined = diagrams.defined_by_inclusions_mask(context("A", 5))
+    pattern, _ = patterns.condition5_matches(context("A", 5))
+    assert np.array_equal(defined, pattern < 0)
+    assert summary.ok and summary.hultman_count == int(defined.sum()) == 101
 
 
 def test_minimal_patterns_type_a_only():

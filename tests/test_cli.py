@@ -160,7 +160,7 @@ def test_patterns_command(capsys):
 
 
 def test_patterns_command_rank_6_type_b(capsys):
-    # a B_6 pattern spans 12 positions: 66 comparisons, two code words
+    # a B_6 pattern spans 12 positions: 66 comparisons, more than 8 bits
     code = main(
         ["patterns", "--host", "1b6d73a5c8294e", "--pattern", "a5c6294b7183",
          "--family", "B"]
@@ -174,7 +174,7 @@ def test_patterns_command_rank_6_type_b(capsys):
     "argv,expected",
     [
         (["--host", "1,2,3", "--pattern", "21", "--family", "A"],
-         "123456 BP avoids 21 in A_2"),
+         "123456 BP avoids 21 in S_2"),
         (["--host=-3,2,-1", "--pattern", "2,1", "--family", "B"],
          "426153 BP avoids 2143 in B_2"),
     ],

@@ -135,7 +135,7 @@ ORACLE_GROUPS = [context("A", n) for n in range(1, 8)] + [
 
 
 def _group_id(ctx):
-    return f"{'S' if ctx.family == 'A' else 'B'}_{ctx.rank}"
+    return ctx.name
 
 
 def _all_windows(ctx):

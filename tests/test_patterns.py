@@ -1,6 +1,8 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
+import numpy as np
 import pytest
 
 from hultman.bruhat import bruhat_leq
@@ -8,11 +10,18 @@ from hultman.groups import Element, compose, context, element_from_signed, parse
 from hultman.patterns import (
     CONDITION5_SPECS,
     ParabolicEmbedding,
+    _codes,
+    _greater,
+    _pair_index,
+    _plan,
+    _weights,
     a_in_b_index_sets,
     avoids_condition5_list,
     b_in_b_index_sets,
     bp_contains,
     classical_contains,
+    condition5_embedding,
+    condition5_matches,
     condition5_patterns,
     dynkin_reverse,
     embed_pattern,
@@ -336,7 +345,7 @@ def _random_signed(rank, rng):
 
 
 def test_codes_wider_than_one_word():
-    # a B_6 pattern spans 12 positions, 66 comparisons: two code words
+    # a B_6 pattern spans 12 positions, 66 comparisons: more than 8 bits
     rng = random.Random(12)
     b7 = context("B", 7)
     w6 = parse_element("-3,5,1,-6,2,-4", context("B", 6))
@@ -354,13 +363,143 @@ def test_codes_wider_than_one_word():
             v = _random_signed(6, rng)
             assert bp_contains(host, v) == oracle_bp_contains(host, v), (host, v)
     # two windows of S_12 that differ only in the order of the adjacent
-    # values 7, 8 at positions 11 and 12: their codes differ only in bit
-    # 65, which a single int64 word would drop
+    # values 7, 8 at positions 11 and 12: their comparisons differ only in
+    # the last pair, and their Lehmer ranks by 1
     a12 = context("A", 12)
     w = parse_element("5b3916c2a487", a12)
     v = parse_element("5b3916c2a478", a12)
     assert classical_contains(w, v) is None
     assert classical_contains(w, w) == tuple(range(1, 13))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_codes_of_all_windows_are_their_lehmer_ranks(k):
+    # permutations come in lexicographic order, which is Lehmer rank order
+    windows = np.array(list(permutations(range(1, k + 1))), dtype=np.int16)
+    sets, (a, b) = _plan("A-in-A", k, k)
+    codes = _codes(_greater(windows), _pair_index(sets, a, b, k), _weights(k))
+    assert codes.dtype == np.int64 and codes.shape == (factorial(k), 1, 1)
+    assert np.array_equal(codes[:, 0, 0], np.arange(factorial(k)))
+
+
+def test_one_code_word_up_to_twenty_positions():
+    assert [_weights(k).shape[1] for k in (1, 2, 19, 20, 21, 22, 40)] == [1, 1, 1, 1, 2, 2, 3]
+    # every word's largest code, the sum of its place values times digit
+    # ranges, stays below 2^63
+    for k in (20, 21, 22, 40, 45, 64):
+        top = [0] * _weights(k).shape[1]
+        for (a, _), row in zip(combinations(range(k), 2), _weights(k).tolist()):
+            for j, place in enumerate(row):
+                top[j] += place
+        assert max(top) < 2**63
+    assert _weights(20)[:, 0].max() == factorial(19)
+
+
+def _neighbours(v, mirrored=False):
+    """Windows that differ from v in the order of one pair of adjacent
+    values: the value at position 1 exchanged with the next larger or
+    smaller one, and the same at the middle and the last position.  With
+    `mirrored`, the mirror values are exchanged too, which keeps a type B
+    window centrally symmetric.  The change at position 1 alters Lehmer
+    digit 0, which has a code word of its own from 21 positions on."""
+    top = len(v) + 1
+    out = []
+    for pos in (0, len(v) // 2, len(v) - 1):
+        r = v[pos]
+        for s in (r - 1, r + 1):
+            if 1 <= s <= len(v):
+                swap = {r: s, s: r}
+                if mirrored:
+                    swap.update({top - r: top - s, top - s: top - r})
+                out.append(tuple(swap.get(x, x) for x in v))
+    return out
+
+
+@pytest.mark.parametrize("k", [20, 21])
+def test_containment_at_the_one_word_boundary_matches_oracle(k):
+    rng = random.Random(k)
+    host_ctx, pat_ctx = context("A", k + 1), context("A", k)
+    for _ in range(3):
+        values = list(range(1, k + 2))
+        rng.shuffle(values)
+        w = Element(tuple(values), host_ctx)
+        drop = rng.randrange(k + 1)
+        inside = relative_order([x for i, x in enumerate(values) if i != drop])
+        for window in [inside] + _neighbours(inside):
+            v = Element(window, pat_ctx)
+            assert classical_contains(w, v) == oracle_classical_contains(w, v), (w, v)
+            assert bp_contains(w, v) == oracle_bp_contains(w, v), (w, v)
+
+
+def test_type_b_containment_past_twenty_positions_matches_oracle():
+    # B_10 (20 positions, one code word) and B_11 (22, two) in B_11
+    rng = random.Random(11)
+    b11 = context("B", 11)
+    hits = 0
+    for _ in range(3):
+        w = _random_signed(11, rng)
+        for rank in (10, 11):
+            keep = sorted(rng.sample(range(1, 12), rank))
+            emb = ParabolicEmbedding(
+                b11, "B-in-B", tuple(keep) + tuple(23 - i for i in reversed(keep))
+            )
+            inside = flatten(w, emb)
+            for window in [inside.window] + _neighbours(inside.window, mirrored=True):
+                v = Element(window, inside.ctx)
+                found = bp_contains(w, v)
+                assert found == oracle_bp_contains(w, v), (w, v)
+                hits += found is not None
+    assert 6 <= hits < 6 * 7
+
+
+def _assert_matches_equal_per_element(ctx, rows):
+    pattern, indices = condition5_matches(ctx)
+    pats = condition5_patterns()
+    for row in rows:
+        w = ctx.elements[row]
+        ok, matched = avoids_condition5_list(w)
+        p = int(pattern[row])
+        assert ok == (p < 0), w
+        if ok:
+            assert not indices[row].any(), w
+            continue
+        v, emb = matched
+        assert v == pats[p], w
+        assert emb.indices == tuple(indices[row, : v.degree].tolist()), w
+        assert not indices[row, v.degree :].any(), w
+        assert condition5_embedding(ctx, p, indices[row]) == matched
+    return pattern
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [context("A", n) for n in range(1, 8)] + [context("B", n) for n in range(1, 6)],
+    ids=lambda ctx: ctx.name,
+)
+def test_condition5_matches_equal_the_per_element_path(ctx):
+    _assert_matches_equal_per_element(ctx, range(len(ctx.elements)))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 8), ("B", 6)])
+def test_condition5_matches_on_a_sample(family, rank):
+    ctx = context(family, rank)
+    rows = random.Random(rank).sample(range(len(ctx.elements)), 400)
+    pattern = _assert_matches_equal_per_element(ctx, rows)
+    for row in rows[:60]:
+        w = ctx.elements[row]
+        ok, matched = oracle_avoids_condition5_list(w)
+        assert ok == (pattern[row] < 0), w
+        assert avoids_condition5_list(w) == (ok, matched), w
+
+
+def test_condition5_matches_take_a_batch_of_windows():
+    ctx = context("B", 4)
+    rows = [5, 0, 383, 200]
+    pattern, indices = condition5_matches(ctx, ctx.window_matrix[rows])
+    whole, whole_indices = condition5_matches(ctx)
+    assert np.array_equal(pattern, whole[rows])
+    assert np.array_equal(indices, whole_indices[rows])
+    assert condition5_embedding(ctx, -1, indices[0]) is None
 
 
 def test_relative_order_basics():
