@@ -16,6 +16,9 @@ kernel call over that matrix.  The one map from windows to rows,
 the group's sorted keys.  The Bruhat graph is one neighbour array with a
 sentinel row for missing edges, and the distance sweep takes one numpy
 step per length level; l_T is one gather from `group_absolute_lengths`.
+`symmetry_rows` gives the row maps of the graph automorphisms w -> w^{-1}
+(and, in type A, w -> w_0 w w_0), so a sweep can carry its results from
+one element of an orbit to the others.
 
 For type B elements the order is exactly the one induced from S_{2n}, so
 the same window-level test serves both families.
@@ -193,6 +196,31 @@ def group_absolute_lengths(ctx: GroupContext) -> np.ndarray:
     lengths = absolute_lengths(group_windows(ctx), ctx.family)
     lengths.flags.writeable = False
     return lengths
+
+
+@lru_cache(maxsize=None)
+def symmetry_rows(ctx: GroupContext) -> tuple[np.ndarray, ...]:
+    """Row maps of the nontrivial automorphisms of the Bruhat graph that
+    keep l_T: entry i of a map is the row of the image of ctx.elements[i].
+
+    w -> w^{-1} sends an edge u -> ut to u^{-1} -> t u^{-1}, and t u^{-1} is
+    u^{-1} times the reflection u t u^{-1}.  In type A, conjugation by w_0 is
+    one too, and so is their composite (Björner–Brenti, Combinatorics of
+    Coxeter Groups, ch. 2); in type B, w_0 is central.  Both keep lengths
+    and l_T(u, w) = l_T(w^{-1} u), which is constant on conjugacy classes
+    and under inversion.  So l_D, l_T, c(w) and s(w) are constant on
+    orbits.  Built on first use, not with the group's enumeration.
+    """
+    windows = group_windows(ctx)
+    inverses = np.argsort(windows, axis=1).astype(windows.dtype) + 1
+    images = [inverses]
+    if ctx.family == "A":
+        # (w_0 w w_0)(i) = n + 1 - w(n + 1 - i)
+        images += [ctx.degree + 1 - windows[:, ::-1], ctx.degree + 1 - inverses[:, ::-1]]
+    maps = tuple(element_rows(ctx, image) for image in images)
+    for rows in maps:
+        rows.flags.writeable = False
+    return maps
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,6 @@ from .groups import (
     context,
     coxeter_length,
     format_window,
-    invert_window,
     parse_element,
 )
 
@@ -108,40 +107,88 @@ class ClassificationReport:
         }
 
 
+# One orbit memo entry: condition number -> its values for one element,
+# (c, s) for condition 1 and the first distance witness, as (row, l_D, l_T)
+# or None, for condition 2.
+OrbitMemo = dict[tuple[GroupContext, Window], dict[int, object]]
+
+
+def _orbit_images(w: Element) -> list[tuple[np.ndarray, tuple[GroupContext, Window]]]:
+    """(row map, memo key) of each image of w under `bruhat.symmetry_rows`,
+    one per distinct image other than w itself."""
+    ctx = w.ctx
+    row = int(bruhat.element_rows(ctx, w.window)[0])
+    seen = {row}
+    images = []
+    for phi in bruhat.symmetry_rows(ctx):
+        image = int(phi[row])
+        if image not in seen:
+            seen.add(image)
+            images.append((phi, (ctx, ctx.elements[image].window)))
+    return images
+
+
 def classify(
     w: Element,
     conditions: tuple[int, ...] = ALL_CONDITIONS,
     *,
     graph: BruhatGraph | None = None,
-    chamber_cache: dict[tuple[GroupContext, Window], int] | None = None,
+    chamber_cache: OrbitMemo | None = None,
 ) -> ClassificationReport:
     """Evaluate the requested conditions independently and cross-check.
-    Every verdict is a definite bool."""
+    Every verdict is a definite bool.
+
+    `chamber_cache` is an orbit memo for conditions 1 and 2, shared by the
+    calls of one sweep; it kept its name from when it held c(w) alone.
+    `bruhat.symmetry_rows` maps w onto the other elements of its orbit
+    under Bruhat-graph automorphisms that keep l_T, so c, s and the
+    distances are the same along an orbit.  After computing c and s, or
+    the distances, for w, classify writes them under each image's key
+    (ctx, window); the image's first witness is the least image row of
+    w's witnesses, with the same (l_D, l_T).  A call that finds its own key
+    takes the values it needs and drops them, so the memo holds only
+    orbit members not yet visited.  Every element whose distances are
+    computed runs all the checks of `interval_distances`; an image inherits
+    the same values, so its checks would give the same result.
+    """
     report = ClassificationReport(w)
+    key = (w.ctx, w.window)  # groups of equal degree share windows
+    memo = chamber_cache.pop(key, {}) if chamber_cache is not None else {}
+    shared = {1, 2}.intersection(conditions).difference(memo)  # computed here
+    images = _orbit_images(w) if chamber_cache is not None and shared else []
     for num in conditions:
         name = CONDITION_NAMES[num]
         start = time.perf_counter()
         if num == 1:
-            key = (w.ctx, w.window)  # groups of equal degree share windows
-            if chamber_cache is not None and key in chamber_cache:
-                report.c = chamber_cache[key]
+            if 1 in memo:
+                report.c, report.s = memo.pop(1)
             else:
                 report.c = arrangements.chamber_count(w)
-                if chamber_cache is not None:
-                    # c(w) = c(w^{-1}): the inverse arrangement is the
-                    # image of this one under w
-                    chamber_cache[key] = report.c
-                    chamber_cache[w.ctx, invert_window(w.window)] = report.c
-            report.s = bruhat.interval_size(w)
+                report.s = bruhat.interval_size(w)
+                for _, image in images:
+                    chamber_cache.setdefault(image, {})[1] = (report.c, report.s)
             if report.c > report.s:
                 # c(w) <= s(w) holds for every w (Hultman, JCTA 2011;
                 # Hultman-Linusson-Shareshian-Sjostrand, JCTA 2009)
                 raise ArithmeticError(f"{w}: c(w) = {report.c} > s(w) = {report.s}")
             report.conditions[name] = report.c == report.s
         elif num == 2:
-            g = graph or bruhat_graph(w.ctx)
-            report.distance_witness = next(bruhat.distance_witnesses(w, g), None)
-            report.conditions[name] = report.distance_witness is None
+            if 2 in memo:
+                witness = memo.pop(2)
+            else:
+                rows, l_d, l_t = bruhat.interval_distances(w, graph or bruhat_graph(w.ctx))
+                found = l_d != l_t
+                rows, l_d, l_t = rows[found], l_d[found], l_t[found]
+                witness = _first_witness(rows, l_d, l_t)
+                for phi, image in images:
+                    chamber_cache.setdefault(image, {})[2] = _first_witness(
+                        phi[rows], l_d, l_t
+                    )
+            if witness is not None:
+                row, l_d_u, l_t_u = witness
+                witness = (w.ctx.elements[row], l_d_u, l_t_u)
+            report.distance_witness = witness
+            report.conditions[name] = witness is None
         elif num == 3:
             report.violations = diagrams.violated_boxes(w)
             if w.ctx.family == "A":
@@ -162,7 +209,21 @@ def classify(
         else:
             raise ValueError(f"unknown condition {num}")
         report.seconds[name] = time.perf_counter() - start
+    if memo:
+        chamber_cache[key] = memo  # values for conditions not asked for here
     return report
+
+
+def _first_witness(
+    rows: np.ndarray, l_d: np.ndarray, l_t: np.ndarray
+) -> tuple[int, int, int] | None:
+    """(row, l_D, l_T) of the least of the witness rows, or None if there
+    are none.  Rows follow graded order, so the least row has minimal
+    length."""
+    if not len(rows):
+        return None
+    k = int(np.argmin(rows))
+    return int(rows[k]), int(l_d[k]), int(l_t[k])
 
 
 @dataclass
@@ -175,6 +236,9 @@ class VerificationSummary:
     reports: list[ClassificationReport] = field(default_factory=list)
     elapsed: float = 0.0
     seconds: dict[str, float] = field(default_factory=dict)  # per condition
+    # per condition: rows whose values were computed; the others took them
+    # from an orbit image through the memo of `classify`
+    rows_computed: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -189,6 +253,10 @@ class VerificationSummary:
             "hultman_count": self.hultman_count,
             "elapsed_s": self.elapsed,
             "seconds": dict(self.seconds),
+            "rows_computed": dict(self.rows_computed),
+            "rows_from_orbit": {
+                name: self.total - rows for name, rows in self.rows_computed.items()
+            },
             "disagreements": [r.to_json_dict() for r in self.disagreements],
             "elements": [r.to_json_dict() for r in self.reports],
         }
@@ -206,14 +274,16 @@ def verify_equivalence(
     Each condition fills one verdict array by row of ctx.elements.
     Conditions 3 and 5 come from one whole-group pass each
     (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`);
-    conditions 1, 2 and 4 from `classify`, one element at a time.  Full
-    reports are built only for disagreeing rows, or for every row with
-    `keep_reports`.
+    conditions 1, 2 and 4 from `classify`, one element at a time.  The
+    calls share one orbit memo, so conditions 1 and 2 are computed once per
+    orbit of `bruhat.symmetry_rows`, at its first row.  Full reports are
+    built only for disagreeing rows, or for every row with `keep_reports`.
     """
     start = time.perf_counter()
     summary = VerificationSummary(ctx, tuple(conditions))
     summary.seconds = {CONDITION_NAMES[c]: 0.0 for c in summary.conditions}
     total = len(ctx.elements)
+    summary.rows_computed = {CONDITION_NAMES[c]: total for c in summary.conditions}
     whole: dict[int, np.ndarray] = {}  # verdicts of the whole-group passes
     if 3 in conditions:
         clock = time.perf_counter()
@@ -230,11 +300,11 @@ def verify_equivalence(
     partial: dict[int, ClassificationReport] = {}  # rows that get a report
     if per_element:
         graph = bruhat_graph(ctx) if 2 in per_element else None
-        chamber_cache: dict[tuple[GroupContext, Window], int] = {}
+        memo: OrbitMemo = {}
         for row, w in enumerate(ctx.elements):
-            report = classify(
-                w, per_element, graph=graph, chamber_cache=chamber_cache
-            )
+            for c in memo.get((ctx, w.window), ()):
+                summary.rows_computed[CONDITION_NAMES[c]] -= 1
+            report = classify(w, per_element, graph=graph, chamber_cache=memo)
             for name, seconds in report.seconds.items():
                 summary.seconds[name] += seconds
             for c in per_element:
@@ -289,10 +359,11 @@ def find_minimal_non_hultman(
     contexts += [context("B", m) for m in range(3, max_b + 1)]
     minimal: list[Element] = []
     for ctx in contexts:
-        defined = diagrams.defined_by_inclusions_mask(ctx)
-        candidates = [w for w, ok in zip(ctx.elements, defined) if not ok]
-        first = patterns.first_bp_contained(candidates, tuple(minimal))
-        minimal += [w for w, p in zip(candidates, first) if p < 0]
+        candidates = np.flatnonzero(~diagrams.defined_by_inclusions_mask(ctx))
+        first = patterns.first_bp_contained(
+            ctx, ctx.window_matrix[candidates], tuple(minimal)
+        )
+        minimal += [ctx.elements[row] for row in candidates[first < 0].tolist()]
     return tuple(minimal)
 
 

@@ -61,10 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
             "Classify every element of a group and check that the computed "
             "conditions agree.  Conditions 3 and 5 are decided in one "
             "whole-group pass each; conditions 1, 2 and 4 element by element.  "
-            "Confirmed Hultman counts: S_3..S_7 have 6, "
-            "23, 101, 477 and 2343 and B_2..B_5 have 8, 38, 188 and 949 (all "
-            "five conditions); S_8 has 11762 and B_6 has 4843 (conditions 3, "
-            "4 and 5)."
+            "Conditions 1 and 2 are computed once per orbit of the Bruhat-graph "
+            "automorphisms w -> w^-1 (and, in type A, w -> w0 w w0), which keep "
+            "c(w), s(w) and both distances; the other elements of an orbit "
+            "take the values, and the first distance witness mapped along.  "
+            "Confirmed Hultman counts (all five conditions): S_3..S_8 have 6, "
+            "23, 101, 477, 2343 and 11762 and B_2..B_6 have 8, 38, 188, 949 "
+            "and 4843."
         ),
     )
     _ctx_args(p)
@@ -154,6 +157,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"  elapsed: {summary.elapsed:.2f}s")
     for name, seconds in summary.seconds.items():
         print(f"    {name}: {seconds:.2f}s")
+    memoised = [c for c in (1, 2) if c in summary.conditions]
+    if memoised:
+        # both are computed at the same rows, the first of each orbit;
+        # ASCII, like every other line, so that any terminal encoding prints it
+        computed = summary.rows_computed[CONDITION_NAMES[memoised[0]]]
+        maps = "w -> w^-1" + (" and w -> w0 w w0" if ctx.family == "A" else "")
+        labels = ", ".join(f"c{c}" for c in memoised)
+        print(f"  {labels}: {computed} of {summary.total} computed, the rest by {maps}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(summary.to_json_dict(), fh, indent=2)

@@ -30,7 +30,7 @@ targets one of the row's codes hits, at the first index set where it
 does.  It takes the rows in blocks whose largest temporary array stays
 under about 256 KiB (or one row).  `bp_contains` and `classical_contains`
 run it on a batch of one.  `first_bp_contained` runs it on a batch of
-hosts against any patterns, and `condition5_matches` on a whole group (or
+host windows against any patterns, and `condition5_matches` on a whole group (or
 on a batch of one, for `avoids_condition5_list`) against the 31 listed
 patterns.
 `relative_order` remains only for `flatten`.
@@ -357,16 +357,16 @@ def _first_embedding(
     return int(best[0]), tuple(int(i) for i in query[where[0]].sets[column[0]])
 
 
-def first_bp_contained(hosts: Sequence[Element], pats: Sequence[Element]) -> np.ndarray:
-    """For each host (all in one group), the index in `pats` of the first
-    pattern it BP contains, or -1: one kernel pass over every host."""
-    if not hosts:
+def first_bp_contained(
+    host: GroupContext, windows: np.ndarray, pats: Sequence[Element]
+) -> np.ndarray:
+    """For each row of `windows` (elements of host, such as rows of
+    host.window_matrix), the index in `pats` of the first pattern it BP
+    contains, or -1: one kernel pass over every row."""
+    if not len(windows):
         return np.zeros(0, dtype=np.intp)
-    host = hosts[0].ctx
-    if any(w.ctx != host for w in hosts):
-        raise ValueError("hosts must share one group")
     query = _query(tuple(_bp_entry(host, v) for v in pats))
-    best, _, _ = _first_matches(query, _host_rows(hosts, host.degree), len(pats))
+    best, _, _ = _first_matches(query, windows, len(pats))
     return np.where(best < len(pats), best, -1)
 
 

@@ -5,7 +5,8 @@ as they complete).
 The B_5 equivalence sweep (all five conditions), the rank-6
 minimal-pattern search and the S_8 (11762) and B_6 (4843) counts by
 condition 5 alone run in tier-1.  The long sweeps are opt-in: set
-HULTMAN_B5=1.  They confirm those counts by conditions 3, 4 and 5.
+HULTMAN_B5=1.  They confirm those counts by conditions 3, 4 and 5, and
+by all five.
 """
 import math
 import os
@@ -147,6 +148,21 @@ def test_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultma
     assert summary.total == order
     assert summary.hultman_count == hultman
     _report(f"{family}_{rank} count (conditions 3, 4 and 5)", time.perf_counter() - start)
+
+
+@OPT_IN
+@pytest.mark.parametrize(
+    "family, rank, hultman, orbits", [("A", 8, 11762, 10558), ("B", 6, 4843, 23732)]
+)
+def test_count_by_all_five_conditions_opt_in(family, rank, hultman, orbits):
+    # conditions 1 and 2 run once per orbit of w -> w^-1 (and w -> w_0 w w_0
+    # in type A); about 2 min for S_8 and 5 min for B_6 on 2 CPUs
+    start = time.perf_counter()
+    summary = verify_equivalence(context(family, rank))
+    assert summary.ok, summary.disagreements
+    assert summary.hultman_count == hultman
+    assert summary.rows_computed["chambers"] == summary.rows_computed["distance"] == orbits
+    _report(f"{family}_{rank} count (all five conditions)", time.perf_counter() - start)
 
 
 def test_no_rank_6_obstruction():

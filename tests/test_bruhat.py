@@ -17,9 +17,11 @@ from hultman.bruhat import (
     distance_witnesses,
     element_rows,
     group_rank_grids,
+    group_absolute_lengths,
     group_windows,
     interval_size,
     rank_grid,
+    symmetry_rows,
     undirected_distance,
     window_rank,
 )
@@ -29,6 +31,7 @@ from hultman.groups import (
     compose_windows,
     context,
     coxeter_length,
+    invert_window,
     parse_element,
 )
 
@@ -398,3 +401,47 @@ def test_coessential_box_ranks_match_grid():
         grid = rank_grid(w)
         for p, q, r in coessential_boxes(w.window):
             assert grid[p - 1][q - 1] == r == window_rank(w.window, p, q)
+
+
+SMALL_GROUPS = [context("A", n) for n in range(1, 7)] + [
+    context("B", n) for n in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
+def test_symmetry_rows_are_bruhat_graph_automorphisms(ctx):
+    maps = symmetry_rows(ctx)
+    assert len(maps) == (3 if ctx.family == "A" else 1)
+    graph = bruhat_graph(ctx)
+    order = ctx.order
+    source, k = np.nonzero(graph.up < order)
+    target = graph.up[source, k]
+    # an edge (u, v) as the single integer u * order + v
+    edges = np.sort(source.astype(np.int64) * order + target)
+    for phi in maps:
+        assert np.array_equal(phi[phi], np.arange(order))
+        assert np.array_equal(ctx.lengths[phi], ctx.lengths)
+        lt = group_absolute_lengths(ctx)
+        assert np.array_equal(lt[phi], lt)
+        images = np.sort(phi[source].astype(np.int64) * order + phi[target])
+        assert np.array_equal(images, edges)
+    if ctx.family == "A":
+        inverse, conjugate, both = maps
+        assert np.array_equal(inverse[conjugate], both)
+        assert np.array_equal(conjugate[inverse], both)
+
+
+@pytest.mark.parametrize("ctx", [A4, B3])
+def test_symmetry_rows_are_inversion_and_conjugation_by_w0(ctx):
+    w0 = ctx.longest_element.window
+    for row, w in enumerate(ctx.elements):
+        images = [ctx.elements[int(phi[row])].window for phi in symmetry_rows(ctx)]
+        conjugate = compose_windows(w0, compose_windows(w.window, w0))
+        inverse = invert_window(w.window)
+        if ctx.family == "A":
+            assert images == [
+                inverse, conjugate, compose_windows(w0, compose_windows(inverse, w0))
+            ]
+        else:
+            assert conjugate == w.window  # w_0 is central in type B
+            assert images == [inverse]

@@ -1,13 +1,15 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
-from hultman import arrangements, diagrams, patterns
+from hultman import arrangements, bruhat, diagrams, patterns
 from hultman.bruhat import (
     bruhat_graph,
     bruhat_leq,
     directed_distances_to,
+    symmetry_rows,
     window_leq,
 )
 from hultman.classify import (
@@ -20,7 +22,7 @@ from hultman.classify import (
     witness_table,
 )
 from hultman.diagrams import hull_bounds, window_in_hull
-from hultman.groups import context, parse_element
+from hultman.groups import compose_windows, context, invert_window, parse_element
 from hultman.patterns import condition5_patterns
 
 B2 = context("B", 2)
@@ -83,9 +85,145 @@ def test_chamber_cache_keeps_groups_apart(first):
     cache = {}
     for family in (first, "B" if first == "A" else "A"):
         w = elements[family]
-        report = classify(w, (1,), chamber_cache=cache)
-        assert report.c == classify(w, (1,)).c
-        assert report.conditions == {"chambers": True}
+        report = classify(w, (1, 2), chamber_cache=cache)
+        expected = classify(w, (1, 2))
+        assert report.c == expected.c
+        assert report.distance_witness == expected.distance_witness
+        assert report.conditions == {"chambers": True, "distance": True}
+
+
+@pytest.mark.parametrize("first", ["A", "B"])
+@pytest.mark.parametrize("pair", [("3142", "2413"), ("536142", "462513")])
+def test_orbit_memo_keeps_groups_apart(first, pair):
+    # each pair is inverse in both S_n and B_{n/2}, so the first call writes
+    # the memo entry that the second call, in the other group, looks up;
+    # (c, s) differ between the groups, and so do the distances of the
+    # first witness of 462513 (7 and 3 in S_6, 4 and 2 in B_3)
+    groups = {"A": context("A", len(pair[0])), "B": context("B", len(pair[0]) // 2)}
+    memo = {}
+    for family, text in zip((first, "B" if first == "A" else "A"), pair):
+        w = parse_element(text, groups[family])
+        report = classify(w, (1, 2), chamber_cache=memo)
+        expected = classify(w, (1, 2))
+        assert (report.c, report.s) == (expected.c, expected.s)
+        assert report.distance_witness == expected.distance_witness
+        assert report.conditions == expected.conditions
+
+
+def _orbits(ctx):
+    """The orbits of w -> w^{-1} and, in type A, w -> w_0 w w_0, as sorted
+    tuples of rows, from the windows alone."""
+    w0 = ctx.longest_element.window
+    row = {w.window: k for k, w in enumerate(ctx.elements)}
+    orbits = set()
+    for w in ctx.elements:
+        images = {w.window, invert_window(w.window)}
+        if ctx.family == "A":
+            images |= {compose_windows(w0, compose_windows(u, w0)) for u in images}
+        orbits.add(tuple(sorted(row[u] for u in images)))
+    return sorted(orbits)
+
+
+def _memo_sweep(ctx, rows):
+    """classify with conditions 1 and 2 over `rows` in order, sharing one
+    memo, against memo-free classify; the number of rows that found their
+    values in the memo, and the memo left at the end."""
+    memo = {}
+    inherited = 0
+    for row in rows:
+        w = ctx.elements[row]
+        inherited += (ctx, w.window) in memo
+        got = classify(w, (1, 2), chamber_cache=memo)
+        expected = classify(w, (1, 2))
+        assert (got.c, got.s) == (expected.c, expected.s), w
+        assert got.distance_witness == expected.distance_witness, w
+        assert got.conditions == expected.conditions, w
+    return inherited, memo
+
+
+SMALL_GROUPS = [context("A", n) for n in range(1, 7)] + [
+    context("B", n) for n in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
+def test_orbit_memo_equals_memo_free_classify(ctx):
+    inherited, memo = _memo_sweep(ctx, range(ctx.order))
+    assert inherited == ctx.order - len(_orbits(ctx))
+    assert memo == {}  # each entry is read once and dropped
+
+
+@pytest.mark.parametrize("family, rank", [("B", 5), ("A", 7)])
+def test_orbit_memo_on_a_sample(family, rank):
+    ctx = context(family, rank)
+    orbits = random.Random(12).sample(_orbits(ctx), 60)
+    rows = sorted(row for orbit in orbits for row in orbit)
+    inherited, memo = _memo_sweep(ctx, rows)
+    assert inherited == len(rows) - len(orbits)
+    assert memo == {}
+
+
+def test_orbit_memo_keeps_values_a_call_did_not_ask_for():
+    w = parse_element("536142", B3)
+    w_inv = parse_element("462513", B3)
+    memo = {}
+    classify(w, (1,), chamber_cache=memo)
+    assert set(memo) == {(B3, w_inv.window)}
+    # condition 2 for the image leaves its condition 1 entry in place
+    report = classify(w_inv, (2,), chamber_cache=memo)
+    assert report.distance_witness == classify(w_inv, (2,)).distance_witness
+    assert memo[B3, w_inv.window].keys() == {1}
+    assert memo[B3, w.window].keys() == {2}
+    report = classify(w_inv, (1,), chamber_cache=memo)
+    assert (report.c, report.s) == (26, 28)
+    report = classify(w, (1, 2), chamber_cache=memo)
+    assert str(report.distance_witness[0]) == "142536"
+    assert (report.c, report.s) == (26, 28)  # computed again, not in the memo
+    assert set(memo) == {(B3, w_inv.window)}
+
+
+@pytest.mark.parametrize("ctx", [context("A", 5), B3], ids=lambda c: c.name)
+def test_verify_computes_conditions_1_and_2_once_per_orbit(monkeypatch, ctx):
+    calls = {"chambers": 0, "distances": 0}
+    chamber_count, interval_distances = arrangements.chamber_count, bruhat.interval_distances
+
+    def counted_chambers(w):
+        calls["chambers"] += 1
+        return chamber_count(w)
+
+    def counted_distances(w, graph):
+        calls["distances"] += 1
+        return interval_distances(w, graph)
+
+    monkeypatch.setattr(arrangements, "chamber_count", counted_chambers)
+    monkeypatch.setattr(bruhat, "interval_distances", counted_distances)
+    summary = verify_equivalence(ctx, (1, 2, 3))
+    orbits = len(_orbits(ctx))
+    assert calls == {"chambers": orbits, "distances": orbits}
+    assert summary.rows_computed == {
+        "chambers": orbits, "distance": orbits, "pseudo_inclusions": ctx.order
+    }
+    doc = summary.to_json_dict()
+    assert doc["rows_computed"] == summary.rows_computed
+    assert doc["rows_from_orbit"] == {
+        "chambers": ctx.order - orbits, "distance": ctx.order - orbits,
+        "pseudo_inclusions": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [context("A", n) for n in range(1, 8)] + [context("B", n) for n in range(1, 6)],
+    ids=lambda c: c.name,
+)
+def test_whole_group_verdicts_are_invariant_under_the_symmetries(ctx):
+    # no oracle needed: conditions 3 and 5 are constant on the orbits of
+    # every Bruhat-graph automorphism that keeps l_T
+    defined = diagrams.defined_by_inclusions_mask(ctx)
+    avoids = patterns.condition5_matches(ctx)[0] < 0
+    for phi in symmetry_rows(ctx):
+        assert np.array_equal(defined[phi], defined)
+        assert np.array_equal(avoids[phi], avoids)
 
 
 def test_classify_type_a_uses_plain_inclusions_and_hull():

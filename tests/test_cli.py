@@ -105,6 +105,27 @@ def test_verify_reports_seconds_per_condition(tmp_path, capsys):
         assert f"    {name}: " in out
 
 
+@pytest.mark.parametrize(
+    "family, rank, line",
+    [
+        ("A", 3, "  c1, c2: 4 of 6 computed, the rest by w -> w^-1 and w -> w0 w w0\n"),
+        ("B", 2, "  c1, c2: 7 of 8 computed, the rest by w -> w^-1\n"),
+    ],
+)
+def test_verify_says_how_many_rows_it_computed(tmp_path, capsys, family, rank, line):
+    # S_3 has the orbits {123}, {132, 213}, {231, 312}, {321}; in B_2 only
+    # the two rotations of order 4 are not involutions
+    path = tmp_path / "verify.json"
+    code = main(["verify", "--family", family, "--rank", str(rank), "--json", str(path)])
+    assert code == 0
+    assert line in capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    computed = int(line.split(": ")[1].split()[0])
+    assert doc["rows_computed"]["chambers"] == doc["rows_computed"]["distance"] == computed
+    assert doc["rows_from_orbit"]["distance"] == doc["total"] - computed
+    assert doc["rows_computed"]["bp_avoidance"] == doc["total"]
+
+
 def test_minimal_patterns_command(capsys):
     code = main(["minimal-patterns", "--max-a", "3", "--max-b", "3"])
     out = capsys.readouterr().out
