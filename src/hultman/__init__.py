@@ -22,7 +22,6 @@ from .bruhat import (
     bruhat_leq,
     interval_size,
     rank_grid,
-    undirected_distance,
 )
 from .diagrams import (
     CoessBox,

@@ -5,17 +5,20 @@ for all p, q, where r_w(p,q) = #{k <= q : w(k) >= p} is the SW rank
 function.  Only the coessential boxes of w need checking (Fulton's lemma).
 The production path holds one small-int matrix of rank grids per group
 (`group_rank_grids`) and answers "which u lie below w" for the whole group
-at once with `interval_mask`.  `bruhat_leq_full`, the entrywise comparison
-of whole grids, is kept as the oracle.
+at once with `interval_mask`.
 
 Whole-group data are arrays indexed by row of `ctx.elements`: its window
 matrix (`group_windows`) and Coxeter lengths (`BruhatGraph.lengths`) come
 from the group's one enumeration, and `group_absolute_lengths` is one
 kernel call over that matrix.  The one map from windows to rows,
 `element_rows`, packs each window into an int64 key and binary-searches
-the group's sorted keys.  The Bruhat graph is one neighbour array with a
-sentinel row for missing edges, and the distance sweep takes one numpy
-step per length level; l_T is one gather from `group_absolute_lengths`.
+the group's sorted keys.  The Bruhat graph is one array of down-neighbours,
+`BruhatGraph.down`, each row sorted and padded with a sentinel.  It is
+built from the row maps of right multiplication: one `element_rows` call
+per generator, and two gathers per other reflection, a conjugate of one
+already mapped.  The distance sweep is a breadth-first search from w down
+the graph, one numpy step per depth, and it reaches exactly [id, w]; l_T
+is one gather from `group_absolute_lengths`.
 `symmetry_rows` gives the row maps of the graph automorphisms w -> w^{-1}
 (and, in type A, w -> w_0 w w_0), so a sweep can carry its results from
 one element of an orbit to the others.
@@ -27,18 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .groups import (
+    BLOCK_ROWS,
     Element,
     GroupContext,
     Window,
-    absolute_length,
     absolute_lengths,
-    compose,
-    inverse,
+    compose_windows,
     invert_window,
 )
 
@@ -103,15 +105,6 @@ def bruhat_leq(u: Element, w: Element) -> bool:
     return window_leq(u.window, w.window)
 
 
-def bruhat_leq_full(u: Element, w: Element) -> bool:
-    """Entrywise tableau criterion over the whole grid (test oracle)."""
-    if u.degree != w.degree:
-        raise ValueError(f"degree mismatch: {u.degree} vs {w.degree}")
-    gu = window_rank_grid(u.window)
-    gw = window_rank_grid(w.window)
-    return all(a <= b for ru, rw in zip(gu, gw) for a, b in zip(ru, rw))
-
-
 def group_windows(ctx: GroupContext) -> np.ndarray:
     """Read-only int8 matrix whose row i is the window of ctx.elements[i]."""
     return ctx.window_matrix
@@ -119,11 +112,13 @@ def group_windows(ctx: GroupContext) -> np.ndarray:
 
 def _window_keys(windows: np.ndarray, degree: int) -> np.ndarray:
     """One int64 key per row of `windows`: its entries as digits in radix
-    degree + 1, accumulated one column at a time.  Rows of entries in
-    1..degree get distinct keys, whatever their widths."""
-    keys = np.zeros(len(windows), dtype=np.int64)
-    for column in windows.T:
-        keys = keys * (degree + 1) + column
+    degree + 1, the first column most significant.  Rows of entries in
+    1..degree get distinct keys, whatever their widths.  One product with
+    the place values per block of rows keeps the int64 copy small."""
+    places = (degree + 1) ** np.arange(windows.shape[1] - 1, -1, -1, dtype=np.int64)
+    keys = np.empty(len(windows), dtype=np.int64)
+    for k in range(0, len(windows), BLOCK_ROWS):
+        keys[k : k + BLOCK_ROWS] = windows[k : k + BLOCK_ROWS].astype(np.int64) @ places
     return keys
 
 
@@ -146,8 +141,10 @@ def element_rows(ctx: GroupContext, windows) -> np.ndarray:
     sorted_keys, order = _sorted_keys(ctx)
     keys = _window_keys(windows, ctx.degree)
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    out_of_range = ((windows < 1) | (windows > ctx.degree)).any(axis=1)
-    missing = (sorted_keys[pos] != keys) | out_of_range
+    missing = sorted_keys[pos] != keys
+    if windows.size and (windows.min() < 1 or windows.max() > ctx.degree):
+        # entries outside 1..degree can pack to the key of a group window
+        missing |= ((windows < 1) | (windows > ctx.degree)).any(axis=1)
     if missing.any():
         window = tuple(windows[np.argmax(missing)].tolist())
         raise ValueError(f"{window} is not a window of {ctx.name}")
@@ -228,95 +225,113 @@ class BruhatGraph:
     """Directed graph on the group: u -> ut for reflections t with l(ut) > l(u).
 
     Vertices are rows of ctx.elements, sorted by (Coxeter length, window),
-    with their lengths in `lengths`.  `up` is the N x |T| neighbour array:
-    entry [u, k] is the row of u t_k if the k-th reflection raises the
-    length of u, and the sentinel N (the group order) if it lowers it.
+    with their lengths in `lengths`.  `down` is the N x |T| array of
+    down-neighbours: row u holds the rows of u t with l(ut) < l(u) in
+    increasing order, then the sentinel N (the group order).  Exactly l(u)
+    reflections lower u (Björner–Brenti, Combinatorics of Coxeter Groups,
+    ch. 1), so the first l(u) entries of row u are its down-neighbours and
+    the rest are N.
     """
 
     ctx: GroupContext
     lengths: np.ndarray = field(repr=False)
-    up: np.ndarray = field(repr=False)
+    down: np.ndarray = field(repr=False)
 
     @property
     def edge_count(self) -> int:
-        return int((self.up < len(self.lengths)).sum())
+        return int((self.down < len(self.lengths)).sum())
 
 
 @lru_cache(maxsize=None)
 def bruhat_graph(ctx: GroupContext) -> BruhatGraph:
+    """The Bruhat graph, from the row maps of right multiplication.
+
+    Each generator's map is one `element_rows` call: (u s)(i) = u(s(i))
+    permutes the columns of u's window.  Every other reflection is a
+    conjugate s t s of one already mapped, and u (s t s) = ((u s) t) s, so
+    its map is two gathers, R_sts = R_s[R_t[R_s]].
+    """
     windows = group_windows(ctx)
     lengths = ctx.lengths
-    up = np.empty((ctx.order, len(ctx.reflections)), dtype=np.int32)
-    for k, t in enumerate(ctx.reflections):
-        # (u t)(i) = u(t(i)): the columns of u's window permuted by t
-        rows = element_rows(ctx, windows[:, np.array(t.window) - 1])
-        up[:, k] = np.where(lengths[rows] > lengths, rows, ctx.order)
-    up.flags.writeable = False
-    return BruhatGraph(ctx, lengths, up)
+    unmapped = {t.window: k for k, t in enumerate(ctx.reflections)}  # -> column
+    down = np.empty((ctx.order, len(unmapped)), dtype=np.int32)
+    # one level of conjugates at a time, so only its maps are held at once
+    level = {
+        s.window: element_rows(ctx, windows[:, np.array(s.window) - 1]).astype(np.int32)
+        for s in ctx.generators
+    }
+    generators = list(level.items())
+    while level:
+        for t, rows in level.items():
+            down[:, unmapped.pop(t)] = np.where(lengths[rows] < lengths, rows, ctx.order)
+        conjugates = {}
+        for t, r_t in level.items():
+            for s, r_s in generators:
+                sts = compose_windows(s, compose_windows(t, s))
+                if sts in unmapped and sts not in conjugates:
+                    conjugates[sts] = r_s[r_t[r_s]]
+        level = conjugates
+    down.sort(axis=1)
+    down.flags.writeable = False
+    return BruhatGraph(ctx, lengths, down)
 
 
-def directed_distances_to(graph: BruhatGraph, target: Element) -> np.ndarray:
-    """l_D(u, w) for every row u at once, for w = target, as a float array
-    that is +inf exactly off [id, w].
+def directed_distances_to(graph: BruhatGraph, row: int) -> np.ndarray:
+    """l_D(u, w) for every row u at once, for w = ctx.elements[row], as a
+    float array that is +inf exactly off [id, w].
 
-    Every edge strictly raises length, so the up-neighbours of a vertex all
-    lie on higher length levels: one numpy step per level of [id, w), from
-    the top down, resolves the whole interval.
+    A breadth-first search from w along down-edges: u reaches w by a
+    directed path iff u <= w, and the depth at which the search first
+    reaches u is l_D(u, w).  Every edge lowers length, so a vertex at depth
+    k - 1 has length at most l(w) - k + 1 and at most that many
+    down-neighbours: step k, which expands depth k - 1, reads only the
+    first l(w) - k + 1 columns of `down`.
     """
-    if target.ctx != graph.ctx:
-        raise ValueError(f"{target} is not an element of the graph's group")
     order = len(graph.lengths)
-    dist = np.full(order + 1, np.inf)  # dist[order] is the sentinel's: +inf
-    interval = np.flatnonzero(interval_mask(target))
-    dist[interval[-1]] = 0  # w is the last row of [id, w], alone at its length
-    below = interval[:-1]
-    levels = np.split(below, np.flatnonzero(np.diff(graph.lengths[below])) + 1)
-    for rows in reversed(levels):
-        dist[rows] = 1 + dist[graph.up[rows]].min(axis=1, initial=np.inf)
-    return dist[:order]
-
-
-def undirected_distance(u: Element, w: Element) -> int:
-    """l_T(u, w) = l_T(w^{-1} u), by the cycle formula (never BFS)."""
-    return absolute_length(compose(inverse(w), u))
+    dist = np.full(order, np.inf)
+    dist[row] = 0
+    unseen = np.ones(order + 1, dtype=bool)
+    unseen[[row, order]] = False  # w is reached; the sentinel N never is
+    frontier = np.array([row])
+    top = int(graph.lengths[row])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        hit = np.zeros(order + 1, dtype=bool)
+        hit[graph.down[frontier, : top - depth + 1]] = True
+        hit &= unseen
+        unseen ^= hit
+        frontier = np.flatnonzero(hit)
+        dist[frontier] = depth
+    return dist
 
 
 def interval_distances(
-    w: Element, graph: BruhatGraph
+    graph: BruhatGraph, row: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows of [id, w], l_D(u, w), l_T(u, w)) as arrays in row order.
+    """(rows of [id, w], l_D(u, w), l_T(u, w)) as arrays in row order, for
+    w = ctx.elements[row].
 
     Raises ArithmeticError unless l_D >= l_T for every u <= w (a directed
     path is a product of reflections) and l_D, l_T and l(w) - l(u) share a
     parity (every reflection has odd length).
     """
     ctx = graph.ctx
-    dist = directed_distances_to(graph, w)
+    dist = directed_distances_to(graph, row)
     rows = np.flatnonzero(np.isfinite(dist))
     l_d = dist[rows].astype(np.int64)
-    # w^{-1} u has the window i -> w^{-1}(u(i))
-    winv = np.array(invert_window(w.window), dtype=np.int8)
-    l_t = group_absolute_lengths(ctx)[
-        element_rows(ctx, winv[group_windows(ctx)[rows] - 1])
-    ]
-    steps = graph.lengths[rows[-1]] - graph.lengths[rows]  # w is the last row
-    bad = (l_d < l_t) | ((l_d - l_t) % 2 != 0) | ((l_d - steps) % 2 != 0)
+    windows = group_windows(ctx)
+    # w^{-1} u has the window i -> w^{-1}(u(i)); entry 0 of winv is unused
+    winv = np.zeros(ctx.degree + 1, dtype=np.int8)
+    winv[windows[row]] = np.arange(1, ctx.degree + 1)
+    l_t = group_absolute_lengths(ctx)[element_rows(ctx, winv[windows[rows]])]
+    steps = graph.lengths[row] - graph.lengths[rows]
+    # the three share a parity iff both differences are even
+    bad = (l_d < l_t) | ((((l_d - l_t) | (l_d - steps)) & 1) != 0)
     if bad.any():
         k = int(np.argmax(bad))
         raise ArithmeticError(
-            f"u = {ctx.elements[rows[k]]}, w = {w}: l_D = {l_d[k]}, "
+            f"u = {ctx.elements[rows[k]]}, w = {ctx.elements[row]}: l_D = {l_d[k]}, "
             f"l_T = {l_t[k]}, l(w) - l(u) = {steps[k]}"
         )
     return rows, l_d, l_t
-
-
-def distance_witnesses(
-    w: Element, graph: BruhatGraph
-) -> Iterator[tuple[Element, int, int]]:
-    """Each u <= w with l_D(u,w) != l_T(u,w), as (u, l_D, l_T), in graded
-    order: the first one has minimal length."""
-    rows, l_d, l_t = interval_distances(w, graph)
-    return (
-        (graph.ctx.elements[rows[k]], int(l_d[k]), int(l_t[k]))
-        for k in np.flatnonzero(l_d != l_t).tolist()
-    )

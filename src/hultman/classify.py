@@ -113,11 +113,11 @@ class ClassificationReport:
 OrbitMemo = dict[tuple[GroupContext, Window], dict[int, object]]
 
 
-def _orbit_images(w: Element) -> list[tuple[np.ndarray, tuple[GroupContext, Window]]]:
-    """(row map, memo key) of each image of w under `bruhat.symmetry_rows`,
-    one per distinct image other than w itself."""
-    ctx = w.ctx
-    row = int(bruhat.element_rows(ctx, w.window)[0])
+def _orbit_images(
+    ctx: GroupContext, row: int
+) -> list[tuple[np.ndarray, tuple[GroupContext, Window]]]:
+    """(row map, memo key) of each image of ctx.elements[row] under
+    `bruhat.symmetry_rows`, one per distinct image other than itself."""
     seen = {row}
     images = []
     for phi in bruhat.symmetry_rows(ctx):
@@ -149,13 +149,20 @@ def classify(
     takes the values it needs and drops them, so the memo holds only
     orbit members not yet visited.  Every element whose distances are
     computed runs all the checks of `interval_distances`; an image inherits
-    the same values, so its checks would give the same result.
+    the same values, so its checks would give the same result.  When s(w)
+    and the distances are both at hand, the number of rows the distance
+    sweep reached must be s(w), or classify raises ArithmeticError.
     """
     report = ClassificationReport(w)
-    key = (w.ctx, w.window)  # groups of equal degree share windows
+    ctx = w.ctx
+    key = (ctx, w.window)  # groups of equal degree share windows
     memo = chamber_cache.pop(key, {}) if chamber_cache is not None else {}
     shared = {1, 2}.intersection(conditions).difference(memo)  # computed here
-    images = _orbit_images(w) if chamber_cache is not None and shared else []
+    images = []
+    if 2 in shared or (shared and chamber_cache is not None):
+        row = int(bruhat.element_rows(ctx, w.window)[0])  # looked up once
+        images = _orbit_images(ctx, row) if chamber_cache is not None else []
+    reached = None  # #[id, w] as the distance sweep counts it
     for num in conditions:
         name = CONDITION_NAMES[num]
         start = time.perf_counter()
@@ -176,7 +183,11 @@ def classify(
             if 2 in memo:
                 witness = memo.pop(2)
             else:
-                rows, l_d, l_t = bruhat.interval_distances(w, graph or bruhat_graph(w.ctx))
+                graph = graph or bruhat_graph(ctx)
+                if graph.ctx != ctx:
+                    raise ValueError(f"{w} is not an element of the graph's group")
+                rows, l_d, l_t = bruhat.interval_distances(graph, row)
+                reached = len(rows)
                 found = l_d != l_t
                 rows, l_d, l_t = rows[found], l_d[found], l_t[found]
                 witness = _first_witness(rows, l_d, l_t)
@@ -185,8 +196,8 @@ def classify(
                         phi[rows], l_d, l_t
                     )
             if witness is not None:
-                row, l_d_u, l_t_u = witness
-                witness = (w.ctx.elements[row], l_d_u, l_t_u)
+                u_row, l_d_u, l_t_u = witness
+                witness = (ctx.elements[u_row], l_d_u, l_t_u)
             report.distance_witness = witness
             report.conditions[name] = witness is None
         elif num == 3:
@@ -209,6 +220,11 @@ def classify(
         else:
             raise ValueError(f"unknown condition {num}")
         report.seconds[name] = time.perf_counter() - start
+    if reached is not None and report.s is not None and reached != report.s:
+        # the tableau criterion and the graph search find [id, w] apart
+        raise ArithmeticError(
+            f"{w}: s(w) = {report.s}, but the distance sweep reached {reached} rows"
+        )
     if memo:
         chamber_cache[key] = memo  # values for conditions not asked for here
     return report
@@ -354,7 +370,17 @@ def find_minimal_non_hultman(
     patterns never dominate each other; hence the domination step is one
     batched pass per group (`first_bp_contained`) of every candidate
     against the patterns of the earlier groups.
+
+    An A_m pattern BP embeds in a B_n host when m <= n, so the B_{max_b}
+    candidates are only checked against every obstruction if the type A
+    scan reaches rank max_b; below rank 4 there are no type A obstructions.
+    Raises ValueError when max_a < max_b and max_b >= 4.
     """
+    if max_a < max_b and max_b >= 4:
+        raise ValueError(
+            f"max_a = {max_a} < max_b = {max_b}: the type A scan must reach "
+            f"rank {max_b}, since an A_m pattern embeds in B_n hosts for m <= n"
+        )
     contexts = [context("A", m) for m in range(4, max_a + 1)]
     contexts += [context("B", m) for m in range(3, max_b + 1)]
     minimal: list[Element] = []
@@ -477,7 +503,8 @@ def witness_table() -> list[PatternWitnessReport]:
     reports = []
     for w in patterns.condition5_patterns():
         ctx = w.ctx
-        rows, l_d, l_t = bruhat.interval_distances(w, bruhat_graph(ctx))
+        w_row = int(bruhat.element_rows(ctx, w.window)[0])
+        rows, l_d, l_t = bruhat.interval_distances(bruhat_graph(ctx), w_row)
         below = {
             ctx.elements[row]: (ld, lt)
             for row, ld, lt in zip(rows.tolist(), l_d.tolist(), l_t.tolist())

@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
             "B_3..B_MAX_B not defined by (pseudo-)inclusions, and compare "
             "them with the 31 listed patterns.  The defaults (6, 5) give the "
             "31; --max-a 7 --max-b 6 gives the same 31, so no rank-6 "
-            "obstruction exists."
+            "obstruction exists.  An A_m pattern embeds in B_n hosts for "
+            "m <= n, so MAX_A must be at least MAX_B once MAX_B is 4 or more."
         ),
     )
     p.add_argument("--max-a", type=int, default=6)

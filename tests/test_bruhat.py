@@ -1,4 +1,5 @@
 import math
+import random
 from collections import deque
 from functools import lru_cache
 
@@ -11,10 +12,8 @@ from hultman import bruhat
 from hultman.bruhat import (
     bruhat_graph,
     bruhat_leq,
-    bruhat_leq_full,
     coessential_boxes,
     directed_distances_to,
-    distance_witnesses,
     element_rows,
     group_rank_grids,
     group_absolute_lengths,
@@ -22,9 +21,9 @@ from hultman.bruhat import (
     interval_size,
     rank_grid,
     symmetry_rows,
-    undirected_distance,
     window_rank,
 )
+from hultman.classify import classify
 from hultman.groups import (
     Element,
     absolute_length,
@@ -34,6 +33,7 @@ from hultman.groups import (
     invert_window,
     parse_element,
 )
+from oracles import bruhat_leq_full, distance_witnesses, undirected_distance
 
 A4 = context("A", 4)
 A5 = context("A", 5)
@@ -114,22 +114,22 @@ def test_graph_shapes():
     assert bruhat_graph(context("A", 2)).edge_count == 1
     assert bruhat_graph(context("A", 3)).edge_count == 9
     assert bruhat_graph(B2).edge_count == 16
-    assert bruhat_graph(context("A", 1)).up.shape == (1, 0)
-
-
-def _up_lists(g):
-    """Up-neighbours of each row, read from `up` without the sentinel."""
-    order = len(g.lengths)
-    return [[j for j in row if j < order] for row in g.up.tolist()]
+    assert bruhat_graph(context("A", 1)).down.shape == (1, 0)
 
 
 def _down_lists(g):
-    """Down-neighbours derived from `up`: i lies below j when j lies above i."""
-    down = [[] for _ in g.lengths]
-    for i, ups in enumerate(_up_lists(g)):
-        for j in ups:
-            down[j].append(i)
-    return down
+    """Down-neighbours of each row, read from `down` without the sentinel."""
+    order = len(g.lengths)
+    return [[j for j in row if j < order] for row in g.down.tolist()]
+
+
+def _up_lists(g):
+    """Up-neighbours derived from `down`: j lies above i when i lies below j."""
+    up = [[] for _ in g.lengths]
+    for j, downs in enumerate(_down_lists(g)):
+        for i in downs:
+            up[i].append(j)
+    return up
 
 
 @lru_cache(maxsize=None)
@@ -145,12 +145,21 @@ def _compose_up_lists(ctx):
     return up
 
 
-def oracle_directed_distances_to(ctx, target):
+def _compose_down_lists(ctx):
+    """Down-neighbours of each row in increasing order, from the
+    compose_windows up-lists."""
+    down = [[] for _ in range(ctx.order)]
+    for i, ups in enumerate(_compose_up_lists(ctx)):
+        for j in ups:
+            down[j].append(i)
+    return down
+
+
+def oracle_directed_distances_to(ctx, row):
     """Pure-Python list sweep over the compose_windows up-lists: every row
-    below the target, in decreasing order, is one more than its nearest
+    below the target row, in decreasing order, is one more than its nearest
     up-neighbour."""
     up = _compose_up_lists(ctx)
-    row = ctx.elements.index(target)
     dist = [math.inf] * ctx.order
     dist[row] = 0
     for i in reversed(range(row)):
@@ -158,13 +167,32 @@ def oracle_directed_distances_to(ctx, target):
     return dist
 
 
-@pytest.mark.parametrize("ctx", [A4, B3])
-def test_up_is_the_compose_windows_construction(ctx):
+SMALL_GROUPS = [context("A", n) for n in range(1, 7)] + [
+    context("B", n) for n in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
+def test_down_is_the_compose_windows_construction(ctx):
+    # the generator maps and their conjugates give the same graph as one
+    # compose_windows product per element and reflection
     g = bruhat_graph(ctx)
-    assert g.up.shape == (ctx.order, len(ctx.reflections))
-    assert not g.up.flags.writeable and not g.lengths.flags.writeable
-    assert _up_lists(g) == _compose_up_lists(ctx)
+    assert g.down.shape == (ctx.order, len(ctx.reflections))
+    assert not g.down.flags.writeable and not g.lengths.flags.writeable
+    assert _down_lists(g) == _compose_down_lists(ctx)
     assert g.lengths.tolist() == [coxeter_length(e) for e in ctx.elements]
+
+
+@pytest.mark.parametrize(
+    "ctx", SMALL_GROUPS + [context("A", 7), context("B", 5)], ids=lambda c: c.name
+)
+def test_down_rows_are_sorted_and_hold_one_entry_per_length(ctx):
+    # exactly l(u) reflections lower u, and the sentinel N sorts last
+    g = bruhat_graph(ctx)
+    down = g.down
+    assert (np.diff(down, axis=1) >= 0).all()
+    assert np.array_equal((down < ctx.order).sum(axis=1), ctx.lengths)
+    assert g.edge_count == int(ctx.lengths.sum())
 
 
 @pytest.mark.parametrize("ctx", [A5, B4])
@@ -185,11 +213,25 @@ def test_element_rows_rejects_windows_outside_the_group():
         element_rows(context("A", 2), (2, -1))
 
 
-@pytest.mark.parametrize("ctx", [A5, B4])
+@pytest.mark.parametrize(
+    "ctx",
+    [A5, B4]
+    + [pytest.param(c, id=c.name) for c in SMALL_GROUPS if c not in (A5, B4)],
+)
 def test_sweep_equals_the_list_sweep_oracle(ctx):
     g = bruhat_graph(ctx)
-    for w in ctx.elements:
-        assert directed_distances_to(g, w).tolist() == oracle_directed_distances_to(ctx, w)
+    for row in range(ctx.order):
+        assert directed_distances_to(g, row).tolist() == oracle_directed_distances_to(ctx, row)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 7), ("B", 5)])
+def test_sweep_equals_the_list_sweep_oracle_on_a_sample(family, rank):
+    ctx = context(family, rank)
+    g = bruhat_graph(ctx)
+    rng = random.Random(13)
+    # the longest element's interval is the whole group
+    for row in rng.sample(range(ctx.order), 12) + [ctx.order - 1]:
+        assert directed_distances_to(g, row).tolist() == oracle_directed_distances_to(ctx, row)
 
 
 def test_graph_degree_sum_is_reflection_count():
@@ -240,27 +282,28 @@ def test_directed_distance_against_bfs(ctx):
     g = bruhat_graph(ctx)
     up = _up_lists(g)
     bfs_from_0 = _directed_bfs(up, 0)
-    for target, w in enumerate(ctx.elements):
-        assert directed_distances_to(g, w)[0] == bfs_from_0[target]
+    for target in range(ctx.order):
+        assert directed_distances_to(g, target)[0] == bfs_from_0[target]
     # and a full cross-check from a fixed start
     start = 1
     bfs = _directed_bfs(up, start)
-    for target, w in enumerate(ctx.elements):
-        assert directed_distances_to(g, w)[start] == bfs[target]
+    for target in range(ctx.order):
+        assert directed_distances_to(g, target)[start] == bfs[target]
 
 
 def test_distance_examples():
     g = bruhat_graph(A4)
     w = parse_element("4231", A4)
     u = parse_element("1324", A4)
-    dist = directed_distances_to(g, w)
+    dist = directed_distances_to(g, A4.elements.index(w))
     assert dist[A4.elements.index(w)] == 0
     assert dist[A4.elements.index(u)] == 4
     assert undirected_distance(u, w) == 2
     assert undirected_distance(u, u) == 0
     wb = parse_element("426153", B3)
     ub = parse_element("132546", B3)
-    assert directed_distances_to(bruhat_graph(B3), wb)[B3.elements.index(ub)] == 4
+    dist = directed_distances_to(bruhat_graph(B3), B3.elements.index(wb))
+    assert dist[B3.elements.index(ub)] == 4
     assert undirected_distance(ub, wb) == 2
 
 
@@ -268,8 +311,8 @@ def test_distance_examples():
 def test_dyer_distance_from_identity(ctx):
     g = bruhat_graph(ctx)
     assert ctx.elements[0] == ctx.identity
-    for w in ctx.elements:
-        ld = directed_distances_to(g, w)[0]
+    for row, w in enumerate(ctx.elements):
+        ld = directed_distances_to(g, row)[0]
         assert ld == undirected_distance(ctx.identity, w) == absolute_length(w)
 
 
@@ -286,7 +329,7 @@ def test_undirected_distance_is_bfs_distance(ctx):
 def test_distance_inequality_and_parity(ctx):
     g = bruhat_graph(ctx)
     for j, w in enumerate(ctx.elements):
-        dist = directed_distances_to(g, w)
+        dist = directed_distances_to(g, j)
         for i, u in enumerate(ctx.elements):
             lt = undirected_distance(u, w)
             assert lt <= dist[i]
@@ -297,8 +340,8 @@ def test_distance_inequality_and_parity(ctx):
 @pytest.mark.parametrize("ctx", [A4, B3])
 def test_restricted_sweep_is_infinite_exactly_off_the_interval(ctx):
     g = bruhat_graph(ctx)
-    for w in ctx.elements:
-        dist = directed_distances_to(g, w)
+    for j, w in enumerate(ctx.elements):
+        dist = directed_distances_to(g, j)
         for i, u in enumerate(ctx.elements):
             assert math.isinf(dist[i]) == (not bruhat_leq(u, w))
 
@@ -330,7 +373,7 @@ def test_distance_calls_reject_an_element_of_another_group():
     for text in ("4231", "2143"):  # both are also windows of B_2
         w = parse_element(text, A4)
         with pytest.raises(ValueError):
-            directed_distances_to(g, w)
+            classify(w, (2,), graph=g)
         with pytest.raises(ValueError):
             distance_witnesses(w, g)
 
@@ -353,13 +396,13 @@ def test_distance_invariants_raise(monkeypatch, sweep_shift, lt_shift):
     sweep = bruhat.directed_distances_to
     absolute = bruhat.group_absolute_lengths
     monkeypatch.setattr(
-        bruhat, "directed_distances_to", lambda g, w: _shifted(sweep(g, w), sweep_shift)
+        bruhat, "directed_distances_to", lambda g, row: _shifted(sweep(g, row), sweep_shift)
     )
     monkeypatch.setattr(
         bruhat, "group_absolute_lengths", lambda ctx: _shifted(absolute(ctx), lt_shift)
     )
     with pytest.raises(ArithmeticError):
-        bruhat.distance_witnesses(A4.longest_element, bruhat_graph(A4))
+        bruhat.interval_distances(bruhat_graph(A4), A4.order - 1)  # w_0
 
 
 def _cover_reachable(up, lengths, start):
@@ -403,19 +446,14 @@ def test_coessential_box_ranks_match_grid():
             assert grid[p - 1][q - 1] == r == window_rank(w.window, p, q)
 
 
-SMALL_GROUPS = [context("A", n) for n in range(1, 7)] + [
-    context("B", n) for n in range(1, 5)
-]
-
-
 @pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
 def test_symmetry_rows_are_bruhat_graph_automorphisms(ctx):
     maps = symmetry_rows(ctx)
     assert len(maps) == (3 if ctx.family == "A" else 1)
     graph = bruhat_graph(ctx)
     order = ctx.order
-    source, k = np.nonzero(graph.up < order)
-    target = graph.up[source, k]
+    source, k = np.nonzero(graph.down < order)
+    target = graph.down[source, k]
     # an edge (u, v) as the single integer u * order + v
     edges = np.sort(source.astype(np.int64) * order + target)
     for phi in maps:

@@ -24,6 +24,7 @@ from hultman.classify import (
 from hultman.diagrams import hull_bounds, window_in_hull
 from hultman.groups import compose_windows, context, invert_window, parse_element
 from hultman.patterns import condition5_patterns
+from oracles import undirected_distance
 
 B2 = context("B", 2)
 B3 = context("B", 3)
@@ -191,9 +192,9 @@ def test_verify_computes_conditions_1_and_2_once_per_orbit(monkeypatch, ctx):
         calls["chambers"] += 1
         return chamber_count(w)
 
-    def counted_distances(w, graph):
+    def counted_distances(graph, row):
         calls["distances"] += 1
-        return interval_distances(w, graph)
+        return interval_distances(graph, row)
 
     monkeypatch.setattr(arrangements, "chamber_count", counted_chambers)
     monkeypatch.setattr(bruhat, "interval_distances", counted_distances)
@@ -369,6 +370,26 @@ def test_minimal_patterns_b3_only():
     }
 
 
+@pytest.mark.parametrize("max_a, max_b", [(4, 5), (3, 4), (1, 6)])
+def test_minimal_patterns_reject_a_type_a_scan_short_of_max_b(max_a, max_b):
+    with pytest.raises(ValueError, match="type A scan must reach"):
+        find_minimal_non_hultman(max_a=max_a, max_b=max_b)
+
+
+@pytest.mark.parametrize("conditions", [(1, 2), (2, 1)])
+def test_interval_size_and_distance_sweep_must_agree(monkeypatch, conditions):
+    # s(w) from the tableau mask and the rows the graph search reaches are
+    # two computations of #[id, w]; one more element in s(w) keeps
+    # c(w) <= s(w) but breaks their agreement
+    w = parse_element("426153", B3)
+    assert classify(w, conditions).s == 20
+    size = bruhat.interval_size
+    monkeypatch.setattr(bruhat, "interval_size", lambda v: size(v) + 1)
+    with pytest.raises(ArithmeticError, match="reached 20 rows"):
+        classify(w, conditions)
+    assert classify(w, (1,)).s == 21  # no sweep, nothing to compare
+
+
 def test_reference_rows_shape():
     assert len(REFERENCE_WITNESS_ROWS) == 45
     patterns = {(f, r, w) for f, r, w, *_ in REFERENCE_WITNESS_ROWS}
@@ -381,9 +402,7 @@ def test_reference_rows_shape():
 def test_witness_rows_for_b3_pattern():
     w = parse_element("426153", B3)
     g = bruhat_graph(B3)
-    dist = directed_distances_to(g, w)
-    from hultman.bruhat import undirected_distance
-
+    dist = directed_distances_to(g, B3.elements.index(w))
     witnesses = {
         str(u): (int(dist[i]), undirected_distance(u, w))
         for i, u in enumerate(B3.elements)

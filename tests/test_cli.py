@@ -134,6 +134,16 @@ def test_minimal_patterns_command(capsys):
     assert "matches the listed pattern set exactly" in out
 
 
+def test_minimal_patterns_with_a_short_type_a_scan_exits_2(capsys):
+    # the A_5 obstructions embed in B_5 hosts, so a scan of S_4 alone would
+    # leave B_5 candidates undominated and report spurious patterns
+    code = main(["minimal-patterns", "--max-a", "4", "--max-b", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: max_a = 4 < max_b = 5")
+    assert "total:" not in captured.out
+
+
 def test_witnesses_command(capsys):
     code = main(["witnesses"])
     out = capsys.readouterr().out

@@ -300,7 +300,8 @@ def test_bp_containment_is_transitive_sampled():
 
 
 def test_listed_pattern_containment_implies_non_hultman_on_b3():
-    from hultman.bruhat import bruhat_graph, distance_witnesses
+    from hultman.bruhat import bruhat_graph
+    from oracles import distance_witnesses
 
     g = bruhat_graph(B3)
     for w in B3.elements:

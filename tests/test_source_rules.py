@@ -64,11 +64,11 @@ def test_relative_order_serves_only_flatten():
     assert set(calls) == {("patterns.py", "flatten")}, calls
 
 
-def test_up_is_read_only_by_the_sweep():
-    # Bruhat-graph distances have one implementation, the level sweep of
-    # directed_distances_to; another reader of the neighbour array would be
-    # a second sweep
-    reads = _uses(lambda node: isinstance(node, ast.Attribute) and node.attr == "up")
+def test_down_is_read_only_by_the_sweep():
+    # Bruhat-graph distances have one implementation, the breadth-first
+    # search of directed_distances_to; another reader of the neighbour array
+    # would be a second sweep
+    reads = _uses(lambda node: isinstance(node, ast.Attribute) and node.attr == "down")
     assert set(reads) == {
         ("bruhat.py", "directed_distances_to"),
         ("bruhat.py", "edge_count"),
