@@ -21,19 +21,13 @@ from .bruhat import (
     bruhat_graph,
     bruhat_leq,
     interval_size,
-    rank_grid,
 )
 from .diagrams import (
     CoessBox,
-    basic_element,
     coessential_set,
-    count_reduced_words,
-    coxeter_coessential,
     defined_by_inclusions_mask,
-    has_unique_reduced_word,
     hull_bounds,
     hull_relaxed_counterexample,
-    in_hull,
     is_defined_by_inclusions,
     is_defined_by_pseudo_inclusions,
     reduced_coessential,
@@ -51,8 +45,6 @@ from .patterns import (
 from .arrangements import (
     Hyperplane,
     chamber_count,
-    chamber_count_ff,
-    intersection_poset,
     inversion_reflections,
 )
 from .classify import (

@@ -4,21 +4,20 @@ Hyperplanes come in the three reflection shapes x_i = x_j, x_i = -x_j and
 x_i = 0 (type A uses only the first), so an arrangement is a signed graph.
 chi(t) counts its proper colourings (Zaslavsky, "Signed graph coloring",
 1982), and one exact subset DP over them gives chi(t) and the chamber count
-c(w) = (-1)^n chi(-1).  The intersection lattice with its Möbius values and
-the finite-field point count are independent test oracles.
+c(w) = (-1)^n chi(-1).  The tests check chi(t) against two independent
+oracles.  The intersection lattice with its Möbius values stays here only
+because the benchmark's tracer wraps `intersection_poset` in this module;
+the finite-field point count lives with the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from .groups import (
     Element,
-    GroupContext,
     compose_windows,
     coxeter_lengths,
     signed_window,
@@ -205,23 +204,6 @@ def inversion_reflections(w: Element) -> tuple[Element, ...]:
     return tuple(t for t, length in zip(reflections, lengths) if length < lw)
 
 
-def hyperplane_of(t: Element, ctx: GroupContext) -> Hyperplane:
-    """The fixed hyperplane of a reflection, in signed coordinates."""
-    if t.ctx != ctx:
-        raise ValueError("reflection does not belong to the given context")
-    sigma = signed_window(t) if ctx.family == "B" else t.window
-    moved = [k for k in range(1, ctx.rank + 1) if sigma[k - 1] != k]
-    if len(moved) == 1 and sigma[moved[0] - 1] == -moved[0]:
-        return Hyperplane("zero", moved[0], 0)
-    if len(moved) == 2:
-        k, l = moved
-        if sigma[k - 1] == l and sigma[l - 1] == k:
-            return Hyperplane("diff", k, l)
-        if sigma[k - 1] == -l and sigma[l - 1] == -k:
-            return Hyperplane("sum", k, l)
-    raise ValueError(f"{t} is not a reflection")
-
-
 def inversion_arrangement(w: Element) -> tuple[Hyperplane, ...]:
     """The fixed planes of Inv(w), read off the signed window sigma (type
     A: the window): x_i = x_j for i < j with sigma_i > sigma_j, and in type
@@ -252,97 +234,9 @@ def chamber_count(w: Element) -> int:
     )
 
 
-def _odd_primes_above(bound: int, count: int) -> list[int]:
-    primes = []
-    q = max(3, bound + 1)
-    if q % 2 == 0:
-        q += 1
-    while len(primes) < count:
-        if all(q % p for p in range(3, int(q**0.5) + 1, 2)):
-            primes.append(q)
-        q += 2
-    return primes
-
-
-def _complement_count(planes: Sequence[Hyperplane], n: int, q: int) -> int:
-    """Points of F_q^n avoiding every hyperplane, by vectorized scan."""
-    total = q**n
-    count = 0
-    chunk = 1 << 20
-    powers = [q**k for k in range(n)]
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        coords = [(idx // powers[k]) % q for k in range(n)]
-        ok = np.ones(len(idx), dtype=bool)
-        for h in planes:
-            if h.kind == "zero":
-                ok &= coords[h.i - 1] != 0
-            elif h.kind == "diff":
-                ok &= coords[h.i - 1] != coords[h.j - 1]
-            else:
-                ok &= (coords[h.i - 1] + coords[h.j - 1]) % q != 0
-        count += int(ok.sum())
-    return count
-
-
-def chamber_count_ff(
-    w: Element, primes: Sequence[int] | None = None
-) -> int:
-    """Independent chamber count via finite-field point counting.
-
-    Counts complement points over each prime field, interpolates the
-    degree-n characteristic polynomial exactly, checks consistency on the
-    spare primes, and returns (-1)^n chi(-1).
-    """
-    n = w.ctx.rank
-    planes = inversion_arrangement(w)
-    if primes is None:
-        primes = _odd_primes_above(2 * n, n + 3)
-    primes = list(primes)
-    if len(primes) < n + 1:
-        raise ValueError(f"need at least {n + 1} primes, got {len(primes)}")
-    if any(p <= 2 * n or p % 2 == 0 for p in primes):
-        raise ValueError(f"primes must be odd and exceed {2 * n}: {primes}")
-
-    points = [(q, _complement_count(planes, n, q)) for q in primes]
-    base, spare = points[: n + 1], points[n + 1 :]
-
-    # exact Lagrange interpolation of chi through the base points
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, (qi, yi) in enumerate(base):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (qj, _) in enumerate(base):
-            if j == i:
-                continue
-            num = _poly_mul(num, [Fraction(-qj), Fraction(1)])
-            denom *= qi - qj
-        for k, c in enumerate(num):
-            coeffs[k] += yi * c / denom
-
-    if any(c.denominator != 1 for c in coeffs) or coeffs[n] != 1:
-        raise ArithmeticError(
-            f"point counts do not interpolate a monic integer polynomial: {coeffs}"
-        )
-    for q, y in spare:
-        if _poly_eval(coeffs, q) != y:
-            raise ArithmeticError(
-                f"characteristic polynomial fails at spare prime {q}"
-            )
-    value = _poly_eval(coeffs, -1)
-    return int((-1) ** n * value)
-
-
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def _poly_eval(coeffs: Sequence[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

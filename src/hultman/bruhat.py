@@ -8,8 +8,8 @@ The production path holds one small-int matrix of rank grids per group
 at once with `interval_mask`.
 
 Whole-group data are arrays indexed by row of `ctx.elements`: its window
-matrix (`group_windows`) and Coxeter lengths (`BruhatGraph.lengths`) come
-from the group's one enumeration, and `group_absolute_lengths` is one
+matrix (`ctx.window_matrix`) and Coxeter lengths (`BruhatGraph.lengths`)
+come from the group's one enumeration, and `group_absolute_lengths` is one
 kernel call over that matrix.  The one map from windows to rows,
 `element_rows`, packs each window into an int64 key and binary-searches
 the group's sorted keys.  The Bruhat graph is one array of down-neighbours,
@@ -44,32 +44,10 @@ from .groups import (
     invert_window,
 )
 
-RankGrid = tuple[tuple[int, ...], ...]
-
 
 def window_rank(window: Window, p: int, q: int) -> int:
     """r_w(p,q) = #{k <= q : w(k) >= p}."""
     return sum(1 for k in range(q) if window[k] >= p)
-
-
-@lru_cache(maxsize=200_000)
-def window_rank_grid(window: Window) -> RankGrid:
-    """Full N x N rank table; entry [p-1][q-1] is r_w(p,q)."""
-    n = len(window)
-    rows = []
-    for p in range(1, n + 1):
-        row = []
-        count = 0
-        for q in range(1, n + 1):
-            if window[q - 1] >= p:
-                count += 1
-            row.append(count)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def rank_grid(w: Element) -> RankGrid:
-    return window_rank_grid(w.window)
 
 
 @lru_cache(maxsize=200_000)
@@ -105,11 +83,6 @@ def bruhat_leq(u: Element, w: Element) -> bool:
     return window_leq(u.window, w.window)
 
 
-def group_windows(ctx: GroupContext) -> np.ndarray:
-    """Read-only int8 matrix whose row i is the window of ctx.elements[i]."""
-    return ctx.window_matrix
-
-
 def _window_keys(windows: np.ndarray, degree: int) -> np.ndarray:
     """One int64 key per row of `windows`: its entries as digits in radix
     degree + 1, the first column most significant.  Rows of entries in
@@ -128,7 +101,7 @@ def _sorted_keys(ctx: GroupContext) -> tuple[np.ndarray, np.ndarray]:
     ctx.elements that each one belongs to."""
     if (ctx.degree + 1) ** ctx.degree >= 2**63:
         raise OverflowError(f"windows of degree {ctx.degree} do not fit an int64 key")
-    keys = _window_keys(group_windows(ctx), ctx.degree)
+    keys = _window_keys(ctx.window_matrix, ctx.degree)
     order = np.argsort(keys)
     return keys[order], order
 
@@ -157,7 +130,7 @@ def group_rank_grids(ctx: GroupContext) -> np.ndarray:
     element's rank grid flattened row by row, so r(p,q) is in column
     (p-1)*N + (q-1).  Ranks never exceed the degree N, so int8 cannot
     overflow."""
-    windows = group_windows(ctx)
+    windows = ctx.window_matrix
     values = np.arange(1, ctx.degree + 1, dtype=np.int8)
     # [i, p-1, q-1] = #{k <= q : w_i(k) >= p}
     grids = np.cumsum(
@@ -190,7 +163,7 @@ def interval_size(w: Element) -> int:
 @lru_cache(maxsize=None)
 def group_absolute_lengths(ctx: GroupContext) -> np.ndarray:
     """Read-only array of l_T by row of ctx.elements, by the cycle formula."""
-    lengths = absolute_lengths(group_windows(ctx), ctx.family)
+    lengths = absolute_lengths(ctx.window_matrix, ctx.family)
     lengths.flags.writeable = False
     return lengths
 
@@ -208,7 +181,7 @@ def symmetry_rows(ctx: GroupContext) -> tuple[np.ndarray, ...]:
     and under inversion.  So l_D, l_T, c(w) and s(w) are constant on
     orbits.  Built on first use, not with the group's enumeration.
     """
-    windows = group_windows(ctx)
+    windows = ctx.window_matrix
     inverses = np.argsort(windows, axis=1).astype(windows.dtype) + 1
     images = [inverses]
     if ctx.family == "A":
@@ -251,7 +224,7 @@ def bruhat_graph(ctx: GroupContext) -> BruhatGraph:
     conjugate s t s of one already mapped, and u (s t s) = ((u s) t) s, so
     its map is two gathers, R_sts = R_s[R_t[R_s]].
     """
-    windows = group_windows(ctx)
+    windows = ctx.window_matrix
     lengths = ctx.lengths
     unmapped = {t.window: k for k, t in enumerate(ctx.reflections)}  # -> column
     down = np.empty((ctx.order, len(unmapped)), dtype=np.int32)
@@ -320,7 +293,7 @@ def interval_distances(
     dist = directed_distances_to(graph, row)
     rows = np.flatnonzero(np.isfinite(dist))
     l_d = dist[rows].astype(np.int64)
-    windows = group_windows(ctx)
+    windows = ctx.window_matrix
     # w^{-1} u has the window i -> w^{-1}(u(i)); entry 0 of winv is unused
     winv = np.zeros(ctx.degree + 1, dtype=np.int8)
     winv[windows[row]] = np.arange(1, ctx.degree + 1)

@@ -1,5 +1,6 @@
-"""Diagrams, coessential sets, inclusion tests, right hulls, and the basic
-elements attached to coessential boxes.
+"""Coessential sets, the (pseudo-)inclusion tests of condition 3, the
+(relaxed) right hull tests of condition 4, and the reduced coessential set
+E'(w).
 
 Condition 3 has two paths, chosen by input size.  For a whole group,
 `defined_by_inclusions_mask` marks the coessential boxes of every element
@@ -14,7 +15,7 @@ kernel on a batch of one (one interpreter, 2 shared CPUs).
 The right hull tests are exact and always definite.  The bounds of H(w)
 are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
 dynamic program per coessential box find the largest r_u(p,q) inside it.
-`hull_windows` enumerates H(w) and serves only as the tests' oracle.
+The tests check it against an enumeration of H(w), which stays with them.
 
 Grid coordinates follow the matrix convention: p is the row (a value),
 q is the column (a position).  For type B elements everything is computed
@@ -22,51 +23,27 @@ in the embedded S_{2n} picture; the central box is (n+1, n).
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bruhat import (
     box_mask,
-    bruhat_leq,
     coessential_boxes,
     group_rank_grids,
     interval_mask,
-    window_leq,
     window_rank,
 )
-from .groups import (
-    BLOCK_ROWS,
-    Element,
-    GroupContext,
-    Window,
-    compose,
-    context,
-    coxeter_lengths,
-    invert_window,
-)
+from .bruhat import window_leq  # noqa: F401  (perfbench counts calls at this binding)
+from .groups import BLOCK_ROWS, Element, GroupContext, Window
+
 
 @dataclass(frozen=True, order=True)
 class CoessBox:
     p: int
     q: int
     r: int
-
-
-def diagram(w: Element) -> frozenset[tuple[int, int]]:
-    """Boxes (p, q) with p > w(q) and w^{-1}(p) > q (the strike-out rule)."""
-    inv = invert_window(w.window)
-    n = w.degree
-    return frozenset(
-        (p, q)
-        for q in range(1, n + 1)
-        for p in range(w.window[q - 1] + 1, n + 1)
-        if inv[p - 1] > q
-    )
 
 
 def coessential_set(w: Element) -> tuple[CoessBox, ...]:
@@ -159,42 +136,6 @@ def hull_bounds(w: Element) -> HullBounds:
         m = min(m, win[j])
         lo[j] = m
     return HullBounds(tuple(lo), tuple(hi))
-
-
-def window_in_hull(u_window: Sequence[int], bounds: HullBounds) -> bool:
-    return all(
-        lo <= v <= hi for v, lo, hi in zip(u_window, bounds.lo, bounds.hi)
-    )
-
-
-def in_hull(u: Element, w: Element) -> bool:
-    """u ⊆ H(w): every point (u(j), j) lies in the right hull of w."""
-    if u.degree != w.degree:
-        raise ValueError(f"degree mismatch: {u.degree} vs {w.degree}")
-    return window_in_hull(u.window, hull_bounds(w))
-
-
-def hull_windows(bounds: HullBounds) -> Iterator[Window]:
-    """All windows inside the column bounds, by backtracking with a used-value
-    mask.  Exponential in the degree: this is the test oracle for the
-    dynamic program below, not a production path."""
-    n = len(bounds.lo)
-    used = [False] * (n + 1)
-    current = [0] * n
-
-    def extend(j: int) -> Iterator[Window]:
-        if j == n:
-            yield tuple(current)
-            return
-        for v in range(bounds.lo[j], bounds.hi[j] + 1):
-            if used[v]:
-                continue
-            used[v] = True
-            current[j] = v
-            yield from extend(j + 1)
-            used[v] = False
-
-    yield from extend(0)
 
 
 def _best_hull_window(
@@ -332,130 +273,6 @@ def hull_relaxed_counterexample(w: Element) -> Window | None:
     return None
 
 
-def hull_equiv_check(
-    w: Element,
-    sample: int | None = None,
-    rng: random.Random | None = None,
-) -> bool:
-    """Verify that u ⊆ H(w) iff r_u(p,q) <= r_w(p,q) for the coessential
-    boxes attaining the identity bound.
-
-    Exhaustive over the degree's symmetric group when `sample` is None
-    (sensible up to degree 7); otherwise checks `sample` random windows.
-    """
-    bounds = hull_bounds(w)
-    tight = [
-        (b.p, b.q, b.r)
-        for b in coessential_set(w)
-        if b.r == identity_rank(b.p, b.q)
-    ]
-    degree = w.degree
-
-    def agree(u: Window) -> bool:
-        lhs = window_in_hull(u, bounds)
-        rhs = all(window_rank(u, p, q) <= r for p, q, r in tight)
-        return lhs == rhs
-
-    if sample is None:
-        return all(agree(u) for u in permutations(range(1, degree + 1)))
-    rng = rng or random.Random(0)
-    values = list(range(1, degree + 1))
-    for _ in range(sample):
-        rng.shuffle(values)
-        if not agree(tuple(values)):
-            return False
-    return True
-
-
-def _segment(a: int, b: int) -> list[int]:
-    """The run a, a+1, ..., b; empty when a > b."""
-    return list(range(a, b + 1))
-
-
-def basic_element(p: int, q: int, r: int, ctx: GroupContext) -> Element:
-    """v(p,q,r): the minimal element whose rank at (p,q) exceeds r.
-
-    Type A uses the one-piece closed form; type B uses the four-case table
-    on the half-window (q < n, or q = n with p > n), with the remaining
-    boxes reached through v(p,q,r) = v(2n+2-p, 2n-q, p-q-1+r).
-    """
-    if ctx.family == "A":
-        n = ctx.rank
-        win = (
-            _segment(1, q - r - 1)
-            + _segment(p, p + r)
-            + _segment(q - r, p - 1)
-            + _segment(p + r + 1, n)
-        )
-        candidate = _checked(win, p, q, r, ctx)
-        return candidate
-
-    n = ctx.rank
-    if not (q < n or (q == n and p > n)):
-        return basic_element(2 * n + 2 - p, 2 * n - q, p - q - 1 + r, ctx)
-    if p + r <= n:
-        half = (
-            _segment(1, q - r - 1)
-            + _segment(p, p + r)
-            + _segment(q - r, p - 1)
-            + _segment(p + r + 1, n)
-        )
-    elif p <= n:
-        half = (
-            _segment(1, q - r - 1)
-            + _segment(p, n)
-            + _segment(2 * n + 2 - p, n + r + 1)
-            + _segment(q - r, n - r - 1)
-        )
-    elif p + q < 2 * n + 2:
-        half = (
-            _segment(1, q - r - 1)
-            + _segment(p, p + r)
-            + _segment(q - r, 2 * n - p - r)
-            + _segment(2 * n + 2 - p, n)
-        )
-    else:
-        half = (
-            _segment(1, 2 * n - p - r)
-            + _segment(2 * n + 2 - p, q)
-            + _segment(p, p + r)
-            + _segment(q + 1, n)
-        )
-    win = half + [2 * n + 1 - v for v in reversed(half)]
-    return _checked(win, p, q, r, ctx)
-
-
-def _checked(win: list[int], p: int, q: int, r: int, ctx: GroupContext) -> Element:
-    if sorted(win) != list(range(1, ctx.degree + 1)):
-        raise ValueError(f"infeasible box (p={p}, q={q}, r={r}) for {ctx}")
-    el = Element(tuple(win), ctx)
-    if window_rank(el.window, p, q) != r + 1:
-        raise ValueError(f"infeasible box (p={p}, q={q}, r={r}) for {ctx}")
-    return el
-
-
-def basic_element_bruteforce(p: int, q: int, r: int, ctx: GroupContext) -> Element:
-    """Oracle: the Bruhat-minimal group element v with r_v(p,q) > r.
-
-    Raises if the minimal element is not unique or none exists.
-    """
-    offenders = [
-        v for v in ctx.elements if window_rank(v.window, p, q) > r
-    ]
-    if not offenders:
-        raise ValueError(f"no element has rank > {r} at ({p}, {q})")
-    minimal = [
-        v
-        for v in offenders
-        if not any(
-            u is not v and bruhat_leq(u, v) for u in offenders
-        )
-    ]
-    if len(minimal) != 1:
-        raise ValueError(f"minimal violator at ({p},{q},{r}) is not unique")
-    return minimal[0]
-
-
 def _mirror_box(box: tuple[int, int], n: int) -> tuple[int, int]:
     p, q = box
     return (2 * n + 2 - p, 2 * n - q)
@@ -497,78 +314,3 @@ def reduced_coessential(w: Element) -> tuple[CoessBox, ...]:
     return tuple(
         CoessBox(p, q, boxes[(p, q)]) for p, q in sorted(active)
     )
-
-
-def reduced_coessential_closed_form(
-    w: Element, offset: str = "p-n-1", strict_domain: bool = True
-) -> tuple[CoessBox, ...]:
-    """Closed-form redundancy filter for E'(w), kept for comparison only.
-
-    `offset` selects which shift relates r_w(2n+2-p, q) to r_w(p, q) in the
-    redundancy test; the three published variants do not agree, so none is
-    treated as ground truth.  `strict_domain` keeps the literal p,q < n
-    restriction; the corrected reading uses p <= n, q < n.
-    """
-    if w.ctx.family != "B":
-        raise ValueError("E'(w) is defined for type B elements only")
-    n = w.ctx.rank
-    boxes = {(b.p, b.q): b.r for b in coessential_set(w)}
-    shifts = {
-        "p-n-1": lambda p, q: p - n - 1,
-        "n-p+1": lambda p, q: n - p + 1,
-        "p-q-1": lambda p, q: p - q - 1,
-    }
-    shift = shifts[offset]
-    redundant: set[tuple[int, int]] = set()
-    for (p, q), r in boxes.items():
-        in_domain = (p < n and q < n) if strict_domain else (p <= n and q < n)
-        if not in_domain:
-            continue
-        partner = (2 * n + 2 - p, q)
-        if partner not in boxes:
-            continue
-        if _mirror_box((p, q), n) not in boxes:
-            continue
-        if boxes[partner] == r + shift(p, q):
-            redundant.add((p, q))
-            redundant.add(_mirror_box((p, q), n))
-    return tuple(
-        CoessBox(p, q, boxes[(p, q)])
-        for p, q in sorted(boxes)
-        if (p, q) not in redundant
-    )
-
-
-@lru_cache(maxsize=None)
-def count_reduced_words(v: Element) -> int:
-    """Number of reduced expressions, via R(v) = sum over descents of R(vs).
-
-    Exact arbitrary-precision integers; counts grow quickly with length.
-    One length call covers v and every vs.
-    """
-    products = [compose(v, s) for s in v.ctx.generators]
-    *lengths, length = coxeter_lengths(
-        [vs.window for vs in products] + [v.window], v.ctx.family
-    )
-    if length == 0:
-        return 1
-    return sum(
-        count_reduced_words(vs)
-        for vs, vs_length in zip(products, lengths)
-        if vs_length < length
-    )
-
-
-def has_unique_reduced_word(v: Element) -> bool:
-    return count_reduced_words(v) == 1
-
-
-def coxeter_coessential(w: Element) -> tuple[Element, ...]:
-    """The Coxeter-theoretic coessential set: Bruhat-minimal elements not
-    below w, in graded order."""
-    not_below = [w.ctx.elements[i] for i in np.flatnonzero(~interval_mask(w))]
-    minimal: list[Element] = []
-    for v in not_below:  # graded order: anything below v was seen earlier
-        if not any(window_leq(m.window, v.window) for m in minimal):
-            minimal.append(v)
-    return tuple(minimal)

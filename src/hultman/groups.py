@@ -363,10 +363,6 @@ def format_window(window: Sequence[int]) -> str:
     return "".join(DIGITS[v - 1] for v in window)
 
 
-def format_signed(w: Element) -> str:
-    return ",".join(str(s) for s in signed_window(w))
-
-
 @lru_cache(maxsize=None)
 def context(family: str, rank: int) -> GroupContext:
     """Interned context, so views like `elements` are computed once."""

@@ -107,14 +107,6 @@ class ParabolicEmbedding:
             return context("B", len(self.indices) // 2)
         return context("A", len(self.indices))
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        """All positions moved by the parabolic (mirrors included)."""
-        if self.kind != "A-in-B":
-            return self.indices
-        s = 2 * self.host.rank + 1
-        return tuple(sorted(set(self.indices) | {s - i for i in self.indices}))
-
     def generator_images(self) -> tuple[Element, ...]:
         """The canonical images of the pattern group's simple generators."""
         return tuple(

@@ -17,30 +17,30 @@ from collections import deque
 import numpy as np
 import pytest
 
-from hultman.arrangements import chamber_count, chamber_count_ff
+from hultman.arrangements import chamber_count
 from hultman.bruhat import (
     bruhat_graph,
     bruhat_leq,
     directed_distances_to,
     interval_mask,
     interval_size,
-    window_rank_grid,
 )
 from hultman.classify import (
     find_minimal_non_hultman,
     verify_equivalence,
     witness_table,
 )
-from hultman.diagrams import (
-    basic_element,
-    coessential_set,
-    count_reduced_words,
-    coxeter_coessential,
-    reduced_coessential,
-)
+from hultman.diagrams import coessential_set, reduced_coessential
 from hultman.groups import absolute_length, context, parse_element
 from hultman.patterns import bp_contains, condition5_patterns
-from oracles import undirected_distance
+from oracles import (
+    basic_element,
+    chamber_count_ff,
+    count_reduced_words,
+    coxeter_coessential,
+    undirected_distance,
+    window_rank_grid,
+)
 
 A4 = context("A", 4)
 B3 = context("B", 3)

@@ -4,11 +4,8 @@ import pytest
 
 from hultman.arrangements import (
     Hyperplane,
-    _complement_count,
     chamber_count,
-    chamber_count_ff,
     characteristic_polynomial,
-    hyperplane_of,
     intersection_poset,
     inversion_arrangement,
     inversion_reflections,
@@ -21,6 +18,7 @@ from hultman.groups import (
     inverse,
     parse_element,
 )
+from oracles import _complement_count, chamber_count_ff, hyperplane_of
 
 A3 = context("A", 3)
 A4 = context("A", 4)

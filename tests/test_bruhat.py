@@ -17,9 +17,7 @@ from hultman.bruhat import (
     element_rows,
     group_rank_grids,
     group_absolute_lengths,
-    group_windows,
     interval_size,
-    rank_grid,
     symmetry_rows,
     window_rank,
 )
@@ -33,7 +31,12 @@ from hultman.groups import (
     invert_window,
     parse_element,
 )
-from oracles import bruhat_leq_full, distance_witnesses, undirected_distance
+from oracles import (
+    bruhat_leq_full,
+    distance_witnesses,
+    undirected_distance,
+    window_rank_grid,
+)
 
 A4 = context("A", 4)
 A5 = context("A", 5)
@@ -43,13 +46,13 @@ B4 = context("B", 4)
 
 
 def test_rank_grid_paper_values():
-    assert rank_grid(parse_element("35142", A5))[2][1] == 2
-    assert rank_grid(parse_element("13254", A5))[2][1] == 1
-    assert rank_grid(parse_element("426153", B3))[2][1] == 1
+    assert window_rank_grid(parse_element("35142", A5).window)[2][1] == 2
+    assert window_rank_grid(parse_element("13254", A5).window)[2][1] == 1
+    assert window_rank_grid(parse_element("426153", B3).window)[2][1] == 1
 
 
 def test_rank_grid_identity_closed_form():
-    grid = rank_grid(A5.identity)
+    grid = window_rank_grid(A5.identity.window)
     for p in range(1, 6):
         for q in range(1, 6):
             assert grid[p - 1][q - 1] == max(0, q - p + 1)
@@ -57,7 +60,7 @@ def test_rank_grid_identity_closed_form():
 
 def test_rank_grid_first_row_and_lower_bound():
     for w in A4.elements:
-        grid = rank_grid(w)
+        grid = window_rank_grid(w.window)
         assert all(grid[0][q - 1] == q for q in range(1, 5))
         assert all(
             grid[p - 1][q - 1] >= max(0, q - p + 1)
@@ -70,7 +73,7 @@ def test_rank_grid_first_row_and_lower_bound():
 @settings(max_examples=48)
 def test_rank_grid_type_b_symmetry(w):
     n = 3
-    grid = rank_grid(w)
+    grid = window_rank_grid(w.window)
     for p in range(2, 2 * n + 1):
         for q in range(1, 2 * n):
             lhs = grid[2 * n + 2 - p - 1][2 * n - q - 1]
@@ -101,7 +104,7 @@ def test_group_rank_grids_are_the_flattened_grids(ctx):
     assert grids.shape == (ctx.order, ctx.degree**2)
     assert not grids.flags.writeable
     for i, e in enumerate(ctx.elements):
-        assert grids[i].tolist() == [v for row in rank_grid(e) for v in row]
+        assert grids[i].tolist() == [v for row in window_rank_grid(e.window) for v in row]
 
 
 def test_interval_sizes():
@@ -197,7 +200,7 @@ def test_down_rows_are_sorted_and_hold_one_entry_per_length(ctx):
 
 @pytest.mark.parametrize("ctx", [A5, B4])
 def test_element_rows_maps_each_window_to_its_row(ctx):
-    rows = element_rows(ctx, group_windows(ctx))
+    rows = element_rows(ctx, ctx.window_matrix)
     assert rows.tolist() == list(range(ctx.order))
     for i, e in enumerate(ctx.elements):
         assert element_rows(ctx, e.window).tolist() == [i]
@@ -441,7 +444,7 @@ def test_type_b_order_is_induced_from_ambient():
 
 def test_coessential_box_ranks_match_grid():
     for w in B3.elements:
-        grid = rank_grid(w)
+        grid = window_rank_grid(w.window)
         for p, q, r in coessential_boxes(w.window):
             assert grid[p - 1][q - 1] == r == window_rank(w.window, p, q)
 

@@ -21,10 +21,10 @@ from hultman.classify import (
     verify_equivalence,
     witness_table,
 )
-from hultman.diagrams import hull_bounds, window_in_hull
+from hultman.diagrams import hull_bounds
 from hultman.groups import compose_windows, context, invert_window, parse_element
 from hultman.patterns import condition5_patterns
-from oracles import undirected_distance
+from oracles import undirected_distance, window_in_hull
 
 B2 = context("B", 2)
 B3 = context("B", 3)

@@ -5,30 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hultman.bruhat import bruhat_leq, rank_grid, window_leq, window_rank
+from hultman.bruhat import bruhat_leq, window_leq, window_rank
 from hultman.diagrams import (
     CoessBox,
     _best_hull_window,
     _without_quadrant,
-    basic_element,
-    basic_element_bruteforce,
     coessential_set,
-    count_reduced_words,
-    coxeter_coessential,
     defined_by_inclusions_mask,
-    diagram,
-    has_unique_reduced_word,
     hull_bounds,
-    hull_equiv_check,
     hull_relaxed_counterexample,
-    hull_windows,
     identity_rank,
-    in_hull,
-    window_in_hull,
     is_defined_by_inclusions,
     is_defined_by_pseudo_inclusions,
     reduced_coessential,
-    reduced_coessential_closed_form,
     right_hull_counterexample,
 )
 from hultman.groups import (
@@ -38,12 +27,26 @@ from hultman.groups import (
     coxeter_length,
     parse_element,
 )
+from oracles import (
+    basic_element,
+    basic_element_bruteforce,
+    count_reduced_words,
+    coxeter_coessential,
+    diagram,
+    has_unique_reduced_word,
+    hull_equiv_check,
+    hull_windows,
+    reduced_coessential_closed_form,
+    window_in_hull,
+    window_rank_grid,
+)
 
 A4 = context("A", 4)
 A5 = context("A", 5)
 A9 = context("A", 9)
 B2 = context("B", 2)
 B3 = context("B", 3)
+B4 = context("B", 4)
 
 
 def boxes(w):
@@ -123,7 +126,7 @@ def test_defined_by_inclusions_mask_matches_per_element():
 def test_ne_edge_box_lemma():
     # r_w(p,q) = q-p+1 iff w(k) >= p for all k > q iff {1..p-1} is hit by q
     for w in A5.elements:
-        grid = rank_grid(w)
+        grid = window_rank_grid(w.window)
         for p in range(1, 6):
             for q in range(1, 6):
                 a = grid[p - 1][q - 1] == q - p + 1
@@ -135,8 +138,8 @@ def test_ne_edge_box_lemma():
 def test_hull_bounds_and_membership():
     w = parse_element("819372564", A9)
     u = parse_element("168523479", A9)
-    assert in_hull(w, w)
-    assert in_hull(u, w)
+    assert window_in_hull(w.window, hull_bounds(w))
+    assert window_in_hull(u.window, hull_bounds(w))
     assert not bruhat_leq(u, w)  # in the hull but not below: hull fails
 
 
@@ -150,7 +153,7 @@ def test_identity_hull_is_forced():
 @settings(max_examples=100)
 def test_below_implies_in_hull(u, w):
     if bruhat_leq(u, w):
-        assert in_hull(u, w)
+        assert window_in_hull(u.window, hull_bounds(w))
 
 
 def test_right_hull_examples():
@@ -486,7 +489,7 @@ def test_coessential_sets_are_centrally_symmetric(ctx):
             assert pqs == {(2 * n + 2 - p, 2 * n - q) for p, q in pqs}
 
 
-@pytest.mark.parametrize("ctx", [B2, B3])
+@pytest.mark.parametrize("ctx", [B2, B3, B4])
 def test_closed_form_with_corrected_domain_matches_oracle(ctx):
     for w in ctx.elements:
         corrected = reduced_coessential_closed_form(
@@ -570,13 +573,21 @@ def test_coxeter_coessential_elements_are_minimal_nonbelow():
             assert not below_v
 
 
-def test_anderson_parameterization_on_b3():
+def _check_anderson_parameterization(ctx):
     # E'(w) boxes and their basic elements recover the minimal non-below set
-    for w in B3.elements:
+    for w in ctx.elements:
         expected = {
-            basic_element(b.p, b.q, b.r, B3) for b in reduced_coessential(w)
+            basic_element(b.p, b.q, b.r, ctx) for b in reduced_coessential(w)
         }
-        assert set(coxeter_coessential(w)) == expected
+        assert set(coxeter_coessential(w)) == expected, w
+
+
+def test_anderson_parameterization_on_b3():
+    _check_anderson_parameterization(B3)
+
+
+def test_anderson_parameterization_on_b4():
+    _check_anderson_parameterization(B4)
 
 
 def test_inclusion_equivalence_via_unique_words_type_a():
@@ -587,14 +598,22 @@ def test_inclusion_equivalence_via_unique_words_type_a():
         assert unique == is_defined_by_inclusions(w)
 
 
-def test_pseudo_inclusion_equivalence_via_unique_words_type_b():
+def _check_pseudo_inclusions_via_unique_words(ctx):
     # the criterion runs over all of E(w), not E'(w)
-    for w in B3.elements:
+    for w in ctx.elements:
         unique = all(
-            has_unique_reduced_word(basic_element(b.p, b.q, b.r, B3))
+            has_unique_reduced_word(basic_element(b.p, b.q, b.r, ctx))
             for b in coessential_set(w)
         )
-        assert unique == is_defined_by_pseudo_inclusions(w)
+        assert unique == is_defined_by_pseudo_inclusions(w), w
+
+
+def test_pseudo_inclusion_equivalence_via_unique_words_type_b():
+    _check_pseudo_inclusions_via_unique_words(B3)
+
+
+def test_pseudo_inclusion_equivalence_via_unique_words_on_b4():
+    _check_pseudo_inclusions_via_unique_words(B4)
 
 
 def test_identity_rank_helper():

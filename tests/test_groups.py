@@ -17,13 +17,13 @@ from hultman.groups import (
     coxeter_length,
     coxeter_lengths,
     element_from_signed,
-    format_signed,
     format_window,
     inverse,
     is_type_b_window,
     parse_element,
     signed_window,
 )
+from oracles import format_signed
 
 A4 = context("A", 4)
 B2 = context("B", 2)

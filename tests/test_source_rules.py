@@ -3,6 +3,7 @@ import ast
 from pathlib import Path
 
 import pytest
+from test_perfbench_compat import _load_tracing
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "hultman"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -120,3 +121,92 @@ def test_hull_enumeration_and_hungarian_solver_stay_oracles():
     assert defined == [], defined
     calls = _uses(_calls_to("hull_windows"))
     assert calls == {}, calls
+
+
+PERFBENCH = SOURCE.parents[1] / "perfbench"
+
+# The one-element library API that only the tests call today.  Each stays in
+# the package because it is part of the group or order interface that the
+# production paths batch, not a slow stand-in for one of them.
+CALLED_ONLY_FROM_TESTS = {
+    "inverse": "w^{-1} of one element; symmetry_rows batches it over a group",
+    "compose": "the product of two elements; compose_windows is its window form",
+    "absolute_length": "l_T of one element; group_absolute_lengths batches it",
+    "bruhat_leq": "u <= w for two elements; interval_mask batches it",
+    "classical_contains": "classical pattern containment of one element by "
+    "the flattening-code kernel that condition 5 runs",
+}
+
+
+def _production_references():
+    """(name, module, top-level owner) of every Name and Attribute in the
+    package outside __init__.py; the owner is the enclosing module-level
+    function or class, or None at module level."""
+    found = set()
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    found.add((node.id, path.name, owner))
+                elif isinstance(node, ast.Attribute):
+                    found.add((node.attr, path.name, owner))
+    return found
+
+
+def _perfbench_references():
+    """Names that the benchmark reaches: hultman.<name> in perfbench/*.py,
+    and the attributes its tracer wraps."""
+    found = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "hultman"
+            ):
+                found.add(node.attr)
+    tracing = _load_tracing()
+    targets = [target[2] for target in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS]
+    return found | {attr.rpartition(".")[2] for attr in targets}
+
+
+def test_no_public_function_is_called_only_from_tests():
+    # the package holds what its commands and the benchmark run; a public
+    # function that only the tests reach is an oracle and lives in
+    # tests/oracles.py, which the package never imports
+    public = {
+        (stmt.name, path.name)
+        for path in MODULES
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("_")
+    }
+    references = _production_references()
+    benchmark = _perfbench_references()
+    test_only = sorted(
+        name
+        for name, module in public
+        if name not in benchmark
+        and not any(
+            ref == name and (where, owner) != (module, name)
+            for ref, where, owner in references
+        )
+    )
+    assert test_only == sorted(CALLED_ONLY_FROM_TESTS), test_only
+
+    imports = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("oracles", "tests") for name in names):
+                imports.append((path.name, node.lineno))
+    assert imports == [], imports
