@@ -3,16 +3,21 @@
 Hyperplanes come in the three reflection shapes x_i = x_j, x_i = -x_j and
 x_i = 0 (type A uses only the first), so an arrangement is a signed graph.
 chi(t) counts its proper colourings (Zaslavsky, "Signed graph coloring",
-1982), and one exact subset DP over them gives chi(t) and the chamber count
-c(w) = (-1)^n chi(-1).  The tests check chi(t) against two independent
-oracles.  The intersection lattice with its Möbius values stays here only
-because the benchmark's tracer wraps `intersection_poset` in this module;
-the finite-field point count lives with the tests.
+1982), and one exact subset DP over them, `_block_counts`, gives chi(t)
+and the chamber count c(w) = (-1)^n chi(-1).  It keeps the counts of
+every block number k of a vertex set as the digits of one int, wide enough
+for a proven bound, so one big-int multiply-add does the work of a loop
+over k.  The tests check chi(t) against two independent oracles, and the
+packed digits against the same DP with one list entry per k.  The
+intersection lattice with its Möbius values stays here only because the
+benchmark's tracer wraps `intersection_poset` in this module; the
+finite-field point count lives with the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Iterable
 
@@ -49,13 +54,34 @@ class Hyperplane:
         return f"x{self.i}{op}x{self.j}=0"
 
 
+def _digit_width(n: int) -> int:
+    """Bits per digit of the packed partition counts of `_block_counts`.
+
+    Digit k of the counts of a vertex set s sums, over the partitions of s
+    into k blocks, a product of sigma(B) <= 2^|B|: at most Bell(|s|) terms
+    of at most 2^|s| each.  a[k] sums that over at most 2^n zero sets Z.
+    Bell(n) <= n!, so 4^n n! bounds every digit of every sum formed."""
+    return (4**n * factorial(n)).bit_length()
+
+
 def _block_counts(planes: Iterable[Hyperplane], n: int) -> list[int]:
     """a[k], so that chi(2m+1) = sum_k a[k] (m)_k.  A proper colouring by
     -m..m is its zero set Z (no zero plane, no edge inside) plus the blocks
     of equal |x|, which take k distinct values in 1..m; a[k] sums, over Z
     and the partitions of the rest into k blocks B, prod_B sigma(B), where
     sigma(B) counts the signings of B in which each "diff" edge has opposite
-    signs and each "sum" edge equal ones."""
+    signs and each "sum" edge equal ones.
+
+    The partition counts of a vertex set s, one for each k, are held as the
+    digits of one int: digit k at bit k * width, with the width of
+    `_digit_width`.  The digits are nonnegative and below 2^width, so
+    adding and scaling the ints adds and scales them digit by digit with no
+    carry, and each (s, block) pair is one multiply-add.  The top digit is
+    checked: a[n] = 2^n for every arrangement (the singletons, each signed
+    freely, with Z empty), so ArithmeticError is raised unless the packed
+    sum reads exactly 2^n from digit n up, as it would not if digit n
+    overflowed or a carry reached it.
+    """
     same, opposite = [0] * n, [0] * n
     no_zero = 0
     for h in planes:
@@ -81,25 +107,29 @@ def _block_counts(planes: Iterable[Hyperplane], n: int) -> list[int]:
                 valid.append(minus | 1 << v)
         signings.append(valid)
     sigma = [len(valid) for valid in signings]
-    # parts[s][k]: weighted partitions of s into k blocks, built by choosing
-    # the block that holds the lowest vertex of s
-    parts = [[0] * (n + 1) for _ in range(full + 1)]
-    parts[0][0] = 1
+    # parts[s]: weighted partitions of s into k blocks as digit k, built by
+    # choosing the block that holds the lowest vertex of s; that block adds
+    # one to k, which is one shift of the sum
+    width = _digit_width(n)
+    parts = [1] + [0] * full
     for s in range(1, full + 1):
         low = s & -s
         sub = rest = s ^ low
-        while True:
-            block = sub | low
-            for k, count in enumerate(parts[s ^ block][:n]):
-                parts[s][k + 1] += sigma[block] * count
-            if not sub:
-                break
+        acc = sigma[low] * parts[rest]
+        while sub:
+            acc += sigma[sub | low] * parts[rest ^ sub]
             sub = (sub - 1) & rest
+        parts[s] = acc << width
     # a zero set has no edge inside: all 2^|z| of its signings are valid
-    zero_sets = [
-        z for z in range(full + 1) if not z & no_zero and sigma[z] == 1 << z.bit_count()
-    ]
-    return [sum(parts[full ^ z][k] for z in zero_sets) for k in range(n + 1)]
+    packed = sum(
+        parts[full ^ z]
+        for z in range(full + 1)
+        if not z & no_zero and sigma[z] == 1 << z.bit_count()
+    )
+    if packed >> n * width != 1 << n:
+        raise ArithmeticError(f"packed partition counts overflow {width}-bit digits")
+    digit = (1 << width) - 1
+    return [packed >> k * width & digit for k in range(n + 1)]
 
 
 def characteristic_polynomial(planes: Iterable[Hyperplane], n: int) -> tuple[int, ...]:
@@ -211,15 +241,13 @@ def inversion_arrangement(w: Element) -> tuple[Hyperplane, ...]:
     sigma_i < 0.  `inversion_reflections` is the definition it must match."""
     b = w.ctx.family == "B"
     sigma = signed_window(w) if b else w.window
-    n = len(sigma)
-    planes = [Hyperplane("zero", i + 1, 0) for i in range(n) if b and sigma[i] < 0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigma[i] > sigma[j]:
-                planes.append(Hyperplane("diff", i + 1, j + 1))
-            if b and -sigma[i] > sigma[j]:
-                planes.append(Hyperplane("sum", i + 1, j + 1))
-    return tuple(sorted(planes))
+    pairs = list(combinations(range(n := len(sigma)), 2))
+    # built in sorted order: kinds "diff" < "sum" < "zero", then (i, j)
+    planes = [Hyperplane("diff", i + 1, j + 1) for i, j in pairs if sigma[i] > sigma[j]]
+    if b:
+        planes += [Hyperplane("sum", i + 1, j + 1) for i, j in pairs if -sigma[i] > sigma[j]]
+        planes += [Hyperplane("zero", i + 1, 0) for i in range(n) if sigma[i] < 0]
+    return tuple(planes)
 
 
 def chamber_count(w: Element) -> int:

@@ -16,9 +16,12 @@ the group's sorted keys.  The Bruhat graph is one array of down-neighbours,
 `BruhatGraph.down`, each row sorted and padded with a sentinel.  It is
 built from the row maps of right multiplication: one `element_rows` call
 per generator, and two gathers per other reflection, a conjugate of one
-already mapped.  The distance sweep is a breadth-first search from w down
-the graph, one numpy step per depth, and it reaches exactly [id, w]; l_T
-is one gather from `group_absolute_lengths`.
+already mapped.  The generators' maps stay on the graph as
+`BruhatGraph.generator_rows`.  The distance sweep is a breadth-first
+search from w down the graph, one numpy step per depth, and it reaches
+exactly [id, w].  l_T(u, w) is l_T of the conjugate u w^{-1}, reached by
+l(w) gathers through the generators' maps and one from
+`group_absolute_lengths`.
 `symmetry_rows` gives the row maps of the graph automorphisms w -> w^{-1}
 (and, in type A, w -> w_0 w w_0), so a sweep can carry its results from
 one element of an orbit to the others.
@@ -204,11 +207,17 @@ class BruhatGraph:
     reflections lower u (Björner–Brenti, Combinatorics of Coxeter Groups,
     ch. 1), so the first l(u) entries of row u are its down-neighbours and
     the rest are N.
+
+    `generator_rows` is the n x N array of the generators' row maps of
+    right multiplication, in the order of ctx.generators: entry [k, u] is
+    the row of u s_k.  The graph is built from them, and
+    `interval_distances` walks them to multiply by w^{-1}.
     """
 
     ctx: GroupContext
     lengths: np.ndarray = field(repr=False)
     down: np.ndarray = field(repr=False)
+    generator_rows: np.ndarray = field(repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -228,11 +237,11 @@ def bruhat_graph(ctx: GroupContext) -> BruhatGraph:
     lengths = ctx.lengths
     unmapped = {t.window: k for k, t in enumerate(ctx.reflections)}  # -> column
     down = np.empty((ctx.order, len(unmapped)), dtype=np.int32)
+    generator_rows = np.empty((len(ctx.generators), ctx.order), dtype=np.int32)
+    for k, s in enumerate(ctx.generators):
+        generator_rows[k] = element_rows(ctx, windows[:, np.array(s.window) - 1])
     # one level of conjugates at a time, so only its maps are held at once
-    level = {
-        s.window: element_rows(ctx, windows[:, np.array(s.window) - 1]).astype(np.int32)
-        for s in ctx.generators
-    }
+    level = {s.window: rows for s, rows in zip(ctx.generators, generator_rows)}
     generators = list(level.items())
     while level:
         for t, rows in level.items():
@@ -245,8 +254,8 @@ def bruhat_graph(ctx: GroupContext) -> BruhatGraph:
                     conjugates[sts] = r_s[r_t[r_s]]
         level = conjugates
     down.sort(axis=1)
-    down.flags.writeable = False
-    return BruhatGraph(ctx, lengths, down)
+    down.flags.writeable = generator_rows.flags.writeable = False
+    return BruhatGraph(ctx, lengths, down, generator_rows)
 
 
 def directed_distances_to(graph: BruhatGraph, row: int) -> np.ndarray:
@@ -285,6 +294,12 @@ def interval_distances(
     """(rows of [id, w], l_D(u, w), l_T(u, w)) as arrays in row order, for
     w = ctx.elements[row].
 
+    l_T(u, w) = l_T(w^{-1} u) = l_T(u w^{-1}), because the two are
+    conjugate and l_T is constant on conjugacy classes.  Peeling right
+    descents off w gives w s_{a_1} ... s_{a_L} = id with L = l(w), so
+    u w^{-1} = u s_{a_1} ... s_{a_L}: L gathers of the interval's rows
+    through `generator_rows`, then one from `group_absolute_lengths`.
+
     Raises ArithmeticError unless l_D >= l_T for every u <= w (a directed
     path is a product of reflections) and l_D, l_T and l(w) - l(u) share a
     parity (every reflection has odd length).
@@ -293,11 +308,16 @@ def interval_distances(
     dist = directed_distances_to(graph, row)
     rows = np.flatnonzero(np.isfinite(dist))
     l_d = dist[rows].astype(np.int64)
-    windows = ctx.window_matrix
-    # w^{-1} u has the window i -> w^{-1}(u(i)); entry 0 of winv is unused
-    winv = np.zeros(ctx.degree + 1, dtype=np.int8)
-    winv[windows[row]] = np.arange(1, ctx.degree + 1)
-    l_t = group_absolute_lengths(ctx)[element_rows(ctx, winv[windows[rows]])]
+    # rows follow length, and l(vs) = l(v) +- 1, so the least row among
+    # v's products with the generators is v s for a descent s, while v != id
+    maps = graph.generator_rows
+    products = rows
+    v = row
+    while v:  # row 0 is the identity, the one element of length 0
+        neighbours = maps[:, v].tolist()
+        v = min(neighbours)
+        products = maps[neighbours.index(v)].take(products)
+    l_t = group_absolute_lengths(ctx)[products]
     steps = graph.lengths[row] - graph.lengths[rows]
     # the three share a parity iff both differences are even
     bad = (l_d < l_t) | ((((l_d - l_t) | (l_d - steps)) & 1) != 0)

@@ -153,6 +153,19 @@ def classify(
     and the distances are both at hand, the number of rows the distance
     sweep reached must be s(w), or classify raises ArithmeticError.
     """
+    return _classify(w, None, conditions, graph, chamber_cache)
+
+
+def _classify(
+    w: Element,
+    row: int | None,
+    conditions: tuple[int, ...],
+    graph: BruhatGraph | None,
+    chamber_cache: OrbitMemo | None,
+) -> ClassificationReport:
+    """`classify` for w = w.ctx.elements[row]; a caller that does not hold
+    the row passes None, and it is looked up only if conditions 1 or 2
+    need it."""
     report = ClassificationReport(w)
     ctx = w.ctx
     key = (ctx, w.window)  # groups of equal degree share windows
@@ -160,7 +173,8 @@ def classify(
     shared = {1, 2}.intersection(conditions).difference(memo)  # computed here
     images = []
     if 2 in shared or (shared and chamber_cache is not None):
-        row = int(bruhat.element_rows(ctx, w.window)[0])  # looked up once
+        if row is None:
+            row = int(bruhat.element_rows(ctx, w.window)[0])
         images = _orbit_images(ctx, row) if chamber_cache is not None else []
     reached = None  # #[id, w] as the distance sweep counts it
     for num in conditions:
@@ -292,8 +306,9 @@ def verify_equivalence(
     (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`);
     conditions 1, 2 and 4 from `classify`, one element at a time.  The
     calls share one orbit memo, so conditions 1 and 2 are computed once per
-    orbit of `bruhat.symmetry_rows`, at its first row.  Full reports are
-    built only for disagreeing rows, or for every row with `keep_reports`.
+    orbit of `bruhat.symmetry_rows`, at its first row, and each call is
+    handed its row.  Full reports are built only for disagreeing rows, or
+    for every row with `keep_reports`.
     """
     start = time.perf_counter()
     summary = VerificationSummary(ctx, tuple(conditions))
@@ -320,7 +335,7 @@ def verify_equivalence(
         for row, w in enumerate(ctx.elements):
             for c in memo.get((ctx, w.window), ()):
                 summary.rows_computed[CONDITION_NAMES[c]] -= 1
-            report = classify(w, per_element, graph=graph, chamber_cache=memo)
+            report = _classify(w, row, per_element, graph, memo)
             for name, seconds in report.seconds.items():
                 summary.seconds[name] += seconds
             for c in per_element:

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from hultman.bruhat import (
     BruhatGraph,
     bruhat_leq,
     element_rows,
+    group_absolute_lengths,
     interval_distances,
     interval_mask,
     window_leq,
@@ -102,6 +103,17 @@ def distance_witnesses(
     )
 
 
+def absolute_lengths_by_lookup(ctx: GroupContext, row: int, rows: np.ndarray) -> np.ndarray:
+    """l_T(u, w) = l_T(w^{-1} u) for the u at `rows` and w = ctx.elements[row]:
+    compose each window with w^{-1}, then look the product up among the
+    group's rows."""
+    windows = ctx.window_matrix
+    # w^{-1} u has the window i -> w^{-1}(u(i)); entry 0 of winv is unused
+    winv = np.zeros(ctx.degree + 1, dtype=np.int8)
+    winv[windows[row]] = np.arange(1, ctx.degree + 1)
+    return group_absolute_lengths(ctx)[element_rows(ctx, winv[windows[rows]])]
+
+
 # --- arrangements -----------------------------------------------------------
 
 
@@ -120,6 +132,55 @@ def hyperplane_of(t: Element, ctx: GroupContext) -> Hyperplane:
         if sigma[k - 1] == -l and sigma[l - 1] == -k:
             return Hyperplane("sum", k, l)
     raise ValueError(f"{t} is not a reflection")
+
+
+def block_counts_by_digit(planes: Iterable[Hyperplane], n: int) -> list[int]:
+    """The a[k] of `arrangements._block_counts` with one list of k counts per
+    vertex set, summed entry by entry: the same DP without the packing."""
+    same, opposite = [0] * n, [0] * n
+    no_zero = 0
+    for h in planes:
+        if h.kind == "zero":
+            no_zero |= 1 << (h.i - 1)
+        else:
+            adjacent = opposite if h.kind == "diff" else same
+            adjacent[h.i - 1] |= 1 << (h.j - 1)
+            adjacent[h.j - 1] |= 1 << (h.i - 1)
+    full = (1 << n) - 1
+    # signings[s]: the minus-sets of the valid signings of s, built by
+    # giving the highest vertex v of s a sign that fits its edges
+    signings: list[list[int]] = [[0]]
+    for s in range(1, full + 1):
+        v = s.bit_length() - 1
+        rest = s ^ 1 << v
+        valid = []
+        for minus in signings[rest]:
+            plus = rest ^ minus
+            if not (minus & same[v] or plus & opposite[v]):
+                valid.append(minus)
+            if not (minus & opposite[v] or plus & same[v]):
+                valid.append(minus | 1 << v)
+        signings.append(valid)
+    sigma = [len(valid) for valid in signings]
+    # parts[s][k]: weighted partitions of s into k blocks, built by choosing
+    # the block that holds the lowest vertex of s
+    parts = [[0] * (n + 1) for _ in range(full + 1)]
+    parts[0][0] = 1
+    for s in range(1, full + 1):
+        low = s & -s
+        sub = rest = s ^ low
+        while True:
+            block = sub | low
+            for k, count in enumerate(parts[s ^ block][:n]):
+                parts[s][k + 1] += sigma[block] * count
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    # a zero set has no edge inside: all 2^|z| of its signings are valid
+    zero_sets = [
+        z for z in range(full + 1) if not z & no_zero and sigma[z] == 1 << z.bit_count()
+    ]
+    return [sum(parts[full ^ z][k] for z in zero_sets) for k in range(n + 1)]
 
 
 def _odd_primes_above(bound: int, count: int) -> list[int]:

@@ -20,7 +20,6 @@ import pytest
 from hultman.arrangements import chamber_count
 from hultman.bruhat import (
     bruhat_graph,
-    bruhat_leq,
     directed_distances_to,
     interval_mask,
     interval_size,

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from hultman import arrangements
 from hultman.arrangements import (
     Hyperplane,
+    _block_counts,
     chamber_count,
     characteristic_polynomial,
     intersection_poset,
@@ -12,13 +14,19 @@ from hultman.arrangements import (
 )
 from hultman.bruhat import interval_size
 from hultman.groups import (
-    compose,
+    Element,
     context,
     coxeter_length,
+    element_from_signed,
     inverse,
     parse_element,
 )
-from oracles import _complement_count, chamber_count_ff, hyperplane_of
+from oracles import (
+    _complement_count,
+    block_counts_by_digit,
+    chamber_count_ff,
+    hyperplane_of,
+)
 
 A3 = context("A", 3)
 A4 = context("A", 4)
@@ -223,3 +231,83 @@ def test_ff_oracle_prime_validation():
         chamber_count_ff(w, primes=[11, 13])  # too few
     with pytest.raises(ValueError):
         chamber_count_ff(w, primes=[3, 5, 7, 11, 13])  # not above 2n
+
+
+def _random_element(ctx, rng):
+    """A uniformly drawn element, without enumerating the group."""
+    values = rng.sample(range(1, ctx.rank + 1), ctx.rank)
+    if ctx.family == "A":
+        return Element(tuple(values), ctx)
+    return element_from_signed([rng.choice((v, -v)) for v in values], ctx.rank)
+
+
+def _with_roots(roots):
+    """Coefficients of prod_r (t - r), ascending degree."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [context("A", n) for n in range(1, 7)] + [context("B", n) for n in range(1, 5)],
+    ids=lambda c: c.name,
+)
+def test_packed_block_counts_equal_the_digit_loop_oracle(ctx):
+    for w in ctx.elements:
+        planes = inversion_arrangement(w)
+        assert _block_counts(planes, ctx.rank) == block_counts_by_digit(planes, ctx.rank), w
+
+
+@pytest.mark.parametrize(
+    "family, rank, count", [("A", 7, 200), ("A", 8, 40), ("B", 5, 200), ("B", 6, 100)]
+)
+def test_packed_block_counts_equal_the_digit_loop_oracle_on_a_sample(family, rank, count):
+    ctx = context(family, rank)
+    rng = random.Random(23)
+    for _ in range(count):
+        planes = inversion_arrangement(_random_element(ctx, rng))
+        assert _block_counts(planes, rank) == block_counts_by_digit(planes, rank), planes
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_longest_element_of_type_a_has_the_braid_polynomial(n):
+    # the braid arrangement: chi(t) = t (t - 1) ... (t - n + 1)
+    ctx = context("A", n)
+    w0 = ctx.longest_element
+    assert characteristic_polynomial(inversion_arrangement(w0), n) == _with_roots(range(n))
+    assert chamber_count(w0) == ctx.order
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_longest_element_of_type_b_has_the_coxeter_polynomial(n):
+    # the B_n arrangement: chi(t) = (t - 1)(t - 3) ... (t - 2n + 1)
+    ctx = context("B", n)
+    w0 = ctx.longest_element
+    roots = range(1, 2 * n, 2)
+    assert characteristic_polynomial(inversion_arrangement(w0), n) == _with_roots(roots)
+    assert chamber_count(w0) == ctx.order
+
+
+@pytest.mark.parametrize(
+    "family, n", [("A", n) for n in range(2, 11)] + [("B", n) for n in range(2, 9)]
+)
+def test_identity_has_the_polynomial_t_to_the_n(family, n):
+    # no planes: every signing is valid, so the digits are the largest
+    identity = context(family, n).identity
+    assert characteristic_polynomial(inversion_arrangement(identity), n) == _with_roots([0] * n)
+    assert chamber_count(identity) == 1
+
+
+def test_packed_block_counts_need_only_digits_below_the_width(monkeypatch):
+    n = 4
+    expected = block_counts_by_digit((), n)
+    # the least width that holds every digit of the largest counts
+    monkeypatch.setattr(arrangements, "_digit_width", lambda n: max(expected).bit_length())
+    assert _block_counts((), n) == expected
+    monkeypatch.setattr(arrangements, "_digit_width", lambda n: 2)
+    with pytest.raises(ArithmeticError):
+        _block_counts((), n)
+    with pytest.raises(ArithmeticError):
+        chamber_count(B3.identity)

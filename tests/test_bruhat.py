@@ -32,6 +32,7 @@ from hultman.groups import (
     parse_element,
 )
 from oracles import (
+    absolute_lengths_by_lookup,
     bruhat_leq_full,
     distance_witnesses,
     undirected_distance,
@@ -196,6 +197,35 @@ def test_down_rows_are_sorted_and_hold_one_entry_per_length(ctx):
     assert (np.diff(down, axis=1) >= 0).all()
     assert np.array_equal((down < ctx.order).sum(axis=1), ctx.lengths)
     assert g.edge_count == int(ctx.lengths.sum())
+
+
+@pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
+def test_generator_rows_are_the_right_multiplication_maps(ctx):
+    # (u s)(i) = u(s(i)): u's window with its columns permuted by s
+    g = bruhat_graph(ctx)
+    assert g.generator_rows.shape == (len(ctx.generators), ctx.order)
+    assert not g.generator_rows.flags.writeable
+    for k, s in enumerate(ctx.generators):
+        products = ctx.window_matrix[:, np.array(s.window) - 1]
+        assert g.generator_rows[k].tolist() == element_rows(ctx, products).tolist()
+
+
+@pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
+def test_interval_absolute_lengths_equal_the_lookup_oracle(ctx):
+    g = bruhat_graph(ctx)
+    for row in range(ctx.order):
+        rows, _, l_t = bruhat.interval_distances(g, row)
+        assert l_t.tolist() == absolute_lengths_by_lookup(ctx, row, rows).tolist()
+
+
+@pytest.mark.parametrize("family, rank, count", [("A", 7, 100), ("B", 5, 100), ("B", 6, 12)])
+def test_interval_absolute_lengths_equal_the_lookup_oracle_on_a_sample(family, rank, count):
+    ctx = context(family, rank)
+    g = bruhat_graph(ctx)
+    # the longest element's interval is the whole group
+    for row in random.Random(29).sample(range(ctx.order), count) + [ctx.order - 1]:
+        rows, _, l_t = bruhat.interval_distances(g, row)
+        assert l_t.tolist() == absolute_lengths_by_lookup(ctx, row, rows).tolist()
 
 
 @pytest.mark.parametrize("ctx", [A5, B4])
