@@ -1,18 +1,20 @@
-"""Time `hultman verify` with all five conditions on B_5 and S_7.
+"""Time `hultman verify` with all five conditions on B_5, S_7, B_6 and S_8.
 
     python3 scripts/bench_verify.py --label 4610314
     python3 scripts/bench_verify.py --label base --root ../other-checkout
 
-Each group runs RUNS times, every run `hultman verify --json` in a fresh
-interpreter, because the package memoises its group tables.  The result is
-written to BENCH_<label>.json beside this script's checkout: the measured
-checkout's git SHA and dirty flag, the Python and numpy versions, the CPU
-count, and per group each run's `elapsed_s`, per-condition `seconds` and
-peak RSS, with each at its least over the runs.  `elapsed_s` includes
-building every row's report, which --json asks for.  --root selects the
-source tree to measure (default: this checkout), so two commits can be
-timed with the same script.  Exits 1 if a run fails or its conditions
-disagree.
+Each group runs the number of times GROUPS gives it (three for B_5 and
+S_7; one for B_6 and S_8, which take minutes), every run `hultman verify
+--json` in a fresh interpreter, because the package memoises its group
+tables.  The result is written to BENCH_<label>.json beside this script's
+checkout: the measured checkout's git SHA and dirty flag, the Python and
+numpy versions, the CPU count, and per group each run's `elapsed_s`,
+per-condition `seconds`, `layer_seconds` (the tables built up front, where
+the checkout reports them) and peak RSS, with each at its least over the
+runs.  `elapsed_s` includes building every row's report, which --json
+asks for.  --root selects the source tree to measure (default: this
+checkout), so two commits can be timed with the same script.  Exits 1 if
+a run fails or its conditions disagree.
 """
 from __future__ import annotations
 
@@ -29,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-GROUPS = (("B", 5), ("A", 7))
-RUNS = 3
+GROUPS = (("B", 5, 3), ("A", 7, 3), ("B", 6, 1), ("A", 8, 1))  # (family, rank, runs)
 
 
 def git_state(root: Path) -> dict:
@@ -73,13 +74,14 @@ def run_verify(root: Path, family: str, rank: int, scratch: Path) -> dict:
         "rows_computed": summary["rows_computed"],
         "elapsed_s": summary["elapsed_s"],
         "seconds": summary["seconds"],
+        "layer_seconds": summary.get("layer_seconds", {}),
         "peak_rss_mb": usage.ru_maxrss / 1024,  # kilobytes on Linux
     }
 
 
-def bench_group(root: Path, family: str, rank: int) -> dict:
+def bench_group(root: Path, family: str, rank: int, count: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [run_verify(root, family, rank, Path(tmp)) for _ in range(RUNS)]
+        runs = [run_verify(root, family, rank, Path(tmp)) for _ in range(count)]
     first = runs[0]
     if any((r["total"], r["hultman_count"]) != (first["total"], first["hultman_count"])
            for r in runs):
@@ -96,6 +98,9 @@ def bench_group(root: Path, family: str, rank: int) -> dict:
         # machine only ever slow a run
         "elapsed_s": min(r["elapsed_s"] for r in runs),
         "seconds": {name: min(r["seconds"][name] for r in runs) for name in first["seconds"]},
+        "layer_seconds": {
+            name: min(r["layer_seconds"][name] for r in runs) for name in first["layer_seconds"]
+        },
         "peak_rss_mb": min(r["peak_rss_mb"] for r in runs),
         "runs": runs,
     }
@@ -117,12 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
-        "runs_per_group": RUNS,
         "groups": [],
     }
     try:
-        for family, rank in GROUPS:
-            group = bench_group(root, family, rank)
+        for family, rank, count in GROUPS:
+            group = bench_group(root, family, rank, count)
             result["groups"].append(group)
             seconds = ", ".join(f"{k} {v:.2f}" for k, v in group["seconds"].items())
             print(f"{group['group']}: {group['hultman_count']} Hultman, "

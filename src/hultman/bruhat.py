@@ -23,8 +23,8 @@ exactly [id, w].  l_T(u, w) is l_T of the conjugate u w^{-1}, reached by
 l(w) gathers through the generators' maps and one from
 `group_absolute_lengths`.
 `symmetry_rows` gives the row maps of the graph automorphisms w -> w^{-1}
-(and, in type A, w -> w_0 w w_0), so a sweep can carry its results from
-one element of an orbit to the others.
+(and, in type A, w -> w_0 w w_0), and `orbit_representatives` each row's
+least orbit member, where a sweep computes what is constant on orbits.
 
 For type B elements the order is exactly the one induced from S_{2n}, so
 the same window-level test serves both families.
@@ -194,6 +194,16 @@ def symmetry_rows(ctx: GroupContext) -> tuple[np.ndarray, ...]:
     for rows in maps:
         rows.flags.writeable = False
     return maps
+
+
+@lru_cache(maxsize=None)
+def orbit_representatives(ctx: GroupContext) -> np.ndarray:
+    """Read-only array of the least row of each row's orbit under
+    `symmetry_rows`: with the identity, those maps form a group (of order 2
+    in type B, a Klein four-group in type A), so an orbit is one row's images."""
+    representatives = np.minimum.reduce([np.arange(ctx.order), *symmetry_rows(ctx)])
+    representatives.flags.writeable = False
+    return representatives
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,7 +58,6 @@ class ClassificationReport:
     violations: tuple[CoessBox, ...] = ()
     hull_counterexample: Window | None = None
     matched_pattern: tuple[Element, patterns.ParabolicEmbedding] | None = None
-    seconds: dict[str, float] = field(default_factory=dict)  # per condition
 
     @property
     def consistent(self) -> bool:
@@ -107,25 +106,61 @@ class ClassificationReport:
         }
 
 
-# One orbit memo entry: condition number -> its values for one element,
-# (c, s) for condition 1 and the first distance witness, as (row, l_D, l_T)
-# or None, for condition 2.
-OrbitMemo = dict[tuple[GroupContext, Window], dict[int, object]]
+def _condition_names(conditions: tuple[int, ...]) -> dict[int, str]:
+    """{number: name} of the conditions, or ValueError for an unknown one."""
+    for num in conditions:
+        if num not in CONDITION_NAMES:
+            raise ValueError(f"unknown condition {num}")
+    return {num: CONDITION_NAMES[num] for num in conditions}
 
 
-def _orbit_images(
-    ctx: GroupContext, row: int
-) -> list[tuple[np.ndarray, tuple[GroupContext, Window]]]:
-    """(row map, memo key) of each image of ctx.elements[row] under
-    `bruhat.symmetry_rows`, one per distinct image other than itself."""
-    seen = {row}
-    images = []
-    for phi in bruhat.symmetry_rows(ctx):
-        image = int(phi[row])
-        if image not in seen:
-            seen.add(image)
-            images.append((phi, (ctx, ctx.elements[image].window)))
-    return images
+def _timed(seconds: dict[str, float], name: str, call, *args):
+    """call(*args), with its wall time added to seconds[name]."""
+    start = time.perf_counter()
+    out = call(*args)
+    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
+    return out
+
+
+def _orbit_values(
+    ctx: GroupContext, row: int, conditions, graph: BruhatGraph | None, values: dict
+) -> dict:
+    """`values` with what it lacked of conditions 1 and 2 among `conditions`
+    added, computed at w = ctx.elements[row]: (c, s) under 1, and under 2
+    {row of v: first distance witness (row, l_D, l_T) of v, or None} for w
+    and its images v under `bruhat.symmetry_rows`, which keep distances.
+    Raises ArithmeticError if c(w) > s(w), or if s(w) is at hand and the
+    distance sweep reached another number of rows."""
+    w = ctx.elements[row]
+    if 1 in conditions and 1 not in values:
+        c, s = arrangements.chamber_count(w), bruhat.interval_size(w)
+        if c > s:
+            # c(w) <= s(w) holds for every w (Hultman, JCTA 2011;
+            # Hultman-Linusson-Shareshian-Sjostrand, JCTA 2009)
+            raise ArithmeticError(f"{w}: c(w) = {c} > s(w) = {s}")
+        values[1] = (c, s)
+    if 2 in conditions and 2 not in values:
+        graph = graph or bruhat_graph(ctx)
+        if graph.ctx != ctx:
+            raise ValueError(f"{w} is not an element of the graph's group")
+        rows, l_d, l_t = bruhat.interval_distances(graph, row)
+        size = values[1][1] if 1 in values else len(rows)
+        if len(rows) != size:
+            # the tableau criterion and the graph search find [id, w] apart
+            raise ArithmeticError(f"{w}: s(w) = {size}, the sweep reached {len(rows)} rows")
+        found = l_d != l_t
+        rows, l_d, l_t = rows[found], l_d[found], l_t[found]
+        values[2] = {row: _first_witness(rows, l_d, l_t)}
+        for phi in bruhat.symmetry_rows(ctx):
+            values[2][int(phi[row])] = _first_witness(phi[rows], l_d, l_t)
+    return values
+
+
+def _hull_counterexample(w: Element) -> Window | None:
+    """Condition 4's counterexample window, or None if w satisfies it."""
+    if w.ctx.family == "A":
+        return diagrams.right_hull_counterexample(w)
+    return diagrams.hull_relaxed_counterexample(w)
 
 
 def classify(
@@ -133,85 +168,38 @@ def classify(
     conditions: tuple[int, ...] = ALL_CONDITIONS,
     *,
     graph: BruhatGraph | None = None,
-    chamber_cache: OrbitMemo | None = None,
+    chamber_cache: dict[tuple[GroupContext, int], dict[int, object]] | None = None,
 ) -> ClassificationReport:
     """Evaluate the requested conditions independently and cross-check.
-    Every verdict is a definite bool.
+    Every verdict is a definite bool.  Raises ValueError for an unknown
+    condition number.
 
-    `chamber_cache` is an orbit memo for conditions 1 and 2, shared by the
-    calls of one sweep; it kept its name from when it held c(w) alone.
-    `bruhat.symmetry_rows` maps w onto the other elements of its orbit
-    under Bruhat-graph automorphisms that keep l_T, so c, s and the
-    distances are the same along an orbit.  After computing c and s, or
-    the distances, for w, classify writes them under each image's key
-    (ctx, window); the image's first witness is the least image row of
-    w's witnesses, with the same (l_D, l_T).  A call that finds its own key
-    takes the values it needs and drops them, so the memo holds only
-    orbit members not yet visited.  Every element whose distances are
-    computed runs all the checks of `interval_distances`; an image inherits
-    the same values, so its checks would give the same result.  When s(w)
-    and the distances are both at hand, the number of rows the distance
-    sweep reached must be s(w), or classify raises ArithmeticError.
+    `chamber_cache` holds conditions 1 and 2 for the calls of one sweep.
+    They are constant on orbits, so its keys are (ctx, least row of an
+    orbit, from `bruhat.orbit_representatives`) and its entries {1: (c, s),
+    2: {orbit member's row: its first distance witness}}.  A call adds what
+    the entry of w's orbit lacks, computed at its least row; without a
+    cache, w's values are computed at w.
     """
-    return _classify(w, None, conditions, graph, chamber_cache)
-
-
-def _classify(
-    w: Element,
-    row: int | None,
-    conditions: tuple[int, ...],
-    graph: BruhatGraph | None,
-    chamber_cache: OrbitMemo | None,
-) -> ClassificationReport:
-    """`classify` for w = w.ctx.elements[row]; a caller that does not hold
-    the row passes None, and it is looked up only if conditions 1 or 2
-    need it."""
+    names = _condition_names(conditions)
     report = ClassificationReport(w)
     ctx = w.ctx
-    key = (ctx, w.window)  # groups of equal degree share windows
-    memo = chamber_cache.pop(key, {}) if chamber_cache is not None else {}
-    shared = {1, 2}.intersection(conditions).difference(memo)  # computed here
-    images = []
-    if 2 in shared or (shared and chamber_cache is not None):
-        if row is None:
-            row = int(bruhat.element_rows(ctx, w.window)[0])
-        images = _orbit_images(ctx, row) if chamber_cache is not None else []
-    reached = None  # #[id, w] as the distance sweep counts it
-    for num in conditions:
-        name = CONDITION_NAMES[num]
-        start = time.perf_counter()
+    if 1 in names or 2 in names:
+        row = int(bruhat.element_rows(ctx, w.window)[0])
+        if chamber_cache is None:
+            values = _orbit_values(ctx, row, names, graph, {})
+        else:  # keyed by ctx too: groups share row numbers
+            key = (ctx, int(bruhat.orbit_representatives(ctx)[row]))
+            values = chamber_cache[key] = chamber_cache.get(key, {})
+            _orbit_values(*key, names, graph, values)
+    for num, name in names.items():
         if num == 1:
-            if 1 in memo:
-                report.c, report.s = memo.pop(1)
-            else:
-                report.c = arrangements.chamber_count(w)
-                report.s = bruhat.interval_size(w)
-                for _, image in images:
-                    chamber_cache.setdefault(image, {})[1] = (report.c, report.s)
-            if report.c > report.s:
-                # c(w) <= s(w) holds for every w (Hultman, JCTA 2011;
-                # Hultman-Linusson-Shareshian-Sjostrand, JCTA 2009)
-                raise ArithmeticError(f"{w}: c(w) = {report.c} > s(w) = {report.s}")
+            report.c, report.s = values[1]
             report.conditions[name] = report.c == report.s
         elif num == 2:
-            if 2 in memo:
-                witness = memo.pop(2)
-            else:
-                graph = graph or bruhat_graph(ctx)
-                if graph.ctx != ctx:
-                    raise ValueError(f"{w} is not an element of the graph's group")
-                rows, l_d, l_t = bruhat.interval_distances(graph, row)
-                reached = len(rows)
-                found = l_d != l_t
-                rows, l_d, l_t = rows[found], l_d[found], l_t[found]
-                witness = _first_witness(rows, l_d, l_t)
-                for phi, image in images:
-                    chamber_cache.setdefault(image, {})[2] = _first_witness(
-                        phi[rows], l_d, l_t
-                    )
+            witness = values[2][row]
             if witness is not None:
-                u_row, l_d_u, l_t_u = witness
-                witness = (ctx.elements[u_row], l_d_u, l_t_u)
+                witness = (ctx.elements[witness[0]], *witness[1:])
             report.distance_witness = witness
             report.conditions[name] = witness is None
         elif num == 3:
@@ -221,26 +209,12 @@ def _classify(
             else:
                 report.conditions[name] = diagrams.is_defined_by_pseudo_inclusions(w)
         elif num == 4:
-            if w.ctx.family == "A":
-                cex = diagrams.right_hull_counterexample(w)
-            else:
-                cex = diagrams.hull_relaxed_counterexample(w)
-            report.conditions[name] = cex is None
-            report.hull_counterexample = cex
-        elif num == 5:
+            report.hull_counterexample = _hull_counterexample(w)
+            report.conditions[name] = report.hull_counterexample is None
+        else:
             ok, matched = patterns.avoids_condition5_list(w)
             report.conditions[name] = ok
             report.matched_pattern = matched
-        else:
-            raise ValueError(f"unknown condition {num}")
-        report.seconds[name] = time.perf_counter() - start
-    if reached is not None and report.s is not None and reached != report.s:
-        # the tableau criterion and the graph search find [id, w] apart
-        raise ArithmeticError(
-            f"{w}: s(w) = {report.s}, but the distance sweep reached {reached} rows"
-        )
-    if memo:
-        chamber_cache[key] = memo  # values for conditions not asked for here
     return report
 
 
@@ -266,8 +240,9 @@ class VerificationSummary:
     reports: list[ClassificationReport] = field(default_factory=list)
     elapsed: float = 0.0
     seconds: dict[str, float] = field(default_factory=dict)  # per condition
-    # per condition: rows whose values were computed; the others took them
-    # from an orbit image through the memo of `classify`
+    # per table built up front for conditions 1 and 2, outside `seconds`
+    layer_seconds: dict[str, float] = field(default_factory=dict)
+    # per condition: rows computed; the others took the least orbit row's
     rows_computed: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -283,6 +258,7 @@ class VerificationSummary:
             "hultman_count": self.hultman_count,
             "elapsed_s": self.elapsed,
             "seconds": dict(self.seconds),
+            "layer_seconds": dict(self.layer_seconds),
             "rows_computed": dict(self.rows_computed),
             "rows_from_orbit": {
                 name: self.total - rows for name, rows in self.rows_computed.items()
@@ -303,66 +279,78 @@ def verify_equivalence(
 
     Each condition fills one verdict array by row of ctx.elements.
     Conditions 3 and 5 come from one whole-group pass each
-    (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`);
-    conditions 1, 2 and 4 from `classify`, one element at a time.  The
-    calls share one orbit memo, so conditions 1 and 2 are computed once per
-    orbit of `bruhat.symmetry_rows`, at its first row, and each call is
-    handed its row.  Full reports are built only for disagreeing rows, or
-    for every row with `keep_reports`.
+    (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`).
+    Conditions 1 and 2 are computed at the least row of each orbit
+    (`bruhat.orbit_representatives`) and gathered to the rest of it, with
+    each member's own first distance witness.  Condition 4 runs on every
+    row, as only the theorem under test makes it constant on orbits.  Full
+    reports are built for disagreeing rows, or all rows with `keep_reports`.
     """
     start = time.perf_counter()
-    summary = VerificationSummary(ctx, tuple(conditions))
-    summary.seconds = {CONDITION_NAMES[c]: 0.0 for c in summary.conditions}
-    total = len(ctx.elements)
-    summary.rows_computed = {CONDITION_NAMES[c]: total for c in summary.conditions}
-    whole: dict[int, np.ndarray] = {}  # verdicts of the whole-group passes
-    if 3 in conditions:
+    names = _condition_names(conditions)
+    summary = VerificationSummary(ctx, tuple(conditions), total=len(ctx.elements))
+    seconds = summary.seconds = dict.fromkeys(names.values(), 0.0)
+    total = summary.total
+    summary.rows_computed = dict.fromkeys(names.values(), total)
+    verdicts: dict[int, np.ndarray] = {}
+    if 3 in names:
+        verdicts[3] = _timed(seconds, names[3], diagrams.defined_by_inclusions_mask, ctx)
+    if 5 in names:
+        matched, indices = _timed(seconds, names[5], patterns.condition5_matches, ctx)
+        verdicts[5] = matched < 0
+    layers = summary.layer_seconds
+    if 2 in names:  # built (and cached) up front, to time them apart from c2
+        _timed(layers, "bruhat_graph", bruhat_graph, ctx)
+        _timed(layers, "group_absolute_lengths", bruhat.group_absolute_lengths, ctx)
+    shared = [num for num in (1, 2) if num in names]
+    if shared:
+        rep = _timed(layers, "orbit_representatives", bruhat.orbit_representatives, ctx)
+        reps = np.flatnonzero(rep == np.arange(total)).tolist()
+        summary.rows_computed.update({names[num]: len(reps) for num in shared})
+        chambers = np.zeros((total, 2), dtype=np.int64)  # (c, s), at reps
+        # each row's first distance witness (row, l_D, l_T); -1s for none
+        witness = np.full((total, 3), -1, dtype=np.int64)
+        for row in reps:
+            values: dict[int, object] = {}
+            for num in shared:  # 1 first: 2 checks the sweep against s(w)
+                _timed(seconds, names[num], _orbit_values, ctx, row, (num,), None, values)
+            chambers[row] = values.get(1, 0)
+            for member, found in values.get(2, {}).items():
+                witness[member] = found or -1
+        if 1 in names:
+            verdicts[1] = (chambers[:, 0] == chambers[:, 1])[rep]
+        if 2 in names:
+            verdicts[2] = witness[rep, 0] < 0
+    if 4 in names:
         clock = time.perf_counter()
-        whole[3] = diagrams.defined_by_inclusions_mask(ctx)
-        summary.seconds[CONDITION_NAMES[3]] = time.perf_counter() - clock
-    if 5 in conditions:
-        clock = time.perf_counter()
-        matched, indices = patterns.condition5_matches(ctx)
-        whole[5] = matched < 0
-        summary.seconds[CONDITION_NAMES[5]] = time.perf_counter() - clock
-
-    per_element = tuple(c for c in summary.conditions if c not in whole)
-    verdicts = {**whole, **{c: np.empty(total, dtype=bool) for c in per_element}}
-    partial: dict[int, ClassificationReport] = {}  # rows that get a report
-    if per_element:
-        graph = bruhat_graph(ctx) if 2 in per_element else None
-        memo: OrbitMemo = {}
-        for row, w in enumerate(ctx.elements):
-            for c in memo.get((ctx, w.window), ()):
-                summary.rows_computed[CONDITION_NAMES[c]] -= 1
-            report = _classify(w, row, per_element, graph, memo)
-            for name, seconds in report.seconds.items():
-                summary.seconds[name] += seconds
-            for c in per_element:
-                verdicts[c][row] = report.conditions[CONDITION_NAMES[c]]
-            values = set(report.conditions.values())
-            values.update(bool(v[row]) for v in whole.values())
-            if keep_reports or len(values) > 1:
-                partial[row] = report
-
-    stack = np.array([verdicts[c] for c in summary.conditions], dtype=bool)
-    stack = stack.reshape(len(summary.conditions), total)
+        found = map(_hull_counterexample, ctx.elements)
+        if keep_reports:  # every row gets a report
+            found = kept = list(found)
+        verdicts[4] = np.fromiter((cex is None for cex in found), dtype=bool, count=total)
+        seconds[names[4]] = time.perf_counter() - clock
+    stack = np.array([verdicts[c] for c in names], dtype=bool).reshape(len(names), total)
     hultman = stack.all(axis=0)
     disagree = ~hultman & stack.any(axis=0)
-    summary.total = total
-    summary.hultman_count = int(hultman.sum()) if summary.conditions else 0
+    summary.hultman_count = int(hultman.sum()) if names else 0
     for row in range(total) if keep_reports else np.flatnonzero(disagree).tolist():
         w = ctx.elements[row]
-        report = partial.get(row) or ClassificationReport(w)
-        if 3 in whole:
+        report = ClassificationReport(w)
+        report.conditions = {name: bool(verdicts[c][row]) for c, name in names.items()}
+        if 1 in names:
+            report.c, report.s = chambers[rep[row]].tolist()
+        if 2 in names and witness[row, 0] >= 0:
+            u_row, l_d, l_t = witness[row].tolist()
+            report.distance_witness = (ctx.elements[u_row], l_d, l_t)
+        if 3 in names:
             report.violations = diagrams.violated_boxes(w)
-        if 5 in whole:
+        if 4 in names:
+            report.hull_counterexample = (
+                kept[row] if keep_reports else _hull_counterexample(w)
+            )
+        if 5 in names:
             report.matched_pattern = patterns.condition5_embedding(
                 ctx, int(matched[row]), indices[row]
             )
-        report.conditions = {
-            CONDITION_NAMES[c]: bool(verdicts[c][row]) for c in summary.conditions
-        }
         if disagree[row]:
             summary.disagreements.append(report)
         if keep_reports:

@@ -60,11 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Classify every element of a group and check that the computed "
             "conditions agree.  Conditions 3 and 5 are decided in one "
-            "whole-group pass each; conditions 1, 2 and 4 element by element.  "
-            "Conditions 1 and 2 are computed once per orbit of the Bruhat-graph "
-            "automorphisms w -> w^-1 (and, in type A, w -> w0 w w0), which keep "
-            "c(w), s(w) and both distances; the other elements of an orbit "
-            "take the values, and the first distance witness mapped along.  "
+            "whole-group pass each.  Conditions 1 and 2 are computed at the "
+            "least row of each orbit of the Bruhat-graph automorphisms "
+            "w -> w^-1 (and, in type A, w -> w0 w w0), which keep c(w), s(w) "
+            "and both distances, and gathered to the other elements of the "
+            "orbit, each with its first distance witness mapped along.  "
+            "Condition 4 runs on every element.  "
             "Confirmed Hultman counts (all five conditions): S_3..S_8 have 6, "
             "23, 101, 477, 2343 and 11762 and B_2..B_6 have 8, 38, 188, 949 "
             "and 4843."
@@ -158,13 +159,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"  elapsed: {summary.elapsed:.2f}s")
     for name, seconds in summary.seconds.items():
         print(f"    {name}: {seconds:.2f}s")
-    memoised = [c for c in (1, 2) if c in summary.conditions]
-    if memoised:
-        # both are computed at the same rows, the first of each orbit;
+    gathered = [c for c in (1, 2) if c in summary.conditions]
+    if gathered:
+        # both are computed at the same rows, the least of each orbit;
         # ASCII, like every other line, so that any terminal encoding prints it
-        computed = summary.rows_computed[CONDITION_NAMES[memoised[0]]]
+        computed = summary.rows_computed[CONDITION_NAMES[gathered[0]]]
         maps = "w -> w^-1" + (" and w -> w0 w w0" if ctx.family == "A" else "")
-        labels = ", ".join(f"c{c}" for c in memoised)
+        labels = ", ".join(f"c{c}" for c in gathered)
         print(f"  {labels}: {computed} of {summary.total} computed, the rest by {maps}")
     if args.json:
         with open(args.json, "w") as fh:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -9,6 +10,7 @@ from hultman.bruhat import (
     bruhat_graph,
     bruhat_leq,
     directed_distances_to,
+    orbit_representatives,
     symmetry_rows,
     window_leq,
 )
@@ -127,19 +129,28 @@ def _orbits(ctx):
 
 def _memo_sweep(ctx, rows):
     """classify with conditions 1 and 2 over `rows` in order, sharing one
-    memo, against memo-free classify; the number of rows that found their
-    values in the memo, and the memo left at the end."""
-    memo = {}
+    cache, against cache-free classify; the number of rows whose orbit
+    already had a cache entry, and the cache left at the end."""
+    cache = {}
+    rep = orbit_representatives(ctx)
     inherited = 0
     for row in rows:
         w = ctx.elements[row]
-        inherited += (ctx, w.window) in memo
-        got = classify(w, (1, 2), chamber_cache=memo)
+        inherited += (ctx, int(rep[row])) in cache
+        got = classify(w, (1, 2), chamber_cache=cache)
         expected = classify(w, (1, 2))
         assert (got.c, got.s) == (expected.c, expected.s), w
         assert got.distance_witness == expected.distance_witness, w
         assert got.conditions == expected.conditions, w
-    return inherited, memo
+    return inherited, cache
+
+
+def _assert_one_entry_per_orbit(ctx, cache, orbits):
+    # keyed by the orbit's least row, with a first witness for each member
+    assert set(cache) == {(ctx, orbit[0]) for orbit in orbits}
+    for orbit in orbits:
+        assert set(cache[ctx, orbit[0]]) == {1, 2}
+        assert set(cache[ctx, orbit[0]][2]) == set(orbit)
 
 
 SMALL_GROUPS = [context("A", n) for n in range(1, 7)] + [
@@ -149,9 +160,10 @@ SMALL_GROUPS = [context("A", n) for n in range(1, 7)] + [
 
 @pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
 def test_orbit_memo_equals_memo_free_classify(ctx):
-    inherited, memo = _memo_sweep(ctx, range(ctx.order))
-    assert inherited == ctx.order - len(_orbits(ctx))
-    assert memo == {}  # each entry is read once and dropped
+    inherited, cache = _memo_sweep(ctx, range(ctx.order))
+    orbits = _orbits(ctx)
+    assert inherited == ctx.order - len(orbits)
+    _assert_one_entry_per_orbit(ctx, cache, orbits)
 
 
 @pytest.mark.parametrize("family, rank", [("B", 5), ("A", 7)])
@@ -159,28 +171,80 @@ def test_orbit_memo_on_a_sample(family, rank):
     ctx = context(family, rank)
     orbits = random.Random(12).sample(_orbits(ctx), 60)
     rows = sorted(row for orbit in orbits for row in orbit)
-    inherited, memo = _memo_sweep(ctx, rows)
+    inherited, cache = _memo_sweep(ctx, rows)
     assert inherited == len(rows) - len(orbits)
-    assert memo == {}
+    _assert_one_entry_per_orbit(ctx, cache, orbits)
 
 
-def test_orbit_memo_keeps_values_a_call_did_not_ask_for():
+def test_orbit_memo_keeps_values_a_call_did_not_ask_for(monkeypatch):
     w = parse_element("536142", B3)
     w_inv = parse_element("462513", B3)
-    memo = {}
-    classify(w, (1,), chamber_cache=memo)
-    assert set(memo) == {(B3, w_inv.window)}
-    # condition 2 for the image leaves its condition 1 entry in place
-    report = classify(w_inv, (2,), chamber_cache=memo)
-    assert report.distance_witness == classify(w_inv, (2,)).distance_witness
-    assert memo[B3, w_inv.window].keys() == {1}
-    assert memo[B3, w.window].keys() == {2}
-    report = classify(w_inv, (1,), chamber_cache=memo)
+    expected = classify(w_inv, (2,)).distance_witness
+    calls = {"chambers": 0, "distances": 0}
+    chamber_count, interval_distances = arrangements.chamber_count, bruhat.interval_distances
+
+    def counted_chambers(w):
+        calls["chambers"] += 1
+        return chamber_count(w)
+
+    def counted_distances(graph, row):
+        calls["distances"] += 1
+        return interval_distances(graph, row)
+
+    monkeypatch.setattr(arrangements, "chamber_count", counted_chambers)
+    monkeypatch.setattr(bruhat, "interval_distances", counted_distances)
+    rows = bruhat.element_rows(B3, [w.window, w_inv.window]).tolist()
+    key = (B3, min(rows))
+    cache = {}
+    classify(w, (1,), chamber_cache=cache)
+    assert set(cache) == {key} and set(cache[key]) == {1}
+    # condition 2 for the image adds its values beside condition 1's
+    report = classify(w_inv, (2,), chamber_cache=cache)
+    assert report.distance_witness == expected
+    assert set(cache[key]) == {1, 2} and set(cache[key][2]) == set(rows)
+    report = classify(w_inv, (1,), chamber_cache=cache)
     assert (report.c, report.s) == (26, 28)
-    report = classify(w, (1, 2), chamber_cache=memo)
+    report = classify(w, (1, 2), chamber_cache=cache)
     assert str(report.distance_witness[0]) == "142536"
-    assert (report.c, report.s) == (26, 28)  # computed again, not in the memo
-    assert set(memo) == {(B3, w_inv.window)}
+    assert (report.c, report.s) == (26, 28)
+    assert calls == {"chambers": 1, "distances": 1}  # once for the orbit
+    assert set(cache) == {key}
+
+
+@pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
+def test_orbit_representatives_are_the_least_row_of_each_orbit(ctx):
+    expected = np.empty(ctx.order, dtype=np.int64)
+    for orbit in _orbits(ctx):
+        expected[list(orbit)] = orbit[0]
+    rep = orbit_representatives(ctx)
+    assert np.array_equal(rep, expected)
+    assert not rep.flags.writeable
+
+
+@pytest.mark.parametrize("family, rank, count", [("B", 5, 2076), ("A", 7, 1388)])
+def test_orbit_representative_counts(family, rank, count):
+    ctx = context(family, rank)
+    rep = orbit_representatives(ctx)
+    assert int((rep == np.arange(ctx.order)).sum()) == count
+
+
+@pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
+def test_verify_gathers_the_values_of_cache_free_classify(ctx):
+    summary = verify_equivalence(ctx, (1, 2), keep_reports=True)
+    assert [r.element for r in summary.reports] == list(ctx.elements)
+    for report in summary.reports:
+        expected = classify(report.element, (1, 2))
+        assert (report.c, report.s) == (expected.c, expected.s), report.element
+        assert report.distance_witness == expected.distance_witness, report.element
+        assert report.conditions == expected.conditions, report.element
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: classify(B3.identity, (1, 6)), lambda: verify_equivalence(B2, (6,))]
+)
+def test_an_unknown_condition_number_raises_value_error(call):
+    with pytest.raises(ValueError, match="unknown condition 6"):
+        call()
 
 
 @pytest.mark.parametrize("ctx", [context("A", 5), B3], ids=lambda c: c.name)
@@ -204,6 +268,9 @@ def test_verify_computes_conditions_1_and_2_once_per_orbit(monkeypatch, ctx):
     assert summary.rows_computed == {
         "chambers": orbits, "distance": orbits, "pseudo_inclusions": ctx.order
     }
+    assert set(summary.layer_seconds) == {
+        "bruhat_graph", "group_absolute_lengths", "orbit_representatives"
+    }
     doc = summary.to_json_dict()
     assert doc["rows_computed"] == summary.rows_computed
     assert doc["rows_from_orbit"] == {
@@ -219,12 +286,19 @@ def test_verify_computes_conditions_1_and_2_once_per_orbit(monkeypatch, ctx):
 )
 def test_whole_group_verdicts_are_invariant_under_the_symmetries(ctx):
     # no oracle needed: conditions 3 and 5 are constant on the orbits of
-    # every Bruhat-graph automorphism that keeps l_T
+    # every Bruhat-graph automorphism that keeps l_T.  Condition 4 is too,
+    # but only because it is equivalent to them: that is why verify decides
+    # it on every row and does not gather it from the representatives
     defined = diagrams.defined_by_inclusions_mask(ctx)
     avoids = patterns.condition5_matches(ctx)[0] < 0
+    hull = None
+    if ctx.rank <= (6 if ctx.family == "A" else 4):
+        hull = np.array([classify(w, (4,)).is_hultman for w in ctx.elements])
     for phi in symmetry_rows(ctx):
         assert np.array_equal(defined[phi], defined)
         assert np.array_equal(avoids[phi], avoids)
+        if hull is not None:
+            assert np.array_equal(hull[phi], hull)
 
 
 def test_classify_type_a_uses_plain_inclusions_and_hull():
@@ -319,6 +393,7 @@ def test_verify_reports_a_whole_group_disagreement(monkeypatch, flipped):
             return pattern, indices
         monkeypatch.setattr(patterns, "condition5_matches", wrong)
     summary = verify_equivalence(B3, (1, 3, 5))
+    assert set(summary.layer_seconds) == {"orbit_representatives"}
     (report,) = summary.disagreements
     assert report.element == w
     assert summary.hultman_count == 38
@@ -334,17 +409,20 @@ def test_verify_reports_a_whole_group_disagreement(monkeypatch, flipped):
 
 
 def test_verify_never_decides_conditions_3_and_5_per_element(monkeypatch):
-    def per_element(w):
+    def per_element(w, *args, **kwargs):
         raise AssertionError(f"per-element verdict for {w}")
 
     monkeypatch.setattr(patterns, "avoids_condition5_list", per_element)
     monkeypatch.setattr(diagrams, "is_defined_by_pseudo_inclusions", per_element)
+    # nor through classify, which verify no longer calls at all
+    monkeypatch.setattr(importlib.import_module("hultman.classify"), "classify", per_element)
     summary = verify_equivalence(B3, keep_reports=True)
     assert summary.ok and summary.hultman_count == 38
 
 
 def test_verify_counts_agree_with_the_verdict_arrays():
     summary = verify_equivalence(context("A", 5), (3, 5))
+    assert summary.layer_seconds == {}  # no shared table is needed
     defined = diagrams.defined_by_inclusions_mask(context("A", 5))
     pattern, _ = patterns.condition5_matches(context("A", 5))
     assert np.array_equal(defined, pattern < 0)

@@ -100,7 +100,12 @@ def test_verify_reports_seconds_per_condition(tmp_path, capsys):
     names = {"chambers", "distance", "pseudo_inclusions", "relaxed_hull", "bp_avoidance"}
     assert set(doc["seconds"]) == names
     assert all(s >= 0 for s in doc["seconds"].values())
-    assert sum(doc["seconds"].values()) <= doc["elapsed_s"]
+    layers = {"bruhat_graph", "group_absolute_lengths", "orbit_representatives"}
+    assert set(doc["layer_seconds"]) == layers
+    assert all(s >= 0 for s in doc["layer_seconds"].values())
+    assert sum(doc["seconds"].values()) + sum(doc["layer_seconds"].values()) <= (
+        doc["elapsed_s"]
+    )
     for name in names:
         assert f"    {name}: " in out
 
