@@ -15,7 +15,10 @@ kernel on a batch of one (one interpreter, 2 shared CPUs).
 The right hull tests are exact and always definite.  The bounds of H(w)
 are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
 dynamic program per coessential box find the largest r_u(p,q) inside it.
-The tests check it against an enumeration of H(w), which stays with them.
+The type B relaxation keeps one board per box too: it cuts the same
+program's states after position n to the windows with r_u(n+1,n) <= 1.
+The tests check both against an enumeration of H(w) and a Hungarian
+solver, which stay with them.
 
 Grid coordinates follow the matrix convention: p is the row (a value),
 q is the column (a position).  For type B elements everything is computed
@@ -143,11 +146,11 @@ def _best_hull_window(
     hi: Sequence[int],
     p: int,
     q: int,
-    forced: tuple[int, int] | None = None,
+    central: int | None = None,
 ) -> Window | None:
     """A window u with lo_k <= u(k) <= hi_k maximising r_u(p,q), or None
-    when the bounds hold no window.  `forced` = (k0, v0) also asks for
-    u(k0) = v0.
+    when the bounds hold no window.  With `central` = n, only windows with
+    r_u(n+1,n) <= 1 compete.
 
     Uncrossing: lo and hi are nondecreasing, so swapping an inverted pair
     of values keeps u inside the bounds, and some maximiser fills the low
@@ -155,24 +158,15 @@ def _best_hull_window(
     sweep over positions k keeps the best score for each count i of low
     values placed: k takes low value i+1 or high value p+k-1-i, only inside
     [lo_k, hi_k], and scores when it takes a high value with k <= q.
-    A forced cell deletes position k0 and value v0, shifting later ones
-    (and the bounds, which stay nondecreasing) down by one; the box becomes
-    (p - [v0 < p], q - [k0 <= q]).
-    """
-    if forced is not None:
-        k0, v0 = forced
-        u = _best_hull_window(
-            [v - (v > v0) for k, v in enumerate(lo, 1) if k != k0],
-            [v - (v >= v0) for k, v in enumerate(hi, 1) if k != k0],
-            p - (v0 < p),
-            q - (k0 <= q),
-        )
-        if u is None:
-            return None
-        window = [v + (v >= v0) for v in u]
-        window.insert(k0 - 1, v0)
-        return tuple(window)
 
+    The central cut is exact.  Swapping two inverted low values, or two
+    inverted high values, keeps r_u(p,q) and moves u down in Bruhat order,
+    so it never raises r_u(n+1,n): among the windows with r_u(n+1,n) <= 1,
+    too, some maximiser has the sweep's form.  In that form positions 1..n
+    hold the low values 1..i (all <= n) and the high values p..p+n-1-i, so
+    r_u(n+1,n) = max(0, n - i - max(0, n+1-p)) is fixed by the state i
+    after position n, and the states above 1 are dropped there.
+    """
     score = [0] + [-1] * (p - 1)  # by count of low values; -1: unreachable
     took_low = []
     for k, (low_k, high_k) in enumerate(zip(lo, hi), start=1):
@@ -185,6 +179,9 @@ def _best_hull_window(
                 nxt[i] = score[i] + gain
             if i and score[i - 1] > nxt[i] and low_k <= i <= high_k:
                 nxt[i], via_low[i] = score[i - 1], True
+        if k == central:  # keep the states i with n - i - max(0, n+1-p) <= 1
+            cut = max(0, k - 1 - max(0, k + 1 - p))
+            nxt[:cut] = [-1] * cut
         score = nxt
         took_low.append(via_low)
     i = p - 1
@@ -200,17 +197,16 @@ def _best_hull_window(
     return tuple(u)
 
 
-def _hull_counterexample(
-    w: Element, bounds: HullBounds, forced: tuple[int, int] | None = None
-) -> Window | None:
-    """A window inside the bounds (with the forced cell, if any) that is not
-    <= w.
+def _hull_counterexample(w: Element, central: int | None) -> Window | None:
+    """A window inside H(w), with r_u(n+1,n) <= 1 when `central` = n, that
+    is not <= w.
 
     u <= w fails exactly when r_u(p,q) > r for some coessential box (p,q,r)
     of w, so one maximising window per box decides the question.
     """
+    bounds = hull_bounds(w)
     for p, q, r in coessential_boxes(w.window):
-        u = _best_hull_window(bounds.lo, bounds.hi, p, q, forced)
+        u = _best_hull_window(bounds.lo, bounds.hi, p, q, central)
         if u is not None and window_rank(u, p, q) > r:
             return u
     return None
@@ -220,14 +216,7 @@ def right_hull_counterexample(w: Element) -> Window | None:
     """A permutation inside H(w) that is not <= w, or None when the right
     hull condition holds.  Exact, with one dynamic program per coessential
     box."""
-    return _hull_counterexample(w, hull_bounds(w))
-
-
-def _without_quadrant(bounds: HullBounds, n: int) -> HullBounds:
-    """The bounds with the central quadrant k <= n < v blocked:
-    hi_k := min(hi_k, n) for k <= n, which keeps hi nondecreasing."""
-    hi = tuple(min(h, n) if k <= n else h for k, h in enumerate(bounds.hi, 1))
-    return HullBounds(bounds.lo, hi)
+    return _hull_counterexample(w, None)
 
 
 def hull_relaxed_counterexample(w: Element) -> Window | None:
@@ -236,41 +225,19 @@ def hull_relaxed_counterexample(w: Element) -> Window | None:
 
     The condition holds when the plain one does over all u in S_{2n}, or
     when r_w(n+1,n) = 1 and every u inside H(w) with r_u(n+1,n) <= 1 is
-    <= w.  The windows with r_u(n+1,n) <= 1 use no cell of the central
-    quadrant k <= n < u(k), or exactly one.  The first family lies inside
-    the bounds with hi_k capped at n for k <= n; for each quadrant cell
-    (k0, v0) inside H(w), the second lies inside those capped bounds with
-    the cell forced.  Each is one more board for the dynamic program,
-    tried only when the plain test's counterexample has r_u(n+1,n) >= 2.
-    Windows range over all of S_{2n}, not only over B_n.
+    <= w.  Those windows are some of H(w)'s, so the plain test decides
+    unless r_w(n+1,n) = 1, and then the dynamic program cuts its states
+    after position n to the windows with r_u(n+1,n) <= 1.  The cut is
+    exact: the uncrossing swaps keep u inside H(w) and keep r_u(p,q), but
+    move u down in Bruhat order, so they never raise r_u(n+1,n); and in
+    the uncrossed form the state after position n fixes r_u(n+1,n) (see
+    `_best_hull_window`).  Either way there is one board per coessential
+    box.  Windows range over all of S_{2n}, not only over B_n.
     """
     if w.ctx.family != "B":
         raise ValueError("the relaxed right hull condition is a type B notion")
     n = w.ctx.rank
-    bounds = hull_bounds(w)
-    cex = _hull_counterexample(w, bounds)
-    if (
-        cex is None
-        or window_rank(w.window, n + 1, n) != 1
-        or window_rank(cex, n + 1, n) <= 1
-    ):
-        return cex
-
-    capped = _without_quadrant(bounds, n)
-    cells = [
-        (k0, v0)
-        for k0 in range(1, n + 1)
-        for v0 in range(max(n + 1, bounds.lo[k0 - 1]), bounds.hi[k0 - 1] + 1)
-    ]
-    # No cell with v0 = hi_k0 is known to decide a verdict: a scan of every
-    # element of B_7 found 6286 that reach these boards and 1076 refuted,
-    # none of them first on such a cell.  Without a proof that those cells
-    # are redundant, every cell of the quadrant inside H(w) is tried.
-    for forced in [None] + cells:
-        cex = _hull_counterexample(w, capped, forced)
-        if cex is not None:
-            return cex
-    return None
+    return _hull_counterexample(w, n if window_rank(w.window, n + 1, n) == 1 else None)
 
 
 def _mirror_box(box: tuple[int, int], n: int) -> tuple[int, int]:

@@ -107,12 +107,6 @@ class ParabolicEmbedding:
             return context("B", len(self.indices) // 2)
         return context("A", len(self.indices))
 
-    def generator_images(self) -> tuple[Element, ...]:
-        """The canonical images of the pattern group's simple generators."""
-        return tuple(
-            embed_pattern(self, s) for s in self.pattern_ctx.generators
-        )
-
 
 def flatten(w: Element, emb: ParabolicEmbedding) -> Element:
     """The flattening of w to the parabolic, as a pattern-group element.
@@ -123,22 +117,6 @@ def flatten(w: Element, emb: ParabolicEmbedding) -> Element:
         raise ValueError("element and embedding live in different hosts")
     values = [w.window[i - 1] for i in emb.indices]
     return Element(relative_order(values), emb.pattern_ctx)
-
-
-def embed_pattern(emb: ParabolicEmbedding, v: Element) -> Element:
-    """The canonical isomorphism applied to a pattern element: v permutes
-    the embedding's positions (mirrored on the complement for A-in-B)."""
-    if v.ctx != emb.pattern_ctx:
-        raise ValueError(f"{v} does not live in the pattern group of {emb}")
-    n = emb.host.degree
-    win = list(range(1, n + 1))
-    idx = emb.indices
-    for j, i in enumerate(idx, start=1):
-        win[i - 1] = idx[v.window[j - 1] - 1]
-    if emb.kind == "A-in-B":
-        for j, i in enumerate(idx, start=1):
-            win[n - i] = n + 1 - idx[v.window[j - 1] - 1]
-    return Element(tuple(win), emb.host)
 
 
 def a_in_b_index_sets(n: int, m: int) -> Iterator[tuple[int, ...]]:

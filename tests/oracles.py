@@ -45,6 +45,7 @@ from hultman.groups import (
     invert_window,
     signed_window,
 )
+from hultman.patterns import ParabolicEmbedding
 
 RankGrid = tuple[tuple[int, ...], ...]
 
@@ -516,3 +517,27 @@ def coxeter_coessential(w: Element) -> tuple[Element, ...]:
         if not any(window_leq(m.window, v.window) for m in minimal):
             minimal.append(v)
     return tuple(minimal)
+
+
+# --- patterns ---------------------------------------------------------------
+
+
+def embed_pattern(emb: ParabolicEmbedding, v: Element) -> Element:
+    """The canonical isomorphism applied to a pattern element: v permutes
+    the embedding's positions (mirrored on the complement for A-in-B)."""
+    if v.ctx != emb.pattern_ctx:
+        raise ValueError(f"{v} does not live in the pattern group of {emb}")
+    n = emb.host.degree
+    win = list(range(1, n + 1))
+    idx = emb.indices
+    for j, i in enumerate(idx, start=1):
+        win[i - 1] = idx[v.window[j - 1] - 1]
+    if emb.kind == "A-in-B":
+        for j, i in enumerate(idx, start=1):
+            win[n - i] = n + 1 - idx[v.window[j - 1] - 1]
+    return Element(tuple(win), emb.host)
+
+
+def generator_images(emb: ParabolicEmbedding) -> tuple[Element, ...]:
+    """The canonical images of the pattern group's simple generators."""
+    return tuple(embed_pattern(emb, s) for s in emb.pattern_ctx.generators)

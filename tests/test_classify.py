@@ -269,7 +269,8 @@ def test_verify_computes_conditions_1_and_2_once_per_orbit(monkeypatch, ctx):
         "chambers": orbits, "distance": orbits, "pseudo_inclusions": ctx.order
     }
     assert set(summary.layer_seconds) == {
-        "bruhat_graph", "group_absolute_lengths", "orbit_representatives"
+        "elements", "group_rank_grids", "bruhat_graph", "group_absolute_lengths",
+        "orbit_representatives",
     }
     doc = summary.to_json_dict()
     assert doc["rows_computed"] == summary.rows_computed
@@ -393,7 +394,9 @@ def test_verify_reports_a_whole_group_disagreement(monkeypatch, flipped):
             return pattern, indices
         monkeypatch.setattr(patterns, "condition5_matches", wrong)
     summary = verify_equivalence(B3, (1, 3, 5))
-    assert set(summary.layer_seconds) == {"orbit_representatives"}
+    assert set(summary.layer_seconds) == {
+        "elements", "group_rank_grids", "orbit_representatives"
+    }
     (report,) = summary.disagreements
     assert report.element == w
     assert summary.hultman_count == 38
@@ -422,7 +425,8 @@ def test_verify_never_decides_conditions_3_and_5_per_element(monkeypatch):
 
 def test_verify_counts_agree_with_the_verdict_arrays():
     summary = verify_equivalence(context("A", 5), (3, 5))
-    assert summary.layer_seconds == {}  # no shared table is needed
+    # condition 3 reads the rank grids; no table of conditions 1 and 2 is built
+    assert set(summary.layer_seconds) == {"elements", "group_rank_grids"}
     defined = diagrams.defined_by_inclusions_mask(context("A", 5))
     pattern, _ = patterns.condition5_matches(context("A", 5))
     assert np.array_equal(defined, pattern < 0)

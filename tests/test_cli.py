@@ -100,7 +100,10 @@ def test_verify_reports_seconds_per_condition(tmp_path, capsys):
     names = {"chambers", "distance", "pseudo_inclusions", "relaxed_hull", "bp_avoidance"}
     assert set(doc["seconds"]) == names
     assert all(s >= 0 for s in doc["seconds"].values())
-    layers = {"bruhat_graph", "group_absolute_lengths", "orbit_representatives"}
+    layers = {
+        "elements", "group_rank_grids", "bruhat_graph", "group_absolute_lengths",
+        "orbit_representatives",
+    }
     assert set(doc["layer_seconds"]) == layers
     assert all(s >= 0 for s in doc["layer_seconds"].values())
     assert sum(doc["seconds"].values()) + sum(doc["layer_seconds"].values()) <= (

@@ -9,7 +9,6 @@ from hultman.bruhat import bruhat_leq, window_leq, window_rank
 from hultman.diagrams import (
     CoessBox,
     _best_hull_window,
-    _without_quadrant,
     coessential_set,
     defined_by_inclusions_mask,
     hull_bounds,
@@ -25,6 +24,7 @@ from hultman.groups import (
     compose,
     context,
     coxeter_length,
+    element_from_signed,
     parse_element,
 )
 from oracles import (
@@ -185,14 +185,15 @@ def test_relaxed_right_hull_examples():
 @pytest.mark.parametrize("text", ["c4325678ba91", "c4326587ba91"])
 def test_relaxed_hull_refuted_on_the_quadrant_capped_board(text):
     # r_w(7,6) = 1 and the plain counterexample has r_u(7,6) >= 2, so the
-    # restricted boards decide; the first to refute is the board with the
-    # whole central quadrant blocked, giving a window with r_u(7,6) = 0
+    # windows with r_u(7,6) <= 1 decide; a board with the whole central
+    # quadrant blocked refutes w with r_u(7,6) = 0, and the central cut of
+    # the dynamic program finds a refuting window with r_u(7,6) = 1
     w = parse_element(text, context("B", 6))
     assert window_rank(w.window, 7, 6) == 1
     assert window_rank(right_hull_counterexample(w), 7, 6) >= 2
     cex = hull_relaxed_counterexample(w)
-    assert cex == (1, 2, 5, 6, 3, 4, 7, 8, 9, 10, 11, 12)
-    assert window_rank(cex, 7, 6) == 0
+    assert cex == (1, 5, 6, 7, 2, 3, 4, 8, 9, 10, 11, 12)
+    assert window_rank(cex, 7, 6) == 1
 
 
 def _enumerated_hull_counterexample(w):
@@ -318,21 +319,20 @@ def oracle_best_hull_window(bounds, p, q, blocked=frozenset()):
     return tuple(j + 1 for j in cols)
 
 
-def _hull_boards(w):
-    """(bounds, forced cell, blocked cells) of each board the hull tests
-    solve for w: the plain board and, in type B, the central quadrant
-    blocked and each quadrant cell inside the hull forced.  The bounds and
-    forced cell feed the dynamic program; the blocked cells feed the
-    oracle, which always works on the plain bounds."""
-    bounds = hull_bounds(w)
-    yield bounds, None, frozenset()
-    if w.ctx.family != "B":
+def _hull_boards(w, central):
+    """Blocked cells of each board on which the oracle maximises r_u(p,q)
+    over H(w): the plain board when `central` is None, and otherwise the
+    windows with r_u(n+1,n) <= 1, n = central.  Those use no cell of the
+    central quadrant k <= n < v, which is one board with the quadrant
+    blocked, or exactly one, which is one board per quadrant cell inside
+    the hull with that cell forced."""
+    if central is None:
+        yield frozenset()
         return
-    n = w.ctx.rank
-    size = 2 * n
+    bounds = hull_bounds(w)
+    n, size = central, w.degree
     quadrant = {(k, v) for k in range(1, n + 1) for v in range(n + 1, size + 1)}
-    capped = _without_quadrant(bounds, n)
-    yield capped, None, frozenset(quadrant)
+    yield frozenset(quadrant)
     for k0, v0 in sorted(quadrant):
         if bounds.lo[k0 - 1] <= v0 <= bounds.hi[k0 - 1]:
             blocked = (
@@ -340,23 +340,30 @@ def _hull_boards(w):
                 | {(k0, v) for v in range(1, size + 1) if v != v0}
                 | {(k, v0) for k in range(1, size + 1) if k != k0}
             )
-            yield capped, (k0, v0), frozenset(blocked)
+            yield frozenset(blocked)
 
 
 def _assert_hull_dp_matches_oracle(w):
+    """The dynamic program on H(w), plain and in type B also cut at the
+    central box, finds a window with the best r_u(p,q) of the oracle's
+    boards for each coessential box (p,q) of w, or None iff they all do."""
     hull = hull_bounds(w)
-    for bounds, forced, blocked in _hull_boards(w):
+    n = w.ctx.rank
+    for central in (None, n) if w.ctx.family == "B" else (None,):
         for p, q, _ in boxes(w):
-            u = _best_hull_window(bounds.lo, bounds.hi, p, q, forced)
-            expected = oracle_best_hull_window(hull, p, q, blocked)
-            case = (str(w), p, q, forced)
-            assert (u is None) == (expected is None), case
+            u = _best_hull_window(hull.lo, hull.hi, p, q, central)
+            boards = _hull_boards(w, central)
+            found = [oracle_best_hull_window(hull, p, q, blocked) for blocked in boards]
+            found = [x for x in found if x is not None]
+            case = (str(w), p, q, central)
+            assert (u is None) == (not found), case
             if u is None:
                 continue
-            assert window_rank(u, p, q) == window_rank(expected, p, q), case
+            assert window_rank(u, p, q) == max(window_rank(x, p, q) for x in found), case
             assert sorted(u) == list(range(1, w.degree + 1)), case
             assert window_in_hull(u, hull), case
-            assert not any((k, v) in blocked for k, v in enumerate(u, 1)), case
+            if central is not None:
+                assert window_rank(u, n + 1, n) <= 1, case
 
 
 @pytest.mark.parametrize(
@@ -372,14 +379,49 @@ def test_hull_dp_matches_hungarian_oracle_on_b5_sample():
         _assert_hull_dp_matches_oracle(w)
 
 
+def _reaches_the_central_cut(w):
+    """r_w(n+1,n) = 1, and the plain right hull test refutes w only with a
+    window of r_u(n+1,n) >= 2, so the cut board must decide."""
+    n = w.ctx.rank
+    plain = right_hull_counterexample(w)
+    return (
+        window_rank(w.window, n + 1, n) == 1
+        and plain is not None
+        and window_rank(plain, n + 1, n) >= 2
+    )
+
+
+def test_hull_dp_matches_hungarian_oracle_on_b6_central_cut_sample():
+    # 1153 of B_6's 46080 elements reach the cut; draw signed windows at
+    # random rather than enumerate the group
+    rng = random.Random(6)
+    sample = []
+    while len(sample) < 60:
+        sigma = [v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), 6)]
+        w = element_from_signed(sigma, 6)
+        if _reaches_the_central_cut(w):
+            sample.append(w)
+    for w in sample:
+        _assert_hull_dp_matches_oracle(w)
+        cex = hull_relaxed_counterexample(w)
+        if cex is not None:
+            assert window_in_hull(cex, hull_bounds(w)), (w, cex)
+            assert not window_leq(cex, w.window), (w, cex)
+            assert window_rank(cex, 7, 6) <= 1, (w, cex)
+
+
 def test_hull_dp_handles_empty_and_forced_boards():
-    # no window fits when two positions share a single value; a forced cell
-    # outside the remaining bounds leaves none either
+    # no window fits when two positions share a single value
     assert _best_hull_window((1, 1), (1, 1), 2, 1) is None
     tight = (1, 2, 3)
     assert _best_hull_window(tight, tight, 2, 2) == (1, 2, 3)
-    assert _best_hull_window(tight, tight, 2, 2, forced=(2, 2)) == (1, 2, 3)
-    assert _best_hull_window(tight, tight, 2, 2, forced=(1, 2)) is None
+    # on the full board the plain best puts 3 and 4 first, r_u(3,2) = 2;
+    # the cut at n = 2 keeps r_u(3,2) <= 1
+    full_lo, full_hi = (1, 1, 1, 1), (4, 4, 4, 4)
+    plain = _best_hull_window(full_lo, full_hi, 3, 2)
+    assert window_rank(plain, 3, 2) == 2
+    cut = _best_hull_window(full_lo, full_hi, 3, 2, central=2)
+    assert window_rank(cut, 3, 2) == 1
 
 
 def test_hull_equiv_check():
