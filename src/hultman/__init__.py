@@ -20,11 +20,10 @@ from .bruhat import (
     BruhatGraph,
     bruhat_graph,
     bruhat_leq,
+    coessential_boxes,
     interval_size,
 )
 from .diagrams import (
-    CoessBox,
-    coessential_set,
     defined_by_inclusions_mask,
     hull_bounds,
     hull_relaxed_counterexample,

@@ -19,7 +19,6 @@ Condition numbering (CLI `--conditions`):
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +27,6 @@ import numpy as np
 from . import arrangements, bruhat, diagrams, patterns
 from .bruhat import BruhatGraph, bruhat_graph
 from .bruhat import group_absolute_lengths  # noqa: F401  (still importable from here)
-from .diagrams import CoessBox
 from .groups import (
     Element,
     GroupContext,
@@ -56,7 +54,7 @@ class ClassificationReport:
     c: int | None = None
     s: int | None = None
     distance_witness: tuple[Element, int, int] | None = None  # (u, l_D, l_T)
-    violations: tuple[CoessBox, ...] = ()
+    violations: tuple[diagrams.Box, ...] = ()  # violated (p, q, r) of E(w)
     hull_counterexample: Window | None = None
     matched_pattern: tuple[Element, patterns.ParabolicEmbedding] | None = None
 
@@ -86,9 +84,7 @@ class ClassificationReport:
                 if witness
                 else []
             ),
-            "violations": [
-                {"p": b.p, "q": b.q, "r": b.r} for b in self.violations
-            ],
+            "violations": [{"p": p, "q": q, "r": r} for p, q, r in self.violations],
             "hull_counterexample": (
                 format_window(self.hull_counterexample)
                 if self.hull_counterexample is not None
@@ -553,6 +549,3 @@ def witness_table() -> list[PatternWitnessReport]:
         reports.append(report)
     return reports
 
-
-def witness_table_json(reports: list[PatternWitnessReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)

@@ -12,6 +12,7 @@ import sys
 from typing import Sequence
 
 from . import arrangements, diagrams, patterns
+from .bruhat import coessential_boxes
 from .classify import (
     ALL_CONDITIONS,
     CONDITION_NAMES,
@@ -19,7 +20,6 @@ from .classify import (
     find_minimal_non_hultman,
     verify_equivalence,
     witness_table,
-    witness_table_json,
 )
 from .groups import Element, context, coxeter_length, format_window, parse_element
 
@@ -122,12 +122,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if report.c is not None:
         print(f"  c(w) = {report.c}, s(w) = {report.s}")
     if args.explain:
-        print(f"  E(w)  = {[(b.p, b.q, b.r) for b in diagrams.coessential_set(w)]}")
+        print(f"  E(w)  = {list(coessential_boxes(w.window))}")
         if w.ctx.family == "B":
-            eprime = diagrams.reduced_coessential(w)
-            print(f"  E'(w) = {[(b.p, b.q, b.r) for b in eprime]}")
+            print(f"  E'(w) = {list(diagrams.reduced_coessential(w))}")
         if report.violations:
-            print(f"  violated boxes: {[(b.p, b.q, b.r) for b in report.violations]}")
+            print(f"  violated boxes: {list(report.violations)}")
         if report.distance_witness:
             u, ld, lt = report.distance_witness
             print(f"  distance witness: u = {u}, l_D = {ld}, l_T = {lt}")
@@ -238,7 +237,7 @@ def _cmd_witnesses(args: argparse.Namespace) -> int:
             print(f"  unlisted witness u={u}: ({ld},{lt})")
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(witness_table_json(reports))
+            json.dump([r.to_json_dict() for r in reports], fh, indent=2)
     return 0
 
 
@@ -260,7 +259,7 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
 def _parse_with_rank(text: str, family: str) -> Element:
     """Parse element text whose rank is its number of signed-window entries,
     or of digits (halved in type B)."""
-    if "," in text:
+    if "," in text or text.strip().startswith("-"):
         rank = len(text.split(","))
     else:
         rank = len(text.strip()) if family == "A" else len(text.strip()) // 2

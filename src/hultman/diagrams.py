@@ -2,6 +2,11 @@
 (relaxed) right hull tests of condition 4, and the reduced coessential set
 E'(w).
 
+A coessential box is the triple (p, q, r_w(p,q)) that
+`bruhat.coessential_boxes` returns.  E(w) is `coessential_boxes(w.window)`;
+E'(w) and the violated boxes are tuples of such triples too, in the same
+sorted order.  The right hull H(w) is the pair (lo, hi) of `hull_bounds`.
+
 Condition 3 has two paths, chosen by input size.  For a whole group,
 `defined_by_inclusions_mask` marks the coessential boxes of every element
 at once from the window matrix and its inverse and compares them with the
@@ -26,7 +31,7 @@ in the embedded S_{2n} picture; the central box is (n+1, n).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -41,27 +46,19 @@ from .bruhat import (
 from .bruhat import window_leq  # noqa: F401  (perfbench counts calls at this binding)
 from .groups import BLOCK_ROWS, Element, GroupContext, Window
 
-
-@dataclass(frozen=True, order=True)
-class CoessBox:
-    p: int
-    q: int
-    r: int
-
-
-def coessential_set(w: Element) -> tuple[CoessBox, ...]:
-    """E(w): the northeast-most diagram boxes, with their rank values."""
-    return tuple(CoessBox(p, q, r) for p, q, r in coessential_boxes(w.window))
+Box = tuple[int, int, int]  # (p, q, r_w(p,q))
 
 
 def identity_rank(p: int, q: int) -> int:
     return max(0, q - p + 1)
 
 
-def violated_boxes(w: Element) -> tuple[CoessBox, ...]:
+def violated_boxes(w: Element) -> tuple[Box, ...]:
     """Coessential boxes whose rank exceeds the identity bound."""
     return tuple(
-        b for b in coessential_set(w) if b.r != identity_rank(b.p, b.q)
+        (p, q, r)
+        for p, q, r in coessential_boxes(w.window)
+        if r != identity_rank(p, q)
     )
 
 
@@ -75,10 +72,7 @@ def is_defined_by_pseudo_inclusions(w: Element) -> bool:
     if w.ctx.family != "B":
         raise ValueError("pseudo-inclusions are defined for type B elements only")
     n = w.ctx.rank
-    for b in violated_boxes(w):
-        if not (b.p == n + 1 and b.q == n and b.r == 1):
-            return False
-    return True
+    return all(b == (n + 1, n, 1) for b in violated_boxes(w))
 
 
 def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:
@@ -113,32 +107,13 @@ def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:
     return defined
 
 
-@dataclass(frozen=True)
-class HullBounds:
-    """Per-column value intervals of the right hull.
-
-    (i, j) lies in the hull iff lo[j-1] <= i <= hi[j-1], where
-    lo_j = min_{k>=j} w(k) and hi_j = max_{k<=j} w(k).
-    """
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-
-
-def hull_bounds(w: Element) -> HullBounds:
+def hull_bounds(w: Element) -> tuple[Window, Window]:
+    """H(w) as (lo, hi): (i, j) lies in the hull iff lo[j-1] <= i <= hi[j-1],
+    where lo_j = min_{k>=j} w(k) and hi_j = max_{k<=j} w(k).  Both are
+    nondecreasing."""
     win = w.window
-    n = len(win)
-    hi = []
-    m = 0
-    for v in win:
-        m = max(m, v)
-        hi.append(m)
-    lo = [0] * n
-    m = n + 1
-    for j in range(n - 1, -1, -1):
-        m = min(m, win[j])
-        lo[j] = m
-    return HullBounds(tuple(lo), tuple(hi))
+    lo = tuple(accumulate(reversed(win), min))[::-1]
+    return lo, tuple(accumulate(win, max))
 
 
 def _best_hull_window(
@@ -204,9 +179,9 @@ def _hull_counterexample(w: Element, central: int | None) -> Window | None:
     u <= w fails exactly when r_u(p,q) > r for some coessential box (p,q,r)
     of w, so one maximising window per box decides the question.
     """
-    bounds = hull_bounds(w)
+    lo, hi = hull_bounds(w)
     for p, q, r in coessential_boxes(w.window):
-        u = _best_hull_window(bounds.lo, bounds.hi, p, q, central)
+        u = _best_hull_window(lo, hi, p, q, central)
         if u is not None and window_rank(u, p, q) > r:
             return u
     return None
@@ -245,7 +220,7 @@ def _mirror_box(box: tuple[int, int], n: int) -> tuple[int, int]:
     return (2 * n + 2 - p, 2 * n - q)
 
 
-def reduced_coessential(w: Element) -> tuple[CoessBox, ...]:
+def reduced_coessential(w: Element) -> tuple[Box, ...]:
     """E'(w): the minimal centrally symmetric subset of E(w) whose rank
     conditions still cut out [id, w] within B_n.
 
@@ -256,7 +231,7 @@ def reduced_coessential(w: Element) -> tuple[CoessBox, ...]:
     if w.ctx.family != "B":
         raise ValueError("E'(w) is defined for type B elements only")
     n = w.ctx.rank
-    boxes = {(b.p, b.q): b.r for b in coessential_set(w)}
+    boxes = {(p, q): r for p, q, r in coessential_boxes(w.window)}
     orbits = []
     seen = set()
     for pq in sorted(boxes):
@@ -278,6 +253,4 @@ def reduced_coessential(w: Element) -> tuple[CoessBox, ...]:
         trial = active - orbit
         if valid(trial):
             active = trial
-    return tuple(
-        CoessBox(p, q, boxes[(p, q)]) for p, q in sorted(active)
-    )
+    return tuple((p, q, boxes[(p, q)]) for p, q in sorted(active))

@@ -341,9 +341,9 @@ def element_from_signed(sigma: Sequence[int], rank: int) -> Element:
 
 def parse_element(text: str, ctx: GroupContext) -> Element:
     """Parse digit text ('a'=10, ...) or, for type B, a comma-separated
-    signed window of length n (e.g. '-3,2,-1')."""
+    signed window of length n (e.g. '-3,2,-1', or '-1' in B_1)."""
     text = text.strip()
-    if "," in text:
+    if "," in text or text.startswith("-"):
         if ctx.family != "B":
             raise ValueError("signed-window input is only valid for type B")
         entries = tuple(int(part) for part in text.split(","))

@@ -19,6 +19,7 @@ from hultman.arrangements import Hyperplane, _poly_mul, inversion_arrangement
 from hultman.bruhat import (
     BruhatGraph,
     bruhat_leq,
+    coessential_boxes,
     element_rows,
     group_absolute_lengths,
     interval_distances,
@@ -26,14 +27,7 @@ from hultman.bruhat import (
     window_leq,
     window_rank,
 )
-from hultman.diagrams import (
-    CoessBox,
-    HullBounds,
-    _mirror_box,
-    coessential_set,
-    hull_bounds,
-    identity_rank,
-)
+from hultman.diagrams import Box, _mirror_box, hull_bounds, identity_rank
 from hultman.groups import (
     Element,
     GroupContext,
@@ -287,19 +281,20 @@ def diagram(w: Element) -> frozenset[tuple[int, int]]:
     )
 
 
-def window_in_hull(u_window: Sequence[int], bounds: HullBounds) -> bool:
-    """u ⊆ H(w) for the hull with these column bounds: every point
+def window_in_hull(
+    u_window: Sequence[int], bounds: tuple[Window, Window]
+) -> bool:
+    """u ⊆ H(w) for the hull with these column bounds (lo, hi): every point
     (u(j), j) lies inside them."""
-    return all(
-        lo <= v <= hi for v, lo, hi in zip(u_window, bounds.lo, bounds.hi)
-    )
+    return all(lo <= v <= hi for v, lo, hi in zip(u_window, *bounds))
 
 
-def hull_windows(bounds: HullBounds) -> Iterator[Window]:
-    """All windows inside the column bounds, by backtracking with a used-value
-    mask.  Exponential in the degree: the oracle for the hull dynamic
-    program."""
-    n = len(bounds.lo)
+def hull_windows(bounds: tuple[Window, Window]) -> Iterator[Window]:
+    """All windows inside the column bounds (lo, hi), by backtracking with a
+    used-value mask.  Exponential in the degree: the oracle for the hull
+    dynamic program."""
+    lo, hi = bounds
+    n = len(lo)
     used = [False] * (n + 1)
     current = [0] * n
 
@@ -307,7 +302,7 @@ def hull_windows(bounds: HullBounds) -> Iterator[Window]:
         if j == n:
             yield tuple(current)
             return
-        for v in range(bounds.lo[j], bounds.hi[j] + 1):
+        for v in range(lo[j], hi[j] + 1):
             if used[v]:
                 continue
             used[v] = True
@@ -331,9 +326,9 @@ def hull_equiv_check(
     """
     bounds = hull_bounds(w)
     tight = [
-        (b.p, b.q, b.r)
-        for b in coessential_set(w)
-        if b.r == identity_rank(b.p, b.q)
+        (p, q, r)
+        for p, q, r in coessential_boxes(w.window)
+        if r == identity_rank(p, q)
     ]
     degree = w.degree
 
@@ -446,7 +441,7 @@ def basic_element_bruteforce(p: int, q: int, r: int, ctx: GroupContext) -> Eleme
 
 def reduced_coessential_closed_form(
     w: Element, offset: str = "p-n-1", strict_domain: bool = True
-) -> tuple[CoessBox, ...]:
+) -> tuple[Box, ...]:
     """Closed-form redundancy filter for E'(w), kept for comparison only.
 
     `offset` selects which shift relates r_w(2n+2-p, q) to r_w(p, q) in the
@@ -457,7 +452,7 @@ def reduced_coessential_closed_form(
     if w.ctx.family != "B":
         raise ValueError("E'(w) is defined for type B elements only")
     n = w.ctx.rank
-    boxes = {(b.p, b.q): b.r for b in coessential_set(w)}
+    boxes = {(p, q): r for p, q, r in coessential_boxes(w.window)}
     shifts = {
         "p-n-1": lambda p, q: p - n - 1,
         "n-p+1": lambda p, q: n - p + 1,
@@ -478,9 +473,7 @@ def reduced_coessential_closed_form(
             redundant.add((p, q))
             redundant.add(_mirror_box((p, q), n))
     return tuple(
-        CoessBox(p, q, boxes[(p, q)])
-        for p, q in sorted(boxes)
-        if (p, q) not in redundant
+        (p, q, boxes[(p, q)]) for p, q in sorted(boxes) if (p, q) not in redundant
     )
 
 

@@ -20,6 +20,7 @@ import pytest
 from hultman.arrangements import chamber_count
 from hultman.bruhat import (
     bruhat_graph,
+    coessential_boxes,
     directed_distances_to,
     interval_mask,
     interval_size,
@@ -29,7 +30,7 @@ from hultman.classify import (
     verify_equivalence,
     witness_table,
 )
-from hultman.diagrams import coessential_set, reduced_coessential
+from hultman.diagrams import reduced_coessential
 from hultman.groups import absolute_length, context, parse_element
 from hultman.patterns import bp_contains, condition5_patterns
 from oracles import (
@@ -235,10 +236,10 @@ def test_criterion_5_witness_table_reproduction():
 def test_criterion_6_coessential_machinery():
     start = time.perf_counter()
     w = parse_element("426153", B3)
-    assert {(b.p, b.q) for b in coessential_set(w)} == {
+    assert {(p, q) for p, q, _ in coessential_boxes(w.window)} == {
         (3, 2), (5, 2), (5, 4), (3, 4),
     }
-    assert {(b.p, b.q) for b in reduced_coessential(w)} == {(5, 2), (3, 4)}
+    assert {(p, q) for p, q, _ in reduced_coessential(w)} == {(5, 2), (3, 4)}
     v0 = basic_element(5, 2, 0, B3)
     assert str(v0) == "153426" and count_reduced_words(v0) == 1
     v1 = basic_element(3, 2, 1, B3)

@@ -32,11 +32,14 @@ def test_classify_explain_and_json(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0  # all-false is still consistent
-    assert "E'(w) = [(3, 4, 2), (5, 2, 0)]" in out
+    assert "  E(w)  = [(3, 2, 1), (3, 4, 2), (5, 2, 0), (5, 4, 1)]\n" in out
+    assert "  E'(w) = [(3, 4, 2), (5, 2, 0)]\n" in out
+    assert "  violated boxes: [(3, 2, 1), (5, 4, 1)]\n" in out
     assert "distance witness: u = 132546, l_D = 4, l_T = 2" in out
     assert "matched pattern: 426153" in out
     doc = json.loads(path.read_text())
     assert doc["conditions"]["bp_avoidance"] is False
+    assert doc["violations"] == [{"p": 3, "q": 2, "r": 1}, {"p": 5, "q": 4, "r": 1}]
 
 
 def test_classify_signed_window_input(capsys):
@@ -47,6 +50,20 @@ def test_classify_signed_window_input(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "element 426153" in out
+
+
+def test_one_entry_signed_window_input(capsys):
+    # a leading minus marks a signed window even without a comma
+    code = main(["classify", "--family", "B", "--rank", "1", "--element=-1"])
+    assert code == 0
+    assert "element 21 in B_1" in capsys.readouterr().out
+    code = main(["patterns", "--host=-1", "--host-family", "B", "--pattern", "1",
+                 "--family", "A"])
+    assert code == 0
+    assert "21 BP contains 1 in S_1" in capsys.readouterr().out
+    code = main(["classify", "--family", "A", "--rank", "1", "--element=-1"])
+    assert code == 2
+    assert "only valid for type B" in capsys.readouterr().err
 
 
 def test_classify_condition_subset(capsys):
@@ -161,6 +178,24 @@ def test_witnesses_command(capsys):
     assert "unlisted witness u=1324: (4,2)" in out
 
 
+def test_witnesses_json(tmp_path, capsys):
+    path = tmp_path / "witnesses.json"
+    assert main(["witnesses", "--json", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert len(doc) == 31
+    confirmed = {entry["pattern"]: entry["non_hultman_confirmed"] for entry in doc}
+    assert confirmed["426153"] is True
+
+
+def test_minimal_patterns_json(tmp_path, capsys):
+    path = tmp_path / "minimal.json"
+    assert main(["minimal-patterns", "--json", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert len(doc) == 31
+    assert all(set(row) == {"family", "rank", "element"} for row in doc)
+    assert {"family": "B", "rank": 3, "element": "426153"} in doc
+
+
 def test_chambers_command(capsys):
     code = main(
         ["chambers", "--family", "A", "--rank", "4", "--element", "4231"]
@@ -240,6 +275,8 @@ def test_bad_element_exits_2(capsys):
     [
         ["classify", "--family", "B", "--rank", "2", "--element", "1234"],
         ["verify", "--family", "B", "--rank", "2"],
+        ["witnesses"],
+        ["minimal-patterns", "--max-a", "3", "--max-b", "3"],
     ],
 )
 def test_unwritable_json_exits_2(tmp_path, capsys, command):

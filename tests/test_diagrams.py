@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hultman.bruhat import bruhat_leq, window_leq, window_rank
+from hultman.bruhat import bruhat_leq, coessential_boxes, window_leq, window_rank
 from hultman.diagrams import (
-    CoessBox,
     _best_hull_window,
-    coessential_set,
     defined_by_inclusions_mask,
     hull_bounds,
     hull_relaxed_counterexample,
@@ -50,7 +48,7 @@ B4 = context("B", 4)
 
 
 def boxes(w):
-    return [(b.p, b.q, b.r) for b in coessential_set(w)]
+    return list(coessential_boxes(w.window))
 
 
 @given(st.permutations(list(range(1, 7))))
@@ -68,7 +66,13 @@ def test_coessential_boxes_are_northeast_corners(perm):
     corners = {
         (p, q) for (p, q) in d if (p - 1, q) not in d and (p, q + 1) not in d
     }
-    assert {(b.p, b.q) for b in coessential_set(w)} == corners
+    assert {(p, q) for p, q, _ in boxes(w)} == corners
+
+
+def test_package_exports_coessential_boxes():
+    import hultman
+
+    assert hultman.coessential_boxes is coessential_boxes
 
 
 def test_coessential_examples():
@@ -143,9 +147,13 @@ def test_hull_bounds_and_membership():
     assert not bruhat_leq(u, w)  # in the hull but not below: hull fails
 
 
+def test_hull_bounds_are_suffix_minima_and_prefix_maxima():
+    assert hull_bounds(parse_element("2143", A4)) == ((1, 1, 3, 3), (2, 2, 4, 4))
+
+
 def test_identity_hull_is_forced():
     bounds = hull_bounds(A5.identity)
-    assert bounds.lo == bounds.hi == (1, 2, 3, 4, 5)
+    assert bounds == ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
     assert list(hull_windows(bounds)) == [(1, 2, 3, 4, 5)]
 
 
@@ -302,7 +310,7 @@ def oracle_best_hull_window(bounds, p, q, blocked=frozenset()):
     k <= q and v >= p, so the maximum is a max-weight perfect matching with
     0/1 weights.
     """
-    size = len(bounds.lo)
+    size = len(bounds[0])
     forbidden = size + 1  # dearer than any matching of allowed cells
     cost = [
         [
@@ -311,7 +319,7 @@ def oracle_best_hull_window(bounds, p, q, blocked=frozenset()):
             else int(not (k <= q and v >= p))
             for v in range(1, size + 1)
         ]
-        for k, (lo, hi) in enumerate(zip(bounds.lo, bounds.hi), start=1)
+        for k, (lo, hi) in enumerate(zip(*bounds), start=1)
     ]
     cols = oracle_min_cost_assignment(cost)
     if any(cost[k][j] == forbidden for k, j in enumerate(cols)):
@@ -329,12 +337,12 @@ def _hull_boards(w, central):
     if central is None:
         yield frozenset()
         return
-    bounds = hull_bounds(w)
+    lo, hi = hull_bounds(w)
     n, size = central, w.degree
     quadrant = {(k, v) for k in range(1, n + 1) for v in range(n + 1, size + 1)}
     yield frozenset(quadrant)
     for k0, v0 in sorted(quadrant):
-        if bounds.lo[k0 - 1] <= v0 <= bounds.hi[k0 - 1]:
+        if lo[k0 - 1] <= v0 <= hi[k0 - 1]:
             blocked = (
                 (quadrant - {(k0, v0)})
                 | {(k0, v) for v in range(1, size + 1) if v != v0}
@@ -351,7 +359,7 @@ def _assert_hull_dp_matches_oracle(w):
     n = w.ctx.rank
     for central in (None, n) if w.ctx.family == "B" else (None,):
         for p, q, _ in boxes(w):
-            u = _best_hull_window(hull.lo, hull.hi, p, q, central)
+            u = _best_hull_window(*hull, p, q, central)
             boards = _hull_boards(w, central)
             found = [oracle_best_hull_window(hull, p, q, blocked) for blocked in boards]
             found = [x for x in found if x is not None]
@@ -454,8 +462,7 @@ def test_basic_element_infeasible():
 def test_basic_element_minimality_type_a(ctx):
     seen = set()
     for w in ctx.elements:
-        for b in coessential_set(w):
-            seen.add((b.p, b.q, b.r))
+        seen.update(boxes(w))
     for p, q, r in sorted(seen):
         assert basic_element(p, q, r, ctx) == basic_element_bruteforce(p, q, r, ctx)
 
@@ -464,8 +471,7 @@ def test_basic_element_minimality_type_a(ctx):
 def test_basic_element_minimality_type_b(ctx):
     seen = set()
     for w in ctx.elements:
-        for b in coessential_set(w):
-            seen.add((b.p, b.q, b.r))
+        seen.update(boxes(w))
     for p, q, r in sorted(seen):
         assert basic_element(p, q, r, ctx) == basic_element_bruteforce(p, q, r, ctx)
 
@@ -477,17 +483,17 @@ def test_basic_element_b2_boundary_case():
 
 def test_reduced_coessential_examples():
     w = parse_element("426153", B3)
-    assert [(b.p, b.q) for b in reduced_coessential(w)] == [(3, 4), (5, 2)]
+    assert [(p, q) for p, q, _ in reduced_coessential(w)] == [(3, 4), (5, 2)]
     # no staircase pair of the identity is removable: dropping the pair at
     # columns q, 2n-q re-admits the generator (q q+1)(2n-q 2n+1-q)
-    assert reduced_coessential(B3.identity) == coessential_set(B3.identity)
+    assert reduced_coessential(B3.identity) == coessential_boxes(B3.identity.window)
 
 
 def _minimal_symmetric_subsets_bruteforce(w):
     """All symmetric subsets of E(w) whose conditions cut out [id, w] in B_n,
     returned as the minimal ones under inclusion."""
     n = w.ctx.rank
-    all_boxes = {(b.p, b.q): b.r for b in coessential_set(w)}
+    all_boxes = {(p, q): r for p, q, r in boxes(w)}
     orbits = []
     seen = set()
     for pq in sorted(all_boxes):
@@ -519,15 +525,15 @@ def test_reduced_coessential_is_unique_minimal(text):
     w = parse_element(text, B3)
     minimal = _minimal_symmetric_subsets_bruteforce(w)
     assert len(minimal) == 1
-    assert {(b.p, b.q) for b in reduced_coessential(w)} == minimal[0]
+    assert {(p, q) for p, q, _ in reduced_coessential(w)} == minimal[0]
 
 
 @pytest.mark.parametrize("ctx", [B2, B3])
 def test_coessential_sets_are_centrally_symmetric(ctx):
     n = ctx.rank
     for w in ctx.elements:
-        for getter in (coessential_set, reduced_coessential):
-            pqs = {(b.p, b.q) for b in getter(w)}
+        for found in (boxes(w), reduced_coessential(w)):
+            pqs = {(p, q) for p, q, _ in found}
             assert pqs == {(2 * n + 2 - p, 2 * n - q) for p, q in pqs}
 
 
@@ -618,9 +624,7 @@ def test_coxeter_coessential_elements_are_minimal_nonbelow():
 def _check_anderson_parameterization(ctx):
     # E'(w) boxes and their basic elements recover the minimal non-below set
     for w in ctx.elements:
-        expected = {
-            basic_element(b.p, b.q, b.r, ctx) for b in reduced_coessential(w)
-        }
+        expected = {basic_element(*b, ctx) for b in reduced_coessential(w)}
         assert set(coxeter_coessential(w)) == expected, w
 
 
@@ -644,8 +648,7 @@ def _check_pseudo_inclusions_via_unique_words(ctx):
     # the criterion runs over all of E(w), not E'(w)
     for w in ctx.elements:
         unique = all(
-            has_unique_reduced_word(basic_element(b.p, b.q, b.r, ctx))
-            for b in coessential_set(w)
+            has_unique_reduced_word(basic_element(*b, ctx)) for b in boxes(w)
         )
         assert unique == is_defined_by_pseudo_inclusions(w), w
 
@@ -661,4 +664,3 @@ def test_pseudo_inclusion_equivalence_via_unique_words_on_b4():
 def test_identity_rank_helper():
     assert identity_rank(4, 4) == 1
     assert identity_rank(9, 2) == 0
-    assert CoessBox(2, 2, 1).r == 1

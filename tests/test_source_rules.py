@@ -219,3 +219,12 @@ def test_no_public_function_is_called_only_from_tests():
             if any(name.split(".")[0] in ("oracles", "tests") for name in names):
                 imports.append((path.name, node.lineno))
     assert imports == [], imports
+
+
+def test_diagrams_boxes_and_hulls_are_plain_tuples():
+    # a coessential box is the (p, q, r) triple of coessential_boxes and
+    # H(w) the (lo, hi) pair of hull_bounds; a class in diagrams would be a
+    # second form of one of them for every caller to unpack
+    tree = ast.parse((SOURCE / "diagrams.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes == [], classes
