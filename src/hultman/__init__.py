@@ -41,11 +41,7 @@ from .patterns import (
     condition5_patterns,
     flatten,
 )
-from .arrangements import (
-    Hyperplane,
-    chamber_count,
-    inversion_reflections,
-)
+from .arrangements import chamber_count
 from .classify import (
     ClassificationReport,
     classify,

@@ -1,57 +1,34 @@
 """Inversion arrangements and exact chamber counting.
 
-Hyperplanes come in the three reflection shapes x_i = x_j, x_i = -x_j and
-x_i = 0 (type A uses only the first), so an arrangement is a signed graph.
+A hyperplane is a plain triple: ("diff", i, j) is x_i = x_j and ("sum",
+i, j) is x_i = -x_j, both with 0 < i < j, and ("zero", i, 0) is x_i = 0.
+Type A uses only the first.  Sorted triples order the kinds "diff" <
+"sum" < "zero", then (i, j).  An arrangement is thus a signed graph, and
 chi(t) counts its proper colourings (Zaslavsky, "Signed graph coloring",
-1982), and one exact subset DP over them, `_block_counts`, gives chi(t)
-and the chamber count c(w) = (-1)^n chi(-1).  It keeps the counts of
-every block number k of a vertex set as the digits of one int, wide enough
-for a proven bound, so one big-int multiply-add does the work of a loop
-over k.  The tests check chi(t) against two independent oracles, and the
-packed digits against the same DP with one list entry per k.  The
-intersection lattice with its Möbius values stays here only because the
-benchmark's tracer wraps `intersection_poset` in this module; the
-finite-field point count lives with the tests.
+1982).  One exact subset DP over them, `_block_counts`, gives chi(t) and
+the chamber count c(w) = (-1)^n chi(-1).  It keeps the counts of every
+block number k of a vertex set as the digits of one int, wide enough for
+a proven bound, so one big-int multiply-add does the work of a loop over
+k.  chi(t) is then summed in integers, as 2^n chi(t).  The tests check
+chi(t) against two independent oracles, and the packed digits against the
+same DP with one list entry per k.  The intersection lattice with its
+Möbius values stays here only because the benchmark's tracer wraps
+`intersection_poset` in this module.  The finite-field point count, the
+rational polynomial product it interpolates with, and the definition
+Inv(w) = {t in T : l(wt) < l(w)} that `inversion_arrangement` must match
+live with the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from typing import Iterable
 
-from .groups import (
-    Element,
-    compose_windows,
-    coxeter_lengths,
-    signed_window,
-)
+from .groups import Element, signed_window
 
-
-@dataclass(frozen=True, order=True)
-class Hyperplane:
-    """One of x_i - x_j = 0 ("diff"), x_i + x_j = 0 ("sum"), x_i = 0
-    ("zero", with j = 0); canonical form has i < j."""
-
-    kind: str
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("diff", "sum", "zero"):
-            raise ValueError(f"unknown hyperplane kind {self.kind!r}")
-        if self.kind == "zero":
-            if self.j != 0:
-                raise ValueError("zero hyperplane takes j = 0")
-        elif not (0 < self.i < self.j):
-            raise ValueError(f"need 0 < i < j, got ({self.i}, {self.j})")
-
-    def __str__(self) -> str:
-        if self.kind == "zero":
-            return f"x{self.i}=0"
-        op = "-" if self.kind == "diff" else "+"
-        return f"x{self.i}{op}x{self.j}=0"
+# ("diff", i, j), ("sum", i, j) or ("zero", i, 0)
+Plane = tuple[str, int, int]
 
 
 def _digit_width(n: int) -> int:
@@ -64,7 +41,7 @@ def _digit_width(n: int) -> int:
     return (4**n * factorial(n)).bit_length()
 
 
-def _block_counts(planes: Iterable[Hyperplane], n: int) -> list[int]:
+def _block_counts(planes: Iterable[Plane], n: int) -> list[int]:
     """a[k], so that chi(2m+1) = sum_k a[k] (m)_k.  A proper colouring by
     -m..m is its zero set Z (no zero plane, no edge inside) plus the blocks
     of equal |x|, which take k distinct values in 1..m; a[k] sums, over Z
@@ -84,13 +61,13 @@ def _block_counts(planes: Iterable[Hyperplane], n: int) -> list[int]:
     """
     same, opposite = [0] * n, [0] * n
     no_zero = 0
-    for h in planes:
-        if h.kind == "zero":
-            no_zero |= 1 << (h.i - 1)
+    for kind, i, j in planes:
+        if kind == "zero":
+            no_zero |= 1 << (i - 1)
         else:
-            adjacent = opposite if h.kind == "diff" else same
-            adjacent[h.i - 1] |= 1 << (h.j - 1)
-            adjacent[h.j - 1] |= 1 << (h.i - 1)
+            adjacent = opposite if kind == "diff" else same
+            adjacent[i - 1] |= 1 << (j - 1)
+            adjacent[j - 1] |= 1 << (i - 1)
     full = (1 << n) - 1
     # signings[s]: the minus-sets of the valid signings of s, built by
     # giving the highest vertex v of s a sign that fits its edges
@@ -132,20 +109,37 @@ def _block_counts(planes: Iterable[Hyperplane], n: int) -> list[int]:
     return [packed >> k * width & digit for k in range(n + 1)]
 
 
-def characteristic_polynomial(planes: Iterable[Hyperplane], n: int) -> tuple[int, ...]:
+def characteristic_polynomial(planes: Iterable[Plane], n: int) -> tuple[int, ...]:
     """Coefficients of chi(t), ascending degree, by signed-graph colouring:
-    chi(t) = sum_k a[k] (m)_k with m = (t - 1) / 2."""
-    coeffs = [Fraction(0)] * (n + 1)
-    falling = [Fraction(1)]
+    chi(t) = sum_k a[k] (m)_k with m = (t - 1) / 2.  Since (m)_k =
+    2^-k prod_{j<k} (t - 1 - 2j), the sum is taken in integers as
+
+        2^n chi(t) = sum_k a[k] 2^(n-k) prod_{j<k} (t - 1 - 2j),
+
+    and ArithmeticError is raised unless every coefficient of it is
+    divisible by 2^n and the leading one is 2^n.  A plane that is not a
+    hyperplane of R^n in the triple form of this module raises ValueError.
+    """
+    planes = tuple(planes)
+    for plane in planes:
+        kind, i, j = plane
+        if kind == "zero":
+            valid = 0 < i <= n and j == 0
+        else:
+            valid = kind in ("diff", "sum") and 0 < i < j <= n
+        if not valid:
+            raise ValueError(f"not a hyperplane of R^{n}: {plane!r}")
+    scaled = [0] * (n + 1)
+    falling = [1]  # prod_{j<k} (t - 1 - 2j), ascending degree
     for k, count in enumerate(_block_counts(planes, n)):
         for d, c in enumerate(falling):
-            coeffs[d] += count * c
-        falling = _poly_mul(falling, [Fraction(-1 - 2 * k, 2), Fraction(1, 2)])
-    if any(c.denominator != 1 for c in coeffs) or coeffs[n] != 1:
+            scaled[d] += (count << n - k) * c
+        falling = [b - (1 + 2 * k) * a for a, b in zip(falling + [0], [0] + falling)]
+    if scaled[n] != 1 << n or any(c % (1 << n) for c in scaled):
         raise ArithmeticError(
-            f"colouring count is not a monic integer polynomial: {coeffs}"
+            f"colouring count is not a monic integer polynomial: 2^{n} chi(t) = {scaled}"
         )
-    return tuple(int(c) for c in coeffs)
+    return tuple(c >> n for c in scaled)
 
 
 @dataclass(eq=False)
@@ -155,7 +149,7 @@ class IntersectionPoset:
     it, as a bitmask over `planes`."""
 
     n: int
-    planes: tuple[Hyperplane, ...]
+    planes: tuple[Plane, ...]
     flats: tuple[int, ...]
     codims: tuple[int, ...]
     mobius: tuple[int, ...]
@@ -181,17 +175,17 @@ def _reduce(basis: list[tuple[int, list[int]]], v: list[int]) -> list[int]:
     return v
 
 
-def intersection_poset(planes: Iterable[Hyperplane], n: int) -> IntersectionPoset:
+def intersection_poset(planes: Iterable[Plane], n: int) -> IntersectionPoset:
     """Test oracle for chi(t): every intersection of a subset of `planes`,
     with its Mobius value, by exact rank closure.  A plane contains the
     intersection iff its normal lies in the span of the chosen normals."""
     plane_list = tuple(sorted(set(planes)))
     normals = []
-    for h in plane_list:
+    for kind, i, j in plane_list:
         v = [0] * n
-        v[h.i - 1] = 1
-        if h.kind != "zero":
-            v[h.j - 1] = -1 if h.kind == "diff" else 1
+        v[i - 1] = 1
+        if kind != "zero":
+            v[j - 1] = -1 if kind == "diff" else 1
         normals.append(v)
 
     def closure(mask: int) -> tuple[int, int]:
@@ -223,30 +217,20 @@ def intersection_poset(planes: Iterable[Hyperplane], n: int) -> IntersectionPose
     )
 
 
-def inversion_reflections(w: Element) -> tuple[Element, ...]:
-    """Inv(w) = {t in T : l(wt) < l(w)}; its size equals l(w).  One length
-    call covers w and every wt."""
-    reflections = w.ctx.reflections
-    *lengths, lw = coxeter_lengths(
-        [compose_windows(w.window, t.window) for t in reflections] + [w.window],
-        w.ctx.family,
-    )
-    return tuple(t for t, length in zip(reflections, lengths) if length < lw)
-
-
-def inversion_arrangement(w: Element) -> tuple[Hyperplane, ...]:
+def inversion_arrangement(w: Element) -> tuple[Plane, ...]:
     """The fixed planes of Inv(w), read off the signed window sigma (type
     A: the window): x_i = x_j for i < j with sigma_i > sigma_j, and in type
     B also x_i = -x_j for i < j with -sigma_i > sigma_j and x_i = 0 for
-    sigma_i < 0.  `inversion_reflections` is the definition it must match."""
+    sigma_i < 0.  Each inversion reflection has one plane, so there are
+    l(w) of them."""
     b = w.ctx.family == "B"
     sigma = signed_window(w) if b else w.window
     pairs = list(combinations(range(n := len(sigma)), 2))
     # built in sorted order: kinds "diff" < "sum" < "zero", then (i, j)
-    planes = [Hyperplane("diff", i + 1, j + 1) for i, j in pairs if sigma[i] > sigma[j]]
+    planes = [("diff", i + 1, j + 1) for i, j in pairs if sigma[i] > sigma[j]]
     if b:
-        planes += [Hyperplane("sum", i + 1, j + 1) for i, j in pairs if -sigma[i] > sigma[j]]
-        planes += [Hyperplane("zero", i + 1, 0) for i in range(n) if sigma[i] < 0]
+        planes += [("sum", i + 1, j + 1) for i, j in pairs if -sigma[i] > sigma[j]]
+        planes += [("zero", i + 1, 0) for i in range(n) if sigma[i] < 0]
     return tuple(planes)
 
 
@@ -261,10 +245,3 @@ def chamber_count(w: Element) -> int:
         count * (-1) ** k * factorial(k) for k, count in enumerate(counts)
     )
 
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out

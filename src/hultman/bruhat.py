@@ -103,7 +103,7 @@ def _sorted_keys(ctx: GroupContext) -> tuple[np.ndarray, np.ndarray]:
     """The keys of the group's windows in increasing order, and the row of
     ctx.elements that each one belongs to."""
     if (ctx.degree + 1) ** ctx.degree >= 2**63:
-        raise OverflowError(f"windows of degree {ctx.degree} do not fit an int64 key")
+        raise ValueError(f"windows of degree {ctx.degree} do not fit an int64 key")
     keys = _window_keys(ctx.window_matrix, ctx.degree)
     order = np.argsort(keys)
     return keys[order], order
@@ -112,7 +112,9 @@ def _sorted_keys(ctx: GroupContext) -> tuple[np.ndarray, np.ndarray]:
 def element_rows(ctx: GroupContext, windows) -> np.ndarray:
     """The row of ctx.elements of each window, given one window or an
     (m x degree) array of them.  This is the one map from windows to rows;
-    it raises ValueError for a window that is not in the group."""
+    it raises ValueError for a window that is not in the group, and for a
+    group whose windows do not fit an int64 key (degree 16 and up), before
+    the group is enumerated."""
     windows = np.atleast_2d(windows)
     sorted_keys, order = _sorted_keys(ctx)
     keys = _window_keys(windows, ctx.degree)

@@ -24,6 +24,13 @@ from .classify import (
 from .groups import Element, context, coxeter_length, format_window, parse_element
 
 
+# argparse reads "--element -1,2" as an option with no value
+ELEMENT_HELP = (
+    "one-line text (a=10) or signed window; attach a signed window that "
+    "starts with a minus with =, as in --%(dest)s=-3,2,-1"
+)
+
+
 def _ctx_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=("A", "B"), required=True)
     parser.add_argument("--rank", type=int, required=True)
@@ -49,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="evaluate the five conditions on one element")
     _ctx_args(p)
-    p.add_argument("--element", required=True, help="one-line text (a=10) or signed window")
+    p.add_argument("--element", required=True, help=ELEMENT_HELP)
     p.add_argument("--conditions", type=_parse_conditions, default=ALL_CONDITIONS)
     p.add_argument("--explain", action="store_true", help="print supporting data")
     p.add_argument("--json", metavar="PATH", help="write the report as JSON")
@@ -98,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chambers", help="inversion arrangement data for one element")
     _ctx_args(p)
-    p.add_argument("--element", required=True)
+    p.add_argument("--element", required=True, help=ELEMENT_HELP)
 
     p = sub.add_parser("patterns", help="BP containment of one pattern in one host")
-    p.add_argument("--host", required=True, help="host element text")
+    p.add_argument("--host", required=True, help=f"host element: {ELEMENT_HELP}")
     p.add_argument("--host-family", choices=("A", "B"), default="B")
-    p.add_argument("--pattern", required=True, help="pattern element text")
+    p.add_argument("--pattern", required=True, help=f"pattern element: {ELEMENT_HELP}")
     p.add_argument("--family", choices=("A", "B"), required=True,
                    help="family the pattern lives in")
     return parser
@@ -241,13 +248,21 @@ def _cmd_witnesses(args: argparse.Namespace) -> int:
     return 0
 
 
+def _plane_text(plane: arrangements.Plane) -> str:
+    """x1-x2=0, x1+x2=0 or x1=0 for ("diff", 1, 2), ("sum", 1, 2), ("zero", 1, 0)."""
+    kind, i, j = plane
+    if kind == "zero":
+        return f"x{i}=0"
+    return f"x{i}{'-' if kind == 'diff' else '+'}x{j}=0"
+
+
 def _cmd_chambers(args: argparse.Namespace) -> int:
     w = _element_from_args(args)
-    refl = arrangements.inversion_reflections(w)
     planes = arrangements.inversion_arrangement(w)
     chi = arrangements.characteristic_polynomial(planes, w.ctx.rank)
-    print(f"element {w}: |Inv(w)| = {len(refl)} (length {coxeter_length(w)})")
-    print("hyperplanes: " + (", ".join(str(h) for h in planes) or "(none)"))
+    # one plane per inversion reflection, so |Inv(w)| is the plane count
+    print(f"element {w}: |Inv(w)| = {len(planes)} (length {coxeter_length(w)})")
+    print("hyperplanes: " + (", ".join(map(_plane_text, planes)) or "(none)"))
     terms = [
         f"{c:+d}t^{d}" for d, c in reversed(list(enumerate(chi))) if c
     ]

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from hultman.arrangements import Hyperplane, _poly_mul, inversion_arrangement
+from hultman.arrangements import Plane, inversion_arrangement
 from hultman.bruhat import (
     BruhatGraph,
     bruhat_leq,
@@ -34,6 +34,7 @@ from hultman.groups import (
     Window,
     absolute_length,
     compose,
+    compose_windows,
     coxeter_lengths,
     inverse,
     invert_window,
@@ -112,35 +113,47 @@ def absolute_lengths_by_lookup(ctx: GroupContext, row: int, rows: np.ndarray) ->
 # --- arrangements -----------------------------------------------------------
 
 
-def hyperplane_of(t: Element, ctx: GroupContext) -> Hyperplane:
+def inversion_reflections(w: Element) -> tuple[Element, ...]:
+    """Inv(w) = {t in T : l(wt) < l(w)} by definition; its size equals l(w),
+    and `inversion_arrangement` must give one plane for each.  One length
+    call covers w and every wt."""
+    reflections = w.ctx.reflections
+    *lengths, lw = coxeter_lengths(
+        [compose_windows(w.window, t.window) for t in reflections] + [w.window],
+        w.ctx.family,
+    )
+    return tuple(t for t, length in zip(reflections, lengths) if length < lw)
+
+
+def hyperplane_of(t: Element, ctx: GroupContext) -> Plane:
     """The fixed hyperplane of a reflection, in signed coordinates."""
     if t.ctx != ctx:
         raise ValueError("reflection does not belong to the given context")
     sigma = signed_window(t) if ctx.family == "B" else t.window
     moved = [k for k in range(1, ctx.rank + 1) if sigma[k - 1] != k]
     if len(moved) == 1 and sigma[moved[0] - 1] == -moved[0]:
-        return Hyperplane("zero", moved[0], 0)
+        return ("zero", moved[0], 0)
     if len(moved) == 2:
         k, l = moved
         if sigma[k - 1] == l and sigma[l - 1] == k:
-            return Hyperplane("diff", k, l)
+            return ("diff", k, l)
         if sigma[k - 1] == -l and sigma[l - 1] == -k:
-            return Hyperplane("sum", k, l)
+            return ("sum", k, l)
     raise ValueError(f"{t} is not a reflection")
 
 
-def block_counts_by_digit(planes: Iterable[Hyperplane], n: int) -> list[int]:
+def block_counts_by_digit(planes: Iterable[Plane], n: int) -> list[int]:
     """The a[k] of `arrangements._block_counts` with one list of k counts per
     vertex set, summed entry by entry: the same DP without the packing."""
     same, opposite = [0] * n, [0] * n
     no_zero = 0
-    for h in planes:
-        if h.kind == "zero":
-            no_zero |= 1 << (h.i - 1)
+    for kind, i, j in planes:
+        if kind == "zero":
+            no_zero |= 1 << (i - 1)
         else:
-            adjacent = opposite if h.kind == "diff" else same
-            adjacent[h.i - 1] |= 1 << (h.j - 1)
-            adjacent[h.j - 1] |= 1 << (h.i - 1)
+            adjacent = opposite if kind == "diff" else same
+            adjacent[i - 1] |= 1 << (j - 1)
+            adjacent[j - 1] |= 1 << (i - 1)
     full = (1 << n) - 1
     # signings[s]: the minus-sets of the valid signings of s, built by
     # giving the highest vertex v of s a sign that fits its edges
@@ -190,7 +203,7 @@ def _odd_primes_above(bound: int, count: int) -> list[int]:
     return primes
 
 
-def _complement_count(planes: Sequence[Hyperplane], n: int, q: int) -> int:
+def _complement_count(planes: Sequence[Plane], n: int, q: int) -> int:
     """Points of F_q^n avoiding every hyperplane, by vectorized scan."""
     total = q**n
     count = 0
@@ -200,15 +213,23 @@ def _complement_count(planes: Sequence[Hyperplane], n: int, q: int) -> int:
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         coords = [(idx // powers[k]) % q for k in range(n)]
         ok = np.ones(len(idx), dtype=bool)
-        for h in planes:
-            if h.kind == "zero":
-                ok &= coords[h.i - 1] != 0
-            elif h.kind == "diff":
-                ok &= coords[h.i - 1] != coords[h.j - 1]
+        for kind, i, j in planes:
+            if kind == "zero":
+                ok &= coords[i - 1] != 0
+            elif kind == "diff":
+                ok &= coords[i - 1] != coords[j - 1]
             else:
-                ok &= (coords[h.i - 1] + coords[h.j - 1]) % q != 0
+                ok &= (coords[i - 1] + coords[j - 1]) % q != 0
         count += int(ok.sum())
     return count
+
+
+def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _poly_eval(coeffs: Sequence[Fraction], x: int) -> Fraction:

@@ -4,15 +4,14 @@ import pytest
 
 from hultman import arrangements
 from hultman.arrangements import (
-    Hyperplane,
     _block_counts,
     chamber_count,
     characteristic_polynomial,
     intersection_poset,
     inversion_arrangement,
-    inversion_reflections,
 )
 from hultman.bruhat import interval_size
+from hultman.cli import _plane_text
 from hultman.groups import (
     Element,
     context,
@@ -26,6 +25,7 @@ from oracles import (
     block_counts_by_digit,
     chamber_count_ff,
     hyperplane_of,
+    inversion_reflections,
 )
 
 A3 = context("A", 3)
@@ -36,20 +36,26 @@ B3 = context("B", 3)
 
 
 def test_hyperplane_canonical_form():
-    with pytest.raises(ValueError):
-        Hyperplane("diff", 3, 2)
-    with pytest.raises(ValueError):
-        Hyperplane("zero", 1, 2)
-    assert str(Hyperplane("sum", 1, 3)) == "x1+x3=0"
+    # planes from a caller are checked: i < j, j = 0 on a zero plane, a
+    # known kind, and coordinates within R^n
+    for plane, n in [
+        (("diff", 3, 2), 3),
+        (("zero", 1, 2), 2),
+        (("sum", 1, 3), 2),
+        (("ratio", 1, 2), 2),
+    ]:
+        with pytest.raises(ValueError):
+            characteristic_polynomial([plane], n)
+    assert _plane_text(("sum", 1, 3)) == "x1+x3=0"
 
 
 def test_hyperplane_of_generators():
     s0 = B3.generators[0]
-    assert hyperplane_of(s0, B3) == Hyperplane("zero", 1, 0)
+    assert hyperplane_of(s0, B3) == ("zero", 1, 0)
     s1 = B3.generators[1]
-    assert hyperplane_of(s1, B3) == Hyperplane("diff", 1, 2)
+    assert hyperplane_of(s1, B3) == ("diff", 1, 2)
     t = A4.generators[2]
-    assert hyperplane_of(t, A4) == Hyperplane("diff", 3, 4)
+    assert hyperplane_of(t, A4) == ("diff", 3, 4)
 
 
 def test_hyperplane_of_rejects_non_reflections():
@@ -60,8 +66,8 @@ def test_hyperplane_of_rejects_non_reflections():
 def test_reflection_hyperplanes_cover_all_three_shapes():
     kinds = {}
     for t in B3.reflections:
-        h = hyperplane_of(t, B3)
-        kinds[h.kind] = kinds.get(h.kind, 0) + 1
+        kind, _, _ = hyperplane_of(t, B3)
+        kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds == {"diff": 3, "sum": 3, "zero": 3}
 
 
@@ -75,10 +81,10 @@ def test_inversion_reflections_size_is_length():
 def test_inversion_arrangement_3412():
     planes = set(inversion_arrangement(parse_element("3412", A4)))
     assert planes == {
-        Hyperplane("diff", 1, 3),
-        Hyperplane("diff", 1, 4),
-        Hyperplane("diff", 2, 3),
-        Hyperplane("diff", 2, 4),
+        ("diff", 1, 3),
+        ("diff", 1, 4),
+        ("diff", 2, 3),
+        ("diff", 2, 4),
     }
 
 
@@ -102,7 +108,7 @@ def test_longest_element_uses_every_reflection():
 
 def test_flat_meet_and_zero_propagation():
     # x1 = x2 and x1 = -x2 meet in the origin: chi = t^2 - 2t + 1, 4 regions
-    planes = [Hyperplane("diff", 1, 2), Hyperplane("sum", 1, 2)]
+    planes = [("diff", 1, 2), ("sum", 1, 2)]
     assert characteristic_polynomial(planes, 2) == (1, -2, 1)
     poset = intersection_poset(planes, 2)
     assert poset.characteristic_polynomial() == (1, -2, 1)
@@ -110,7 +116,7 @@ def test_flat_meet_and_zero_propagation():
 
 
 def test_single_hyperplane_poset():
-    poset = intersection_poset([Hyperplane("diff", 1, 2)], 2)
+    poset = intersection_poset([("diff", 1, 2)], 2)
     assert len(poset.flats) == 2
     assert poset.mobius == (1, -1)
     assert poset.region_count == 2
@@ -118,9 +124,9 @@ def test_single_hyperplane_poset():
 
 def test_braid_arrangement_r3():
     planes = [
-        Hyperplane("diff", 1, 2),
-        Hyperplane("diff", 1, 3),
-        Hyperplane("diff", 2, 3),
+        ("diff", 1, 2),
+        ("diff", 1, 3),
+        ("diff", 2, 3),
     ]
     poset = intersection_poset(planes, 3)
     assert poset.region_count == 6
@@ -311,3 +317,13 @@ def test_packed_block_counts_need_only_digits_below_the_width(monkeypatch):
         _block_counts((), n)
     with pytest.raises(ArithmeticError):
         chamber_count(B3.identity)
+
+
+def test_characteristic_polynomial_checks_the_scaled_coefficients(monkeypatch):
+    # 2^n chi(t) must have every coefficient divisible by 2^n and lead with
+    # 2^n: counts [0, 1, 4] give 2^2 chi = 4t^2 - 14t + 10, and [0, 0, 8]
+    # give 8t^2 - 32t + 24
+    for counts in ([0, 1, 4], [0, 0, 8]):
+        monkeypatch.setattr(arrangements, "_block_counts", lambda planes, n, c=counts: c)
+        with pytest.raises(ArithmeticError):
+            characteristic_polynomial((), 2)

@@ -270,6 +270,17 @@ def test_bad_element_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_windows_too_wide_for_an_int64_key_exit_2(capsys):
+    # a degree-16 window cannot be packed into an int64 key, so condition 1
+    # stops before it enumerates B_8; the conditions that need no key run
+    argv = ["classify", "--family", "B", "--rank", "8", "--element", "123456789abcdefg"]
+    assert main(argv + ["--conditions", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: windows of degree 16 do not fit an int64 key\n"
+    assert main(argv + ["--conditions", "3,4,5"]) == 0
+    assert capsys.readouterr().out.count(": True") == 3
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -537,7 +537,7 @@ def test_coessential_sets_are_centrally_symmetric(ctx):
             assert pqs == {(2 * n + 2 - p, 2 * n - q) for p, q in pqs}
 
 
-@pytest.mark.parametrize("ctx", [B2, B3, B4])
+@pytest.mark.parametrize("ctx", [B2, B3, B4, context("B", 5)])
 def test_closed_form_with_corrected_domain_matches_oracle(ctx):
     for w in ctx.elements:
         corrected = reduced_coessential_closed_form(

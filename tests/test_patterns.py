@@ -27,7 +27,7 @@ from hultman.patterns import (
     flatten,
     relative_order,
 )
-from oracles import embed_pattern, generator_images
+from oracles import embed_pattern, generator_images, inversion_reflections
 
 A1 = context("A", 1)
 A3 = context("A", 3)
@@ -183,8 +183,6 @@ def test_b2_pattern_uses_only_the_canonical_isomorphism():
 
 def test_flattening_is_inversion_restriction():
     # t' is an inversion of the flattening iff phi(t') is an inversion of w
-    from hultman.arrangements import inversion_reflections
-
     embeddings = [
         ParabolicEmbedding(B3, "A-in-B", (2, 3, 6)),
         ParabolicEmbedding(B3, "B-in-B", (2, 3, 4, 5)),

@@ -182,6 +182,23 @@ def _perfbench_references():
     return found | {attr.rpartition(".")[2] for attr in targets}
 
 
+def _imports_of(top_levels):
+    """(module, line) of every import in the package of a name whose first
+    dotted part is in top_levels."""
+    imports = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in top_levels for name in names):
+                imports.append((path.name, node.lineno))
+    return imports
+
+
 def test_no_public_function_is_called_only_from_tests():
     # the package holds what its commands and the benchmark run; a public
     # function that only the tests reach is an oracle and lives in
@@ -206,18 +223,7 @@ def test_no_public_function_is_called_only_from_tests():
         )
     )
     assert test_only == sorted(CALLED_ONLY_FROM_TESTS), test_only
-
-    imports = []
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] in ("oracles", "tests") for name in names):
-                imports.append((path.name, node.lineno))
+    imports = _imports_of(("oracles", "tests"))
     assert imports == [], imports
 
 
@@ -228,3 +234,15 @@ def test_diagrams_boxes_and_hulls_are_plain_tuples():
     tree = ast.parse((SOURCE / "diagrams.py").read_text(encoding="utf-8"))
     classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     assert classes == [], classes
+
+
+def test_arrangement_planes_are_plain_triples_and_chi_is_integer():
+    # a hyperplane is the (kind, i, j) triple of inversion_arrangement, and
+    # chi(t) is summed in integers; another class in arrangements would be a
+    # second form of a plane, and a fractions import a second arithmetic.
+    # IntersectionPoset stays: the benchmark's tracer reads poset.flats
+    tree = ast.parse((SOURCE / "arrangements.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes == ["IntersectionPoset"], classes
+    imports = _imports_of(("fractions",))
+    assert imports == [], imports
