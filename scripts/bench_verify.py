@@ -11,10 +11,11 @@ checkout: the measured checkout's git SHA and dirty flag, the Python and
 numpy versions, the CPU count, and per group each run's `elapsed_s`,
 per-condition `seconds`, `layer_seconds` (the tables built up front, where
 the checkout reports them) and peak RSS, with each at its least over the
-runs.  `elapsed_s` includes building every row's report, which --json
-asks for.  --root selects the source tree to measure (default: this
-checkout), so two commits can be timed with the same script.  Exits 1 if
-a run fails or its conditions disagree.
+runs, and the work `counters` (hull boards solved, pattern index sets
+scanned) where the checkout reports them.  `elapsed_s` includes building
+every row's report, which --json asks for.  --root selects the source
+tree to measure (default: this checkout), so two commits can be timed
+with the same script.  Exits 1 if a run fails or its conditions disagree.
 """
 from __future__ import annotations
 
@@ -75,6 +76,7 @@ def run_verify(root: Path, family: str, rank: int, scratch: Path) -> dict:
         "elapsed_s": summary["elapsed_s"],
         "seconds": summary["seconds"],
         "layer_seconds": summary.get("layer_seconds", {}),
+        "counters": summary.get("counters", {}),
         "peak_rss_mb": usage.ru_maxrss / 1024,  # kilobytes on Linux
     }
 
@@ -94,6 +96,7 @@ def bench_group(root: Path, family: str, rank: int, count: int) -> dict:
         "total": first["total"],
         "hultman_count": first["hultman_count"],
         "rows_computed": first["rows_computed"],
+        "counters": first["counters"],
         # each figure at its least over the runs: other tenants of a shared
         # machine only ever slow a run
         "elapsed_s": min(r["elapsed_s"] for r in runs),

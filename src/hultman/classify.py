@@ -11,9 +11,9 @@ Condition numbering (CLI `--conditions`):
   3 pseudo_inclusions defined by (pseudo-)inclusions
   4 relaxed_hull      (relaxed) right hull condition, decided exactly by
                       one order-preserving dynamic program per coessential
-                      box, O(N^2) each, cut at the central box for the
-                      type B relaxation (type A: the plain right hull
-                      condition)
+                      box (per mirror pair of boxes in type B), O(N^2)
+                      each, cut at the central box for the type B
+                      relaxation (type A: the plain right hull condition)
   5 bp_avoidance      BP avoidance of the 31 listed patterns (type A: the
                       four classical patterns)
 """
@@ -242,6 +242,9 @@ class VerificationSummary:
     layer_seconds: dict[str, float] = field(default_factory=dict)
     # per condition: rows computed; the others took the least orbit row's
     rows_computed: dict[str, int] = field(default_factory=dict)
+    # work counts: hull boards solved (condition 4) and pattern index sets
+    # scanned (condition 5, rows times the query's index sets)
+    counters: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -258,6 +261,7 @@ class VerificationSummary:
             "seconds": dict(self.seconds),
             "layer_seconds": dict(self.layer_seconds),
             "rows_computed": dict(self.rows_computed),
+            "counters": dict(self.counters),
             "rows_from_orbit": {
                 name: self.total - rows for name, rows in self.rows_computed.items()
             },
@@ -284,6 +288,9 @@ def verify_equivalence(
     row, as only the theorem under test makes it constant on orbits.  Full
     reports are built for disagreeing rows, or all rows with `keep_reports`.
     Element enumeration and the shared tables are timed in `layer_seconds`.
+    `counters` holds the hull boards that condition 4 solved and the
+    pattern index sets that condition 5 scanned (rows times the query's
+    index sets).
     """
     start = time.perf_counter()
     names = _condition_names(conditions)
@@ -302,6 +309,7 @@ def verify_equivalence(
     if 5 in names:
         matched, indices = _timed(seconds, names[5], patterns.condition5_matches, ctx)
         verdicts[5] = matched < 0
+        summary.counters["pattern_index_sets"] = total * patterns.condition5_index_sets(ctx)
     if 2 in names:
         _timed(layers, "bruhat_graph", bruhat_graph, ctx)
         _timed(layers, "group_absolute_lengths", bruhat.group_absolute_lengths, ctx)
@@ -326,10 +334,17 @@ def verify_equivalence(
             verdicts[2] = witness[rep, 0] < 0
     if 4 in names:
         clock = time.perf_counter()
-        found = map(_hull_counterexample, ctx.elements)
-        if keep_reports:  # every row gets a report
-            found = kept = list(found)
-        verdicts[4] = np.fromiter((cex is None for cex in found), dtype=bool, count=total)
+        verdicts[4] = np.ones(total, dtype=bool)
+        kept: dict[int, Window] = {}  # counterexamples, with keep_reports
+        boards = 0
+        for row, w in enumerate(ctx.elements):
+            cex, solved = diagrams.hull_test(w)
+            boards += solved
+            if cex is not None:
+                verdicts[4][row] = False
+                if keep_reports:
+                    kept[row] = cex
+        summary.counters["hull_boards"] = boards
         seconds[names[4]] = time.perf_counter() - clock
     stack = np.array([verdicts[c] for c in names], dtype=bool).reshape(len(names), total)
     hultman = stack.all(axis=0)
@@ -348,7 +363,7 @@ def verify_equivalence(
             report.violations = diagrams.violated_boxes(w)
         if 4 in names:
             report.hull_counterexample = (
-                kept[row] if keep_reports else _hull_counterexample(w)
+                kept.get(row) if keep_reports else diagrams.hull_test(w)[0]
             )
         if 5 in names:
             report.matched_pattern = patterns.condition5_embedding(

@@ -22,8 +22,12 @@ are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
 dynamic program per coessential box find the largest r_u(p,q) inside it.
 The type B relaxation keeps one board per box too: it cuts the same
 program's states after position n to the windows with r_u(n+1,n) <= 1.
-The tests check both against an enumeration of H(w) and a Hungarian
-solver, which stay with them.
+In type B a box and its mirror (N+2-p, N-q) have the same verdict, since
+u -> w0 u w0 maps the board onto itself and shifts r_u(p,q) and r_w(p,q)
+alike, so only the boxes up to the central one, in sorted order, get a
+board (the proof is in `_hull_counterexample`).  The tests check both
+against an enumeration of H(w) and a Hungarian solver, which stay with
+them.
 
 Grid coordinates follow the matrix convention: p is the row (a value),
 q is the column (a position).  For type B elements everything is computed
@@ -172,26 +176,54 @@ def _best_hull_window(
     return tuple(u)
 
 
-def _hull_counterexample(w: Element, central: int | None) -> Window | None:
+def _hull_counterexample(w: Element, central: int | None) -> tuple[Window | None, int]:
     """A window inside H(w), with r_u(n+1,n) <= 1 when `central` = n, that
-    is not <= w.
+    is not <= w, or None; and the number of boards solved.
 
     u <= w fails exactly when r_u(p,q) > r for some coessential box (p,q,r)
-    of w, so one maximising window per box decides the question.
+    of w, so one maximising window per box decides the question.  The
+    boxes are taken in `coessential_boxes` order, and the first box that
+    some window violates gives the answer.
+
+    In type B one box of each mirror pair suffices.  Let N = 2n, let w be
+    centrally symmetric and u' = w0 u w0, so u'(k) = N+1-u(N+1-k).  Then
+    r_u'(N+2-p, N-q) = #{j > q : u(j) < p} = r_u(p,q) + p-1-q, and w' = w
+    gives the same shift for r_w.  H(w) is closed under u -> u', since
+    lo_k = N+1 - hi_{N+1-k}; and so is the cut r_u(n+1,n) <= 1, as the
+    central box is its own mirror.  So some window of the board violates
+    (p,q) iff some window violates (N+2-p, N-q).  E(w) is closed under
+    that map too, and of each pair the box with (p,q) <= (n+1,n) comes
+    first in the sorted order.  The first violated box is therefore always
+    such a box, and the boxes after (n+1,n) need no board.
     """
     lo, hi = hull_bounds(w)
+    # every box of a type A element has (p,q) < (N,N)
+    last = (w.ctx.rank + 1, w.ctx.rank) if w.ctx.family == "B" else (w.degree, w.degree)
+    boards = 0
     for p, q, r in coessential_boxes(w.window):
+        if (p, q) > last:  # this box and the rest mirror boxes already solved
+            break
+        boards += 1
         u = _best_hull_window(lo, hi, p, q, central)
         if u is not None and window_rank(u, p, q) > r:
-            return u
-    return None
+            return u, boards
+    return None, boards
 
 
 def right_hull_counterexample(w: Element) -> Window | None:
     """A permutation inside H(w) that is not <= w, or None when the right
     hull condition holds.  Exact, with one dynamic program per coessential
-    box."""
-    return _hull_counterexample(w, None)
+    box (per mirror pair of boxes in type B)."""
+    return _hull_counterexample(w, None)[0]
+
+
+def hull_test(w: Element) -> tuple[Window | None, int]:
+    """Condition 4 for w: a window refuting the right hull condition in
+    type A or its relaxation in type B (None when it holds), and the
+    number of boards the dynamic program solved."""
+    n = w.ctx.rank
+    relaxed = w.ctx.family == "B" and window_rank(w.window, n + 1, n) == 1
+    return _hull_counterexample(w, n if relaxed else None)
 
 
 def hull_relaxed_counterexample(w: Element) -> Window | None:
@@ -206,13 +238,13 @@ def hull_relaxed_counterexample(w: Element) -> Window | None:
     exact: the uncrossing swaps keep u inside H(w) and keep r_u(p,q), but
     move u down in Bruhat order, so they never raise r_u(n+1,n); and in
     the uncrossed form the state after position n fixes r_u(n+1,n) (see
-    `_best_hull_window`).  Either way there is one board per coessential
-    box.  Windows range over all of S_{2n}, not only over B_n.
+    `_best_hull_window`).  Either way there is one board per mirror pair
+    of coessential boxes (see `_hull_counterexample`).  Windows range over
+    all of S_{2n}, not only over B_n.
     """
     if w.ctx.family != "B":
         raise ValueError("the relaxed right hull condition is a type B notion")
-    n = w.ctx.rank
-    return _hull_counterexample(w, n if window_rank(w.window, n + 1, n) == 1 else None)
+    return hull_test(w)[0]
 
 
 def _mirror_box(box: tuple[int, int], n: int) -> tuple[int, int]:

@@ -18,29 +18,38 @@ lexicographic order and the k(k-1)/2 pairs a < b of local positions.  The
 comparisons [x_a > x_b] of a host window x at an index set fix its
 relative order there, and so does their weighted sum, the Lehmer rank
 sum_{a<b} [x_a > x_b] (k-1-a)!, which lies in 0..k!-1.  The code of a
-window at an index set is that rank: one int64, computed for every index
-set at once by one matrix product of the comparison bits with the place
-values.  It fits for k <= 20; beyond, the Lehmer digits are split over as
-many int64 words as they need.  The window flattens to v exactly when its
-code equals v's.  A search entry lists the target windows of one pattern:
-v and its diagram flip for the A kinds, v alone for B-in-B and for
-classical containment (which uses the A-in-A index sets).  For every row
-of a batch of host windows, the kernel returns the first entry whose
-targets one of the row's codes hits, at the first index set where it
-does.  It takes the rows in blocks whose largest temporary array stays
-under about 256 KiB (or one row).  `bp_contains` and `classical_contains`
-run it on a batch of one.  `first_bp_contained` runs it on a batch of
-host windows against any patterns, and `condition5_matches` on a whole group (or
-on a batch of one, for `avoids_condition5_list`) against the 31 listed
-patterns.
+window at an index set is that rank: one int64 for k <= 20; beyond, the
+Lehmer digits are split over as many int64 words as they need.  The
+window flattens to v exactly when its code equals v's.  A search entry
+lists the target windows of one pattern: v and its diagram flip for the A
+kinds, v alone for B-in-B and for classical containment (which uses the
+A-in-A index sets).
+
+A query holds one block of columns (index sets) per plan of its entries,
+ordered by pattern size.  For every row of a batch of host windows, the
+kernel returns the first entry whose targets one of the row's codes hits,
+at the first index set where it does, in one pass over all blocks: one
+gather of the comparison bits of every column; one matrix product per
+pattern size into one code array; one lookup from each code to the least
+owner of the equal target of its block; and one reduction whose first
+least owner gives the block and the index set.  The lookup hashes a code
+to a slot of its block's table and compares it with the slot's target,
+so it is exact for codes of any number of words and never adds code
+ranges that could overflow.  Rows go in blocks whose largest temporary
+stays under about 256 KiB (or one row), and a batch of one runs the same
+calls as a whole group.  `bp_contains` and `classical_contains` run the
+kernel on a batch of one, `first_bp_contained` on a batch of host
+windows against any patterns, and `condition5_matches` on a whole group
+(or on a batch of one, for `avoids_condition5_list`) against the 31
+listed patterns.
 `relative_order` remains only for `flatten`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations
-from typing import Iterator, Sequence
+from functools import lru_cache
+from itertools import combinations, count
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,11 +64,11 @@ def relative_order(values: Sequence[int]) -> Window:
     return tuple(ranking[v] for v in values)
 
 
-def dynkin_reverse(v: Element) -> Element:
-    """w_0 v w_0: the image of v under the type A diagram flip."""
-    m = v.degree
-    win = tuple(m + 1 - v.window[m - i] for i in range(1, m + 1))
-    return Element(win, v.ctx)
+def _flip(window: Window) -> Window:
+    """The window of w_0 v w_0, the image of v under the type A diagram
+    flip."""
+    top = len(window) + 1
+    return tuple(top - x for x in reversed(window))
 
 
 @dataclass(frozen=True)
@@ -210,8 +219,7 @@ def _pair_index(sets: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> np.nd
     return (sets[:, a] - 1) * d + (sets[:, b] - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class _Block:
+class _Block(NamedTuple):
     """The columns of one plan and the target codes of its entries.
 
     A column matches a target when the host's code there equals the
@@ -225,25 +233,116 @@ class _Block:
     targets: np.ndarray  # (words, nt) distinct codes, owners ascending
     owners: np.ndarray  # (nt,) least entry index of each code
 
-    @cached_property
-    def row_bytes(self) -> int:
-        """Bytes of the largest kernel temporary per host row: the K x T
-        bits cast to int64 for the product, or the K x nt owners."""
-        width, t = self.pairs.shape
-        return 8 * width * max(t, self.targets.shape[1], 1)
+
+# Odd multipliers for the slot hash: the golden-ratio constant times odd
+# numbers, so that the first one is Fibonacci hashing.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+class _Query(NamedTuple):
+    """Every block of one search, laid out for the one-pass kernel.  A
+    code hashes to a slot of its block's table (`_slot`), where the
+    block's targets all take distinct slots, so a column's slot holds the
+    only target it can equal."""
+
+    blocks: tuple[_Block, ...]
+    entries: int  # their number, the owner of a column that matches none
+    starts: np.ndarray  # (blocks + 1,) first column of each block, then C
+    pairs: np.ndarray  # (P,) comparison-table indices, column by column
+    sizes: tuple[tuple[int, int, int, np.ndarray], ...]  # (c0, c1, p0, weights)
+    mixers: np.ndarray  # (words,) uint64
+    shift: np.uint64  # 64 - bits
+    base: np.ndarray  # (C,) first slot of each column's block
+    slot_codes: np.ndarray  # (words, slots) the target in each slot; -1: none
+    slot_owners: np.ndarray  # (slots,) least owner of that target; entries: none
+    row_bytes: int  # the largest kernel temporary per host row
+
+
+def _slot(key: tuple[int, ...], mixers: list[int], bits: int) -> int:
+    """A code's slot in its block's table: the top `bits` bits of
+    sum_w key_w * mixers_w mod 2^64."""
+    return (sum(c * m for c, m in zip(key, mixers)) & _MASK64) >> 64 - bits
+
+
+def _slot_search(keys: list[list[tuple[int, ...]]], words: int) -> tuple[list[int], int]:
+    """Odd mixers and a table width `bits` under which each list of
+    distinct keys takes distinct slots.  Multiply-shift hashing collides a
+    pair with probability about 2^-bits, so each try takes new mixers and
+    every second try doubles the tables; a try costs one Python set per
+    block."""
+    widest = max(map(len, keys), default=1)
+    for attempt in count():
+        mixers = [_GOLDEN * (2 * (attempt * words + w) + 1) & _MASK64 for w in range(words)]
+        bits = min(63, widest.bit_length() + 1 + attempt // 2)
+        if all(len({_slot(key, mixers, bits) for key in block}) == len(block) for block in keys):
+            return mixers, bits
+
+
+def _stack(blocks: tuple[_Block, ...], entries: int) -> _Query:
+    """The `_Query` of blocks ordered by pattern size, for `entries`
+    entries."""
+    widths = [len(b.sets) for b in blocks]
+    starts = np.cumsum([0] + widths)
+    words = max((b.weights.shape[1] for b in blocks), default=1)
+    # one matrix product per pattern size, over the columns of its blocks;
+    # the place values are padded with zero words to the widest block
+    sizes = []
+    p0 = 0
+    for b, c0, c1 in zip(blocks, starts.tolist(), starts[1:].tolist()):
+        if sizes and len(sizes[-1][3]) == len(b.weights):  # k as before
+            sizes[-1] = (sizes[-1][0], c1, *sizes[-1][2:])
+        else:
+            weights = np.zeros((len(b.weights), words), dtype=np.int64)
+            weights[:, : b.weights.shape[1]] = b.weights
+            weights.flags.writeable = False
+            sizes.append((c0, c1, p0, weights))
+        p0 += b.pairs.size
+    keys = [
+        [tuple(col) + (0,) * (words - len(col)) for col in b.targets.T.tolist()]
+        for b in blocks
+    ]
+    mixers, bits = _slot_search(keys, words)
+    width = 1 << bits
+    slot_codes = np.full((words, len(blocks) * width), -1, dtype=np.int64)
+    slot_owners = np.full(len(blocks) * width, entries, dtype=np.intp)
+    for i, (block, b) in enumerate(zip(keys, blocks)):
+        for key, owner in zip(block, b.owners.tolist()):
+            slot = i * width + _slot(key, mixers, bits)
+            slot_codes[:, slot], slot_owners[slot] = key, owner
+    base = np.repeat(np.arange(len(blocks), dtype=np.intp) * width, widths)
+    pairs = np.concatenate([b.pairs.ravel() for b in blocks] or [np.zeros(0, np.intp)])
+    for a in (starts, pairs, base, slot_codes, slot_owners):
+        a.flags.writeable = False
+    # the bits of one pattern size cast to int64 for its product, or one
+    # (columns, words) int64 array
+    products = max(((c1 - c0) * len(w) for c0, c1, _, w in sizes), default=0)
+    return _Query(
+        blocks,
+        entries,
+        starts,
+        pairs,
+        tuple(sizes),
+        np.array(mixers, dtype=np.uint64),
+        np.uint64(64 - bits),
+        base,
+        slot_codes,
+        slot_owners,
+        8 * max(products, int(starts[-1]) * words, 1),
+    )
 
 
 @lru_cache(maxsize=256)
-def _query(entries: tuple[_Entry | None, ...]) -> tuple[_Block, ...]:
+def _query(entries: tuple[_Entry | None, ...]) -> _Query:
     """One block per distinct plan among the entries (None entries have no
-    parabolic in the host and never match)."""
-    by_plan: dict[tuple[EmbeddingKind, int, int], list[int]] = {}
+    parabolic in the host and never match), ordered by pattern size."""
+    by_plan: dict[tuple[int, EmbeddingKind, int], list[int]] = {}
     for e, entry in enumerate(entries):
         if entry is not None:
             kind, n, targets = entry
-            by_plan.setdefault((kind, n, len(targets[0])), []).append(e)
+            by_plan.setdefault((len(targets[0]), kind, n), []).append(e)
     blocks = []
-    for (kind, n, k), owners in by_plan.items():
+    for (k, kind, n), owners in sorted(by_plan.items()):
         sets, (a, b) = _plan(kind, n, k)
         if not len(sets):
             continue
@@ -266,65 +365,82 @@ def _query(entries: tuple[_Entry | None, ...]) -> tuple[_Block, ...]:
                 np.array(list(least.values()), dtype=np.intp),
             )
         )
-    return tuple(blocks)
+    return _stack(tuple(blocks), len(entries))
 
 
 def _first_matches(
-    query: tuple[_Block, ...], windows: np.ndarray, none: int
+    query: _Query, windows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel.  For each row of `windows`: the least entry index whose
-    targets one of the row's codes hits (`none` if there is no such entry),
-    the block holding that entry, and the block's first column where it
-    hits, which is the lexicographically first index set."""
-    rows = len(windows)
-    # one row per block, and a last row of `none` for a query with no block
-    best = np.full((len(query) + 1, rows), none, dtype=np.intp)
-    column = np.zeros_like(best)
-    step = max(1, _BLOCK_BYTES // max((b.row_bytes for b in query), default=1))
-    for start in range(0, rows, step):
-        part = slice(start, start + step)
-        greater = _greater(windows[part])
-        for i, block in enumerate(query):
-            codes = _codes(greater, block.pairs, block.weights)
-            # (nt, rows, K): the targets axis leads, so that the owner
-            # reduction runs over whole (rows, K) slices
-            hit = codes[:, :, 0] == block.targets[0, :, None, None]
-            for j in range(1, len(block.targets)):
-                hit &= codes[:, :, j] == block.targets[j, :, None, None]
-            owner = np.where(hit, block.owners[:, None, None], none).min(axis=0)
-            best[i, part] = first = owner.min(axis=1)
-            column[i, part] = (owner == first[:, None]).argmax(axis=1)
+    """The kernel, one pass over all blocks.  For each row of `windows`:
+    the least entry index whose targets one of the row's codes hits
+    (`query.entries` if there is no such entry), the block holding that
+    entry, and the block's first column where it hits, which is the
+    lexicographically first index set."""
+    rows, none = len(windows), query.entries
+    best = np.full(rows, none, dtype=np.intp)
+    column = np.zeros(rows, dtype=np.intp)
+    if query.blocks:
+        step = max(1, _BLOCK_BYTES // query.row_bytes)
+        codes = np.empty((min(step, rows), query.starts[-1], len(query.mixers)), dtype=np.int64)
+        for start in range(0, rows, step):
+            part = slice(start, start + step)
+            bits = _greater(windows[part]).take(query.pairs, axis=1)
+            code = codes[: len(bits)]
+            for c0, c1, p0, weights in query.sizes:
+                t = len(weights)
+                pairs = bits[:, p0 : p0 + (c1 - c0) * t].reshape(len(bits), c1 - c0, t)
+                np.matmul(pairs, weights, out=code[:, c0:c1])
+            # the slot: the top bits of sum_w code_w * mixer_w mod 2^64,
+            # in the table of the column's block
+            word = code.view(np.uint64)
+            slot = word[:, :, 0] * query.mixers[0]
+            for w in range(1, len(query.mixers)):
+                slot += word[:, :, w] * query.mixers[w]
+            slot >>= query.shift
+            slot = slot.view(np.intp)
+            slot += query.base
+            hit = query.slot_codes[0].take(slot) == code[:, :, 0]
+            for w in range(1, len(query.mixers)):
+                hit &= query.slot_codes[w].take(slot) == code[:, :, w]
+            owner = np.where(hit, query.slot_owners.take(slot), none)
+            # the first column of the least owner
+            column[part] = first = owner.argmin(axis=1)
+            best[part] = np.take_along_axis(owner, first[:, None], axis=1)[:, 0]
     # an entry lives in one block, so the least entry picks the block
-    where = best.argmin(axis=0)
-    picked = np.arange(rows)
-    return best[where, picked], column[where, picked], where
+    where = np.searchsorted(query.starts, column, side="right") - 1
+    return best, column - query.starts[where], where
 
 
 def _host_rows(hosts: Sequence[Element], degree: int) -> np.ndarray:
     return np.array([w.window for w in hosts], dtype=np.int16).reshape(-1, degree)
 
 
+def _bp_kind(host: str, pattern: str) -> EmbeddingKind | None:
+    """The embedding kind of a pattern family in a host family; None for a
+    type B pattern in a type A host, which has no parabolic of its type."""
+    if pattern == "A":
+        return "A-in-A" if host == "A" else "A-in-B"
+    return "B-in-B" if host == "B" else None
+
+
 def _bp_entry(host: GroupContext, v: Element) -> _Entry | None:
-    """BP containment of v as a search entry; None when the host has no
-    parabolic subgroup of v's type (a type B pattern in a type A host)."""
-    if v.ctx.family == "A":
-        kind = "A-in-A" if host.family == "A" else "A-in-B"
-        flip = dynkin_reverse(v).window
-        return kind, host.rank, tuple(dict.fromkeys((v.window, flip)))
-    if host.family == "B":
-        return "B-in-B", host.rank, (v.window,)
-    return None
-
-
-def _first_embedding(
-    w: Element, query: tuple[_Block, ...], count: int
-) -> tuple[int, tuple[int, ...]] | None:
-    """The first matching entry (of `count`) for one host, and its index
-    set; None if no entry matches."""
-    best, column, where = _first_matches(query, _host_rows((w,), w.degree), count)
-    if best[0] == count:
+    """BP containment of v as a search entry: v and, for the A kinds, its
+    diagram flip; None when the host has no parabolic of v's type."""
+    kind = _bp_kind(host.family, v.ctx.family)
+    if kind is None:
         return None
-    return int(best[0]), tuple(int(i) for i in query[where[0]].sets[column[0]])
+    if kind == "B-in-B":
+        return kind, host.rank, (v.window,)
+    return kind, host.rank, tuple(dict.fromkeys((v.window, _flip(v.window))))
+
+
+def _first_embedding(w: Element, query: _Query) -> tuple[int, tuple[int, ...]] | None:
+    """The first matching entry for one host, and its index set; None if
+    no entry matches."""
+    best, column, where = _first_matches(query, _host_rows((w,), w.degree))
+    if best[0] == query.entries:
+        return None
+    return int(best[0]), tuple(int(i) for i in query.blocks[where[0]].sets[column[0]])
 
 
 def first_bp_contained(
@@ -336,7 +452,7 @@ def first_bp_contained(
     if not len(windows):
         return np.zeros(0, dtype=np.intp)
     query = _query(tuple(_bp_entry(host, v) for v in pats))
-    best, _, _ = _first_matches(query, windows, len(pats))
+    best, _, _ = _first_matches(query, windows)
     return np.where(best < len(pats), best, -1)
 
 
@@ -346,7 +462,7 @@ def bp_contains(w: Element, v: Element) -> ParabolicEmbedding | None:
     entry = _bp_entry(w.ctx, v)
     if entry is None:
         return None
-    found = _first_embedding(w, _query((entry,)), 1)
+    found = _first_embedding(w, _query((entry,)))
     if found is None:
         return None
     return ParabolicEmbedding(w.ctx, entry[0], found[1])
@@ -355,7 +471,7 @@ def bp_contains(w: Element, v: Element) -> ParabolicEmbedding | None:
 def classical_contains(w: Element, v: Element) -> tuple[int, ...] | None:
     """Classical pattern containment; returns the lexicographically least
     witness index set, or None."""
-    found = _first_embedding(w, _query((("A-in-A", w.degree, (v.window,)),)), 1)
+    found = _first_embedding(w, _query((("A-in-A", w.degree, (v.window,)),)))
     return None if found is None else found[1]
 
 
@@ -405,19 +521,22 @@ def condition5_patterns() -> tuple[Element, ...]:
 
 
 @lru_cache(maxsize=None)
-def _condition5_query(host: GroupContext) -> tuple[tuple[_Block, ...], np.ndarray, np.ndarray]:
-    """The blocks of the listed patterns in `host`; every block's index
-    sets, padded with zeros to the widest, stacked over a last zero row;
-    and the row in that stack where each block starts, then the zero row."""
+def _condition5_query(host: GroupContext) -> tuple[_Query, np.ndarray]:
+    """The query of the listed patterns in `host`, and every block's index
+    sets, padded with zeros to the widest, stacked by column over a last
+    zero row."""
     query = _query(tuple(_bp_entry(host, v) for v in condition5_patterns()))
-    width = max((b.sets.shape[1] for b in query), default=0)
-    sizes = [len(b.sets) for b in query]
-    stacked = np.zeros((sum(sizes) + 1, width), dtype=np.intp)
-    starts = np.cumsum([0] + sizes)
-    for block, start in zip(query, starts):
+    width = max((b.sets.shape[1] for b in query.blocks), default=0)
+    stacked = np.zeros((query.starts[-1] + 1, width), dtype=np.intp)
+    for block, start in zip(query.blocks, query.starts):
         stacked[start : start + len(block.sets), : block.sets.shape[1]] = block.sets
-    stacked.flags.writeable = starts.flags.writeable = False
-    return query, stacked, starts
+    stacked.flags.writeable = False
+    return query, stacked
+
+
+def condition5_index_sets(ctx: GroupContext) -> int:
+    """The index sets that `condition5_matches` scans in each row of ctx."""
+    return int(_condition5_query(ctx)[0].starts[-1])
 
 
 def condition5_matches(
@@ -433,11 +552,10 @@ def condition5_matches(
     """
     if windows is None:
         windows = ctx.window_matrix
-    query, stacked, starts = _condition5_query(ctx)
-    count = len(CONDITION5_SPECS)
-    best, column, where = _first_matches(query, windows, count)
-    found = best < count
-    rows = np.where(found, starts[where] + column, len(stacked) - 1)
+    query, stacked = _condition5_query(ctx)
+    best, column, where = _first_matches(query, windows)
+    found = best < query.entries
+    rows = np.where(found, query.starts[where] + column, len(stacked) - 1)
     return np.where(found, best, -1), stacked[rows]
 
 
@@ -449,7 +567,7 @@ def condition5_embedding(
     if pattern < 0:
         return None
     v = condition5_patterns()[pattern]
-    kind = _bp_entry(host, v)[0]
+    kind = _bp_kind(host.family, v.ctx.family)
     return v, ParabolicEmbedding(host, kind, tuple(indices[: v.degree].tolist()))
 
 

@@ -27,7 +27,7 @@ from hultman.bruhat import (
     window_leq,
     window_rank,
 )
-from hultman.diagrams import Box, _mirror_box, hull_bounds, identity_rank
+from hultman.diagrams import Box, _best_hull_window, _mirror_box, hull_bounds, identity_rank
 from hultman.groups import (
     Element,
     GroupContext,
@@ -40,7 +40,7 @@ from hultman.groups import (
     invert_window,
     signed_window,
 )
-from hultman.patterns import ParabolicEmbedding
+from hultman.patterns import _BLOCK_BYTES, ParabolicEmbedding, _codes, _greater, _Query
 
 RankGrid = tuple[tuple[int, ...], ...]
 
@@ -372,6 +372,18 @@ def hull_equiv_check(
 # --- basic elements, reduced words and E'(w) --------------------------------
 
 
+def oracle_hull_counterexample(w: Element, central: int | None) -> Window | None:
+    """The hull test with one board for every coessential box, mirrors
+    included: the best window of the first box, in sorted order, that a
+    window of the board violates; None if there is no such box."""
+    lo, hi = hull_bounds(w)
+    for p, q, r in coessential_boxes(w.window):
+        u = _best_hull_window(lo, hi, p, q, central)
+        if u is not None and window_rank(u, p, q) > r:
+            return u
+    return None
+
+
 def _segment(a: int, b: int) -> list[int]:
     """The run a, a+1, ..., b; empty when a > b."""
     return list(range(a, b + 1))
@@ -555,3 +567,43 @@ def embed_pattern(emb: ParabolicEmbedding, v: Element) -> Element:
 def generator_images(emb: ParabolicEmbedding) -> tuple[Element, ...]:
     """The canonical images of the pattern group's simple generators."""
     return tuple(embed_pattern(emb, s) for s in emb.pattern_ctx.generators)
+
+
+def dynkin_reverse(v: Element) -> Element:
+    """w_0 v w_0: the image of v under the type A diagram flip."""
+    m = v.degree
+    return Element(tuple(m + 1 - v.window[m - i] for i in range(1, m + 1)), v.ctx)
+
+
+def oracle_first_matches(
+    query: _Query, windows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`patterns._first_matches` one block at a time: each block's codes
+    compared with each of its target codes, the least owner per column,
+    and the first column that attains it."""
+    rows, none = len(windows), query.entries
+    # one row per block, and a last row of `none` for a query with no block
+    best = np.full((len(query.blocks) + 1, rows), none, dtype=np.intp)
+    column = np.zeros_like(best)
+    row_bytes = max(
+        (8 * len(b.pairs) * max(b.pairs.shape[1], b.targets.shape[1], 1) for b in query.blocks),
+        default=1,
+    )
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    for start in range(0, rows, step):
+        part = slice(start, start + step)
+        greater = _greater(windows[part])
+        for i, block in enumerate(query.blocks):
+            codes = _codes(greater, block.pairs, block.weights)
+            # (nt, rows, K): the targets axis leads, so that the owner
+            # reduction runs over whole (rows, K) slices
+            hit = codes[:, :, 0] == block.targets[0, :, None, None]
+            for j in range(1, len(block.targets)):
+                hit &= codes[:, :, j] == block.targets[j, :, None, None]
+            owner = np.where(hit, block.owners[:, None, None], none).min(axis=0)
+            best[i, part] = first = owner.min(axis=1)
+            column[i, part] = (owner == first[:, None]).argmax(axis=1)
+    # an entry lives in one block, so the least entry picks the block
+    where = best.argmin(axis=0)
+    picked = np.arange(rows)
+    return best[where, picked], column[where, picked], where

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import random
 
@@ -545,3 +546,41 @@ def test_witness_table_corrected_s6_rows():
     assert by_u["126543"].recomputed is None
     assert by_u["423156"].parity_consistent  # wrong in a non-parity way
     assert not by_u["126543"].parity_consistent
+
+
+@pytest.mark.parametrize("ctx", [context("B", 3), context("A", 4)], ids=lambda ctx: ctx.name)
+def test_verify_counts_hull_boards_and_pattern_index_sets(ctx):
+    # hull boards: one per coessential box, in type B only up to the
+    # central box (n+1, n), until the first box some window violates
+    n, boards = ctx.rank, 0
+    for w in ctx.elements:
+        lo, hi = hull_bounds(w)
+        relaxed = ctx.family == "B" and bruhat.window_rank(w.window, n + 1, n) == 1
+        for p, q, r in bruhat.coessential_boxes(w.window):
+            if ctx.family == "B" and (p, q) > (n + 1, n):
+                break
+            boards += 1
+            u = diagrams._best_hull_window(lo, hi, p, q, n if relaxed else None)
+            if u is not None and bruhat.window_rank(u, p, q) > r:
+                break
+    # index sets: one scan per row of each plan (embedding kind, size) that
+    # a listed pattern has in the host
+    plans = set()
+    for v in condition5_patterns():
+        if v.ctx.family == "A":
+            m = v.degree
+            plans.add(("A", m) if ctx.family == "A" else ("A-in-B", m))
+        elif ctx.family == "B":
+            plans.add(("B-in-B", v.ctx.rank))
+    sets = 0
+    for kind, m in plans:
+        if kind == "A":
+            sets += len(list(itertools.combinations(range(ctx.degree), m)))
+        elif kind == "A-in-B":
+            sets += len(list(patterns.a_in_b_index_sets(n, m)))
+        else:
+            sets += len(list(patterns.b_in_b_index_sets(n, m)))
+    summary = verify_equivalence(ctx, (4, 5))
+    assert summary.counters == {"pattern_index_sets": ctx.order * sets, "hull_boards": boards}
+    assert summary.to_json_dict()["counters"] == summary.counters
+    assert verify_equivalence(ctx, (3,)).counters == {}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hultman.bruhat import bruhat_leq, coessential_boxes, window_leq, window_rank
 from hultman.diagrams import (
     _best_hull_window,
+    _hull_counterexample,
     defined_by_inclusions_mask,
     hull_bounds,
     hull_relaxed_counterexample,
@@ -34,6 +35,7 @@ from oracles import (
     has_unique_reduced_word,
     hull_equiv_check,
     hull_windows,
+    oracle_hull_counterexample,
     reduced_coessential_closed_form,
     window_in_hull,
     window_rank_grid,
@@ -430,6 +432,87 @@ def test_hull_dp_handles_empty_and_forced_boards():
     assert window_rank(plain, 3, 2) == 2
     cut = _best_hull_window(full_lo, full_hi, 3, 2, central=2)
     assert window_rank(cut, 3, 2) == 1
+
+
+def _assert_pruned_hull_matches_every_box(w, boards=(None,)):
+    """Both hull boards of w (plain, and in type B also cut at the central
+    box) give the window of the oracle that solves every box."""
+    for central in boards:
+        found, solved = _hull_counterexample(w, central)
+        assert found == oracle_hull_counterexample(w, central), (w, central)
+        assert 0 <= solved <= len(boxes(w)), (w, central)
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_mirror_pruned_hull_equals_every_box_oracle_in_type_b(rank):
+    ctx = context("B", rank)
+    for w in ctx.elements:
+        _assert_pruned_hull_matches_every_box(w, (None, rank))
+
+
+def test_mirror_pruned_hull_equals_every_box_oracle_on_b6_sample():
+    # rows that reach the central cut, and rows drawn at random
+    rng = random.Random(66)
+    cut, drawn = [], []
+    while len(cut) < 40 or len(drawn) < 40:
+        w = element_from_signed([v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), 6)], 6)
+        if _reaches_the_central_cut(w):
+            cut.append(w)
+        elif len(drawn) < 40:
+            drawn.append(w)
+    for w in cut[:40] + drawn:
+        _assert_pruned_hull_matches_every_box(w, (None, 6))
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_type_a_hull_solves_every_box_up_to_the_first_violated(rank):
+    for w in context("A", rank).elements:
+        found, solved = _hull_counterexample(w, None)
+        assert found == oracle_hull_counterexample(w, None), w
+        lo, hi = hull_bounds(w)
+        first = next(
+            (
+                i
+                for i, (p, q, r) in enumerate(boxes(w), start=1)
+                if window_rank(_best_hull_window(lo, hi, p, q) or (), p, q) > r
+            ),
+            len(boxes(w)),
+        )
+        assert solved == first, w
+
+
+def _mirror_verdicts_checked(rank):
+    """The (w, box, board) triples of B_rank at which the box and its
+    mirror (N+2-p, N-q) got the same hull verdict; AssertionError at the
+    first that did not.  u -> w0 u w0 maps each board onto itself and
+    shifts r_u and r_w at the two boxes alike."""
+    n, pairs = rank, 0
+    for w in context("B", rank).elements:
+        lo, hi = hull_bounds(w)
+        ranks = {(p, q): r for p, q, r in boxes(w)}
+        for central in (None, n):
+            for (p, q), r in ranks.items():
+                mp, mq = 2 * n + 2 - p, 2 * n - q
+                verdicts = []
+                for bp, bq in ((p, q), (mp, mq)):
+                    u = _best_hull_window(lo, hi, bp, bq, central)
+                    verdicts.append(u is not None and window_rank(u, bp, bq) > ranks[bp, bq])
+                assert verdicts[0] == verdicts[1], (w, p, q, central)
+                pairs += 1
+    return pairs
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_mirror_boxes_have_equal_hull_verdicts(rank):
+    assert _mirror_verdicts_checked(rank) >= 2
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_coessential_boxes_are_closed_under_the_mirror(rank):
+    n = rank
+    for w in context("B", rank).elements:
+        pqs = {(p, q) for p, q, _ in boxes(w)}
+        assert pqs == {(2 * n + 2 - p, 2 * n - q) for p, q in pqs}, w
 
 
 def test_hull_equiv_check():

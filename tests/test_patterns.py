@@ -10,10 +10,17 @@ from hultman.groups import Element, compose, context, element_from_signed, parse
 from hultman.patterns import (
     CONDITION5_SPECS,
     ParabolicEmbedding,
+    _bp_entry,
+    _bp_kind,
     _codes,
+    _condition5_query,
+    _first_matches,
     _greater,
     _pair_index,
     _plan,
+    _query,
+    _slot,
+    _slot_search,
     _weights,
     a_in_b_index_sets,
     avoids_condition5_list,
@@ -23,11 +30,17 @@ from hultman.patterns import (
     condition5_embedding,
     condition5_matches,
     condition5_patterns,
-    dynkin_reverse,
+    first_bp_contained,
     flatten,
     relative_order,
 )
-from oracles import embed_pattern, generator_images, inversion_reflections
+from oracles import (
+    dynkin_reverse,
+    embed_pattern,
+    generator_images,
+    inversion_reflections,
+    oracle_first_matches,
+)
 
 A1 = context("A", 1)
 A3 = context("A", 3)
@@ -499,6 +512,119 @@ def test_condition5_matches_take_a_batch_of_windows():
     assert np.array_equal(pattern, whole[rows])
     assert np.array_equal(indices, whole_indices[rows])
     assert condition5_embedding(ctx, -1, indices[0]) is None
+
+
+def _assert_kernel_equals_oracle(query, windows):
+    """The one-pass kernel and the per-block oracle give equal (best,
+    column, where) for every row."""
+    got, want = _first_matches(query, windows), oracle_first_matches(query, windows)
+    for name, g, x in zip(("best", "column", "where"), got, want):
+        assert np.array_equal(g, x), (name, np.flatnonzero(g != x)[:5])
+    return got
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [context("A", n) for n in range(1, 8)] + [context("B", n) for n in range(1, 6)],
+    ids=lambda ctx: ctx.name,
+)
+def test_kernel_equals_the_per_block_oracle_on_every_row(ctx):
+    _assert_kernel_equals_oracle(_condition5_query(ctx)[0], ctx.window_matrix)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 8), ("B", 6)])
+def test_kernel_equals_the_per_block_oracle_on_batches_of_one(family, rank):
+    ctx = context(family, rank)
+    query = _condition5_query(ctx)[0]
+    found = 0
+    for row in random.Random(80 + rank).sample(range(ctx.order), 300):
+        best, _, _ = _assert_kernel_equals_oracle(query, ctx.window_matrix[row : row + 1])
+        found += int(best[0] < query.entries)
+    assert 0 < found < 300
+
+
+def _mixed_patterns(rng, host):
+    """A seeded list of patterns of every kind for `host`: identities of
+    A_1 (no pairs) and A_2 (one pair), self-flipping type A patterns,
+    type B patterns, and repeats."""
+    pool = [e for r in range(1, 5) for e in context("A", r).elements]
+    pool += [e for r in range(1, 4) for e in context("B", r).elements]
+    flipping = [v for v in pool if v.ctx.family == "A" and dynkin_reverse(v) == v]
+    pats = rng.sample(pool, rng.randint(1, 10)) + rng.sample(flipping, 2)
+    pats += [context("A", 1).identity, context("A", 2).identity]
+    pats += rng.sample(pats, 2)
+    rng.shuffle(pats)
+    return pats
+
+
+@pytest.mark.parametrize("host", [A5, B3, B4], ids=lambda ctx: ctx.name)
+def test_first_bp_contained_equals_the_per_block_oracle(host):
+    rng = random.Random(host.degree)
+    windows = host.window_matrix
+    assert (first_bp_contained(host, windows, []) == -1).all()
+    _assert_kernel_equals_oracle(_query(()), windows)
+    for _ in range(12):
+        pats = _mixed_patterns(rng, host)
+        query = _query(tuple(_bp_entry(host, v) for v in pats))
+        best, _, _ = _assert_kernel_equals_oracle(query, windows)
+        first = first_bp_contained(host, windows, pats)
+        assert np.array_equal(first, np.where(best < len(pats), best, -1))
+        for row in rng.sample(range(host.order), 10):
+            w = host.elements[row]
+            hits = [i for i, v in enumerate(pats) if oracle_bp_contains(w, v) is not None]
+            assert first[row] == (hits[0] if hits else -1), (w, pats)
+
+
+def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
+    # one query with one-word blocks of 18, 19 and 20 positions and a
+    # two-word block of 21 in S_21: their code ranges add up past 2^63,
+    # so no key may stack them
+    rng = random.Random(2021)
+    host = context("A", 21)
+    rows = []
+    for _ in range(3):
+        values = list(range(1, 22))
+        rng.shuffle(values)
+        rows.append(values)
+    pats = []
+    for k in (18, 19, 20, 21):
+        keep = sorted(rng.sample(range(21), k))
+        inside = relative_order([rows[k % 3][i] for i in keep])
+        pats += [Element(v, context("A", k)) for v in [inside] + _neighbours(inside)[:2]]
+    query = _query(tuple(_bp_entry(host, v) for v in pats))
+    assert sum(factorial(b.sets.shape[1]) for b in query.blocks) > 2**63
+    assert [b.weights.shape[1] for b in query.blocks] == [1, 1, 1, 2]
+    windows = np.array(rows + [list(range(1, 22))], dtype=np.int16)
+    best, _, _ = _assert_kernel_equals_oracle(query, windows)
+    for row, values in enumerate(windows.tolist()):
+        w = Element(tuple(values), host)
+        hits = [i for i, v in enumerate(pats) if oracle_bp_contains(w, v) is not None]
+        assert best[row] == (hits[0] if hits else len(pats)), w
+    assert (best[:3] < len(pats)).all()
+
+
+def test_slot_search_separates_keys_that_share_low_bits_or_words():
+    # codes equal below bit 40, and two-word codes equal in one word
+    for keys in (
+        [[(i << 40,) for i in range(50)]],
+        [[(7, i) for i in range(100)], [(i * factorial(10), 0) for i in range(30)]],
+    ):
+        mixers, bits = _slot_search(keys, len(keys[0][0]))
+        assert all(m % 2 for m in mixers)
+        for block in keys:
+            assert len({_slot(key, mixers, bits) for key in block}) == len(block)
+            assert all(0 <= _slot(key, mixers, bits) < 2**bits for key in block)
+
+
+def test_bp_kind_is_read_off_the_two_families():
+    assert _bp_kind("A", "A") == "A-in-A"
+    assert _bp_kind("B", "A") == "A-in-B"
+    assert _bp_kind("B", "B") == "B-in-B"
+    assert _bp_kind("A", "B") is None
+    for host in (A5, B3):
+        for v in condition5_patterns():
+            entry = _bp_entry(host, v)
+            assert _bp_kind(host.family, v.ctx.family) == (entry and entry[0])
 
 
 def test_relative_order_basics():

@@ -124,10 +124,10 @@ def test_hull_enumeration_and_hungarian_solver_stay_oracles():
 
 
 def test_hull_dp_solves_one_board_per_coessential_box():
-    # both right hull tests solve one board per coessential box of w, the
-    # relaxed one by cutting the program's states at the central box; a
-    # call from anywhere else, the program itself included, would be a
-    # second board for some box
+    # both right hull tests solve at most one board per coessential box of
+    # w (in type B one per mirror pair), the relaxed one by cutting the
+    # program's states at the central box; a call from anywhere else, the
+    # program itself included, would be a second board for some box
     calls = _uses(_calls_to("_best_hull_window"))
     assert set(calls) == {("diagrams.py", "_hull_counterexample")}, calls
 
