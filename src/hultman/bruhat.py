@@ -3,9 +3,12 @@
 The tableau criterion drives everything: u <= w iff r_u(p,q) <= r_w(p,q)
 for all p, q, where r_w(p,q) = #{k <= q : w(k) >= p} is the SW rank
 function.  Only the coessential boxes of w need checking (Fulton's lemma).
-The production path holds one small-int matrix of rank grids per group
-(`group_rank_grids`) and answers "which u lie below w" for the whole group
-at once with `interval_mask`.
+The production path holds one int8 rank table per group
+(`group_rank_grids`), stored by cell: the ranks r_u(p,q) of every u in
+the group form one contiguous row per cell (p,q).  `interval_mask` answers
+"which u lie below w" for the whole group at once, reading one row per
+coessential box of w, and condition 3's whole-group kernel in `diagrams`
+reads the table one block of elements at a time.
 
 Whole-group data are arrays indexed by row of `ctx.elements`: its window
 matrix (`ctx.window_matrix`) and Coxeter lengths (`BruhatGraph.lengths`)
@@ -131,27 +134,30 @@ def element_rows(ctx: GroupContext, windows) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def group_rank_grids(ctx: GroupContext) -> np.ndarray:
-    """Read-only int8 matrix with one row per element of ctx.elements: the
-    element's rank grid flattened row by row, so r(p,q) is in column
-    (p-1)*N + (q-1).  Ranks never exceed the degree N, so int8 cannot
-    overflow."""
-    windows = ctx.window_matrix
-    values = np.arange(1, ctx.degree + 1, dtype=np.int8)
-    # [i, p-1, q-1] = #{k <= q : w_i(k) >= p}
-    grids = np.cumsum(
-        windows[:, None, :] >= values[None, :, None], axis=2, dtype=np.int8
-    ).reshape(len(windows), -1)
+    """The group's rank table: a read-only, C-contiguous int8 array of
+    shape (N, N, order) with r_u(p,q) at [p-1, q-1, u] for every row u of
+    ctx.elements.  The table is stored by cell, so `grids[p-1, q-1]` is one
+    contiguous row of r_u(p,q) over the whole group, and a reader of a few
+    cells reads only those rows.  Ranks never exceed the degree N, so int8
+    cannot overflow."""
+    windows = ctx.window_matrix.T  # [k-1, u] = u(k)
+    grids = np.empty((ctx.degree, ctx.degree, ctx.order), dtype=np.int8)
+    for p in range(1, ctx.degree + 1):
+        # [q-1, u] = #{k <= q : u(k) >= p}
+        np.cumsum(windows >= p, axis=0, dtype=np.int8, out=grids[p - 1])
     grids.flags.writeable = False
     return grids
 
 
 def box_mask(ctx: GroupContext, boxes: Sequence[tuple[int, int, int]]) -> np.ndarray:
     """Boolean mask over ctx.elements: r_u(p,q) <= r for every box (p, q, r).
-    This is the one rank test that runs over a whole group."""
+    This is the one rank test that runs over a whole group; it reads the
+    rank table's row of each box's cell, one int8 comparison per row."""
     grids = group_rank_grids(ctx)
-    cols = [(p - 1) * ctx.degree + q - 1 for p, q, _ in boxes]
-    ranks = np.array([r for _, _, r in boxes], dtype=grids.dtype)
-    return (grids[:, cols] <= ranks).all(axis=1)
+    mask = np.ones(ctx.order, dtype=bool)
+    for p, q, r in boxes:
+        mask &= grids[p - 1, q - 1] <= r
+    return mask
 
 
 def interval_mask(w: Element) -> np.ndarray:

@@ -8,14 +8,13 @@ E'(w) and the violated boxes are tuples of such triples too, in the same
 sorted order.  The right hull H(w) is the pair (lo, hi) of `hull_bounds`.
 
 Condition 3 has two paths, chosen by input size.  For a whole group,
-`defined_by_inclusions_mask` marks the coessential boxes of every element
-at once from the window matrix and its inverse and compares them with the
-group's rank grids, a block of rows at a time.  For one element,
-`violated_boxes` and `is_defined_by_(pseudo_)inclusions` read the
-lru-cached `coessential_boxes`, which `interval_mask`, `window_leq` and the
-hull dynamic program share.  On a B_5 element that path took 20-40 us on a
-cache miss and 8-15 us on a hit, against 40-75 us for the same numpy
-kernel on a batch of one (one interpreter, 2 shared CPUs).
+`defined_by_inclusions_mask` reads only the group's rank table
+(`bruhat.group_rank_grids`): a box is coessential exactly when four
+neighbouring ranks say so, and the kernel marks and tests those boxes for
+a block of elements at a time.  For one element, `violated_boxes` and
+`is_defined_by_(pseudo_)inclusions` read the lru-cached
+`coessential_boxes`, which `interval_mask`, `window_leq` and the hull
+dynamic program share; they need no group table at all.
 
 The right hull tests are exact and always definite.  The bounds of H(w)
 are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
@@ -82,32 +81,44 @@ def is_defined_by_pseudo_inclusions(w: Element) -> bool:
 def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:
     """Condition 3 for the whole group, as a bool array by row of
     ctx.elements: `is_defined_by_inclusions` in type A and
-    `is_defined_by_pseudo_inclusions` in type B.
+    `is_defined_by_pseudo_inclusions` in type B.  The rank table of
+    `group_rank_grids` is its only input from the group.
 
-    The box (p,q) is coessential iff w(q) < p <= w(q+1) and
-    w^{-1}(p-1) <= q < w^{-1}(p), and violated iff r_w(p,q) also exceeds
-    max(0, q-p+1), or 1 at the central box (n+1, n) in type B.  The masks
-    run over p = 2..N and q = 1..N-1, as int8 and bool arrays one block of
-    rows at a time.
+    Take r(p,0) = r(N+1,q) = 0.  Each step of r along an axis is 0 or 1:
+    r(p,q) - r(p,q-1) = [w(q) >= p] and r(p-1,q) - r(p,q) =
+    [w^{-1}(p-1) <= q].  So the two conditions for (p,q) to be coessential,
+    w(q) < p <= w(q+1) and w^{-1}(p-1) <= q < w^{-1}(p), are four
+    neighbour identities of the table:
+
+        r(p,q+1) - r(p,q) = 1    (w(q+1) >= p)
+        r(p,q) = r(p,q-1)        (w(q) < p)
+        r(p-1,q) - r(p,q) = 1    (w^{-1}(p-1) <= q)
+        r(p,q) = r(p+1,q)        (w^{-1}(p) > q)
+
+    Since each step is 0 or 1, the first two hold together exactly when the
+    second difference r(p,q+1) - 2 r(p,q) + r(p,q-1) is 1, and the last two
+    when r(p-1,q) - 2 r(p,q) + r(p+1,q) is 1.  The box is violated iff it
+    is coessential and r(p,q) also exceeds max(0, q-p+1), or 1 at the
+    central box (n+1, n) in type B.  The masks run over p = 2..N and
+    q = 1..N-1, as int8 and bool arrays one block of elements at a time.
     """
     size = ctx.degree
-    positions = np.arange(1, size + 1, dtype=np.int8)
-    p = positions[1:, None]  # p = 2..N down axis 1
-    q = positions[:-1]  # q = 1..N-1 along axis 2
+    p = np.arange(2, size + 1, dtype=np.int8)[:, None, None]
+    q = np.arange(1, size, dtype=np.int8)[:, None]
     bound = np.maximum(q - p + 1, 0)
     if ctx.family == "B":
         bound[ctx.rank - 1, ctx.rank - 1] = 1  # the central box (n+1, n)
-    windows = ctx.window_matrix
-    ranks = group_rank_grids(ctx).reshape(len(windows), size, size)[:, 1:, :-1]
-    defined = np.empty(len(windows), dtype=bool)
-    for k in range(0, len(windows), BLOCK_ROWS):
-        win = windows[k : k + BLOCK_ROWS]
-        inv = np.empty_like(win)  # inv[:, v-1] = w^{-1}(v)
-        np.put_along_axis(inv, win.astype(np.intp) - 1, positions[None, :], axis=1)
-        boxes = (win[:, None, :-1] < p) & (p <= win[:, None, 1:])
-        boxes &= (inv[:, :-1, None] <= q) & (q < inv[:, 1:, None])
-        boxes &= ranks[k : k + BLOCK_ROWS] > bound
-        defined[k : k + BLOCK_ROWS] = ~boxes.any(axis=(1, 2))
+    grids = group_rank_grids(ctx)
+    defined = np.empty(ctx.order, dtype=bool)
+    for k in range(0, ctx.order, BLOCK_ROWS):
+        block = grids[:, :, k : k + BLOCK_ROWS]
+        # [p-1, q] = r(p,q) for p = 1..N+1 and q = 0..N, zero on the added edges
+        r = np.zeros((size + 1, size + 1, block.shape[2]), dtype=np.int8)
+        r[:-1, 1:] = block
+        boxes = np.diff(r[1:-1], n=2, axis=1) == 1
+        boxes &= np.diff(r[:, 1:-1], n=2, axis=0) == 1
+        boxes &= r[1:-1, 1:-1] > bound
+        defined[k : k + BLOCK_ROWS] = ~boxes.any(axis=(0, 1))
     return defined
 
 

@@ -3,10 +3,11 @@ its elapsed time (run with `pytest -s tests/test_acceptance.py` to see them
 as they complete).
 
 The B_5 equivalence sweep (all five conditions), the rank-6
-minimal-pattern search and the S_8 (11762) and B_6 (4843) counts by
-condition 5 alone run in tier-1.  The long sweeps are opt-in: set
-HULTMAN_B5=1.  They confirm those counts by conditions 3, 4 and 5, and
-by all five.
+minimal-pattern search, the S_8 (11762) and B_6 (4843) counts by
+condition 5 alone and the sums of s(w) over S_7 and B_5 run in tier-1.
+The long sweeps are opt-in: set HULTMAN_B5=1.  They confirm those counts
+by conditions 3, 4 and 5, and by all five, and pin the sums of s(w) over
+S_8 and B_6.
 """
 import math
 import os
@@ -148,6 +149,22 @@ def test_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultma
     assert summary.total == order
     assert summary.hultman_count == hultman
     _report(f"{family}_{rank} count (conditions 3, 4 and 5)", time.perf_counter() - start)
+
+
+@pytest.mark.parametrize(
+    "family, rank, total",
+    [
+        ("A", 7, 3550919),
+        ("B", 5, 3089459),
+        pytest.param("A", 8, 170288585, marks=OPT_IN),
+        pytest.param("B", 6, 350676009, marks=OPT_IN),
+    ],
+)
+def test_interval_size_sum(family, rank, total):
+    # sum of s(w) = #[id, w] over the group, one box_mask call per element
+    start = time.perf_counter()
+    assert sum(interval_size(w) for w in context(family, rank).elements) == total
+    _report(f"{family}_{rank} sum of s(w)", time.perf_counter() - start)
 
 
 @OPT_IN

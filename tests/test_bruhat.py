@@ -100,12 +100,15 @@ def test_fast_path_equals_full_tableau(ctx):
 
 
 @pytest.mark.parametrize("ctx", [A4, B3])
-def test_group_rank_grids_are_the_flattened_grids(ctx):
+def test_group_rank_grids_are_stored_by_cell(ctx):
+    # the table is (N, N, order): each cell's ranks over the group are one
+    # contiguous row, the layout box_mask and the condition 3 kernel read
     grids = group_rank_grids(ctx)
-    assert grids.shape == (ctx.order, ctx.degree**2)
-    assert not grids.flags.writeable
+    assert grids.shape == (ctx.degree, ctx.degree, ctx.order)
+    assert grids.dtype == np.int8
+    assert not grids.flags.writeable and grids.flags.c_contiguous
     for i, e in enumerate(ctx.elements):
-        assert grids[i].tolist() == [v for row in window_rank_grid(e.window) for v in row]
+        assert grids[:, :, i].tolist() == [list(row) for row in window_rank_grid(e.window)]
 
 
 def test_interval_sizes():

@@ -108,6 +108,43 @@ def test_minimal_pattern_search_reads_condition_3_off_the_whole_group_kernel():
     assert not {function for _, function in uses} & whole_group, uses
 
 
+def test_condition_3_kernel_reads_only_the_rank_table():
+    # the whole-group kernel finds coessential boxes from the neighbouring
+    # ranks of the group's rank table; reading or inverting the window
+    # matrix there would be a second source of the same boxes, and a
+    # reshape or a flattened cell index such as (p - 1) * N + q - 1 would
+    # tie diagrams to the table's layout, which only bruhat knows
+    tree = ast.parse((SOURCE / "diagrams.py").read_text(encoding="utf-8"))
+    kernel = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "defined_by_inclusions_mask"
+    )
+    window_reads = [
+        node.lineno
+        for node in ast.walk(kernel)
+        if getattr(node, "id", getattr(node, "attr", None))
+        in {"window_matrix", "put_along_axis"}
+    ]
+    assert window_reads == [], window_reads
+
+    def names_degree(node):
+        return any(
+            getattr(sub, "id", getattr(sub, "attr", None)) in {"degree", "size"}
+            for sub in ast.walk(node)
+        )
+
+    flattening = [
+        node.lineno
+        for node in ast.walk(tree)
+        if _calls_to("reshape")(node)
+        or isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and (names_degree(node.left) or names_degree(node.right))
+    ]
+    assert flattening == [], flattening
+
+
 def test_hull_enumeration_and_hungarian_solver_stay_oracles():
     # the right hull tests have one implementation, the dynamic program in
     # diagrams; the Hungarian solver lives in the tests, and the exponential
