@@ -377,6 +377,16 @@ def verify_equivalence(
     return summary
 
 
+def _check_scan_bounds(max_a: int, max_b: int) -> None:
+    """Raise ValueError when max_a < max_b and max_b >= 4: the B_{max_b}
+    candidates would miss the type A obstructions of higher rank."""
+    if max_a < max_b and max_b >= 4:
+        raise ValueError(
+            f"max_a = {max_a} < max_b = {max_b}: the type A scan must reach "
+            f"rank {max_b}, since an A_m pattern embeds in B_n hosts for m <= n"
+        )
+
+
 def find_minimal_non_hultman(
     max_a: int = 6, max_b: int = 5
 ) -> tuple[Element, ...]:
@@ -397,11 +407,7 @@ def find_minimal_non_hultman(
     scan reaches rank max_b; below rank 4 there are no type A obstructions.
     Raises ValueError when max_a < max_b and max_b >= 4.
     """
-    if max_a < max_b and max_b >= 4:
-        raise ValueError(
-            f"max_a = {max_a} < max_b = {max_b}: the type A scan must reach "
-            f"rank {max_b}, since an A_m pattern embeds in B_n hosts for m <= n"
-        )
+    _check_scan_bounds(max_a, max_b)
     contexts = [context("A", m) for m in range(4, max_a + 1)]
     contexts += [context("B", m) for m in range(3, max_b + 1)]
     minimal: list[Element] = []

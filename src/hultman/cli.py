@@ -7,6 +7,7 @@ file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Sequence
@@ -16,6 +17,7 @@ from .bruhat import coessential_boxes
 from .classify import (
     ALL_CONDITIONS,
     CONDITION_NAMES,
+    _check_scan_bounds,
     classify,
     find_minimal_non_hultman,
     verify_equivalence,
@@ -120,9 +122,18 @@ def _element_from_args(args: argparse.Namespace) -> Element:
     return parse_element(args.element, context(args.family, args.rank))
 
 
+def _json_file(path: str | None) -> contextlib.AbstractContextManager:
+    """The --json output file, opened before any computation so that an
+    unwritable path fails at once; None without --json."""
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     w = _element_from_args(args)
-    report = classify(w, args.conditions)
+    with _json_file(args.json) as out:
+        report = classify(w, args.conditions)
+        if out is not None:
+            json.dump(report.to_json_dict(), out, indent=2)
     print(f"element {w} in {w.ctx.name} (length {coxeter_length(w)})")
     for name, value in report.conditions.items():
         print(f"  {name}: {value}")
@@ -145,9 +156,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 f"  matched pattern: {v} in {v.ctx.name}"
                 f" at positions {emb.indices}"
             )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
     if not report.consistent:
         print("CONDITION DISAGREEMENT", file=sys.stderr)
         return 1
@@ -156,9 +164,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ctx = context(args.family, args.rank)
-    summary = verify_equivalence(
-        ctx, args.conditions, keep_reports=bool(args.json)
-    )
+    with _json_file(args.json) as out:
+        summary = verify_equivalence(ctx, args.conditions, keep_reports=out is not None)
+        if out is not None:
+            json.dump(summary.to_json_dict(), out, indent=2)
     names = ", ".join(CONDITION_NAMES[c] for c in summary.conditions)
     print(f"{ctx.name}: {summary.total} elements, conditions [{names}]")
     print(f"  Hultman elements: {summary.hultman_count}")
@@ -173,9 +182,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         maps = "w -> w^-1" + (" and w -> w0 w w0" if ctx.family == "A" else "")
         labels = ", ".join(f"c{c}" for c in gathered)
         print(f"  {labels}: {computed} of {summary.total} computed, the rest by {maps}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(summary.to_json_dict(), fh, indent=2)
     if summary.disagreements:
         print(f"  DISAGREEMENTS: {len(summary.disagreements)}", file=sys.stderr)
         for r in summary.disagreements[:20]:
@@ -186,7 +192,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimal_patterns(args: argparse.Namespace) -> int:
-    found = find_minimal_non_hultman(args.max_a, args.max_b)
+    _check_scan_bounds(args.max_a, args.max_b)
+    with _json_file(args.json) as out:
+        found = find_minimal_non_hultman(args.max_a, args.max_b)
+        if out is not None:
+            rows = [{"family": v.ctx.family, "rank": v.ctx.rank, "element": str(v)} for v in found]
+            json.dump(rows, out, indent=2)
     expected = {
         (v.ctx.family, v.ctx.rank, v.window) for v in patterns.condition5_patterns()
         if (v.ctx.family == "A" and v.ctx.rank <= args.max_a)
@@ -196,16 +207,6 @@ def _cmd_minimal_patterns(args: argparse.Namespace) -> int:
     for v in found:
         print(f"{v.ctx.name}: {v}")
     print(f"total: {len(found)}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(
-                [
-                    {"family": v.ctx.family, "rank": v.ctx.rank, "element": str(v)}
-                    for v in found
-                ],
-                fh,
-                indent=2,
-            )
     if got != expected:
         missing = expected - got
         extra = got - expected
@@ -219,7 +220,10 @@ def _cmd_minimal_patterns(args: argparse.Namespace) -> int:
 
 
 def _cmd_witnesses(args: argparse.Namespace) -> int:
-    reports = witness_table()
+    with _json_file(args.json) as out:
+        reports = witness_table()
+        if out is not None:
+            json.dump([r.to_json_dict() for r in reports], out, indent=2)
     for rep in reports:
         w = rep.pattern
         status = "non-Hultman confirmed" if rep.non_hultman_confirmed else "HULTMAN?"
@@ -242,9 +246,6 @@ def _cmd_witnesses(args: argparse.Namespace) -> int:
                 )
         for u, ld, lt in rep.extra_witnesses:
             print(f"  unlisted witness u={u}: ({ld},{lt})")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump([r.to_json_dict() for r in reports], fh, indent=2)
     return 0
 
 

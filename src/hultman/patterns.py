@@ -26,29 +26,32 @@ kinds, v alone for B-in-B and for classical containment (which uses the
 A-in-A index sets).
 
 A query holds one block of columns (index sets) per plan of its entries,
-ordered by pattern size.  For every row of a batch of host windows, the
-kernel returns the first entry whose targets one of the row's codes hits,
-at the first index set where it does, in one pass over all blocks: one
-gather of the comparison bits of every column; one matrix product per
-pattern size into one code array; one lookup from each code to the least
-owner of the equal target of its block; and one reduction whose first
-least owner gives the block and the index set.  The lookup hashes a code
-to a slot of its block's table and compares it with the slot's target,
-so it is exact for codes of any number of words and never adds code
-ranges that could overflow.  Rows go in blocks whose largest temporary
-stays under about 256 KiB (or one row), and a batch of one runs the same
-calls as a whole group.  `bp_contains` and `classical_contains` run the
-kernel on a batch of one, `first_bp_contained` on a batch of host
-windows against any patterns, and `condition5_matches` on a whole group
-(or on a batch of one, for `avoids_condition5_list`) against the 31
-listed patterns.
+ordered by pattern size, and numbers the columns of all blocks in that
+order (the global column).  Each column is paired with every target of
+its block, and the (column, target) pairs are held in one flat list
+ordered by owner (the least entry holding the target) and then by
+column.  For every row of a batch of host
+windows, the kernel returns the first entry whose targets one of the
+row's codes hits, and the global column where it first does, in one pass
+over all blocks: one gather of the comparison bits of every column; one
+matrix product per pattern size into one code array; one exact
+comparison of each pair's column code with its target, word by word, so
+codes of any number of words compare exactly; and the first hit of each
+row, which is its least owner at that owner's first column.  The query
+also holds every column's index set, so each caller reads the index set
+of a match there.  Rows go in blocks whose largest temporary stays under
+about 256 KiB (or one row), and a batch of one runs the same calls as a
+whole group.  `bp_contains` and `classical_contains` run the kernel on a
+batch of one, `first_bp_contained` on a batch of host windows against
+any patterns, and `condition5_matches` on a whole group (or on a batch
+of one, for `avoids_condition5_list`) against the 31 listed patterns.
 `relative_order` remains only for `flatten`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -230,66 +233,41 @@ class _Block(NamedTuple):
     sets: np.ndarray  # (K, k) 1-based host positions
     pairs: np.ndarray  # (K, T) comparison-table indices
     weights: np.ndarray  # (T, words) place values
-    targets: np.ndarray  # (words, nt) distinct codes, owners ascending
+    targets: np.ndarray  # (nt, words) distinct codes, owners ascending
     owners: np.ndarray  # (nt,) least entry index of each code
-
-
-# Odd multipliers for the slot hash: the golden-ratio constant times odd
-# numbers, so that the first one is Fibonacci hashing.
-_GOLDEN = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 
 
 class _Query(NamedTuple):
     """Every block of one search, laid out for the one-pass kernel.  A
-    code hashes to a slot of its block's table (`_slot`), where the
-    block's targets all take distinct slots, so a column's slot holds the
-    only target it can equal."""
+    global column numbers the index sets of all blocks, block by block.
+    Each column is paired with every target of its block, and the pairs
+    are ordered by owner and then by column, so the first pair a row hits
+    is its least owner at that owner's first column.  A last pair, which
+    no code is compared with, and a last row of `sets` stand for no
+    match."""
 
     blocks: tuple[_Block, ...]
-    entries: int  # their number, the owner of a column that matches none
-    starts: np.ndarray  # (blocks + 1,) first column of each block, then C
+    entries: int  # their number, the owner of a row that matches none
     pairs: np.ndarray  # (P,) comparison-table indices, column by column
     sizes: tuple[tuple[int, int, int, np.ndarray], ...]  # (c0, c1, p0, weights)
-    mixers: np.ndarray  # (words,) uint64
-    shift: np.uint64  # 64 - bits
-    base: np.ndarray  # (C,) first slot of each column's block
-    slot_codes: np.ndarray  # (words, slots) the target in each slot; -1: none
-    slot_owners: np.ndarray  # (slots,) least owner of that target; entries: none
+    pair_columns: np.ndarray  # (M + 1,) global column of each pair, then C
+    pair_codes: np.ndarray  # (M, words) target code of each pair
+    pair_owners: np.ndarray  # (M + 1,) owner of each pair, then entries
+    sets: np.ndarray  # (C + 1, k) int16 index set of each column, zero-padded
     row_bytes: int  # the largest kernel temporary per host row
-
-
-def _slot(key: tuple[int, ...], mixers: list[int], bits: int) -> int:
-    """A code's slot in its block's table: the top `bits` bits of
-    sum_w key_w * mixers_w mod 2^64."""
-    return (sum(c * m for c, m in zip(key, mixers)) & _MASK64) >> 64 - bits
-
-
-def _slot_search(keys: list[list[tuple[int, ...]]], words: int) -> tuple[list[int], int]:
-    """Odd mixers and a table width `bits` under which each list of
-    distinct keys takes distinct slots.  Multiply-shift hashing collides a
-    pair with probability about 2^-bits, so each try takes new mixers and
-    every second try doubles the tables; a try costs one Python set per
-    block."""
-    widest = max(map(len, keys), default=1)
-    for attempt in count():
-        mixers = [_GOLDEN * (2 * (attempt * words + w) + 1) & _MASK64 for w in range(words)]
-        bits = min(63, widest.bit_length() + 1 + attempt // 2)
-        if all(len({_slot(key, mixers, bits) for key in block}) == len(block) for block in keys):
-            return mixers, bits
 
 
 def _stack(blocks: tuple[_Block, ...], entries: int) -> _Query:
     """The `_Query` of blocks ordered by pattern size, for `entries`
     entries."""
-    widths = [len(b.sets) for b in blocks]
-    starts = np.cumsum([0] + widths)
+    starts = np.cumsum([0] + [len(b.sets) for b in blocks]).tolist()
+    columns = starts[-1]
     words = max((b.weights.shape[1] for b in blocks), default=1)
     # one matrix product per pattern size, over the columns of its blocks;
     # the place values are padded with zero words to the widest block
     sizes = []
     p0 = 0
-    for b, c0, c1 in zip(blocks, starts.tolist(), starts[1:].tolist()):
+    for b, c0, c1 in zip(blocks, starts, starts[1:]):
         if sizes and len(sizes[-1][3]) == len(b.weights):  # k as before
             sizes[-1] = (sizes[-1][0], c1, *sizes[-1][2:])
         else:
@@ -298,37 +276,37 @@ def _stack(blocks: tuple[_Block, ...], entries: int) -> _Query:
             weights.flags.writeable = False
             sizes.append((c0, c1, p0, weights))
         p0 += b.pairs.size
-    keys = [
-        [tuple(col) + (0,) * (words - len(col)) for col in b.targets.T.tolist()]
-        for b in blocks
-    ]
-    mixers, bits = _slot_search(keys, words)
-    width = 1 << bits
-    slot_codes = np.full((words, len(blocks) * width), -1, dtype=np.int64)
-    slot_owners = np.full(len(blocks) * width, entries, dtype=np.intp)
-    for i, (block, b) in enumerate(zip(keys, blocks)):
-        for key, owner in zip(block, b.owners.tolist()):
-            slot = i * width + _slot(key, mixers, bits)
-            slot_codes[:, slot], slot_owners[slot] = key, owner
-    base = np.repeat(np.arange(len(blocks), dtype=np.intp) * width, widths)
+    # (owner, column, code) for each column and each target of its block,
+    # the code padded with zero words like the place values
+    found = sorted(
+        (owner, c, code + [0] * (words - len(code)))
+        for b, c0 in zip(blocks, starts)
+        for code, owner in zip(b.targets.tolist(), b.owners.tolist())
+        for c in range(c0, c0 + len(b.sets))
+    )
+    pair_columns = np.array([c for _, c, _ in found] + [columns], dtype=np.intp)
+    pair_codes = np.array([code for _, _, code in found], dtype=np.int64).reshape(-1, words)
+    pair_owners = np.array([e for e, _, _ in found] + [entries], dtype=np.intp)
+    width = max((b.sets.shape[1] for b in blocks), default=0)
+    sets = np.zeros((columns + 1, width), dtype=np.int16)
+    for b, c0 in zip(blocks, starts):
+        sets[c0 : c0 + len(b.sets), : b.sets.shape[1]] = b.sets
     pairs = np.concatenate([b.pairs.ravel() for b in blocks] or [np.zeros(0, np.intp)])
-    for a in (starts, pairs, base, slot_codes, slot_owners):
+    for a in (pairs, pair_columns, pair_codes, pair_owners, sets):
         a.flags.writeable = False
-    # the bits of one pattern size cast to int64 for its product, or one
-    # (columns, words) int64 array
+    # the bits of one pattern size cast to int64 for its product, the
+    # (columns, words) int64 codes, or one word of them gathered per pair
     products = max(((c1 - c0) * len(w) for c0, c1, _, w in sizes), default=0)
     return _Query(
         blocks,
         entries,
-        starts,
         pairs,
         tuple(sizes),
-        np.array(mixers, dtype=np.uint64),
-        np.uint64(64 - bits),
-        base,
-        slot_codes,
-        slot_owners,
-        8 * max(products, int(starts[-1]) * words, 1),
+        pair_columns,
+        pair_codes,
+        pair_owners,
+        sets,
+        8 * max(products, columns * words, len(found), 1),
     )
 
 
@@ -355,60 +333,46 @@ def _query(entries: tuple[_Entry | None, ...]) -> _Query:
         least: dict[tuple[int, ...], int] = {}
         for code, (_, e) in zip(_codes(_greater(windows), own, weights)[:, 0].tolist(), wins):
             least.setdefault(tuple(code), e)  # owners ascend: the first is least
-        targets = np.array(list(least), dtype=np.int64).reshape(-1, weights.shape[1])
         blocks.append(
             _Block(
                 sets,
                 _pair_index(sets, a, b, degree),
                 weights,
-                np.ascontiguousarray(targets.T),
+                np.array(list(least), dtype=np.int64).reshape(-1, weights.shape[1]),
                 np.array(list(least.values()), dtype=np.intp),
             )
         )
     return _stack(tuple(blocks), len(entries))
 
 
-def _first_matches(
-    query: _Query, windows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _first_matches(query: _Query, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The kernel, one pass over all blocks.  For each row of `windows`:
-    the least entry index whose targets one of the row's codes hits
-    (`query.entries` if there is no such entry), the block holding that
-    entry, and the block's first column where it hits, which is the
-    lexicographically first index set."""
-    rows, none = len(windows), query.entries
-    best = np.full(rows, none, dtype=np.intp)
-    column = np.zeros(rows, dtype=np.intp)
-    if query.blocks:
+    the least entry index whose targets one of the row's codes hits, and
+    the global column where it first hits, whose row of `query.sets` is
+    the lexicographically first index set of that entry's block; or
+    `query.entries` and the last row of `query.sets` if no entry matches."""
+    rows, m = len(windows), len(query.pair_codes)
+    first = np.full(rows, m, dtype=np.intp)
+    if m:
         step = max(1, _BLOCK_BYTES // query.row_bytes)
-        codes = np.empty((min(step, rows), query.starts[-1], len(query.mixers)), dtype=np.int64)
+        columns, words = query.pair_columns[:m], query.pair_codes.shape[1]
+        codes = np.empty((min(step, rows), len(query.sets) - 1, words), dtype=np.int64)
+        # the last pair, never compared, is the first hit of a row with none
+        hits = np.ones((min(step, rows), m + 1), dtype=bool)
         for start in range(0, rows, step):
             part = slice(start, start + step)
             bits = _greater(windows[part]).take(query.pairs, axis=1)
-            code = codes[: len(bits)]
+            code, hit = codes[: len(bits)], hits[: len(bits)]
             for c0, c1, p0, weights in query.sizes:
                 t = len(weights)
                 pairs = bits[:, p0 : p0 + (c1 - c0) * t].reshape(len(bits), c1 - c0, t)
                 np.matmul(pairs, weights, out=code[:, c0:c1])
-            # the slot: the top bits of sum_w code_w * mixer_w mod 2^64,
-            # in the table of the column's block
-            word = code.view(np.uint64)
-            slot = word[:, :, 0] * query.mixers[0]
-            for w in range(1, len(query.mixers)):
-                slot += word[:, :, w] * query.mixers[w]
-            slot >>= query.shift
-            slot = slot.view(np.intp)
-            slot += query.base
-            hit = query.slot_codes[0].take(slot) == code[:, :, 0]
-            for w in range(1, len(query.mixers)):
-                hit &= query.slot_codes[w].take(slot) == code[:, :, w]
-            owner = np.where(hit, query.slot_owners.take(slot), none)
-            # the first column of the least owner
-            column[part] = first = owner.argmin(axis=1)
-            best[part] = np.take_along_axis(owner, first[:, None], axis=1)[:, 0]
-    # an entry lives in one block, so the least entry picks the block
-    where = np.searchsorted(query.starts, column, side="right") - 1
-    return best, column - query.starts[where], where
+            # each pair's column code against its target, word by word
+            np.equal(code[:, :, 0].take(columns, axis=1), query.pair_codes[:, 0], out=hit[:, :m])
+            for w in range(1, words):
+                hit[:, :m] &= code[:, :, w].take(columns, axis=1) == query.pair_codes[:, w]
+            first[part] = hit.argmax(axis=1)
+    return query.pair_owners[first], query.pair_columns[first]
 
 
 def _host_rows(hosts: Sequence[Element], degree: int) -> np.ndarray:
@@ -434,13 +398,13 @@ def _bp_entry(host: GroupContext, v: Element) -> _Entry | None:
     return kind, host.rank, tuple(dict.fromkeys((v.window, _flip(v.window))))
 
 
-def _first_embedding(w: Element, query: _Query) -> tuple[int, tuple[int, ...]] | None:
-    """The first matching entry for one host, and its index set; None if
-    no entry matches."""
-    best, column, where = _first_matches(query, _host_rows((w,), w.degree))
+def _first_embedding(w: Element, query: _Query) -> tuple[int, ...] | None:
+    """The first index set where w matches the one entry of `query`, whose
+    one block leaves its sets unpadded; None if it matches nowhere."""
+    best, column = _first_matches(query, _host_rows((w,), w.degree))
     if best[0] == query.entries:
         return None
-    return int(best[0]), tuple(int(i) for i in query.blocks[where[0]].sets[column[0]])
+    return tuple(query.sets[column[0]].tolist())
 
 
 def first_bp_contained(
@@ -452,7 +416,7 @@ def first_bp_contained(
     if not len(windows):
         return np.zeros(0, dtype=np.intp)
     query = _query(tuple(_bp_entry(host, v) for v in pats))
-    best, _, _ = _first_matches(query, windows)
+    best, _ = _first_matches(query, windows)
     return np.where(best < len(pats), best, -1)
 
 
@@ -463,16 +427,13 @@ def bp_contains(w: Element, v: Element) -> ParabolicEmbedding | None:
     if entry is None:
         return None
     found = _first_embedding(w, _query((entry,)))
-    if found is None:
-        return None
-    return ParabolicEmbedding(w.ctx, entry[0], found[1])
+    return None if found is None else ParabolicEmbedding(w.ctx, entry[0], found)
 
 
 def classical_contains(w: Element, v: Element) -> tuple[int, ...] | None:
     """Classical pattern containment; returns the lexicographically least
     witness index set, or None."""
-    found = _first_embedding(w, _query((("A-in-A", w.degree, (v.window,)),)))
-    return None if found is None else found[1]
+    return _first_embedding(w, _query((("A-in-A", w.degree, (v.window,)),)))
 
 
 # The 31 minimal Billey-Postnikov obstructions for the Hultman property,
@@ -521,22 +482,14 @@ def condition5_patterns() -> tuple[Element, ...]:
 
 
 @lru_cache(maxsize=None)
-def _condition5_query(host: GroupContext) -> tuple[_Query, np.ndarray]:
-    """The query of the listed patterns in `host`, and every block's index
-    sets, padded with zeros to the widest, stacked by column over a last
-    zero row."""
-    query = _query(tuple(_bp_entry(host, v) for v in condition5_patterns()))
-    width = max((b.sets.shape[1] for b in query.blocks), default=0)
-    stacked = np.zeros((query.starts[-1] + 1, width), dtype=np.intp)
-    for block, start in zip(query.blocks, query.starts):
-        stacked[start : start + len(block.sets), : block.sets.shape[1]] = block.sets
-    stacked.flags.writeable = False
-    return query, stacked
+def _condition5_query(host: GroupContext) -> _Query:
+    """The query of the listed patterns in `host`."""
+    return _query(tuple(_bp_entry(host, v) for v in condition5_patterns()))
 
 
 def condition5_index_sets(ctx: GroupContext) -> int:
     """The index sets that `condition5_matches` scans in each row of ctx."""
-    return int(_condition5_query(ctx)[0].starts[-1])
+    return len(_condition5_query(ctx).sets) - 1
 
 
 def condition5_matches(
@@ -546,17 +499,15 @@ def condition5_matches(
 
     For each row of `windows` (by default the rows of ctx.elements): the
     index in `condition5_patterns()` of the first listed pattern the row BP
-    contains, or -1; and that pattern's first index set, as a row of
-    1-based positions whose first v.degree entries are the set (the rest,
-    and the whole row for -1, are zeros).
+    contains, or -1; and that pattern's first index set, as an int16 row
+    of 1-based positions whose first v.degree entries are the set (the
+    rest, and the whole row for -1, are zeros).
     """
     if windows is None:
         windows = ctx.window_matrix
-    query, stacked = _condition5_query(ctx)
-    best, column, where = _first_matches(query, windows)
-    found = best < query.entries
-    rows = np.where(found, query.starts[where] + column, len(stacked) - 1)
-    return np.where(found, best, -1), stacked[rows]
+    query = _condition5_query(ctx)
+    best, column = _first_matches(query, windows)
+    return np.where(best < query.entries, best, -1), query.sets[column]
 
 
 def condition5_embedding(

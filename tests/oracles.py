@@ -577,16 +577,18 @@ def dynkin_reverse(v: Element) -> Element:
 
 def oracle_first_matches(
     query: _Query, windows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """`patterns._first_matches` one block at a time: each block's codes
     compared with each of its target codes, the least owner per column,
-    and the first column that attains it."""
+    and the first column that attains it, numbered across all blocks (the
+    column past the last one for no match)."""
     rows, none = len(windows), query.entries
+    starts = np.cumsum([0] + [len(b.sets) for b in query.blocks])
     # one row per block, and a last row of `none` for a query with no block
     best = np.full((len(query.blocks) + 1, rows), none, dtype=np.intp)
     column = np.zeros_like(best)
     row_bytes = max(
-        (8 * len(b.pairs) * max(b.pairs.shape[1], b.targets.shape[1], 1) for b in query.blocks),
+        (8 * len(b.pairs) * max(b.pairs.shape[1], len(b.targets), 1) for b in query.blocks),
         default=1,
     )
     step = max(1, _BLOCK_BYTES // row_bytes)
@@ -597,13 +599,14 @@ def oracle_first_matches(
             codes = _codes(greater, block.pairs, block.weights)
             # (nt, rows, K): the targets axis leads, so that the owner
             # reduction runs over whole (rows, K) slices
-            hit = codes[:, :, 0] == block.targets[0, :, None, None]
-            for j in range(1, len(block.targets)):
-                hit &= codes[:, :, j] == block.targets[j, :, None, None]
+            hit = codes[:, :, 0] == block.targets[:, 0, None, None]
+            for j in range(1, block.targets.shape[1]):
+                hit &= codes[:, :, j] == block.targets[:, j, None, None]
             owner = np.where(hit, block.owners[:, None, None], none).min(axis=0)
             best[i, part] = first = owner.min(axis=1)
-            column[i, part] = (owner == first[:, None]).argmax(axis=1)
+            column[i, part] = starts[i] + (owner == first[:, None]).argmax(axis=1)
     # an entry lives in one block, so the least entry picks the block
     where = best.argmin(axis=0)
     picked = np.arange(rows)
-    return best[where, picked], column[where, picked], where
+    best = best[where, picked]
+    return best, np.where(best < none, column[where, picked], starts[-1])

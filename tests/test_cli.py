@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hultman import cli
 from hultman.cli import main
 
 
@@ -159,14 +160,19 @@ def test_minimal_patterns_command(capsys):
     assert "matches the listed pattern set exactly" in out
 
 
-def test_minimal_patterns_with_a_short_type_a_scan_exits_2(capsys):
+def test_minimal_patterns_with_a_short_type_a_scan_exits_2(tmp_path, capsys):
     # the A_5 obstructions embed in B_5 hosts, so a scan of S_4 alone would
-    # leave B_5 candidates undominated and report spurious patterns
-    code = main(["minimal-patterns", "--max-a", "4", "--max-b", "5"])
+    # leave B_5 candidates undominated and report spurious patterns; the
+    # bounds are checked before the --json file is opened, which they leave
+    # as it was
+    path = tmp_path / "out.json"
+    path.write_text("kept")
+    code = main(["minimal-patterns", "--max-a", "4", "--max-b", "5", "--json", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: max_a = 4 < max_b = 5")
     assert "total:" not in captured.out
+    assert path.read_text() == "kept"
 
 
 def test_witnesses_command(capsys):
@@ -296,6 +302,29 @@ def test_unwritable_json_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, work",
+    [
+        (["classify", "--family", "B", "--rank", "4", "--element", "12345678"], "classify"),
+        (["verify", "--family", "B", "--rank", "4"], "verify_equivalence"),
+        (["witnesses"], "witness_table"),
+        (["minimal-patterns"], "find_minimal_non_hultman"),
+    ],
+)
+def test_unwritable_json_fails_before_any_computation(
+    tmp_path, capsys, monkeypatch, command, work
+):
+    # the output file is opened first, so a bad path throws no work away
+    def computation(*args, **kwargs):
+        pytest.fail(f"{work} ran before the --json file was opened")
+
+    monkeypatch.setattr(cli, work, computation)
+    path = tmp_path / "missing" / "out.json"
+    assert main(command + ["--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory") and str(path) in err
 
 
 def test_bad_usage_exits_2():

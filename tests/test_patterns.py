@@ -19,8 +19,6 @@ from hultman.patterns import (
     _pair_index,
     _plan,
     _query,
-    _slot,
-    _slot_search,
     _weights,
     a_in_b_index_sets,
     avoids_condition5_list,
@@ -516,9 +514,9 @@ def test_condition5_matches_take_a_batch_of_windows():
 
 def _assert_kernel_equals_oracle(query, windows):
     """The one-pass kernel and the per-block oracle give equal (best,
-    column, where) for every row."""
+    global column) for every row."""
     got, want = _first_matches(query, windows), oracle_first_matches(query, windows)
-    for name, g, x in zip(("best", "column", "where"), got, want):
+    for name, g, x in zip(("best", "column"), got, want):
         assert np.array_equal(g, x), (name, np.flatnonzero(g != x)[:5])
     return got
 
@@ -529,16 +527,16 @@ def _assert_kernel_equals_oracle(query, windows):
     ids=lambda ctx: ctx.name,
 )
 def test_kernel_equals_the_per_block_oracle_on_every_row(ctx):
-    _assert_kernel_equals_oracle(_condition5_query(ctx)[0], ctx.window_matrix)
+    _assert_kernel_equals_oracle(_condition5_query(ctx), ctx.window_matrix)
 
 
 @pytest.mark.parametrize("family, rank", [("A", 8), ("B", 6)])
 def test_kernel_equals_the_per_block_oracle_on_batches_of_one(family, rank):
     ctx = context(family, rank)
-    query = _condition5_query(ctx)[0]
+    query = _condition5_query(ctx)
     found = 0
     for row in random.Random(80 + rank).sample(range(ctx.order), 300):
-        best, _, _ = _assert_kernel_equals_oracle(query, ctx.window_matrix[row : row + 1])
+        best, _ = _assert_kernel_equals_oracle(query, ctx.window_matrix[row : row + 1])
         found += int(best[0] < query.entries)
     assert 0 < found < 300
 
@@ -566,13 +564,35 @@ def test_first_bp_contained_equals_the_per_block_oracle(host):
     for _ in range(12):
         pats = _mixed_patterns(rng, host)
         query = _query(tuple(_bp_entry(host, v) for v in pats))
-        best, _, _ = _assert_kernel_equals_oracle(query, windows)
+        best, _ = _assert_kernel_equals_oracle(query, windows)
         first = first_bp_contained(host, windows, pats)
         assert np.array_equal(first, np.where(best < len(pats), best, -1))
         for row in rng.sample(range(host.order), 10):
             w = host.elements[row]
             hits = [i for i, v in enumerate(pats) if oracle_bp_contains(w, v) is not None]
             assert first[row] == (hits[0] if hits else -1), (w, pats)
+
+
+@pytest.mark.parametrize("host", [context("A", 7), B4], ids=lambda ctx: ctx.name)
+def test_kernel_equals_the_oracles_on_blocks_of_every_pattern(host):
+    # every element of S_4 and S_5, with repeats, in shuffled order: blocks
+    # of up to 120 targets whose owners interleave with the other block's
+    rng = random.Random(45 + host.degree)
+    pats = list(A4.elements) + list(A5.elements)
+    pats += rng.sample(pats, 20)
+    rng.shuffle(pats)
+    query = _query(tuple(_bp_entry(host, v) for v in pats))
+    assert max(len(b.targets) for b in query.blocks) == (120 if host.family == "A" else 24)
+    best, column = _assert_kernel_equals_oracle(query, host.window_matrix)
+    for row in rng.sample(range(host.order), 40):
+        w = host.elements[row]
+        first = next(
+            (i, emb) for i, v in enumerate(pats) if (emb := oracle_bp_contains(w, v)) is not None
+        )
+        assert best[row] == first[0], w
+        indices = list(first[1].indices)
+        padding = [0] * (query.sets.shape[1] - len(indices))
+        assert query.sets[column[row]].tolist() == indices + padding, w
 
 
 def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
@@ -595,25 +615,12 @@ def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
     assert sum(factorial(b.sets.shape[1]) for b in query.blocks) > 2**63
     assert [b.weights.shape[1] for b in query.blocks] == [1, 1, 1, 2]
     windows = np.array(rows + [list(range(1, 22))], dtype=np.int16)
-    best, _, _ = _assert_kernel_equals_oracle(query, windows)
+    best, _ = _assert_kernel_equals_oracle(query, windows)
     for row, values in enumerate(windows.tolist()):
         w = Element(tuple(values), host)
         hits = [i for i, v in enumerate(pats) if oracle_bp_contains(w, v) is not None]
         assert best[row] == (hits[0] if hits else len(pats)), w
     assert (best[:3] < len(pats)).all()
-
-
-def test_slot_search_separates_keys_that_share_low_bits_or_words():
-    # codes equal below bit 40, and two-word codes equal in one word
-    for keys in (
-        [[(i << 40,) for i in range(50)]],
-        [[(7, i) for i in range(100)], [(i * factorial(10), 0) for i in range(30)]],
-    ):
-        mixers, bits = _slot_search(keys, len(keys[0][0]))
-        assert all(m % 2 for m in mixers)
-        for block in keys:
-            assert len({_slot(key, mixers, bits) for key in block}) == len(block)
-            assert all(0 <= _slot(key, mixers, bits) < 2**bits for key in block)
 
 
 def test_bp_kind_is_read_off_the_two_families():

@@ -108,6 +108,16 @@ def test_minimal_pattern_search_reads_condition_3_off_the_whole_group_kernel():
     assert not {function for _, function in uses} & whole_group, uses
 
 
+def test_bp_index_sets_are_read_only_through_the_query():
+    # a query stacks its blocks' index sets once, where it is built; the
+    # kernel and every caller then read a match's index set from
+    # `_Query.sets`, so reading the blocks elsewhere would be a second
+    # stacking of the same sets
+    uses = _uses(lambda node: isinstance(node, ast.Attribute) and node.attr == "blocks")
+    readers = {function for module, function in uses if module == "patterns.py"}
+    assert readers <= {"_query", "_stack"}, uses
+
+
 def test_condition_3_kernel_reads_only_the_rank_table():
     # the whole-group kernel finds coessential boxes from the neighbouring
     # ranks of the group's rank table; reading or inverting the window
