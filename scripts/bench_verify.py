@@ -3,10 +3,10 @@
     python3 scripts/bench_verify.py --label 4610314
     python3 scripts/bench_verify.py --label base --root ../other-checkout
 
-Each group runs the number of times GROUPS gives it (three for B_5 and
-S_7; one for B_6 and S_8, which take minutes), every run `hultman verify
---json` in a fresh interpreter, because the package memoises its group
-tables.  The result is written to BENCH_<label>.json beside this script's
+Each group runs the number of times GROUPS gives it (three for every
+group: on a shared machine one run of B_6 or S_8 can read a third slower
+than the next), every run `hultman verify --json` in a fresh interpreter,
+because the package memoises its group tables.  The result is written to BENCH_<label>.json beside this script's
 checkout: the measured checkout's git SHA and dirty flag, the Python and
 numpy versions, the CPU count, and per group each run's `elapsed_s`,
 per-condition `seconds`, `layer_seconds` (the tables built up front, where
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-GROUPS = (("B", 5, 3), ("A", 7, 3), ("B", 6, 1), ("A", 8, 1))  # (family, rank, runs)
+GROUPS = (("B", 5, 3), ("A", 7, 3), ("B", 6, 3), ("A", 8, 3))  # (family, rank, runs)
 
 
 def git_state(root: Path) -> dict:

@@ -18,33 +18,41 @@ lexicographic order and the k(k-1)/2 pairs a < b of local positions.  The
 comparisons [x_a > x_b] of a host window x at an index set fix its
 relative order there, and so does their weighted sum, the Lehmer rank
 sum_{a<b} [x_a > x_b] (k-1-a)!, which lies in 0..k!-1.  The code of a
-window at an index set is that rank: one int64 for k <= 20; beyond, the
-Lehmer digits are split over as many int64 words as they need.  The
-window flattens to v exactly when its code equals v's.  A search entry
-lists the target windows of one pattern: v and its diagram flip for the A
-kinds, v alone for B-in-B and for classical containment (which uses the
-A-in-A index sets).
+window at an index set is that rank: one word for k <= 18; beyond, the
+Lehmer digits are split over as many words as they need, each word's
+codes below 2^53.  The window flattens to v exactly when its code equals
+v's.  A search entry lists the target windows of one pattern: v and its
+diagram flip for the A kinds, v alone for B-in-B and for classical
+containment (which uses the A-in-A index sets).
 
 A query holds one block of columns (index sets) per plan of its entries,
 ordered by pattern size, and numbers the columns of all blocks in that
 order (the global column).  Each column is paired with every target of
 its block, and the (column, target) pairs are held in one flat list
 ordered by owner (the least entry holding the target) and then by
-column.  For every row of a batch of host
-windows, the kernel returns the first entry whose targets one of the
-row's codes hits, and the global column where it first does, in one pass
-over all blocks: one gather of the comparison bits of every column; one
-matrix product per pattern size into one code array; one exact
-comparison of each pair's column code with its target, word by word, so
-codes of any number of words compare exactly; and the first hit of each
-row, which is its least owner at that owner's first column.  The query
-also holds every column's index set, so each caller reads the index set
-of a match there.  Rows go in blocks whose largest temporary stays under
-about 256 KiB (or one row), and a batch of one runs the same calls as a
-whole group.  `bp_contains` and `classical_contains` run the kernel on a
-batch of one, `first_bp_contained` on a batch of host windows against
-any patterns, and `condition5_matches` on a whole group (or on a batch
-of one, for `avoids_condition5_list`) against the 31 listed patterns.
+column.  Every index set is increasing, so each comparison a column reads
+is [x_i > x_j] for host positions i < j: one of the d(d-1)/2 entries of
+the upper triangle of the row's comparisons (45 at degree 10), however
+many columns read it.  The query holds the place value that each position
+pair i < j adds to each column's code words, as one (d(d-1)/2, C * words)
+float64 matrix.  For every row of a batch of host windows, the kernel
+returns the first entry whose targets one of the row's codes hits, and
+the global column where it first does, in one pass over all blocks: the
+row's upper-triangle bits, each computed once; one matrix product of
+them with the place values, which sums every Lehmer digit of every column
+at once; one exact comparison of each pair's column code with its
+target, word by word, so codes of any number of words compare exactly;
+and the first hit of each row, which is its least owner at that owner's
+first column.  Every partial sum of the product is an integer no larger
+than its word's largest code, below 2^53, so float64 adds them exactly in
+any order.  The query also holds every column's index set, so each
+caller reads the index set of a match there.  Rows go in blocks whose
+largest temporary stays under about 256 KiB (or one row), and a batch of
+one runs the same calls as a whole group.  `bp_contains` and
+`classical_contains` run the kernel on a batch of one,
+`first_bp_contained` on a batch of host windows against any patterns,
+and `condition5_matches` on a whole group (or on a batch of one, for
+`avoids_condition5_list`) against the 31 listed patterns.
 `relative_order` remains only for `flatten`.
 """
 from __future__ import annotations
@@ -151,8 +159,9 @@ def b_in_b_index_sets(n: int, m: int) -> Iterator[tuple[int, ...]]:
 # Bytes of the largest kernel temporary for one block of host rows, so
 # memory stays flat for any batch size.
 _BLOCK_BYTES = 1 << 18
-# A code word is an int64, so its digits' ranges may multiply to at most 2^63.
-_WORD_LIMIT = 1 << 63
+# The kernel sums a code word in float64, which holds every integer up to
+# 2^53 exactly, so a word's digits' ranges may multiply to at most 2^53.
+_WORD_LIMIT = 1 << 53
 
 # One search entry: (embedding kind, host size, target windows).  The size
 # is the host's degree for "A-in-A" (which also serves classical
@@ -186,8 +195,10 @@ def _weights(k: int) -> np.ndarray:
     values lies in 0..k-1-a, and the digits determine the relative order.
     The pair (a, b) adds the place value of digit a to its word when
     x_a > x_b.  Digits are grouped from the right into words whose ranges
-    multiply to at most 2^63.  For k <= 20 that is one word, where digit a
-    has place value (k-1-a)!, so the code is the Lehmer rank in 0..k!-1.
+    multiply to at most 2^53, so every code of a word, and every partial
+    sum of one, is an integer below 2^53, which float64 adds exactly.  For
+    k <= 18 that is one word, where digit a has place value (k-1-a)!, so
+    the code is the Lehmer rank in 0..k!-1.
     """
     word, place = [0] * k, [0] * k
     words, value = 0, 1
@@ -226,8 +237,8 @@ class _Block(NamedTuple):
     """The columns of one plan and the target codes of its entries.
 
     A column matches a target when the host's code there equals the
-    target's: the Lehmer rank of the relative order, in one int64 for
-    k <= 20.  Each distinct target code is kept once, with its least owner.
+    target's: the Lehmer rank of the relative order, in one word for
+    k <= 18.  Each distinct target code is kept once, with its least owner.
     """
 
     sets: np.ndarray  # (K, k) 1-based host positions
@@ -240,42 +251,46 @@ class _Block(NamedTuple):
 class _Query(NamedTuple):
     """Every block of one search, laid out for the one-pass kernel.  A
     global column numbers the index sets of all blocks, block by block.
-    Each column is paired with every target of its block, and the pairs
-    are ordered by owner and then by column, so the first pair a row hits
-    is its least owner at that owner's first column.  A last pair, which
-    no code is compared with, and a last row of `sets` stand for no
-    match."""
+    Each index set is increasing, so its pair (a, b) of local positions
+    compares host positions s_a < s_b: an entry of the upper triangle of
+    the host's comparisons, whose pairs `upper` lists.  `place` holds, at
+    row t and entry c * words + w, the place value that pair t adds to word
+    w of column c's code when the host is larger at its first position;
+    so the product of a row's upper-triangle bits with `place` is every
+    code of the row.  Each column is paired with every target of its
+    block, and the pairs are ordered by owner and then by column, so the
+    first pair a row hits is its least owner at that owner's first column.
+    A last pair, which no code is compared with, and a last row of `sets`
+    stand for no match."""
 
     blocks: tuple[_Block, ...]
     entries: int  # their number, the owner of a row that matches none
-    pairs: np.ndarray  # (P,) comparison-table indices, column by column
-    sizes: tuple[tuple[int, int, int, np.ndarray], ...]  # (c0, c1, p0, weights)
+    upper: np.ndarray  # (2, d(d-1)/2) host positions i < j, 0-based
+    place: np.ndarray  # (d(d-1)/2, C * words) float64 place values
     pair_columns: np.ndarray  # (M + 1,) global column of each pair, then C
-    pair_codes: np.ndarray  # (M, words) target code of each pair
+    pair_codes: np.ndarray  # (M, words) float64 target code of each pair
     pair_owners: np.ndarray  # (M + 1,) owner of each pair, then entries
     sets: np.ndarray  # (C + 1, k) int16 index set of each column, zero-padded
     row_bytes: int  # the largest kernel temporary per host row
 
 
-def _stack(blocks: tuple[_Block, ...], entries: int) -> _Query:
+def _stack(blocks: tuple[_Block, ...], entries: int, degree: int) -> _Query:
     """The `_Query` of blocks ordered by pattern size, for `entries`
-    entries."""
+    entries, in a host of `degree` positions."""
     starts = np.cumsum([0] + [len(b.sets) for b in blocks]).tolist()
     columns = starts[-1]
     words = max((b.weights.shape[1] for b in blocks), default=1)
-    # one matrix product per pattern size, over the columns of its blocks;
-    # the place values are padded with zero words to the widest block
-    sizes = []
-    p0 = 0
-    for b, c0, c1 in zip(blocks, starts, starts[1:]):
-        if sizes and len(sizes[-1][3]) == len(b.weights):  # k as before
-            sizes[-1] = (sizes[-1][0], c1, *sizes[-1][2:])
-        else:
-            weights = np.zeros((len(b.weights), words), dtype=np.int64)
-            weights[:, : b.weights.shape[1]] = b.weights
-            weights.flags.writeable = False
-            sizes.append((c0, c1, p0, weights))
-        p0 += b.pairs.size
+    # the upper-triangle row of each comparison-table index i * d + j, i < j
+    upper = np.array(np.triu_indices(degree, 1), dtype=np.intp)
+    triangle = np.zeros(degree * degree, dtype=np.intp)
+    triangle[upper[0] * degree + upper[1]] = np.arange(upper.shape[1])
+    # each (pair, column) occurs once, so the place values are assigned;
+    # pair t of a block adds to the one word where its weights row is nonzero
+    place = np.zeros((upper.shape[1], columns, words), dtype=np.float64)
+    for b, c0 in zip(blocks, starts):
+        column = np.arange(c0, c0 + len(b.sets))[:, None]
+        place[triangle[b.pairs], column, b.weights.argmax(axis=1)] = b.weights.max(axis=1)
+    place = place.reshape(upper.shape[1], columns * words)
     # (owner, column, code) for each column and each target of its block,
     # the code padded with zero words like the place values
     found = sorted(
@@ -285,28 +300,26 @@ def _stack(blocks: tuple[_Block, ...], entries: int) -> _Query:
         for c in range(c0, c0 + len(b.sets))
     )
     pair_columns = np.array([c for _, c, _ in found] + [columns], dtype=np.intp)
-    pair_codes = np.array([code for _, _, code in found], dtype=np.int64).reshape(-1, words)
+    pair_codes = np.array([code for _, _, code in found], dtype=np.float64).reshape(-1, words)
     pair_owners = np.array([e for e, _, _ in found] + [entries], dtype=np.intp)
     width = max((b.sets.shape[1] for b in blocks), default=0)
     sets = np.zeros((columns + 1, width), dtype=np.int16)
     for b, c0 in zip(blocks, starts):
         sets[c0 : c0 + len(b.sets), : b.sets.shape[1]] = b.sets
-    pairs = np.concatenate([b.pairs.ravel() for b in blocks] or [np.zeros(0, np.intp)])
-    for a in (pairs, pair_columns, pair_codes, pair_owners, sets):
+    for a in (upper, place, pair_columns, pair_codes, pair_owners, sets):
         a.flags.writeable = False
-    # the bits of one pattern size cast to int64 for its product, the
-    # (columns, words) int64 codes, or one word of them gathered per pair
-    products = max(((c1 - c0) * len(w) for c0, c1, _, w in sizes), default=0)
+    # the upper-triangle bits, the (columns * words) codes, or one word of
+    # them gathered per pair, all float64
     return _Query(
         blocks,
         entries,
-        pairs,
-        tuple(sizes),
+        upper,
+        place,
         pair_columns,
         pair_codes,
         pair_owners,
         sets,
-        8 * max(products, columns * words, len(found), 1),
+        8 * max(upper.shape[1], columns * words, len(found), 1),
     )
 
 
@@ -320,6 +333,7 @@ def _query(entries: tuple[_Entry | None, ...]) -> _Query:
             kind, n, targets = entry
             by_plan.setdefault((len(targets[0]), kind, n), []).append(e)
     blocks = []
+    degree = 0
     for (k, kind, n), owners in sorted(by_plan.items()):
         sets, (a, b) = _plan(kind, n, k)
         if not len(sets):
@@ -342,7 +356,7 @@ def _query(entries: tuple[_Entry | None, ...]) -> _Query:
                 np.array(list(least.values()), dtype=np.intp),
             )
         )
-    return _stack(tuple(blocks), len(entries))
+    return _stack(tuple(blocks), len(entries), degree)
 
 
 def _first_matches(query: _Query, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,28 +364,30 @@ def _first_matches(query: _Query, windows: np.ndarray) -> tuple[np.ndarray, np.n
     the least entry index whose targets one of the row's codes hits, and
     the global column where it first hits, whose row of `query.sets` is
     the lexicographically first index set of that entry's block; or
-    `query.entries` and the last row of `query.sets` if no entry matches."""
+    `query.entries` and the last row of `query.sets` if no entry matches.
+    Every code is one float64 matrix product of the row's upper-triangle
+    comparison bits with `query.place`, exact since each word's codes stay
+    below 2^53."""
     rows, m = len(windows), len(query.pair_codes)
     first = np.full(rows, m, dtype=np.intp)
     if m:
         step = max(1, _BLOCK_BYTES // query.row_bytes)
         columns, words = query.pair_columns[:m], query.pair_codes.shape[1]
-        codes = np.empty((min(step, rows), len(query.sets) - 1, words), dtype=np.int64)
+        i, j = query.upper
+        bits = np.empty((min(step, rows), len(i)), dtype=np.float64)
+        codes = np.empty((min(step, rows), len(query.sets) - 1, words), dtype=np.float64)
         # the last pair, never compared, is the first hit of a row with none
         hits = np.ones((min(step, rows), m + 1), dtype=bool)
         for start in range(0, rows, step):
-            part = slice(start, start + step)
-            bits = _greater(windows[part]).take(query.pairs, axis=1)
-            code, hit = codes[: len(bits)], hits[: len(bits)]
-            for c0, c1, p0, weights in query.sizes:
-                t = len(weights)
-                pairs = bits[:, p0 : p0 + (c1 - c0) * t].reshape(len(bits), c1 - c0, t)
-                np.matmul(pairs, weights, out=code[:, c0:c1])
+            part = windows[start : start + step]
+            bit, code, hit = bits[: len(part)], codes[: len(part)], hits[: len(part)]
+            np.greater(part[:, i], part[:, j], out=bit)
+            np.matmul(bit, query.place, out=code.reshape(len(part), -1))
             # each pair's column code against its target, word by word
             np.equal(code[:, :, 0].take(columns, axis=1), query.pair_codes[:, 0], out=hit[:, :m])
             for w in range(1, words):
                 hit[:, :m] &= code[:, :, w].take(columns, axis=1) == query.pair_codes[:, w]
-            first[part] = hit.argmax(axis=1)
+            first[start : start + step] = hit.argmax(axis=1)
     return query.pair_owners[first], query.pair_columns[first]
 
 

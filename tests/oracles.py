@@ -578,10 +578,13 @@ def dynkin_reverse(v: Element) -> Element:
 def oracle_first_matches(
     query: _Query, windows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`patterns._first_matches` one block at a time: each block's codes
-    compared with each of its target codes, the least owner per column,
-    and the first column that attains it, numbered across all blocks (the
-    column past the last one for no match)."""
+    """`patterns._first_matches` one block at a time, by another method:
+    each block's codes as int64 products of the comparison-table entries
+    gathered at its pairs (`patterns._codes`, not the kernel's float64
+    upper-triangle product), compared with each of its target codes; the
+    least owner per column, and the first column that attains it,
+    numbered across all blocks (the column past the last one for no
+    match)."""
     rows, none = len(windows), query.entries
     starts = np.cumsum([0] + [len(b.sets) for b in query.blocks])
     # one row per block, and a last row of `none` for a query with no block

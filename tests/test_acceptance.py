@@ -6,8 +6,9 @@ The B_5 equivalence sweep (all five conditions), the rank-6
 minimal-pattern search, the S_8 (11762) and B_6 (4843) counts by
 condition 5 alone and the sums of s(w) over S_7 and B_5 run in tier-1.
 The long sweeps are opt-in: set HULTMAN_B5=1.  They confirm those counts
-by conditions 3, 4 and 5, and by all five, and pin the sums of s(w) over
-S_8 and B_6.
+by conditions 3, 4 and 5, and by all five, pin the sums of s(w) over S_8
+and B_6, and pin the counts past the paper's groups, S_9: 59786 and B_7:
+24868, by conditions 3 and 5.
 """
 import math
 import os
@@ -149,6 +150,21 @@ def test_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultma
     assert summary.total == order
     assert summary.hultman_count == hultman
     _report(f"{family}_{rank} count (conditions 3, 4 and 5)", time.perf_counter() - start)
+
+
+@OPT_IN
+@pytest.mark.parametrize(
+    "family, rank, order, hultman", [("A", 9, 362880, 59786), ("B", 7, 645120, 24868)]
+)
+def test_frontier_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultman):
+    # past the groups the paper sweeps; two independent conditions agree on
+    # every element
+    start = time.perf_counter()
+    summary = verify_equivalence(context(family, rank), (3, 5))
+    assert summary.ok, summary.disagreements
+    assert summary.total == order
+    assert summary.hultman_count == hultman
+    _report(f"{family}_{rank} count (conditions 3 and 5)", time.perf_counter() - start)
 
 
 @pytest.mark.parametrize(

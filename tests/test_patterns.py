@@ -392,17 +392,22 @@ def test_codes_of_all_windows_are_their_lehmer_ranks(k):
     assert np.array_equal(codes[:, 0, 0], np.arange(factorial(k)))
 
 
-def test_one_code_word_up_to_twenty_positions():
-    assert [_weights(k).shape[1] for k in (1, 2, 19, 20, 21, 22, 40)] == [1, 1, 1, 1, 2, 2, 3]
+def test_one_code_word_up_to_eighteen_positions():
+    # 18! < 2^53 < 19!: the kernel sums each word in float64
+    ks = (1, 2, 18, 19, 20, 21, 22, 40)
+    assert [_weights(k).shape[1] for k in ks] == [1, 1, 1, 2, 2, 2, 2, 4]
     # every word's largest code, the sum of its place values times digit
-    # ranges, stays below 2^63
-    for k in (20, 21, 22, 40, 45, 64):
+    # ranges, stays below 2^53, so float64 holds every partial sum exactly
+    for k in (18, 19, 20, 21, 22, 40, 45, 64):
         top = [0] * _weights(k).shape[1]
         for (a, _), row in zip(combinations(range(k), 2), _weights(k).tolist()):
             for j, place in enumerate(row):
                 top[j] += place
-        assert max(top) < 2**63
-    assert _weights(20)[:, 0].max() == factorial(19)
+        assert max(top) < 2**53
+    assert _weights(18)[:, 0].max() == factorial(17)
+    # each pair adds to exactly one word
+    for k in (18, 19, 40):
+        assert ((_weights(k) > 0).sum(axis=1) == 1).all()
 
 
 def _neighbours(v, mirrored=False):
@@ -411,7 +416,7 @@ def _neighbours(v, mirrored=False):
     smaller one, and the same at the middle and the last position.  With
     `mirrored`, the mirror values are exchanged too, which keeps a type B
     window centrally symmetric.  The change at position 1 alters Lehmer
-    digit 0, which has a code word of its own from 21 positions on."""
+    digit 0, which has a code word of its own from 19 positions on."""
     top = len(v) + 1
     out = []
     for pos in (0, len(v) // 2, len(v) - 1):
@@ -425,7 +430,7 @@ def _neighbours(v, mirrored=False):
     return out
 
 
-@pytest.mark.parametrize("k", [20, 21])
+@pytest.mark.parametrize("k", [18, 19, 20, 21])
 def test_containment_at_the_one_word_boundary_matches_oracle(k):
     rng = random.Random(k)
     host_ctx, pat_ctx = context("A", k + 1), context("A", k)
@@ -442,13 +447,14 @@ def test_containment_at_the_one_word_boundary_matches_oracle(k):
 
 
 def test_type_b_containment_past_twenty_positions_matches_oracle():
-    # B_10 (20 positions, one code word) and B_11 (22, two) in B_11
+    # B_9 (18 positions, one code word), B_10 (20, two) and B_11 (22, two)
+    # in B_11
     rng = random.Random(11)
     b11 = context("B", 11)
     hits = 0
     for _ in range(3):
         w = _random_signed(11, rng)
-        for rank in (10, 11):
+        for rank in (9, 10, 11):
             keep = sorted(rng.sample(range(1, 12), rank))
             emb = ParabolicEmbedding(
                 b11, "B-in-B", tuple(keep) + tuple(23 - i for i in reversed(keep))
@@ -459,7 +465,7 @@ def test_type_b_containment_past_twenty_positions_matches_oracle():
                 found = bp_contains(w, v)
                 assert found == oracle_bp_contains(w, v), (w, v)
                 hits += found is not None
-    assert 6 <= hits < 6 * 7
+    assert 9 <= hits < 9 * 7
 
 
 def _assert_matches_equal_per_element(ctx, rows):
@@ -596,9 +602,9 @@ def test_kernel_equals_the_oracles_on_blocks_of_every_pattern(host):
 
 
 def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
-    # one query with one-word blocks of 18, 19 and 20 positions and a
-    # two-word block of 21 in S_21: their code ranges add up past 2^63,
-    # so no key may stack them
+    # one query with a one-word block of 18 positions and two-word blocks
+    # of 19, 20 and 21 in S_21: their code ranges add up past 2^63, so no
+    # one word could hold them all
     rng = random.Random(2021)
     host = context("A", 21)
     rows = []
@@ -613,7 +619,7 @@ def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
         pats += [Element(v, context("A", k)) for v in [inside] + _neighbours(inside)[:2]]
     query = _query(tuple(_bp_entry(host, v) for v in pats))
     assert sum(factorial(b.sets.shape[1]) for b in query.blocks) > 2**63
-    assert [b.weights.shape[1] for b in query.blocks] == [1, 1, 1, 2]
+    assert [b.weights.shape[1] for b in query.blocks] == [1, 2, 2, 2]
     windows = np.array(rows + [list(range(1, 22))], dtype=np.int16)
     best, _ = _assert_kernel_equals_oracle(query, windows)
     for row, values in enumerate(windows.tolist()):
@@ -621,6 +627,41 @@ def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
         hits = [i for i, v in enumerate(pats) if oracle_bp_contains(w, v) is not None]
         assert best[row] == (hits[0] if hits else len(pats)), w
     assert (best[:3] < len(pats)).all()
+
+
+def test_kernel_compares_the_top_code_word():
+    # Each row's first listed patterns are its flattenings at 21 and at 19
+    # positions with Lehmer digit 0 changed: their codes equal the row's in
+    # the low word and differ only in the top word, which holds digit 0.
+    # The row's true flattenings come later, so a kernel that compared
+    # only word 0 would report a changed pattern as the first match.
+    rng = random.Random(1921)
+    host = context("A", 21)
+    rows, decoys, pats = [], [], []
+    for _ in range(3):
+        values = list(range(1, 22))
+        rng.shuffle(values)
+        rows.append(values)
+        keep = sorted(rng.sample(range(21), 19))
+        for inside in (tuple(values), relative_order([values[i] for i in keep])):
+            decoy = _neighbours(inside)[0]
+            k = len(inside)
+            sets, (a, b) = _plan("A-in-A", k, k)
+            windows = np.array([inside, decoy], dtype=np.int16)
+            codes = _codes(_greater(windows), _pair_index(sets, a, b, k), _weights(k))[:, 0]
+            assert codes.shape == (2, 2)
+            assert codes[0, 0] == codes[1, 0] and codes[0, 1] != codes[1, 1]
+            decoys.append(Element(decoy, context("A", k)))
+            pats.append(Element(inside, context("A", k)))
+    pats = decoys + pats
+    query = _query(tuple(_bp_entry(host, v) for v in pats))
+    assert [b.weights.shape[1] for b in query.blocks] == [2, 2]
+    best, _ = _assert_kernel_equals_oracle(query, np.array(rows, dtype=np.int16))
+    for row, values in enumerate(rows):
+        w = Element(tuple(values), host)
+        hits = [i for i, v in enumerate(pats) if oracle_bp_contains(w, v) is not None]
+        assert hits[0] >= len(decoys), w
+        assert best[row] == hits[0], w
 
 
 def test_bp_kind_is_read_off_the_two_families():
