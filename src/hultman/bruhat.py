@@ -10,16 +10,16 @@ the group form one contiguous row per cell (p,q).  `interval_mask` answers
 coessential box of w, and condition 3's whole-group kernel in `diagrams`
 reads the table one block of elements at a time.
 
-Whole-group data are arrays indexed by row of `ctx.elements`: its window
-matrix (`ctx.window_matrix`) and Coxeter lengths (`BruhatGraph.lengths`)
-come from the group's one enumeration, and `group_absolute_lengths` is one
-kernel call over that matrix.  The one map from windows to rows,
-`element_rows`, packs each window into an int64 key and binary-searches
-the group's sorted keys.  The Bruhat graph is one array of down-neighbours,
-`BruhatGraph.down`, each row sorted and padded with a sentinel.  It is
-built from the row maps of right multiplication: one `element_rows` call
-per generator, and two gathers per other reflection, a conjugate of one
-already mapped.  The generators' maps stay on the graph as
+Whole-group data are arrays indexed by row of the group's enumeration,
+its window matrix (`ctx.window_matrix`) with lengths `BruhatGraph.lengths`;
+`group_absolute_lengths` is one kernel call over that matrix.  Only an
+error message builds an `Element` (`ctx.element(row)`).  The one map from
+windows to rows, `element_rows`, packs each window into an int64 key and
+binary-searches the group's sorted keys.  The Bruhat graph is one array
+of down-neighbours, `BruhatGraph.down`, each row sorted and padded with a
+sentinel.  It is built from the row maps of right multiplication: one
+`element_rows` call per generator, and two gathers per other reflection,
+a conjugate of one already mapped.  The generators' maps stay on the graph as
 `BruhatGraph.generator_rows`.  The distance sweep is a breadth-first
 search from w down the graph, one numpy step per depth, and it reaches
 exactly [id, w].  l_T(u, w) is l_T of the conjugate u w^{-1}, reached by
@@ -104,7 +104,7 @@ def _window_keys(windows: np.ndarray, degree: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _sorted_keys(ctx: GroupContext) -> tuple[np.ndarray, np.ndarray]:
     """The keys of the group's windows in increasing order, and the row of
-    ctx.elements that each one belongs to."""
+    ctx.window_matrix that each one belongs to."""
     if (ctx.degree + 1) ** ctx.degree >= 2**63:
         raise ValueError(f"windows of degree {ctx.degree} do not fit an int64 key")
     keys = _window_keys(ctx.window_matrix, ctx.degree)
@@ -113,7 +113,7 @@ def _sorted_keys(ctx: GroupContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 def element_rows(ctx: GroupContext, windows) -> np.ndarray:
-    """The row of ctx.elements of each window, given one window or an
+    """The row of ctx.window_matrix of each window, given one window or an
     (m x degree) array of them.  This is the one map from windows to rows;
     it raises ValueError for a window that is not in the group, and for a
     group whose windows do not fit an int64 key (degree 16 and up), before
@@ -136,10 +136,10 @@ def element_rows(ctx: GroupContext, windows) -> np.ndarray:
 def group_rank_grids(ctx: GroupContext) -> np.ndarray:
     """The group's rank table: a read-only, C-contiguous int8 array of
     shape (N, N, order) with r_u(p,q) at [p-1, q-1, u] for every row u of
-    ctx.elements.  The table is stored by cell, so `grids[p-1, q-1]` is one
-    contiguous row of r_u(p,q) over the whole group, and a reader of a few
-    cells reads only those rows.  Ranks never exceed the degree N, so int8
-    cannot overflow."""
+    ctx.window_matrix.  The table is stored by cell, so `grids[p-1, q-1]`
+    is one contiguous row of r_u(p,q) over the whole group, and a reader of
+    a few cells reads only those rows.  Ranks never exceed the degree N, so
+    int8 cannot overflow."""
     windows = ctx.window_matrix.T  # [k-1, u] = u(k)
     grids = np.empty((ctx.degree, ctx.degree, ctx.order), dtype=np.int8)
     for p in range(1, ctx.degree + 1):
@@ -150,9 +150,9 @@ def group_rank_grids(ctx: GroupContext) -> np.ndarray:
 
 
 def box_mask(ctx: GroupContext, boxes: Sequence[tuple[int, int, int]]) -> np.ndarray:
-    """Boolean mask over ctx.elements: r_u(p,q) <= r for every box (p, q, r).
-    This is the one rank test that runs over a whole group; it reads the
-    rank table's row of each box's cell, one int8 comparison per row."""
+    """Boolean mask by row of ctx.window_matrix: r_u(p,q) <= r for every
+    box (p, q, r).  The one rank test over a whole group; it reads the rank
+    table's row of each box's cell, one int8 comparison per row."""
     grids = group_rank_grids(ctx)
     mask = np.ones(ctx.order, dtype=bool)
     for p, q, r in boxes:
@@ -161,8 +161,8 @@ def box_mask(ctx: GroupContext, boxes: Sequence[tuple[int, int, int]]) -> np.nda
 
 
 def interval_mask(w: Element) -> np.ndarray:
-    """[id, w] as a boolean mask over w.ctx.elements, by the coessential
-    boxes of w."""
+    """[id, w] as a boolean mask over the rows of w.ctx.window_matrix, by
+    the coessential boxes of w."""
     return box_mask(w.ctx, coessential_boxes(w.window))
 
 
@@ -173,7 +173,7 @@ def interval_size(w: Element) -> int:
 
 @lru_cache(maxsize=None)
 def group_absolute_lengths(ctx: GroupContext) -> np.ndarray:
-    """Read-only array of l_T by row of ctx.elements, by the cycle formula."""
+    """Read-only array of l_T by row of ctx.window_matrix, by the cycle formula."""
     lengths = absolute_lengths(ctx.window_matrix, ctx.family)
     lengths.flags.writeable = False
     return lengths
@@ -182,7 +182,7 @@ def group_absolute_lengths(ctx: GroupContext) -> np.ndarray:
 @lru_cache(maxsize=None)
 def symmetry_rows(ctx: GroupContext) -> tuple[np.ndarray, ...]:
     """Row maps of the nontrivial automorphisms of the Bruhat graph that
-    keep l_T: entry i of a map is the row of the image of ctx.elements[i].
+    keep l_T: entry i of a map is the row of the image of row i.
 
     w -> w^{-1} sends an edge u -> ut to u^{-1} -> t u^{-1}, and t u^{-1} is
     u^{-1} times the reflection u t u^{-1}.  In type A, conjugation by w_0 is
@@ -218,8 +218,8 @@ def orbit_representatives(ctx: GroupContext) -> np.ndarray:
 class BruhatGraph:
     """Directed graph on the group: u -> ut for reflections t with l(ut) > l(u).
 
-    Vertices are rows of ctx.elements, sorted by (Coxeter length, window),
-    with their lengths in `lengths`.  `down` is the N x |T| array of
+    Vertices are rows of ctx.window_matrix, sorted by (Coxeter length,
+    window), with their lengths in `lengths`.  `down` is the N x |T| array of
     down-neighbours: row u holds the rows of u t with l(ut) < l(u) in
     increasing order, then the sentinel N (the group order).  Exactly l(u)
     reflections lower u (Björner–Brenti, Combinatorics of Coxeter Groups,
@@ -277,7 +277,7 @@ def bruhat_graph(ctx: GroupContext) -> BruhatGraph:
 
 
 def directed_distances_to(graph: BruhatGraph, row: int) -> np.ndarray:
-    """l_D(u, w) for every row u at once, for w = ctx.elements[row], as a
+    """l_D(u, w) for every row u at once, for the w of row `row`, as a
     float array that is +inf exactly off [id, w].
 
     A breadth-first search from w along down-edges: u reaches w by a
@@ -310,7 +310,7 @@ def interval_distances(
     graph: BruhatGraph, row: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows of [id, w], l_D(u, w), l_T(u, w)) as arrays in row order, for
-    w = ctx.elements[row].
+    the w of row `row`.
 
     l_T(u, w) = l_T(w^{-1} u) = l_T(u w^{-1}), because the two are
     conjugate and l_T is constant on conjugacy classes.  Peeling right
@@ -342,7 +342,7 @@ def interval_distances(
     if bad.any():
         k = int(np.argmax(bad))
         raise ArithmeticError(
-            f"u = {ctx.elements[rows[k]]}, w = {ctx.elements[row]}: l_D = {l_d[k]}, "
+            f"u = {ctx.element(rows[k])}, w = {ctx.element(row)}: l_D = {l_d[k]}, "
             f"l_T = {l_t[k]}, l(w) - l(u) = {steps[k]}"
         )
     return rows, l_d, l_t

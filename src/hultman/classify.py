@@ -123,13 +123,13 @@ def _orbit_values(
     ctx: GroupContext, row: int, conditions, graph: BruhatGraph | None, values: dict
 ) -> dict:
     """`values` with what it lacked of conditions 1 and 2 among `conditions`
-    added, computed at w = ctx.elements[row]: (c, s) under 1, and under 2
-    {row of v: first distance witness (row, l_D, l_T) of v, or None} for w
-    and its images v under `bruhat.symmetry_rows`, which keep distances.
-    Raises ArithmeticError if c(w) > s(w), or if s(w) is at hand and the
-    distance sweep reached another number of rows."""
-    w = ctx.elements[row]
+    added, computed at the w of `row`: (c, s) under 1, and under 2 {row of
+    v: first distance witness (row, l_D, l_T) of v, or None} for w and its
+    images v under `bruhat.symmetry_rows`, which keep distances.  Only c1
+    needs w's `Element`.  Raises ArithmeticError if c(w) > s(w), or if s(w)
+    is at hand and the distance sweep reached another number of rows."""
     if 1 in conditions and 1 not in values:
+        w = ctx.element(row)
         c, s = arrangements.chamber_count(w), bruhat.interval_size(w)
         if c > s:
             # c(w) <= s(w) holds for every w (Hultman, JCTA 2011;
@@ -139,11 +139,12 @@ def _orbit_values(
     if 2 in conditions and 2 not in values:
         graph = graph or bruhat_graph(ctx)
         if graph.ctx != ctx:
-            raise ValueError(f"{w} is not an element of the graph's group")
+            raise ValueError(f"{ctx.name} is not the graph's group")
         rows, l_d, l_t = bruhat.interval_distances(graph, row)
         size = values[1][1] if 1 in values else len(rows)
         if len(rows) != size:
             # the tableau criterion and the graph search find [id, w] apart
+            w = ctx.element(row)
             raise ArithmeticError(f"{w}: s(w) = {size}, the sweep reached {len(rows)} rows")
         found = l_d != l_t
         rows, l_d, l_t = rows[found], l_d[found], l_t[found]
@@ -196,7 +197,7 @@ def classify(
         elif num == 2:
             witness = values[2][row]
             if witness is not None:
-                witness = (ctx.elements[witness[0]], *witness[1:])
+                witness = (ctx.element(witness[0]), *witness[1:])
             report.distance_witness = witness
             report.conditions[name] = witness is None
         elif num == 3:
@@ -279,7 +280,8 @@ def verify_equivalence(
     """Decide every requested condition on every group element and check
     that they agree.
 
-    Each condition fills one verdict array by row of ctx.elements.
+    Each condition fills one verdict array by row of ctx.window_matrix, and
+    `Element`s are built only for the rows that c1, c4 and reports read.
     Conditions 3 and 5 come from one whole-group pass each
     (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`).
     Conditions 1 and 2 are computed at the least row of each orbit
@@ -287,7 +289,7 @@ def verify_equivalence(
     each member's own first distance witness.  Condition 4 runs on every
     row, as only the theorem under test makes it constant on orbits.  Full
     reports are built for disagreeing rows, or all rows with `keep_reports`.
-    Element enumeration and the shared tables are timed in `layer_seconds`.
+    Enumeration ("elements") and the shared tables are timed in `layer_seconds`.
     `counters` holds the hull boards that condition 4 solved and the
     pattern index sets that condition 5 scanned (rows times the query's
     index sets).
@@ -295,7 +297,7 @@ def verify_equivalence(
     start = time.perf_counter()
     names = _condition_names(conditions)
     layers: dict[str, float] = {}
-    total = len(_timed(layers, "elements", lambda: ctx.elements))
+    total = len(_timed(layers, "elements", lambda: ctx.window_matrix))
     summary = VerificationSummary(ctx, tuple(conditions), total, layer_seconds=layers)
     seconds = summary.seconds = dict.fromkeys(names.values(), 0.0)
     summary.rows_computed = dict.fromkeys(names.values(), total)
@@ -332,13 +334,15 @@ def verify_equivalence(
             verdicts[1] = (chambers[:, 0] == chambers[:, 1])[rep]
         if 2 in names:
             verdicts[2] = witness[rep, 0] < 0
+    # with keep_reports, c4 and the reports share one Element per row, as w or u
+    element = list(map(ctx.element, range(total))).__getitem__ if keep_reports else ctx.element
     if 4 in names:
         clock = time.perf_counter()
         verdicts[4] = np.ones(total, dtype=bool)
         kept: dict[int, Window] = {}  # counterexamples, with keep_reports
         boards = 0
-        for row, w in enumerate(ctx.elements):
-            cex, solved = diagrams.hull_test(w)
+        for row in range(total):
+            cex, solved = diagrams.hull_test(element(row))
             boards += solved
             if cex is not None:
                 verdicts[4][row] = False
@@ -351,14 +355,14 @@ def verify_equivalence(
     disagree = ~hultman & stack.any(axis=0)
     summary.hultman_count = int(hultman.sum()) if names else 0
     for row in range(total) if keep_reports else np.flatnonzero(disagree).tolist():
-        w = ctx.elements[row]
+        w = element(row)
         report = ClassificationReport(w)
         report.conditions = {name: bool(verdicts[c][row]) for c, name in names.items()}
         if 1 in names:
             report.c, report.s = chambers[rep[row]].tolist()
         if 2 in names and witness[row, 0] >= 0:
             u_row, l_d, l_t = witness[row].tolist()
-            report.distance_witness = (ctx.elements[u_row], l_d, l_t)
+            report.distance_witness = (element(u_row), l_d, l_t)
         if 3 in names:
             report.violations = diagrams.violated_boxes(w)
         if 4 in names:
@@ -416,7 +420,7 @@ def find_minimal_non_hultman(
         first = patterns.first_bp_contained(
             ctx, ctx.window_matrix[candidates], tuple(minimal)
         )
-        minimal += [ctx.elements[row] for row in candidates[first < 0].tolist()]
+        minimal += [ctx.element(row) for row in candidates[first < 0].tolist()]
     return tuple(minimal)
 
 
@@ -532,12 +536,11 @@ def witness_table() -> list[PatternWitnessReport]:
         ctx = w.ctx
         w_row = int(bruhat.element_rows(ctx, w.window)[0])
         rows, l_d, l_t = bruhat.interval_distances(bruhat_graph(ctx), w_row)
-        below = {
-            ctx.elements[row]: (ld, lt)
-            for row, ld, lt in zip(rows.tolist(), l_d.tolist(), l_t.tolist())
-        }
+        below = dict(zip(rows.tolist(), zip(l_d.tolist(), l_t.tolist())))
         report = PatternWitnessReport(w)
-        report.witnesses = [(u, ld, lt) for u, (ld, lt) in below.items() if ld != lt]
+        report.witnesses = [
+            (ctx.element(row), ld, lt) for row, (ld, lt) in below.items() if ld != lt
+        ]
         report.non_hultman_confirmed = bool(report.witnesses)
 
         listed_windows = set()
@@ -547,7 +550,7 @@ def witness_table() -> list[PatternWitnessReport]:
                 continue
             u = parse_element(ut, ctx)
             listed_windows.add(u.window)
-            rec = below.get(u)  # None when u is not below w
+            rec = below.get(int(bruhat.element_rows(ctx, u.window)[0]))  # None: not below
             parity = (lw - coxeter_length(u)) % 2
             consistent = ld % 2 == parity and lt % 2 == parity
             report.row_comparisons.append(

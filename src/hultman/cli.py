@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Condition 4 runs on every element.  "
             "Confirmed Hultman counts (all five conditions): S_3..S_8 have 6, "
             "23, 101, 477, 2343 and 11762 and B_2..B_6 have 8, 38, 188, 949 "
-            "and 4843.  Past them, S_9: 59786 and B_7: 24868, by conditions "
-            "3 and 5."
+            "and 4843.  Past them, S_9: 59786, S_10: 306132 and B_7: 24868, "
+            "by conditions 3 and 5."
         ),
     )
     _ctx_args(p)
@@ -92,9 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Recompute the BP-containment-minimal elements of S_4..S_MAX_A and "
             "B_3..B_MAX_B not defined by (pseudo-)inclusions, and compare "
             "them with the 31 listed patterns.  The defaults (6, 5) give the "
-            "31; --max-a 7 --max-b 6 gives the same 31, so no rank-6 "
-            "obstruction exists.  An A_m pattern embeds in B_n hosts for "
-            "m <= n, so MAX_A must be at least MAX_B once MAX_B is 4 or more."
+            "31; --max-a 7 --max-b 6 and --max-a 8 --max-b 7 give the same "
+            "31, so no obstruction of rank 6 or 7 exists.  An A_m pattern "
+            "embeds in B_n hosts for m <= n, so MAX_A must be at least MAX_B "
+            "once MAX_B is 4 or more."
         ),
     )
     p.add_argument("--max-a", type=int, default=6)

@@ -80,7 +80,7 @@ def is_defined_by_pseudo_inclusions(w: Element) -> bool:
 
 def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:
     """Condition 3 for the whole group, as a bool array by row of
-    ctx.elements: `is_defined_by_inclusions` in type A and
+    ctx.window_matrix: `is_defined_by_inclusions` in type A and
     `is_defined_by_pseudo_inclusions` in type B.  The rank table of
     `group_rank_grids` is its only input from the group.
 

@@ -13,10 +13,10 @@ Conventions used throughout the package:
 Each length is one numpy kernel over an (m x degree) window array, run in
 blocks of rows: `coxeter_lengths` counts inversions, `absolute_lengths`
 counts cycles by pointer doubling.  `coxeter_length(w)` and
-`absolute_length(w)` are batches of one.  `GroupContext.elements`, the one
-enumeration of a group, orders the int8 window matrix by (length, window)
-with one `np.lexsort` and keeps it and the lengths, by row, as
-`window_matrix` and `lengths`; `bruhat` builds its group tables from them.
+`absolute_length(w)` are batches of one.  A group's one enumeration is its
+int8 `window_matrix`, built in numpy and sorted by (length, window), with
+its `lengths`; `bruhat` builds its tables from them.  `ctx.element(row)`
+builds one row's `Element`; `ctx.elements`, every row's, only on request.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,34 +108,41 @@ class GroupContext:
         return tuple(Element(w, self) for w in sorted(seen))
 
     @cached_property
-    def elements(self) -> tuple["Element", ...]:
-        """Every group element, sorted by (Coxeter length, window).  Rows of
-        `window_matrix` and `lengths`, stored here, follow the same order."""
-        if self.family == "A":
-            windows = list(itertools.permutations(range(1, self.rank + 1)))
-        else:
-            windows = list(_type_b_windows(self.rank))
-        matrix = np.array(windows, dtype=np.int8)
+    def _enumeration(self) -> tuple[np.ndarray, np.ndarray]:
+        """(window matrix, lengths), sorted by (Coxeter length, window)."""
+        n = self.rank
+        perms = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
+        matrix = np.fromiter(perms, np.int8, n * factorial(n)).reshape(-1, n)
+        if self.family == "B":
+            # σ = sign·perm at positions n+1..2n: n + σ(k), or n + 1 + σ(k) if < 0
+            signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int8)
+            second = np.where(signs[:, None] > 0, n + matrix, n + 1 - matrix).reshape(-1, n)
+            matrix = np.hstack([2 * n + 1 - second[:, ::-1], second])
         lengths = coxeter_lengths(matrix, self.family)
         # lengths (< 2^13 at degree < 128) are the primary key, as int16 to save memory
         order = np.lexsort((*matrix.T[::-1], lengths.astype(np.int16)))
         matrix, lengths = matrix[order], lengths[order]
         matrix.flags.writeable = lengths.flags.writeable = False
-        self.__dict__.update(_window_matrix=matrix, _lengths=lengths)
-        return tuple(Element(windows[i], self) for i in order.tolist())
+        return matrix, lengths
 
     @property
     def window_matrix(self) -> np.ndarray:
-        """Read-only int8 matrix whose row i is the window of elements[i]
-        (no group of degree 128 or more can be enumerated)."""
-        self.elements  # the enumeration stores it
-        return self.__dict__["_window_matrix"]
+        """The group's enumeration: read-only int8 windows by row (degree < 128)."""
+        return self._enumeration[0]
 
     @property
     def lengths(self) -> np.ndarray:
-        """Read-only int64 array of Coxeter lengths by row of elements."""
-        self.elements  # the enumeration stores it
-        return self.__dict__["_lengths"]
+        """Read-only int64 array of Coxeter lengths by row of window_matrix."""
+        return self._enumeration[1]
+
+    def element(self, row: int) -> "Element":
+        """The `Element` of one row of window_matrix."""
+        return Element(tuple(self.window_matrix[row].tolist()), self)
+
+    @cached_property
+    def elements(self) -> tuple["Element", ...]:
+        """Every row's `Element`; zip builds each tuple with no list per row."""
+        return tuple(Element(window, self) for window in zip(*self.window_matrix.T.tolist()))
 
     @cached_property
     def longest_element(self) -> "Element":
@@ -196,18 +203,6 @@ def is_type_b_window(window: Sequence[int], rank: int) -> bool:
     if len(window) != n2:
         return False
     return all(window[i] + window[n2 - 1 - i] == n2 + 1 for i in range(rank))
-
-
-def _type_b_windows(rank: int) -> Iterator[Window]:
-    """All centrally symmetric windows: pick one value per mirror pair for the
-    first half, in every order; the second half is forced."""
-    n2 = 2 * rank
-    pairs = [(v, n2 + 1 - v) for v in range(1, rank + 1)]
-    for picks in itertools.product((0, 1), repeat=rank):
-        half_values = [pairs[k][picks[k]] for k in range(rank)]
-        for first_half in itertools.permutations(half_values):
-            second = tuple(n2 + 1 - v for v in reversed(first_half))
-            yield first_half + second
 
 
 def compose_windows(u: Window, v: Window) -> Window:

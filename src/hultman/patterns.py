@@ -513,7 +513,7 @@ def condition5_matches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Condition 5 for many elements of ctx in one kernel pass.
 
-    For each row of `windows` (by default the rows of ctx.elements): the
+    For each row of `windows` (by default ctx.window_matrix): the
     index in `condition5_patterns()` of the first listed pattern the row BP
     contains, or -1; and that pattern's first index set, as an int16 row
     of 1-based positions whose first v.degree entries are the set (the

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -50,6 +50,32 @@ RankGrid = tuple[tuple[int, ...], ...]
 
 def format_signed(w: Element) -> str:
     return ",".join(str(s) for s in signed_window(w))
+
+
+def _type_b_windows(rank: int) -> Iterator[Window]:
+    """All centrally symmetric windows: pick one value per mirror pair for the
+    first half, in every order; the second half is forced."""
+    n2 = 2 * rank
+    pairs = [(v, n2 + 1 - v) for v in range(1, rank + 1)]
+    for picks in product((0, 1), repeat=rank):
+        half_values = [pairs[k][picks[k]] for k in range(rank)]
+        for first_half in permutations(half_values):
+            second = tuple(n2 + 1 - v for v in reversed(first_half))
+            yield first_half + second
+
+
+def oracle_enumeration(family: str, rank: int) -> tuple[list[Window], list[int]]:
+    """Every window of the group as a tuple, sorted in Python by (Coxeter
+    length, window), and the lengths in that order: type A windows from
+    `itertools.permutations`, type B ones by choosing one value of each
+    mirror pair for the first half (`_type_b_windows`)."""
+    if family == "A":
+        windows = list(permutations(range(1, rank + 1)))
+    else:
+        windows = list(_type_b_windows(rank))
+    lengths = coxeter_lengths(windows, family).tolist()
+    order = sorted(range(len(windows)), key=lambda i: (lengths[i], windows[i]))
+    return [windows[i] for i in order], [lengths[i] for i in order]
 
 
 # --- Bruhat order and distances ---------------------------------------------

@@ -7,8 +7,8 @@ minimal-pattern search, the S_8 (11762) and B_6 (4843) counts by
 condition 5 alone and the sums of s(w) over S_7 and B_5 run in tier-1.
 The long sweeps are opt-in: set HULTMAN_B5=1.  They confirm those counts
 by conditions 3, 4 and 5, and by all five, pin the sums of s(w) over S_8
-and B_6, and pin the counts past the paper's groups, S_9: 59786 and B_7:
-24868, by conditions 3 and 5.
+and B_6, pin the counts past the paper's groups, S_9: 59786, S_10: 306132
+and B_7: 24868, by conditions 3 and 5, and find no rank-7 obstruction.
 """
 import math
 import os
@@ -154,7 +154,8 @@ def test_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultma
 
 @OPT_IN
 @pytest.mark.parametrize(
-    "family, rank, order, hultman", [("A", 9, 362880, 59786), ("B", 7, 645120, 24868)]
+    "family, rank, order, hultman",
+    [("A", 9, 362880, 59786), ("A", 10, 3628800, 306132), ("B", 7, 645120, 24868)],
 )
 def test_frontier_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultman):
     # past the groups the paper sweeps; two independent conditions agree on
@@ -205,6 +206,17 @@ def test_no_rank_6_obstruction():
     assert len(found) == 31
     assert set(found) == set(condition5_patterns())
     _report("no rank-6 obstruction (31 patterns)", time.perf_counter() - start)
+
+
+@OPT_IN
+def test_no_rank_7_obstruction_opt_in():
+    # scans S_4..S_8 and B_3..B_7; about 15 s and 210 MB on 2 CPUs
+    start = time.perf_counter()
+    found = find_minimal_non_hultman(max_a=8, max_b=7)
+    assert found == find_minimal_non_hultman(max_a=6, max_b=5)
+    assert len(found) == 31
+    assert set(found) == set(condition5_patterns())
+    _report("no rank-7 obstruction (31 patterns)", time.perf_counter() - start)
 
 
 def test_criterion_4_minimal_pattern_reproduction():

@@ -1,7 +1,11 @@
 import importlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,13 @@ from hultman.classify import (
     witness_table,
 )
 from hultman.diagrams import hull_bounds
-from hultman.groups import compose_windows, context, invert_window, parse_element
+from hultman.groups import (
+    GroupContext,
+    compose_windows,
+    context,
+    invert_window,
+    parse_element,
+)
 from hultman.patterns import condition5_patterns
 from oracles import undirected_distance, window_in_hull
 
@@ -422,6 +432,38 @@ def test_verify_never_decides_conditions_3_and_5_per_element(monkeypatch):
     monkeypatch.setattr(importlib.import_module("hultman.classify"), "classify", per_element)
     summary = verify_equivalence(B3, keep_reports=True)
     assert summary.ok and summary.hultman_count == 38
+
+
+@pytest.mark.parametrize("family, rank, hultman", [("B", 3, 38), ("A", 4, 23)])
+@pytest.mark.parametrize("keep_reports", [False, True])
+def test_verify_never_builds_the_elements_tuple(family, rank, hultman, keep_reports):
+    # a fresh context, not the interned one that other tests fill
+    ctx = GroupContext(family, rank)
+    summary = verify_equivalence(ctx, ALL_CONDITIONS, keep_reports=keep_reports)
+    assert summary.ok and summary.hultman_count == hultman
+    assert len(summary.reports) == (ctx.order if keep_reports else 0)
+    assert "elements" not in vars(ctx)
+
+
+def test_whole_group_harnesses_never_build_the_elements_tuple():
+    # a fresh interpreter, so no other test has built any interned context's
+    # tuple; each scanned group is checked after the run
+    script = (
+        "from hultman.classify import find_minimal_non_hultman, verify_equivalence\n"
+        "from hultman.groups import context\n"
+        "verify_equivalence(context('B', 3), keep_reports=True)\n"
+        "verify_equivalence(context('A', 4), keep_reports=True)\n"
+        "assert len(find_minimal_non_hultman(6, 5)) == 31\n"
+        "groups = [('A', m) for m in range(1, 7)] + [('B', m) for m in range(1, 6)]\n"
+        "print([g for g in groups if 'elements' in vars(context(*g))])\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_verify_counts_agree_with_the_verdict_arrays():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hultman.bruhat import bruhat_graph, group_absolute_lengths
 from hultman.groups import (
     Element,
+    GroupContext,
     absolute_length,
     absolute_lengths,
     compose,
@@ -23,7 +24,7 @@ from hultman.groups import (
     parse_element,
     signed_window,
 )
-from oracles import format_signed
+from oracles import format_signed, oracle_enumeration
 
 A4 = context("A", 4)
 B2 = context("B", 2)
@@ -175,6 +176,24 @@ def test_enumeration_follows_the_oracle_lengths(ctx):
         oracle_absolute_length(w) for w in ctx.elements
     ]
     assert not ctx.window_matrix.flags.writeable and not ctx.lengths.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", n) for n in range(1, 9)] + [("B", n) for n in range(1, 7)]
+)
+def test_window_matrix_is_the_oracle_enumeration(family, rank):
+    # a fresh context, so the Elements built here are dropped after the test
+    ctx = GroupContext(family, rank)
+    windows, lengths = oracle_enumeration(family, rank)
+    assert ctx.window_matrix.shape == (ctx.order, ctx.degree)
+    assert ctx.window_matrix.tobytes() == np.array(windows, dtype=np.int8).tobytes()
+    assert ctx.lengths.dtype == np.int64
+    assert ctx.lengths.tobytes() == np.array(lengths, dtype=np.int64).tobytes()
+    assert "elements" not in vars(ctx)
+    assert [ctx.element(i) for i in range(ctx.order)] == list(ctx.elements)
+    for i, w in enumerate(ctx.elements):
+        assert w.window == tuple(ctx.window_matrix[i])
+    assert ctx.element(np.int64(ctx.order - 1)) == ctx.elements[-1]
 
 
 def test_parse_digit_text():

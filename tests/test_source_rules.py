@@ -80,10 +80,21 @@ def test_no_whole_group_path_computes_lengths_per_element():
     # a group's lengths come from one kernel call over its window matrix;
     # a coxeter_length or absolute_length call on a whole-group path would
     # be a per-element length pass over the group
-    whole_group = {"elements", "bruhat_graph", "group_absolute_lengths", "interval_distances"}
+    whole_group = {
+        "_enumeration", "elements", "bruhat_graph", "group_absolute_lengths",
+        "interval_distances",
+    }
     for name in ("coxeter_length", "absolute_length"):
         calls = _uses(_calls_to(name))
         assert not {function for _, function in calls} & whole_group, (name, calls)
+
+
+def test_no_production_path_reads_the_elements_tuple():
+    # a group's enumeration is its window matrix; whole-group paths read its
+    # rows and build an Element only for a row they name (ctx.element), so
+    # reading ctx.elements would build one Element per row of the group
+    reads = _uses(lambda node: isinstance(node, ast.Attribute) and node.attr == "elements")
+    assert reads == {}, reads
 
 
 def test_minimal_pattern_search_reads_condition_3_off_the_whole_group_kernel():
