@@ -5,17 +5,21 @@
 
 Each group runs the number of times GROUPS gives it (three for every
 group: on a shared machine one run of B_6 or S_8 can read a third slower
-than the next), every run `hultman verify --json` in a fresh interpreter,
-because the package memoises its group tables.  The result is written to BENCH_<label>.json beside this script's
+than the next), every run `hultman verify --json` in a fresh
+interpreter, because the package memoises its group tables.  Each child
+runs with CHILD_ENV, which pins OpenBLAS to one thread: with two,
+condition 5 on B_6 now and then takes 1.1-1.4 s instead of about 0.2 s.
+The result is written to BENCH_<label>.json beside this script's
 checkout: the measured checkout's git SHA and dirty flag, the Python and
-numpy versions, the CPU count, and per group each run's `elapsed_s`,
-per-condition `seconds`, `layer_seconds` (the tables built up front, where
-the checkout reports them) and peak RSS, with each at its least over the
-runs, and the work `counters` (hull boards solved, pattern index sets
-scanned) where the checkout reports them.  `elapsed_s` includes building
-every row's report, which --json asks for.  --root selects the source
-tree to measure (default: this checkout), so two commits can be timed
-with the same script.  Exits 1 if a run fails or its conditions disagree.
+numpy versions, the CPU count, CHILD_ENV, and per group each run's
+`elapsed_s`, per-condition `seconds`, `layer_seconds` (the tables built
+up front, where the checkout reports them) and peak RSS, with each at
+its least over the runs, and the work `counters` (hull boards solved,
+pattern index sets scanned) where the checkout reports them.
+`elapsed_s` includes building every row's report, which --json asks for.
+--root selects the source tree to measure (default: this checkout), so
+two commits can be timed with the same script.  Exits 1 if a run fails
+or its conditions disagree.
 """
 from __future__ import annotations
 
@@ -33,6 +37,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 GROUPS = (("B", 5, 3), ("A", 7, 3), ("B", 6, 3), ("A", 8, 3))  # (family, rank, runs)
+# set in every child's environment, and recorded in the BENCH file
+CHILD_ENV = {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1"}
 
 
 def git_state(root: Path) -> dict:
@@ -54,7 +60,7 @@ def run_verify(root: Path, family: str, rank: int, scratch: Path) -> dict:
     """One `hultman verify --json` run in a fresh interpreter: its summary
     without the per-element reports, and the interpreter's peak RSS."""
     out, log = scratch / "summary.json", scratch / "stdout.txt"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **CHILD_ENV)
     cmd = [sys.executable, "-m", "hultman", "verify", "--family", family,
            "--rank", str(rank), "--json", str(out)]
     with open(log, "w") as fh:
@@ -125,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
+        "child_env": CHILD_ENV,
         "groups": [],
     }
     try:

@@ -21,6 +21,8 @@ builds one row's `Element`; `ctx.elements`, every row's, only on request.
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
@@ -36,6 +38,15 @@ SignedWindow = tuple[int, ...]
 
 # Rows per block of a length kernel: its temporaries stay in the tens of kB.
 BLOCK_ROWS = 512
+
+
+def _memory_bytes() -> int:
+    """The machine's physical memory, or the largest array size numpy can
+    address where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -109,7 +120,17 @@ class GroupContext:
 
     @cached_property
     def _enumeration(self) -> tuple[np.ndarray, np.ndarray]:
-        """(window matrix, lengths), sorted by (Coxeter length, window)."""
+        """(window matrix, lengths), sorted by (Coxeter length, window).
+
+        Raises ValueError, before any allocation, for a group whose int8
+        window matrix alone is larger than the machine's memory.
+        """
+        need = self.order * self.degree
+        if need > _memory_bytes():
+            raise ValueError(
+                f"{self.name} has {self.order} elements, too many to enumerate: "
+                f"its window matrix alone would take {need / 2**30:.3g} GiB"
+            )
         n = self.rank
         perms = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
         matrix = np.fromiter(perms, np.int8, n * factorial(n)).reshape(-1, n)

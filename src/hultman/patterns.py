@@ -14,8 +14,8 @@ Three embedding kinds cover the parabolic subgroups that matter here:
 
 Containment is decided by flattening codes, in one numpy kernel.  A plan
 holds, for one (embedding kind, host, pattern size k), the index sets in
-lexicographic order and the k(k-1)/2 pairs a < b of local positions.  The
-comparisons [x_a > x_b] of a host window x at an index set fix its
+lexicographic order.  The comparisons [x_a > x_b] of a host window x at
+the k(k-1)/2 pairs a < b of local positions of an index set fix its
 relative order there, and so does their weighted sum, the Lehmer rank
 sum_{a<b} [x_a > x_b] (k-1-a)!, which lies in 0..k!-1.  The code of a
 window at an index set is that rank: one word for k <= 18; beyond, the
@@ -25,34 +25,37 @@ v's.  A search entry lists the target windows of one pattern: v and its
 diagram flip for the A kinds, v alone for B-in-B and for classical
 containment (which uses the A-in-A index sets).
 
-A query holds one block of columns (index sets) per plan of its entries,
-ordered by pattern size, and numbers the columns of all blocks in that
-order (the global column).  Each column is paired with every target of
-its block, and the (column, target) pairs are held in one flat list
-ordered by owner (the least entry holding the target) and then by
-column.  Every index set is increasing, so each comparison a column reads
-is [x_i > x_j] for host positions i < j: one of the d(d-1)/2 entries of
-the upper triangle of the row's comparisons (45 at degree 10), however
-many columns read it.  The query holds the place value that each position
-pair i < j adds to each column's code words, as one (d(d-1)/2, C * words)
-float64 matrix.  For every row of a batch of host windows, the kernel
-returns the first entry whose targets one of the row's codes hits, and
-the global column where it first does, in one pass over all blocks: the
-row's upper-triangle bits, each computed once; one matrix product of
-them with the place values, which sums every Lehmer digit of every column
-at once; one exact comparison of each pair's column code with its
-target, word by word, so codes of any number of words compare exactly;
-and the first hit of each row, which is its least owner at that owner's
-first column.  Every partial sum of the product is an integer no larger
-than its word's largest code, below 2^53, so float64 adds them exactly in
-any order.  The query also holds every column's index set, so each
-caller reads the index set of a match there.  Rows go in blocks whose
-largest temporary stays under about 256 KiB (or one row), and a batch of
-one runs the same calls as a whole group.  `bp_contains` and
-`classical_contains` run the kernel on a batch of one,
-`first_bp_contained` on a batch of host windows against any patterns,
-and `condition5_matches` on a whole group (or on a batch of one, for
-`avoids_condition5_list`) against the 31 listed patterns.
+A query holds the columns (index sets) of every plan of its entries,
+ordered by pattern size, and numbers them in that order (the global
+column).  It is built in one pass over the plans, which writes each
+plan's place values and its targets' codes.  Each column is paired with
+every target of its plan, and the (column, target) pairs are held in one
+flat list ordered by owner (the least entry holding the target) and then
+by column.  Every index set is increasing, so each comparison a column
+reads is [x_i > x_j] for host positions i < j: one of the d(d-1)/2
+entries of the upper triangle of the row's comparisons (45 at degree
+10), however many columns read it.  The query holds the place value that
+each position pair i < j adds to each column's code words, as one
+(d(d-1)/2, C * words) float64 matrix.  A target's code is the same
+product: its own upper-triangle bits times the place values of its
+pairs.  For every row of a batch of host windows, the kernel returns the
+first entry whose targets one of the row's codes hits, and the global
+column where it first does, in one pass over all columns: the row's
+upper-triangle bits, each computed once; one matrix product of them with
+the place values, which sums every Lehmer digit of every column at once;
+one exact comparison of each pair's column code with its target, word by
+word, so codes of any number of words compare exactly; and the first hit
+of each row, which is its least owner at that owner's first column.
+Every partial sum of the product is an integer no larger than its word's
+largest code, below 2^53, so float64 adds them exactly in any order.
+The query also holds every column's index set, so each caller reads the
+index set of a match there.  Rows go in blocks whose largest temporary
+stays under about 256 KiB (or one row), and a batch of one runs the same
+calls as a whole group.  `bp_contains` and `classical_contains` run the
+kernel on a batch of one, `first_bp_contained` on a batch of host
+windows against any patterns, and `condition5_matches` on a whole group
+(or on a batch of one, for `avoids_condition5_list`) against the 31
+listed patterns.
 `relative_order` remains only for `flatten`.
 """
 from __future__ import annotations
@@ -64,7 +67,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import Element, GroupContext, Window, context, parse_element
+from .groups import Element, GroupContext, Window, _position_pairs, context, parse_element
 
 EmbeddingKind = str  # "A-in-A" | "A-in-B" | "B-in-B"
 
@@ -171,10 +174,9 @@ _Entry = tuple[EmbeddingKind, int, tuple[Window, ...]]
 
 
 @lru_cache(maxsize=64)
-def _plan(kind: EmbeddingKind, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _plan(kind: EmbeddingKind, n: int, k: int) -> np.ndarray:
     """The index sets of one embedding kind, in lexicographic order, as a
-    (K, k) array of 1-based positions; and every pair a < b of local
-    positions, in `combinations` order, as a (2, k(k-1)/2) array."""
+    (K, k) array of 1-based positions."""
     if kind == "A-in-A":
         sets: Iterator[tuple[int, ...]] = combinations(range(1, n + 1), k)
     elif kind == "A-in-B":
@@ -182,14 +184,14 @@ def _plan(kind: EmbeddingKind, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         sets = b_in_b_index_sets(n, k // 2)
     table = np.array(list(sets), dtype=np.intp).reshape(-1, k)
-    local = np.array(list(combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
-    table.flags.writeable = local.flags.writeable = False
-    return table, local
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=64)
 def _weights(k: int) -> np.ndarray:
-    """(k(k-1)/2, words) int64 place values of the pairs of `_plan`.
+    """(k(k-1)/2, words) int64 place values of the position pairs a < b of
+    k positions, in `combinations` order.
 
     The Lehmer digit L_a = #{b > a : x_a > x_b} of a sequence of k distinct
     values lies in 0..k-1-a, and the digits determine the relative order.
@@ -214,56 +216,21 @@ def _weights(k: int) -> np.ndarray:
     return weights
 
 
-def _greater(windows: np.ndarray) -> np.ndarray:
-    """(rows, d * d) comparison table: entry i * d + j says whether the row
-    is larger at position i than at position j (0-based)."""
-    rows, d = windows.shape
-    return (windows[:, :, None] > windows[:, None, :]).reshape(rows, d * d)
-
-
-def _codes(greater: np.ndarray, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(rows, K, words) int64 flattening codes: the matrix product of the
-    comparison-table entries at pairs[k] with their place values.  Equal
-    codes mean equal relative orders."""
-    return greater.take(pairs, axis=1) @ weights
-
-
-def _pair_index(sets: np.ndarray, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """Flat comparison-table indices of the pairs (a, b) of each index set."""
-    return (sets[:, a] - 1) * d + (sets[:, b] - 1)
-
-
-class _Block(NamedTuple):
-    """The columns of one plan and the target codes of its entries.
-
-    A column matches a target when the host's code there equals the
-    target's: the Lehmer rank of the relative order, in one word for
-    k <= 18.  Each distinct target code is kept once, with its least owner.
-    """
-
-    sets: np.ndarray  # (K, k) 1-based host positions
-    pairs: np.ndarray  # (K, T) comparison-table indices
-    weights: np.ndarray  # (T, words) place values
-    targets: np.ndarray  # (nt, words) distinct codes, owners ascending
-    owners: np.ndarray  # (nt,) least entry index of each code
-
-
 class _Query(NamedTuple):
-    """Every block of one search, laid out for the one-pass kernel.  A
-    global column numbers the index sets of all blocks, block by block.
+    """The columns of one search, laid out for the one-pass kernel.  A
+    global column numbers the index sets of all plans, plan by plan.
     Each index set is increasing, so its pair (a, b) of local positions
     compares host positions s_a < s_b: an entry of the upper triangle of
     the host's comparisons, whose pairs `upper` lists.  `place` holds, at
     row t and entry c * words + w, the place value that pair t adds to word
     w of column c's code when the host is larger at its first position;
     so the product of a row's upper-triangle bits with `place` is every
-    code of the row.  Each column is paired with every target of its
-    block, and the pairs are ordered by owner and then by column, so the
-    first pair a row hits is its least owner at that owner's first column.
-    A last pair, which no code is compared with, and a last row of `sets`
-    stand for no match."""
+    code of the row.  Each column is paired with every distinct target
+    code of its plan, held once with its least owner, and the pairs are
+    ordered by owner and then by column, so the first pair a row hits is
+    its least owner at that owner's first column.  A last pair, which no
+    code is compared with, and a last row of `sets` stand for no match."""
 
-    blocks: tuple[_Block, ...]
     entries: int  # their number, the owner of a row that matches none
     upper: np.ndarray  # (2, d(d-1)/2) host positions i < j, 0-based
     place: np.ndarray  # (d(d-1)/2, C * words) float64 place values
@@ -274,96 +241,72 @@ class _Query(NamedTuple):
     row_bytes: int  # the largest kernel temporary per host row
 
 
-def _stack(blocks: tuple[_Block, ...], entries: int, degree: int) -> _Query:
-    """The `_Query` of blocks ordered by pattern size, for `entries`
-    entries, in a host of `degree` positions."""
-    starts = np.cumsum([0] + [len(b.sets) for b in blocks]).tolist()
-    columns = starts[-1]
-    words = max((b.weights.shape[1] for b in blocks), default=1)
-    # the upper-triangle row of each comparison-table index i * d + j, i < j
-    upper = np.array(np.triu_indices(degree, 1), dtype=np.intp)
-    triangle = np.zeros(degree * degree, dtype=np.intp)
-    triangle[upper[0] * degree + upper[1]] = np.arange(upper.shape[1])
-    # each (pair, column) occurs once, so the place values are assigned;
-    # pair t of a block adds to the one word where its weights row is nonzero
-    place = np.zeros((upper.shape[1], columns, words), dtype=np.float64)
-    for b, c0 in zip(blocks, starts):
-        column = np.arange(c0, c0 + len(b.sets))[:, None]
-        place[triangle[b.pairs], column, b.weights.argmax(axis=1)] = b.weights.max(axis=1)
-    place = place.reshape(upper.shape[1], columns * words)
-    # (owner, column, code) for each column and each target of its block,
-    # the code padded with zero words like the place values
-    found = sorted(
-        (owner, c, code + [0] * (words - len(code)))
-        for b, c0 in zip(blocks, starts)
-        for code, owner in zip(b.targets.tolist(), b.owners.tolist())
-        for c in range(c0, c0 + len(b.sets))
-    )
-    pair_columns = np.array([c for _, c, _ in found] + [columns], dtype=np.intp)
-    pair_codes = np.array([code for _, _, code in found], dtype=np.float64).reshape(-1, words)
-    pair_owners = np.array([e for e, _, _ in found] + [entries], dtype=np.intp)
-    width = max((b.sets.shape[1] for b in blocks), default=0)
-    sets = np.zeros((columns + 1, width), dtype=np.int16)
-    for b, c0 in zip(blocks, starts):
-        sets[c0 : c0 + len(b.sets), : b.sets.shape[1]] = b.sets
-    for a in (upper, place, pair_columns, pair_codes, pair_owners, sets):
-        a.flags.writeable = False
-    # the upper-triangle bits, the (columns * words) codes, or one word of
-    # them gathered per pair, all float64
-    return _Query(
-        blocks,
-        entries,
-        upper,
-        place,
-        pair_columns,
-        pair_codes,
-        pair_owners,
-        sets,
-        8 * max(upper.shape[1], columns * words, len(found), 1),
-    )
-
-
 @lru_cache(maxsize=256)
 def _query(entries: tuple[_Entry | None, ...]) -> _Query:
-    """One block per distinct plan among the entries (None entries have no
-    parabolic in the host and never match), ordered by pattern size."""
+    """The columns of each distinct plan among the entries (None entries
+    have no parabolic in the host and never match), ordered by pattern
+    size, built in one pass over the plans."""
     by_plan: dict[tuple[int, EmbeddingKind, int], list[int]] = {}
     for e, entry in enumerate(entries):
         if entry is not None:
             kind, n, targets = entry
             by_plan.setdefault((len(targets[0]), kind, n), []).append(e)
-    blocks = []
-    degree = 0
+    plans, degree = [], 0
     for (k, kind, n), owners in sorted(by_plan.items()):
-        sets, (a, b) = _plan(kind, n, k)
-        if not len(sets):
-            continue
-        degree = n if kind == "A-in-A" else 2 * n
+        if len(sets := _plan(kind, n, k)):
+            plans.append((k, sets, owners))
+            degree = n if kind == "A-in-A" else 2 * n
+    columns = sum(len(sets) for _, sets, _ in plans)
+    words = max((_weights(k).shape[1] for k, _, _ in plans), default=1)
+    upper = np.array(_position_pairs(degree), dtype=np.intp)
+    # the upper-triangle row of each host position pair i < j
+    triangle = np.zeros((degree, degree), dtype=np.intp)
+    triangle[upper[0], upper[1]] = np.arange(upper.shape[1])
+    place = np.zeros((upper.shape[1], columns, words), dtype=np.float64)
+    stacked = np.zeros((columns + 1, max((k for k, _, _ in plans), default=0)), dtype=np.int16)
+    found = []  # (owner, column, code) for each column and target code of its plan
+    c0 = 0
+    for k, sets, owners in plans:
         weights = _weights(k)
-        # a target window is a host of degree k whose one index set is 1..k
-        own = _pair_index(np.arange(1, k + 1)[None], a, b, k)
+        a, b = _position_pairs(k)
+        column = np.arange(c0, c0 + len(sets))
+        c0 += len(sets)
+        # each (pair, column) occurs once, so the place values are assigned;
+        # pair t adds to the one word where its weights row is nonzero
+        pairs = triangle[sets[:, a] - 1, sets[:, b] - 1]
+        place[pairs, column[:, None], weights.argmax(axis=1)] = weights.max(axis=1)
+        stacked[column, :k] = sets
+        # a target's code is the same product, on its own position pairs
         wins = [(t, e) for e in owners for t in entries[e][2]]
         windows = np.array([t for t, _ in wins], dtype=np.int16)
         least: dict[tuple[int, ...], int] = {}
-        for code, (_, e) in zip(_codes(_greater(windows), own, weights)[:, 0].tolist(), wins):
+        for code, (_, e) in zip(((windows[:, a] > windows[:, b]) @ weights).tolist(), wins):
             least.setdefault(tuple(code), e)  # owners ascend: the first is least
-        blocks.append(
-            _Block(
-                sets,
-                _pair_index(sets, a, b, degree),
-                weights,
-                np.array(list(least), dtype=np.int64).reshape(-1, weights.shape[1]),
-                np.array(list(least.values()), dtype=np.intp),
-            )
-        )
-    return _stack(tuple(blocks), len(entries), degree)
+        found += [
+            (e, c, list(code) + [0] * (words - len(code)))
+            for code, e in least.items()
+            for c in column.tolist()
+        ]
+    found.sort()
+    pair_columns = np.array([c for _, c, _ in found] + [columns], dtype=np.intp)
+    pair_codes = np.array([code for _, _, code in found], dtype=np.float64).reshape(-1, words)
+    pair_owners = np.array([e for e, _, _ in found] + [len(entries)], dtype=np.intp)
+    place = place.reshape(upper.shape[1], columns * words)
+    for arr in (upper, place, pair_columns, pair_codes, pair_owners, stacked):
+        arr.flags.writeable = False
+    # the upper-triangle bits, the (columns * words) codes, or one word of
+    # them gathered per pair, all float64
+    row_bytes = 8 * max(upper.shape[1], columns * words, len(found), 1)
+    return _Query(
+        len(entries), upper, place, pair_columns, pair_codes, pair_owners, stacked, row_bytes
+    )
 
 
 def _first_matches(query: _Query, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel, one pass over all blocks.  For each row of `windows`:
+    """The kernel, one pass over all columns.  For each row of `windows`:
     the least entry index whose targets one of the row's codes hits, and
     the global column where it first hits, whose row of `query.sets` is
-    the lexicographically first index set of that entry's block; or
+    the lexicographically first index set of that entry's plan; or
     `query.entries` and the last row of `query.sets` if no entry matches.
     Every code is one float64 matrix product of the row's upper-triangle
     comparison bits with `query.place`, exact since each word's codes stay
@@ -416,7 +359,7 @@ def _bp_entry(host: GroupContext, v: Element) -> _Entry | None:
 
 def _first_embedding(w: Element, query: _Query) -> tuple[int, ...] | None:
     """The first index set where w matches the one entry of `query`, whose
-    one block leaves its sets unpadded; None if it matches nowhere."""
+    one plan leaves its sets unpadded; None if it matches nowhere."""
     best, column = _first_matches(query, _host_rows((w,), w.degree))
     if best[0] == query.entries:
         return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,7 +40,14 @@ from hultman.groups import (
     invert_window,
     signed_window,
 )
-from hultman.patterns import _BLOCK_BYTES, ParabolicEmbedding, _codes, _greater, _Query
+from hultman.patterns import (
+    _BLOCK_BYTES,
+    ParabolicEmbedding,
+    _Entry,
+    _weights,
+    a_in_b_index_sets,
+    b_in_b_index_sets,
+)
 
 RankGrid = tuple[tuple[int, ...], ...]
 
@@ -601,41 +608,71 @@ def dynkin_reverse(v: Element) -> Element:
     return Element(tuple(m + 1 - v.window[m - i] for i in range(1, m + 1)), v.ctx)
 
 
+def _greater(windows: np.ndarray) -> np.ndarray:
+    """(rows, d * d) comparison table: entry i * d + j says whether the row
+    is larger at position i than at position j (0-based)."""
+    rows, d = windows.shape
+    return (windows[:, :, None] > windows[:, None, :]).reshape(rows, d * d)
+
+
+def _pair_index(sets: np.ndarray, d: int) -> np.ndarray:
+    """(K, k(k-1)/2) flat comparison-table indices of the local position
+    pairs a < b of each index set, in `combinations` order."""
+    a, b = np.array(list(combinations(range(sets.shape[1]), 2)), dtype=np.intp).reshape(-1, 2).T
+    return (sets[:, a] - 1) * d + (sets[:, b] - 1)
+
+
+def _codes(greater: np.ndarray, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(rows, K, words) int64 flattening codes: the comparison-table entries
+    gathered at each index set's pairs, times their place values."""
+    return greater.take(pairs, axis=1) @ weights
+
+
+def _index_sets(kind: str, n: int, k: int) -> list[tuple[int, ...]]:
+    """The index sets of one embedding kind in lexicographic order."""
+    if kind == "A-in-A":
+        return list(combinations(range(1, n + 1), k))
+    if kind == "A-in-B":
+        return list(a_in_b_index_sets(n, k))
+    return list(b_in_b_index_sets(n, k // 2))
+
+
 def oracle_first_matches(
-    query: _Query, windows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """`patterns._first_matches` one block at a time, by another method:
-    each block's codes as int64 products of the comparison-table entries
-    gathered at its pairs (`patterns._codes`, not the kernel's float64
-    upper-triangle product), compared with each of its target codes; the
-    least owner per column, and the first column that attains it,
-    numbered across all blocks (the column past the last one for no
-    match)."""
-    rows, none = len(windows), query.entries
-    starts = np.cumsum([0] + [len(b.sets) for b in query.blocks])
-    # one row per block, and a last row of `none` for a query with no block
-    best = np.full((len(query.blocks) + 1, rows), none, dtype=np.intp)
-    column = np.zeros_like(best)
-    row_bytes = max(
-        (8 * len(b.pairs) * max(b.pairs.shape[1], len(b.targets), 1) for b in query.blocks),
-        default=1,
-    )
-    step = max(1, _BLOCK_BYTES // row_bytes)
-    for start in range(0, rows, step):
-        part = slice(start, start + step)
-        greater = _greater(windows[part])
-        for i, block in enumerate(query.blocks):
-            codes = _codes(greater, block.pairs, block.weights)
-            # (nt, rows, K): the targets axis leads, so that the owner
-            # reduction runs over whole (rows, K) slices
-            hit = codes[:, :, 0] == block.targets[:, 0, None, None]
-            for j in range(1, block.targets.shape[1]):
-                hit &= codes[:, :, j] == block.targets[:, j, None, None]
-            owner = np.where(hit, block.owners[:, None, None], none).min(axis=0)
-            best[i, part] = first = owner.min(axis=1)
-            column[i, part] = starts[i] + (owner == first[:, None]).argmax(axis=1)
-    # an entry lives in one block, so the least entry picks the block
-    where = best.argmin(axis=0)
-    picked = np.arange(rows)
-    best = best[where, picked]
-    return best, np.where(best < none, column[where, picked], starts[-1])
+    entries: Sequence[_Entry | None], windows: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """`patterns._first_matches` entry by entry, by another method: each
+    entry's index sets listed here, and its codes as int64 products of the
+    comparison-table entries gathered at their pairs (not the kernel's
+    float64 upper-triangle product with a query's place values), compared
+    with the codes of its targets.  For each row: the least entry that one
+    of its index sets matches, and the first such index set; or
+    len(entries) and () for no match."""
+    rows, d = windows.shape
+    none = len(entries)
+    best = np.full(rows, none, dtype=np.intp)
+    first: list[tuple[int, ...]] = [()] * rows
+    for e, entry in enumerate(entries):
+        if entry is None:
+            continue
+        kind, n, targets = entry
+        k = len(targets[0])
+        sets = _index_sets(kind, n, k)
+        if not sets:
+            continue
+        weights = _weights(k)
+        pairs = _pair_index(np.array(sets, dtype=np.intp), d)
+        # a target is a host of degree k whose one index set is 1..k
+        own = np.array(targets, dtype=np.int16)
+        own = _codes(_greater(own), _pair_index(np.arange(1, k + 1)[None], k), weights)[:, 0]
+        open_rows = np.flatnonzero(best == none)
+        step = max(1, _BLOCK_BYTES // (8 * max(pairs.size, 1)))
+        for start in range(0, len(open_rows), step):
+            part = open_rows[start : start + step]
+            codes = _codes(_greater(windows[part]), pairs, weights)
+            # (rows, targets, K): every word of a column's code equals a target's
+            hit = (codes[:, None] == own[None, :, None]).all(axis=3).any(axis=1)
+            matched = hit.any(axis=1)
+            best[part[matched]] = e
+            for row, column in zip(part[matched].tolist(), hit[matched].argmax(axis=1).tolist()):
+                first[row] = sets[column]
+    return best, first

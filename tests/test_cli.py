@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hultman import cli
@@ -285,6 +286,26 @@ def test_windows_too_wide_for_an_int64_key_exit_2(capsys):
     assert err == "error: windows of degree 16 do not fit an int64 key\n"
     assert main(argv + ["--conditions", "3,4,5"]) == 0
     assert capsys.readouterr().out.count(": True") == 3
+
+
+@pytest.mark.parametrize(
+    "family, rank, name",
+    [("A", 16, "S_16"), ("A", 30, "S_30"), ("B", 20, "B_20")],
+)
+def test_verify_on_a_group_too_large_to_enumerate_exits_2(
+    capsys, monkeypatch, family, rank, name
+):
+    # S_16's window matrix would take 304 TiB, and the orders of S_30 and
+    # B_20 overflow an int64 count; each fails before any memory is touched
+    def allocation(*args, **kwargs):
+        pytest.fail(f"{name} began to enumerate")
+
+    monkeypatch.setattr(np, "fromiter", allocation)
+    argv = ["verify", "--family", family, "--rank", str(rank), "--conditions", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} has ") and "too many to enumerate" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,7 @@ from hultman.patterns import (
     ParabolicEmbedding,
     _bp_entry,
     _bp_kind,
-    _codes,
-    _condition5_query,
     _first_matches,
-    _greater,
-    _pair_index,
-    _plan,
     _query,
     _weights,
     a_in_b_index_sets,
@@ -384,12 +379,18 @@ def test_codes_wider_than_one_word():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_codes_of_all_windows_are_their_lehmer_ranks(k):
-    # permutations come in lexicographic order, which is Lehmer rank order
+    # permutations come in lexicographic order, which is Lehmer rank order;
+    # one entry per window, so pair r holds window r's code, owned by r
     windows = np.array(list(permutations(range(1, k + 1))), dtype=np.int16)
-    sets, (a, b) = _plan("A-in-A", k, k)
-    codes = _codes(_greater(windows), _pair_index(sets, a, b, k), _weights(k))
-    assert codes.dtype == np.int64 and codes.shape == (factorial(k), 1, 1)
-    assert np.array_equal(codes[:, 0, 0], np.arange(factorial(k)))
+    query = _query(tuple(("A-in-A", k, (w,)) for w in map(tuple, windows.tolist())))
+    ranks = np.arange(factorial(k))
+    assert np.array_equal(query.pair_owners[:-1], ranks)
+    assert query.pair_codes.shape == (factorial(k), 1)
+    assert np.array_equal(query.pair_codes[:, 0], ranks)
+    # the kernel's codes: the upper-triangle bits times the place values
+    i, j = query.upper
+    assert query.place.shape == (k * (k - 1) // 2, 1)
+    assert np.array_equal((windows[:, i] > windows[:, j]) @ query.place, ranks[:, None])
 
 
 def test_one_code_word_up_to_eighteen_positions():
@@ -518,13 +519,25 @@ def test_condition5_matches_take_a_batch_of_windows():
     assert condition5_embedding(ctx, -1, indices[0]) is None
 
 
-def _assert_kernel_equals_oracle(query, windows):
-    """The one-pass kernel and the per-block oracle give equal (best,
-    global column) for every row."""
-    got, want = _first_matches(query, windows), oracle_first_matches(query, windows)
-    for name, g, x in zip(("best", "column"), got, want):
-        assert np.array_equal(g, x), (name, np.flatnonzero(g != x)[:5])
+def _assert_kernel_equals_oracle(entries, windows):
+    """The one-pass kernel on the query of `entries` and the entry-by-entry
+    oracle give equal best entries, and the query's index set at the
+    kernel's column is the oracle's first index set, zero-padded."""
+    query = _query(entries)
+    got = _first_matches(query, windows)
+    best, first = oracle_first_matches(entries, windows)
+    assert np.array_equal(got[0], best), np.flatnonzero(got[0] != best)[:5]
+    found = query.sets[got[1]]
+    want = np.zeros_like(found)
+    for row, indices in enumerate(first):
+        want[row, : len(indices)] = indices
+    assert np.array_equal(found, want), np.flatnonzero((found != want).any(axis=1))[:5]
     return got
+
+
+def _condition5_entries(ctx):
+    """The entries of `_condition5_query(ctx)`."""
+    return tuple(_bp_entry(ctx, v) for v in condition5_patterns())
 
 
 @pytest.mark.parametrize(
@@ -533,18 +546,29 @@ def _assert_kernel_equals_oracle(query, windows):
     ids=lambda ctx: ctx.name,
 )
 def test_kernel_equals_the_per_block_oracle_on_every_row(ctx):
-    _assert_kernel_equals_oracle(_condition5_query(ctx), ctx.window_matrix)
+    _assert_kernel_equals_oracle(_condition5_entries(ctx), ctx.window_matrix)
 
 
 @pytest.mark.parametrize("family, rank", [("A", 8), ("B", 6)])
 def test_kernel_equals_the_per_block_oracle_on_batches_of_one(family, rank):
     ctx = context(family, rank)
-    query = _condition5_query(ctx)
+    entries = _condition5_entries(ctx)
     found = 0
     for row in random.Random(80 + rank).sample(range(ctx.order), 300):
-        best, _ = _assert_kernel_equals_oracle(query, ctx.window_matrix[row : row + 1])
-        found += int(best[0] < query.entries)
+        best, _ = _assert_kernel_equals_oracle(entries, ctx.window_matrix[row : row + 1])
+        found += int(best[0] < len(entries))
     assert 0 < found < 300
+
+
+def _plan_shapes(query):
+    """For each column of `query`, read off its arrays: the size of its
+    index set, the code words its place values fill, and the distinct
+    target codes it is paired with."""
+    columns = len(query.sets) - 1
+    sizes = (query.sets[:-1] > 0).sum(axis=1)
+    words = query.place.reshape(len(query.place), columns, -1).any(axis=0).sum(axis=1)
+    targets = np.bincount(query.pair_columns[:-1], minlength=columns)
+    return sizes, words, targets
 
 
 def _mixed_patterns(rng, host):
@@ -566,11 +590,10 @@ def test_first_bp_contained_equals_the_per_block_oracle(host):
     rng = random.Random(host.degree)
     windows = host.window_matrix
     assert (first_bp_contained(host, windows, []) == -1).all()
-    _assert_kernel_equals_oracle(_query(()), windows)
+    _assert_kernel_equals_oracle((), windows)
     for _ in range(12):
         pats = _mixed_patterns(rng, host)
-        query = _query(tuple(_bp_entry(host, v) for v in pats))
-        best, _ = _assert_kernel_equals_oracle(query, windows)
+        best, _ = _assert_kernel_equals_oracle(tuple(_bp_entry(host, v) for v in pats), windows)
         first = first_bp_contained(host, windows, pats)
         assert np.array_equal(first, np.where(best < len(pats), best, -1))
         for row in rng.sample(range(host.order), 10):
@@ -587,9 +610,11 @@ def test_kernel_equals_the_oracles_on_blocks_of_every_pattern(host):
     pats = list(A4.elements) + list(A5.elements)
     pats += rng.sample(pats, 20)
     rng.shuffle(pats)
-    query = _query(tuple(_bp_entry(host, v) for v in pats))
-    assert max(len(b.targets) for b in query.blocks) == (120 if host.family == "A" else 24)
-    best, column = _assert_kernel_equals_oracle(query, host.window_matrix)
+    entries = tuple(_bp_entry(host, v) for v in pats)
+    query = _query(entries)
+    _, _, targets = _plan_shapes(query)
+    assert targets.max() == (120 if host.family == "A" else 24)
+    best, column = _assert_kernel_equals_oracle(entries, host.window_matrix)
     for row in rng.sample(range(host.order), 40):
         w = host.elements[row]
         first = next(
@@ -617,11 +642,13 @@ def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
         keep = sorted(rng.sample(range(21), k))
         inside = relative_order([rows[k % 3][i] for i in keep])
         pats += [Element(v, context("A", k)) for v in [inside] + _neighbours(inside)[:2]]
-    query = _query(tuple(_bp_entry(host, v) for v in pats))
-    assert sum(factorial(b.sets.shape[1]) for b in query.blocks) > 2**63
-    assert [b.weights.shape[1] for b in query.blocks] == [1, 2, 2, 2]
+    entries = tuple(_bp_entry(host, v) for v in pats)
+    sizes, words, _ = _plan_shapes(_query(entries))
+    words_by_size = dict(zip(sizes.tolist(), words.tolist()))
+    assert sum(factorial(k) for k in words_by_size) > 2**63
+    assert words_by_size == {18: 1, 19: 2, 20: 2, 21: 2}
     windows = np.array(rows + [list(range(1, 22))], dtype=np.int16)
-    best, _ = _assert_kernel_equals_oracle(query, windows)
+    best, _ = _assert_kernel_equals_oracle(entries, windows)
     for row, values in enumerate(windows.tolist()):
         w = Element(tuple(values), host)
         hits = [i for i, v in enumerate(pats) if oracle_bp_contains(w, v) is not None]
@@ -646,17 +673,17 @@ def test_kernel_compares_the_top_code_word():
         for inside in (tuple(values), relative_order([values[i] for i in keep])):
             decoy = _neighbours(inside)[0]
             k = len(inside)
-            sets, (a, b) = _plan("A-in-A", k, k)
-            windows = np.array([inside, decoy], dtype=np.int16)
-            codes = _codes(_greater(windows), _pair_index(sets, a, b, k), _weights(k))[:, 0]
+            # the two target codes of one entry, in one column 1..k
+            codes = _query((("A-in-A", k, (inside, decoy)),)).pair_codes
             assert codes.shape == (2, 2)
             assert codes[0, 0] == codes[1, 0] and codes[0, 1] != codes[1, 1]
             decoys.append(Element(decoy, context("A", k)))
             pats.append(Element(inside, context("A", k)))
     pats = decoys + pats
-    query = _query(tuple(_bp_entry(host, v) for v in pats))
-    assert [b.weights.shape[1] for b in query.blocks] == [2, 2]
-    best, _ = _assert_kernel_equals_oracle(query, np.array(rows, dtype=np.int16))
+    entries = tuple(_bp_entry(host, v) for v in pats)
+    sizes, words, _ = _plan_shapes(_query(entries))
+    assert dict(zip(sizes.tolist(), words.tolist())) == {19: 2, 21: 2}
+    best, _ = _assert_kernel_equals_oracle(entries, np.array(rows, dtype=np.int16))
     for row, values in enumerate(rows):
         w = Element(tuple(values), host)
         hits = [i for i, v in enumerate(pats) if oracle_bp_contains(w, v) is not None]

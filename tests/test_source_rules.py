@@ -119,14 +119,21 @@ def test_minimal_pattern_search_reads_condition_3_off_the_whole_group_kernel():
     assert not {function for _, function in uses} & whole_group, uses
 
 
-def test_bp_index_sets_are_read_only_through_the_query():
-    # a query stacks its blocks' index sets once, where it is built; the
-    # kernel and every caller then read a match's index set from
-    # `_Query.sets`, so reading the blocks elsewhere would be a second
-    # stacking of the same sets
-    uses = _uses(lambda node: isinstance(node, ast.Attribute) and node.attr == "blocks")
-    readers = {function for module, function in uses if module == "patterns.py"}
-    assert readers <= {"_query", "_stack"}, uses
+def test_bp_codes_have_one_implementation_the_query_place_values():
+    # a query writes every column's place values and every target's code
+    # from `_weights` in one pass, and the kernel multiplies a row's
+    # upper-triangle bits by them; another reader of `_weights`, or the
+    # per-plan blocks and the gathered int64 codes of the test oracle,
+    # would be a second implementation of the same codes
+    uses = _uses(lambda node: isinstance(node, ast.Name) and node.id == "_weights")
+    assert set(uses) == {("patterns.py", "_query")}, uses
+    tree = ast.parse((SOURCE / "patterns.py").read_text(encoding="utf-8"))
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"_Block", "_stack", "_greater", "_codes", "_pair_index"}, defined
 
 
 def test_condition_3_kernel_reads_only_the_rank_table():
