@@ -2,6 +2,7 @@
 
     python3 scripts/bench_verify.py --label 4610314
     python3 scripts/bench_verify.py --label base --root ../other-checkout
+    python3 scripts/bench_verify.py --label frontier --large
 
 Each group runs the number of times GROUPS gives it (three for every
 group: on a shared machine one run of B_6 or S_8 can read a third slower
@@ -20,6 +21,12 @@ pattern index sets scanned) where the checkout reports them.
 --root selects the source tree to measure (default: this checkout), so
 two commits can be timed with the same script.  Exits 1 if a run fails
 or its conditions disagree.
+
+--large (opt-in, about two minutes) times the frontier instead: B_7 and
+S_9, once each, with `--conditions 3,4,5` and without --json, whose
+per-element reports would fill a 623 MB file on B_7.  Their counts and
+per-condition seconds are read from verify's text summary, so their
+groups record no `layer_seconds`, `rows_computed` or `counters`.
 """
 from __future__ import annotations
 
@@ -37,6 +44,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 GROUPS = (("B", 5, 3), ("A", 7, 3), ("B", 6, 3), ("A", 8, 3))  # (family, rank, runs)
+# with --large: the frontier, by the conditions that decide each row alone
+LARGE_GROUPS = (("B", 7, 1), ("A", 9, 1))
+LARGE_CONDITIONS = "3,4,5"
 # set in every child's environment, and recorded in the BENCH file
 CHILD_ENV = {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1"}
 
@@ -56,13 +66,37 @@ def git_state(root: Path) -> dict:
         return {"git_sha": None, "git_dirty": None}
 
 
-def run_verify(root: Path, family: str, rank: int, scratch: Path) -> dict:
-    """One `hultman verify --json` run in a fresh interpreter: its summary
-    without the per-element reports, and the interpreter's peak RSS."""
+def text_summary(text: str) -> dict:
+    """The counts, elapsed seconds and per-condition seconds of the text
+    summary that `hultman verify` prints."""
+    head = re.search(r"^\S+: (\d+) elements, conditions \[(.*)\]$", text, re.M)
+    hultman = re.search(r"^  Hultman elements: (\d+)$", text, re.M)
+    elapsed = re.search(r"^  elapsed: ([\d.]+)s$", text, re.M)
+    if not (head and hultman and elapsed):
+        raise RuntimeError("verify printed no summary:\n" + text[-4000:])
+    return {
+        "total": int(head[1]),
+        "hultman_count": int(hultman[1]),
+        "conditions": head[2].split(", "),
+        "elapsed_s": float(elapsed[1]),
+        "seconds": {
+            name: float(value) for name, value in re.findall(r"^    (\w+): ([\d.]+)s$", text, re.M)
+        },
+    }
+
+
+def run_verify(
+    root: Path, family: str, rank: int, scratch: Path, conditions: str | None = None
+) -> dict:
+    """One `hultman verify` run in a fresh interpreter and its peak RSS.
+    Without `conditions`, all five run with --json, and the summary is read
+    from that file without the per-element reports; with them, only those
+    run, and the summary is read from the printed text."""
     out, log = scratch / "summary.json", scratch / "stdout.txt"
     env = dict(os.environ, PYTHONPATH=str(root / "src"), **CHILD_ENV)
     cmd = [sys.executable, "-m", "hultman", "verify", "--family", family,
-           "--rank", str(rank), "--json", str(out)]
+           "--rank", str(rank)]
+    cmd += ["--json", str(out)] if conditions is None else ["--conditions", conditions]
     with open(log, "w") as fh:
         proc = subprocess.Popen(cmd, stdout=fh, stderr=subprocess.STDOUT, env=env, cwd=root)
         # wait4 gives this child's own resource usage, with its peak RSS
@@ -73,6 +107,9 @@ def run_verify(root: Path, family: str, rank: int, scratch: Path) -> dict:
             f"verify --family {family} --rank {rank} exited with {proc.returncode}:\n"
             + log.read_text()[-4000:]
         )
+    peak = {"peak_rss_mb": usage.ru_maxrss / 1024}  # kilobytes on Linux
+    if conditions is not None:
+        return {**text_summary(log.read_text()), **peak}
     summary = json.loads(out.read_text())
     return {
         "total": summary["total"],
@@ -83,13 +120,15 @@ def run_verify(root: Path, family: str, rank: int, scratch: Path) -> dict:
         "seconds": summary["seconds"],
         "layer_seconds": summary.get("layer_seconds", {}),
         "counters": summary.get("counters", {}),
-        "peak_rss_mb": usage.ru_maxrss / 1024,  # kilobytes on Linux
+        **peak,
     }
 
 
-def bench_group(root: Path, family: str, rank: int, count: int) -> dict:
+def bench_group(
+    root: Path, family: str, rank: int, count: int, conditions: str | None = None
+) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [run_verify(root, family, rank, Path(tmp)) for _ in range(count)]
+        runs = [run_verify(root, family, rank, Path(tmp), conditions) for _ in range(count)]
     first = runs[0]
     if any((r["total"], r["hultman_count"]) != (first["total"], first["hultman_count"])
            for r in runs):
@@ -101,14 +140,15 @@ def bench_group(root: Path, family: str, rank: int, count: int) -> dict:
         "conditions": first["conditions"],
         "total": first["total"],
         "hultman_count": first["hultman_count"],
-        "rows_computed": first["rows_computed"],
-        "counters": first["counters"],
+        "rows_computed": first.get("rows_computed", {}),
+        "counters": first.get("counters", {}),
         # each figure at its least over the runs: other tenants of a shared
         # machine only ever slow a run
         "elapsed_s": min(r["elapsed_s"] for r in runs),
         "seconds": {name: min(r["seconds"][name] for r in runs) for name in first["seconds"]},
         "layer_seconds": {
-            name: min(r["layer_seconds"][name] for r in runs) for name in first["layer_seconds"]
+            name: min(r["layer_seconds"][name] for r in runs)
+            for name in first.get("layer_seconds", {})
         },
         "peak_rss_mb": min(r["peak_rss_mb"] for r in runs),
         "runs": runs,
@@ -119,6 +159,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
+    parser.add_argument(
+        "--large", action="store_true",
+        help=f"time B_7 and S_9 once each, by conditions {LARGE_CONDITIONS} only",
+    )
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error(f"label {args.label!r} must be letters, digits, '.', '_' or '-'")
@@ -134,9 +178,10 @@ def main(argv: list[str] | None = None) -> int:
         "child_env": CHILD_ENV,
         "groups": [],
     }
+    groups, conditions = (LARGE_GROUPS, LARGE_CONDITIONS) if args.large else (GROUPS, None)
     try:
-        for family, rank, count in GROUPS:
-            group = bench_group(root, family, rank, count)
+        for family, rank, count in groups:
+            group = bench_group(root, family, rank, count, conditions)
             result["groups"].append(group)
             seconds = ", ".join(f"{k} {v:.2f}" for k, v in group["seconds"].items())
             print(f"{group['group']}: {group['hultman_count']} Hultman, "

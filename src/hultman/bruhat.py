@@ -62,16 +62,20 @@ def coessential_boxes(window: Window) -> tuple[tuple[int, int, int], ...]:
 
     (p,q) is coessential iff w^{-1}(p-1) <= q < w^{-1}(p) and
     w(q) < p <= w(q+1); equivalently it is a northeast-most diagram box.
+    r_w(p,q) is one bit count of a running bitmask whose bit k-1 is set
+    while w(k) >= p: as p steps up, position w^{-1}(p-1) leaves it.
     """
     n = len(window)
     inv = invert_window(window)
+    above = (1 << n) - 1  # the positions k with w(k) >= 1
     boxes = []
     for p in range(2, n + 1):
         lo = inv[p - 2]  # w^{-1}(p-1)
         hi = inv[p - 1]  # w^{-1}(p)
-        for q in range(max(lo, 1), min(hi, n)):
+        above ^= 1 << (lo - 1)
+        for q in range(lo, hi):
             if window[q - 1] < p <= window[q]:
-                boxes.append((p, q, window_rank(window, p, q)))
+                boxes.append((p, q, (above & ((1 << q) - 1)).bit_count()))
     return tuple(boxes)
 
 

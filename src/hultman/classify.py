@@ -13,7 +13,9 @@ Condition numbering (CLI `--conditions`):
                       one order-preserving dynamic program per coessential
                       box (per mirror pair of boxes in type B), O(N^2)
                       each, cut at the central box for the type B
-                      relaxation (type A: the plain right hull condition)
+                      relaxation (type A: the plain right hull condition);
+                      a box whose rank no window of the hull bounds can
+                      exceed is cleared by two counts, with no program
   5 bp_avoidance      BP avoidance of the 31 listed patterns (type A: the
                       four classical patterns)
 """
@@ -243,8 +245,9 @@ class VerificationSummary:
     layer_seconds: dict[str, float] = field(default_factory=dict)
     # per condition: rows computed; the others took the least orbit row's
     rows_computed: dict[str, int] = field(default_factory=dict)
-    # work counts: hull boards solved (condition 4) and pattern index sets
-    # scanned (condition 5, rows times the query's index sets)
+    # work counts: hull boards solved and cleared by the rank bound
+    # (condition 4), and pattern index sets scanned (condition 5, rows
+    # times the query's index sets)
     counters: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -290,9 +293,9 @@ def verify_equivalence(
     row, as only the theorem under test makes it constant on orbits.  Full
     reports are built for disagreeing rows, or all rows with `keep_reports`.
     Enumeration ("elements") and the shared tables are timed in `layer_seconds`.
-    `counters` holds the hull boards that condition 4 solved and the
-    pattern index sets that condition 5 scanned (rows times the query's
-    index sets).
+    `counters` holds the hull boards that condition 4 solved and those its
+    rank bound cleared, and the pattern index sets that condition 5
+    scanned (rows times the query's index sets).
     """
     start = time.perf_counter()
     names = _condition_names(conditions)
@@ -340,15 +343,17 @@ def verify_equivalence(
         clock = time.perf_counter()
         verdicts[4] = np.ones(total, dtype=bool)
         kept: dict[int, Window] = {}  # counterexamples, with keep_reports
-        boards = 0
+        boards = cleared = 0
         for row in range(total):
-            cex, solved = diagrams.hull_test(element(row))
+            cex, solved, skipped = diagrams.hull_test(element(row))
             boards += solved
+            cleared += skipped
             if cex is not None:
                 verdicts[4][row] = False
                 if keep_reports:
                     kept[row] = cex
         summary.counters["hull_boards"] = boards
+        summary.counters["hull_boards_cleared"] = cleared
         seconds[names[4]] = time.perf_counter() - clock
     stack = np.array([verdicts[c] for c in names], dtype=bool).reshape(len(names), total)
     hultman = stack.all(axis=0)

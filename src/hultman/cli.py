@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Condition 4 runs on every element.  "
             "Confirmed Hultman counts (all five conditions): S_3..S_8 have 6, "
             "23, 101, 477, 2343 and 11762 and B_2..B_6 have 8, 38, 188, 949 "
-            "and 4843.  Past them, S_9: 59786, S_10: 306132 and B_7: 24868, "
-            "by conditions 3 and 5."
+            "and 4843.  Past them, S_9: 59786 and B_7: 24868 by conditions "
+            "3, 4 and 5, and S_10: 306132 by conditions 3 and 5."
         ),
     )
     _ctx_args(p)

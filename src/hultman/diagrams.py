@@ -19,6 +19,10 @@ dynamic program share; they need no group table at all.
 The right hull tests are exact and always definite.  The bounds of H(w)
 are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
 dynamic program per coessential box find the largest r_u(p,q) inside it.
+Most boxes need no program: every u in H(w) has r_u(p,q) <= B(p,q) =
+min(#{k <= q : hi_k >= p}, (N-p+1) - #{k > q : lo_k >= p}), since u(k) <=
+hi_k and each k > q with lo_k >= p holds one of the N-p+1 values >= p
+after q.  A box with B(p,q) <= r_w(p,q) is cleared by that count alone.
 The type B relaxation keeps one board per box too: it cuts the same
 program's states after position n to the windows with r_u(n+1,n) <= 1.
 In type B a box and its mirror (N+2-p, N-q) have the same verdict, since
@@ -34,6 +38,7 @@ in the embedded S_{2n} picture; the central box is (n+1, n).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from typing import Sequence
 
@@ -187,14 +192,31 @@ def _best_hull_window(
     return tuple(u)
 
 
-def _hull_counterexample(w: Element, central: int | None) -> tuple[Window | None, int]:
+def _hull_rank_bound(lo: Sequence[int], hi: Sequence[int], p: int, q: int) -> int:
+    """B(p,q) = min(#{k <= q : hi_k >= p}, (N-p+1) - #{k > q : lo_k >= p}),
+    at least r_u(p,q) for every window u with lo_k <= u(k) <= hi_k.
+
+    r_u(p,q) counts the k <= q with u(k) >= p, and u(k) <= hi_k; it is also
+    N-p+1 less the k > q with u(k) >= p, which include every k > q with
+    lo_k >= p.  Both bounds are nondecreasing, so each count is one bisection.
+    """
+    return min(max(0, q - bisect_left(hi, p)), max(q, bisect_left(lo, p)) + 1 - p)
+
+
+def _hull_counterexample(
+    w: Element, central: int | None
+) -> tuple[Window | None, int, int]:
     """A window inside H(w), with r_u(n+1,n) <= 1 when `central` = n, that
-    is not <= w, or None; and the number of boards solved.
+    is not <= w, or None; the number of boards the dynamic program solved;
+    and the number that `_hull_rank_bound` cleared without it.
 
     u <= w fails exactly when r_u(p,q) > r for some coessential box (p,q,r)
     of w, so one maximising window per box decides the question.  The
     boxes are taken in `coessential_boxes` order, and the first box that
-    some window violates gives the answer.
+    some window violates gives the answer.  No window of the board beats
+    B(p,q), and the central cut only removes windows, so a box with
+    B(p,q) <= r is never violated and is skipped.  The first violated box,
+    and so the window returned, are those of a program run on every box.
 
     In type B one box of each mirror pair suffices.  Let N = 2n, let w be
     centrally symmetric and u' = w0 u w0, so u'(k) = N+1-u(N+1-k).  Then
@@ -210,28 +232,33 @@ def _hull_counterexample(w: Element, central: int | None) -> tuple[Window | None
     lo, hi = hull_bounds(w)
     # every box of a type A element has (p,q) < (N,N)
     last = (w.ctx.rank + 1, w.ctx.rank) if w.ctx.family == "B" else (w.degree, w.degree)
-    boards = 0
+    solved = cleared = 0
     for p, q, r in coessential_boxes(w.window):
-        if (p, q) > last:  # this box and the rest mirror boxes already solved
+        if (p, q) > last:  # this box and the rest mirror boxes already decided
             break
-        boards += 1
+        if _hull_rank_bound(lo, hi, p, q) <= r:
+            cleared += 1
+            continue
+        solved += 1
         u = _best_hull_window(lo, hi, p, q, central)
         if u is not None and window_rank(u, p, q) > r:
-            return u, boards
-    return None, boards
+            return u, solved, cleared
+    return None, solved, cleared
 
 
 def right_hull_counterexample(w: Element) -> Window | None:
     """A permutation inside H(w) that is not <= w, or None when the right
     hull condition holds.  Exact, with one dynamic program per coessential
-    box (per mirror pair of boxes in type B)."""
+    box (per mirror pair of boxes in type B) that the rank bound does not
+    clear."""
     return _hull_counterexample(w, None)[0]
 
 
-def hull_test(w: Element) -> tuple[Window | None, int]:
+def hull_test(w: Element) -> tuple[Window | None, int, int]:
     """Condition 4 for w: a window refuting the right hull condition in
-    type A or its relaxation in type B (None when it holds), and the
-    number of boards the dynamic program solved."""
+    type A or its relaxation in type B (None when it holds), the number of
+    boards the dynamic program solved, and the number the rank bound
+    cleared."""
     n = w.ctx.rank
     relaxed = w.ctx.family == "B" and window_rank(w.window, n + 1, n) == 1
     return _hull_counterexample(w, n if relaxed else None)
@@ -250,8 +277,9 @@ def hull_relaxed_counterexample(w: Element) -> Window | None:
     move u down in Bruhat order, so they never raise r_u(n+1,n); and in
     the uncrossed form the state after position n fixes r_u(n+1,n) (see
     `_best_hull_window`).  Either way there is one board per mirror pair
-    of coessential boxes (see `_hull_counterexample`).  Windows range over
-    all of S_{2n}, not only over B_n.
+    of coessential boxes that the rank bound does not clear (see
+    `_hull_counterexample`).  Windows range over all of S_{2n}, not only
+    over B_n.
     """
     if w.ctx.family != "B":
         raise ValueError("the relaxed right hull condition is a type B notion")

@@ -17,6 +17,8 @@ counts cycles by pointer doubling.  `coxeter_length(w)` and
 int8 `window_matrix`, built in numpy and sorted by (length, window), with
 its `lengths`; `bruhat` builds its tables from them.  `ctx.element(row)`
 builds one row's `Element`; `ctx.elements`, every row's, only on request.
+Rows are windows of the group by construction, so these two skip the
+checks that `Element(...)` and `parse_element` make on every other input.
 """
 from __future__ import annotations
 
@@ -158,12 +160,12 @@ class GroupContext:
 
     def element(self, row: int) -> "Element":
         """The `Element` of one row of window_matrix."""
-        return Element(tuple(self.window_matrix[row].tolist()), self)
+        return _row_element(tuple(self.window_matrix[row].tolist()), self)
 
     @cached_property
     def elements(self) -> tuple["Element", ...]:
         """Every row's `Element`; zip builds each tuple with no list per row."""
-        return tuple(Element(window, self) for window in zip(*self.window_matrix.T.tolist()))
+        return tuple(_row_element(window, self) for window in zip(*self.window_matrix.T.tolist()))
 
     @cached_property
     def longest_element(self) -> "Element":
@@ -201,6 +203,16 @@ class Element:
     @property
     def degree(self) -> int:
         return len(self.window)
+
+
+def _row_element(window: Window, ctx: GroupContext) -> Element:
+    """The `Element` of a row of ctx.window_matrix, without the checks of
+    `Element.__post_init__`, which the enumeration meets by construction
+    and which cost several times the row read itself."""
+    element = object.__new__(Element)
+    object.__setattr__(element, "window", window)
+    object.__setattr__(element, "ctx", ctx)
+    return element
 
 
 def identity_window(n: int) -> Window:

@@ -405,6 +405,16 @@ def hull_equiv_check(
 # --- basic elements, reduced words and E'(w) --------------------------------
 
 
+def oracle_hull_rank_bound(bounds: tuple[Window, Window], p: int, q: int) -> int:
+    """min(#{k <= q : hi_k >= p}, (N-p+1) - #{k > q : lo_k >= p}), each
+    count taken position by position over the hull bounds (lo, hi)."""
+    lo, hi = bounds
+    size = len(lo)
+    reachable = sum(1 for k in range(1, q + 1) if hi[k - 1] >= p)
+    forced_after = sum(1 for k in range(q + 1, size + 1) if lo[k - 1] >= p)
+    return min(reachable, size - p + 1 - forced_after)
+
+
 def oracle_hull_counterexample(w: Element, central: int | None) -> Window | None:
     """The hull test with one board for every coessential box, mirrors
     included: the best window of the first box, in sorted order, that a

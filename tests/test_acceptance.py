@@ -7,8 +7,9 @@ minimal-pattern search, the S_8 (11762) and B_6 (4843) counts by
 condition 5 alone and the sums of s(w) over S_7 and B_5 run in tier-1.
 The long sweeps are opt-in: set HULTMAN_B5=1.  They confirm those counts
 by conditions 3, 4 and 5, and by all five, pin the sums of s(w) over S_8
-and B_6, pin the counts past the paper's groups, S_9: 59786, S_10: 306132
-and B_7: 24868, by conditions 3 and 5, and find no rank-7 obstruction.
+and B_6, pin the counts past the paper's groups, S_9: 59786 and B_7: 24868
+by conditions 3, 4 and 5 and S_10: 306132 by conditions 3 and 5, and find
+no rank-7 obstruction.
 """
 import math
 import os
@@ -158,14 +159,16 @@ def test_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultma
     [("A", 9, 362880, 59786), ("A", 10, 3628800, 306132), ("B", 7, 645120, 24868)],
 )
 def test_frontier_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultman):
-    # past the groups the paper sweeps; two independent conditions agree on
-    # every element
+    # past the groups the paper sweeps; three independent conditions agree
+    # on every element of S_9 and B_7, and two on S_10
+    conditions = (3, 5) if (family, rank) == ("A", 10) else (3, 4, 5)
     start = time.perf_counter()
-    summary = verify_equivalence(context(family, rank), (3, 5))
+    summary = verify_equivalence(context(family, rank), conditions)
     assert summary.ok, summary.disagreements
     assert summary.total == order
     assert summary.hultman_count == hultman
-    _report(f"{family}_{rank} count (conditions 3 and 5)", time.perf_counter() - start)
+    label = ", ".join(map(str, conditions[:-1])) + f" and {conditions[-1]}"
+    _report(f"{family}_{rank} count (conditions {label})", time.perf_counter() - start)
 
 
 @pytest.mark.parametrize(

@@ -476,10 +476,12 @@ def test_type_b_order_is_induced_from_ambient():
 
 
 def test_coessential_box_ranks_match_grid():
-    for w in B3.elements:
-        grid = window_rank_grid(w.window)
-        for p, q, r in coessential_boxes(w.window):
-            assert grid[p - 1][q - 1] == r == window_rank(w.window, p, q)
+    # the ranks come from a running bitmask, checked here against the grid
+    for ctx in (B3, context("B", 4), context("A", 6)):
+        for w in ctx.elements:
+            grid = window_rank_grid(w.window)
+            for p, q, r in coessential_boxes(w.window):
+                assert grid[p - 1][q - 1] == r == window_rank(w.window, p, q)
 
 
 @pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)

@@ -37,7 +37,7 @@ from hultman.groups import (
     parse_element,
 )
 from hultman.patterns import condition5_patterns
-from oracles import undirected_distance, window_in_hull
+from oracles import oracle_hull_rank_bound, undirected_distance, window_in_hull
 
 B2 = context("B", 2)
 B3 = context("B", 3)
@@ -593,14 +593,18 @@ def test_witness_table_corrected_s6_rows():
 @pytest.mark.parametrize("ctx", [context("B", 3), context("A", 4)], ids=lambda ctx: ctx.name)
 def test_verify_counts_hull_boards_and_pattern_index_sets(ctx):
     # hull boards: one per coessential box, in type B only up to the
-    # central box (n+1, n), until the first box some window violates
-    n, boards = ctx.rank, 0
+    # central box (n+1, n), until the first box some window violates;
+    # cleared when the rank bound, counted position by position, is <= r
+    n, boards, cleared = ctx.rank, 0, 0
     for w in ctx.elements:
         lo, hi = hull_bounds(w)
         relaxed = ctx.family == "B" and bruhat.window_rank(w.window, n + 1, n) == 1
         for p, q, r in bruhat.coessential_boxes(w.window):
             if ctx.family == "B" and (p, q) > (n + 1, n):
                 break
+            if oracle_hull_rank_bound((lo, hi), p, q) <= r:
+                cleared += 1
+                continue
             boards += 1
             u = diagrams._best_hull_window(lo, hi, p, q, n if relaxed else None)
             if u is not None and bruhat.window_rank(u, p, q) > r:
@@ -623,6 +627,10 @@ def test_verify_counts_hull_boards_and_pattern_index_sets(ctx):
         else:
             sets += len(list(patterns.b_in_b_index_sets(n, m)))
     summary = verify_equivalence(ctx, (4, 5))
-    assert summary.counters == {"pattern_index_sets": ctx.order * sets, "hull_boards": boards}
+    assert summary.counters == {
+        "pattern_index_sets": ctx.order * sets,
+        "hull_boards": boards,
+        "hull_boards_cleared": cleared,
+    }
     assert summary.to_json_dict()["counters"] == summary.counters
     assert verify_equivalence(ctx, (3,)).counters == {}

@@ -9,6 +9,7 @@ from hultman.bruhat import bruhat_leq, coessential_boxes, window_leq, window_ran
 from hultman.diagrams import (
     _best_hull_window,
     _hull_counterexample,
+    _hull_rank_bound,
     defined_by_inclusions_mask,
     hull_bounds,
     hull_relaxed_counterexample,
@@ -36,6 +37,7 @@ from oracles import (
     hull_equiv_check,
     hull_windows,
     oracle_hull_counterexample,
+    oracle_hull_rank_bound,
     reduced_coessential_closed_form,
     window_in_hull,
     window_rank_grid,
@@ -356,7 +358,8 @@ def _hull_boards(w, central):
 def _assert_hull_dp_matches_oracle(w):
     """The dynamic program on H(w), plain and in type B also cut at the
     central box, finds a window with the best r_u(p,q) of the oracle's
-    boards for each coessential box (p,q) of w, or None iff they all do."""
+    boards for each coessential box (p,q) of w, or None iff they all do;
+    and the rank bound that clears boards is at least that best r_u(p,q)."""
     hull = hull_bounds(w)
     n = w.ctx.rank
     for central in (None, n) if w.ctx.family == "B" else (None,):
@@ -369,7 +372,9 @@ def _assert_hull_dp_matches_oracle(w):
             assert (u is None) == (not found), case
             if u is None:
                 continue
-            assert window_rank(u, p, q) == max(window_rank(x, p, q) for x in found), case
+            best = max(window_rank(x, p, q) for x in found)
+            assert window_rank(u, p, q) == best, case
+            assert _hull_rank_bound(*hull, p, q) >= best, case
             assert sorted(u) == list(range(1, w.degree + 1)), case
             assert window_in_hull(u, hull), case
             if central is not None:
@@ -420,6 +425,23 @@ def test_hull_dp_matches_hungarian_oracle_on_b6_central_cut_sample():
             assert window_rank(cex, 7, 6) <= 1, (w, cex)
 
 
+@pytest.mark.parametrize("family, rank", [("A", 7), ("B", 5)])
+def test_hull_rank_bound_is_at_least_the_dp_best(family, rank):
+    # past the Hungarian oracle's groups: the bound, equal to the oracle's
+    # position-by-position count, never falls below the program's best
+    # r_u(p,q), plain or cut; every box is checked, not only the boxes that
+    # `_hull_counterexample` reaches
+    n = rank
+    for w in context(family, rank).elements:
+        hull = hull_bounds(w)
+        for central in (None, n) if family == "B" else (None,):
+            for p, q, _ in boxes(w):
+                bound = _hull_rank_bound(*hull, p, q)
+                assert bound == oracle_hull_rank_bound(hull, p, q), (w, p, q)
+                u = _best_hull_window(*hull, p, q, central)
+                assert u is None or bound >= window_rank(u, p, q), (w, p, q, central)
+
+
 def test_hull_dp_handles_empty_and_forced_boards():
     # no window fits when two positions share a single value
     assert _best_hull_window((1, 1), (1, 1), 2, 1) is None
@@ -438,9 +460,10 @@ def _assert_pruned_hull_matches_every_box(w, boards=(None,)):
     """Both hull boards of w (plain, and in type B also cut at the central
     box) give the window of the oracle that solves every box."""
     for central in boards:
-        found, solved = _hull_counterexample(w, central)
+        found, solved, cleared = _hull_counterexample(w, central)
         assert found == oracle_hull_counterexample(w, central), (w, central)
-        assert 0 <= solved <= len(boxes(w)), (w, central)
+        assert solved >= 0 and cleared >= 0, (w, central)
+        assert solved + cleared <= len(boxes(w)), (w, central)
 
 
 @pytest.mark.parametrize("rank", range(1, 6))
@@ -466,8 +489,10 @@ def test_mirror_pruned_hull_equals_every_box_oracle_on_b6_sample():
 
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_type_a_hull_solves_every_box_up_to_the_first_violated(rank):
+    # every box up to the first violated one is either cleared by the rank
+    # bound, counted position by position here, or solved by the program
     for w in context("A", rank).elements:
-        found, solved = _hull_counterexample(w, None)
+        found, solved, cleared = _hull_counterexample(w, None)
         assert found == oracle_hull_counterexample(w, None), w
         lo, hi = hull_bounds(w)
         first = next(
@@ -478,7 +503,10 @@ def test_type_a_hull_solves_every_box_up_to_the_first_violated(rank):
             ),
             len(boxes(w)),
         )
-        assert solved == first, w
+        counted = sum(
+            oracle_hull_rank_bound((lo, hi), p, q) <= r for p, q, r in boxes(w)[:first]
+        )
+        assert (solved, cleared) == (first - counted, counted), w
 
 
 def _mirror_verdicts_checked(rank):

@@ -20,6 +20,7 @@ from hultman.groups import (
     element_from_signed,
     format_window,
     inverse,
+    is_bijective_window,
     is_type_b_window,
     parse_element,
     signed_window,
@@ -194,6 +195,21 @@ def test_window_matrix_is_the_oracle_enumeration(family, rank):
     for i, w in enumerate(ctx.elements):
         assert w.window == tuple(ctx.window_matrix[i])
     assert ctx.element(np.int64(ctx.order - 1)) == ctx.elements[-1]
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", n) for n in range(1, 8)] + [("B", n) for n in range(1, 6)]
+)
+def test_every_row_is_a_window_of_the_group(family, rank):
+    # ctx.element and ctx.elements build rows without Element's checks, so
+    # the enumeration itself must pass them
+    ctx = context(family, rank)
+    for window in ctx.window_matrix.tolist():
+        assert is_bijective_window(window), window
+        if family == "B":
+            assert is_type_b_window(window, rank), window
+    w = ctx.element(ctx.order - 1)
+    assert w == Element(w.window, ctx) and hash(w) == hash(Element(w.window, ctx))
 
 
 def test_parse_digit_text():
