@@ -56,7 +56,6 @@ def window_rank(window: Window, p: int, q: int) -> int:
     return sum(1 for k in range(q) if window[k] >= p)
 
 
-@lru_cache(maxsize=200_000)
 def coessential_boxes(window: Window) -> tuple[tuple[int, int, int], ...]:
     """Coessential boxes of the window as (p, q, r_w(p,q)) triples.
 
@@ -64,6 +63,10 @@ def coessential_boxes(window: Window) -> tuple[tuple[int, int, int], ...]:
     w(q) < p <= w(q+1); equivalently it is a northeast-most diagram box.
     r_w(p,q) is one bit count of a running bitmask whose bit k-1 is set
     while w(k) >= p: as p steps up, position w^{-1}(p-1) leaves it.
+
+    Not memoised.  A whole-group sweep asks once per row and never again,
+    so a cache would only hold every row's boxes and window until the
+    process ends; one element's `classify` asks once per condition.
     """
     n = len(window)
     inv = invert_window(window)

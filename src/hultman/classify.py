@@ -207,7 +207,9 @@ def classify(
             if w.ctx.family == "A":
                 report.conditions[name] = not report.violations
             else:
-                report.conditions[name] = diagrams.is_defined_by_pseudo_inclusions(w)
+                report.conditions[name] = diagrams.pseudo_inclusions_hold(
+                    report.violations, w.ctx.rank
+                )
         elif num == 4:
             report.hull_counterexample = _hull_counterexample(w)
             report.conditions[name] = report.hull_counterexample is None

@@ -11,10 +11,10 @@ Condition 3 has two paths, chosen by input size.  For a whole group,
 `defined_by_inclusions_mask` reads only the group's rank table
 (`bruhat.group_rank_grids`): a box is coessential exactly when four
 neighbouring ranks say so, and the kernel marks and tests those boxes for
-a block of elements at a time.  For one element, `violated_boxes` and
-`is_defined_by_(pseudo_)inclusions` read the lru-cached
-`coessential_boxes`, which `interval_mask`, `window_leq` and the hull
-dynamic program share; they need no group table at all.
+a block of elements at a time.  For one element, `violated_boxes` reads
+`coessential_boxes`, computed afresh on each call, and the type B rule
+of `pseudo_inclusions_hold` reads the violated boxes; they need no group
+table at all.
 
 The right hull tests are exact and always definite.  The bounds of H(w)
 are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
@@ -75,12 +75,17 @@ def is_defined_by_inclusions(w: Element) -> bool:
     return not violated_boxes(w)
 
 
+def pseudo_inclusions_hold(violations: Sequence[Box], n: int) -> bool:
+    """The type B rule on the violated boxes of an element of B_n: the only
+    one allowed is the central box (n+1, n), with r = 1."""
+    return all(b == (n + 1, n, 1) for b in violations)
+
+
 def is_defined_by_pseudo_inclusions(w: Element) -> bool:
     """Type B relaxation: the central box (n+1, n) may have r = 1 instead."""
     if w.ctx.family != "B":
         raise ValueError("pseudo-inclusions are defined for type B elements only")
-    n = w.ctx.rank
-    return all(b == (n + 1, n, 1) for b in violated_boxes(w))
+    return pseudo_inclusions_hold(violated_boxes(w), w.ctx.rank)
 
 
 def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:

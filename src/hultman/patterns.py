@@ -173,7 +173,6 @@ _WORD_LIMIT = 1 << 53
 _Entry = tuple[EmbeddingKind, int, tuple[Window, ...]]
 
 
-@lru_cache(maxsize=64)
 def _plan(kind: EmbeddingKind, n: int, k: int) -> np.ndarray:
     """The index sets of one embedding kind, in lexicographic order, as a
     (K, k) array of 1-based positions."""
@@ -183,9 +182,7 @@ def _plan(kind: EmbeddingKind, n: int, k: int) -> np.ndarray:
         sets = a_in_b_index_sets(n, k)
     else:
         sets = b_in_b_index_sets(n, k // 2)
-    table = np.array(list(sets), dtype=np.intp).reshape(-1, k)
-    table.flags.writeable = False
-    return table
+    return np.array(list(sets), dtype=np.intp).reshape(-1, k)
 
 
 @lru_cache(maxsize=64)

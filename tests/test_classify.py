@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -365,22 +366,57 @@ def test_verify_json_roundtrip():
 
 @pytest.mark.parametrize(
     "ctx, conditions",
-    [
-        (context("A", 4), ALL_CONDITIONS),
-        (B3, ALL_CONDITIONS),
-        (B3, (3, 5)),
-        (B3, (2, 5)),
-    ],
+    [(ctx, ALL_CONDITIONS) for ctx in SMALL_GROUPS] + [(B3, (3, 5)), (B3, (2, 5))],
 )
 def test_verify_reports_equal_classify(ctx, conditions):
-    # conditions 3 and 5 come from whole-group passes, the rest from
-    # classify; every kept report must read as if classify made it
+    # verify decides each condition for the whole group and classify for
+    # one element; every kept report must read as if classify made it
     summary = verify_equivalence(ctx, conditions, keep_reports=True)
     assert [r.element for r in summary.reports] == list(ctx.elements)
     for report in summary.reports:
         expected = classify(report.element, conditions)
         assert report.to_json_dict() == expected.to_json_dict()
         assert list(report.conditions) == list(expected.conditions)
+
+
+@pytest.mark.parametrize(
+    "w", [parse_element("362514", B3), parse_element("35142", context("A", 5))], ids=str
+)
+def test_classify_computes_the_coessential_boxes_once_per_condition(monkeypatch, w):
+    # conditions 1, 3 and 4 each read E(w) once, so they stay independent:
+    # in type B condition 3 takes its verdict from the violations it reports
+    calls = []
+    boxes = bruhat.coessential_boxes
+
+    def counted(window):
+        calls.append(window)
+        return boxes(window)
+
+    monkeypatch.setattr(bruhat, "coessential_boxes", counted)
+    monkeypatch.setattr(diagrams, "coessential_boxes", counted)
+    if w.ctx.family == "B":  # only the central box (n+1, n) is violated
+        assert diagrams.violated_boxes(w) == ((4, 3, 1),)
+    else:
+        assert diagrams.violated_boxes(w)
+    for conditions in [(3,), (3, 4), (1, 3, 4)]:
+        calls.clear()
+        classify(w, conditions)
+        assert calls == [w.window] * len(conditions), conditions
+
+
+def test_a_whole_group_sweep_keeps_nothing_per_row():
+    # condition 4 reads each row's coessential boxes once; nothing of a row
+    # may outlive the sweep, or memory would grow with the group
+    verify_equivalence(context("B", 4), (4,))
+    ctx = context("B", 5)
+    ctx.window_matrix  # the group's own enumeration is memoised by design
+    tracemalloc.start()
+    try:
+        verify_equivalence(ctx, (4,))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 256 * 1024, kept
 
 
 @pytest.mark.parametrize("flipped", [3, 5])
