@@ -8,8 +8,10 @@ Each group runs the number of times GROUPS gives it (three for every
 group: on a shared machine one run of B_6 or S_8 can read a third slower
 than the next), every run `hultman verify --json` in a fresh
 interpreter, because the package memoises its group tables.  Each child
-runs with CHILD_ENV, which pins OpenBLAS to one thread: with two,
-condition 5 on B_6 now and then takes 1.1-1.4 s instead of about 0.2 s.
+runs with CHILD_ENV, which pins OpenBLAS to one thread.  The package makes
+no BLAS call any more (condition 5 compares integer bitmasks; its former
+float64 product now and then took 1.1-1.4 s instead of about 0.2 s on B_6
+with two threads), so the pin stays only to keep BENCH files comparable.
 The result is written to BENCH_<label>.json beside this script's
 checkout: the measured checkout's git SHA and dirty flag, the Python and
 numpy versions, the CPU count, CHILD_ENV, and per group each run's

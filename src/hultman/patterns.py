@@ -12,42 +12,42 @@ Three embedding kinds cover the parabolic subgroups that matter here:
   B_m diagram is rigid, so only the canonical isomorphism applies and the
   flattening is compared to v directly.
 
-Containment is decided by flattening codes, in one numpy kernel.  A plan
-holds, for one (embedding kind, host, pattern size k), the index sets in
-lexicographic order.  The comparisons [x_a > x_b] of a host window x at
-the k(k-1)/2 pairs a < b of local positions of an index set fix its
-relative order there, and so does their weighted sum, the Lehmer rank
-sum_{a<b} [x_a > x_b] (k-1-a)!, which lies in 0..k!-1.  The code of a
-window at an index set is that rank: one word for k <= 18; beyond, the
-Lehmer digits are split over as many words as they need, each word's
-codes below 2^53.  The window flattens to v exactly when its code equals
-v's.  A search entry lists the target windows of one pattern: v and its
-diagram flip for the A kinds, v alone for B-in-B and for classical
-containment (which uses the A-in-A index sets).
+Containment is decided by comparison bitmasks, in one numpy kernel.  A
+plan holds, for one (embedding kind, host, pattern size k), the index
+sets in lexicographic order.  A host window x flattens to v at an index
+set s exactly when x and v agree on every comparison there:
+[x_{s_a} > x_{s_b}] = [v_a > v_b] for each pair a < b of local positions.
+Every index set is increasing, so each such comparison is [x_i > x_j] for
+host positions i < j: one of the d(d-1)/2 entries of the upper triangle
+of the row's comparisons, however many columns read it.  A type B window
+is centrally symmetric, x_{d+1-i} = d+1 - x_i, so i < j compare as their
+mirrors d+1-j < d+1-i do, and a type B host keeps one pair of each mirror
+pair: n^2 of its n(2n-1) pairs.  A row holds the bits of its P kept pairs
+in 63-bit int64 words, bit t % 63 of word t // 63 for the t-th pair: one
+word for S_<=11 and B_<=7, two for S_12 to S_16 and B_8 to B_11.  A
+search entry lists the target windows of one pattern: v and its diagram
+flip for the A kinds, v alone for B-in-B and for classical containment
+(which uses the A-in-A index sets).
 
 A query holds the columns (index sets) of every plan of its entries,
 ordered by pattern size, and numbers them in that order (the global
-column).  It is built in one pass over the plans, which writes each
-plan's place values and its targets' codes.  Each column is paired with
-every target of its plan, and the (column, target) pairs are held in one
-flat list ordered by owner (the least entry holding the target) and then
-by column.  Every index set is increasing, so each comparison a column
-reads is [x_i > x_j] for host positions i < j: one of the d(d-1)/2
-entries of the upper triangle of the row's comparisons (45 at degree
-10), however many columns read it.  The query holds the place value that
-each position pair i < j adds to each column's code words, as one
-(d(d-1)/2, C * words) float64 matrix.  A target's code is the same
-product: its own upper-triangle bits times the place values of its
-pairs.  For every row of a batch of host windows, the kernel returns the
-first entry whose targets one of the row's codes hits, and the global
-column where it first does, in one pass over all columns: the row's
-upper-triangle bits, each computed once; one matrix product of them with
-the place values, which sums every Lehmer digit of every column at once;
-one exact comparison of each pair's column code with its target, word by
-word, so codes of any number of words compare exactly; and the first hit
-of each row, which is its least owner at that owner's first column.
-Every partial sum of the product is an integer no larger than its word's
-largest code, below 2^53, so float64 adds them exactly in any order.
+column).  It is built in one pass over the plans.  Each column is paired
+with every distinct target of its plan, and the (column, target) pairs
+are held in one flat list ordered by owner (the least entry holding the
+target) and then by column.  A pair holds, per word, the mask of the
+host pairs its column covers and the value of the target's comparisons
+on them, so a row matches the pair iff (word & mask) == value in every
+word.  A last sentinel pair, mask 0 and value 0, is hit by every row.
+For every row of a batch of host windows, the kernel returns the first
+entry whose targets the row matches at one of its columns, and the
+global column where it first does, in one pass over all columns: the
+row's upper-triangle bits, each computed once; one integer product of
+them with the power of two of each pair, which packs them into words;
+one masked comparison of each word with every pair's value; and the first
+hit of each row, which is its least owner at that owner's first column,
+or the sentinel when no other pair is hit.  Each word, mask and value is
+a sum of distinct powers of two below 2^63, so int64 holds it exactly and
+the kernel makes no floating-point call.
 The query also holds every column's index set, so each caller reads the
 index set of a match there.  Rows go in blocks whose largest temporary
 stays under about 256 KiB (or one row), and a batch of one runs the same
@@ -62,8 +62,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,14 +142,16 @@ def flatten(w: Element, emb: ParabolicEmbedding) -> Element:
     return Element(relative_order(values), emb.pattern_ctx)
 
 
-def a_in_b_index_sets(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Size-m subsets of 1..2n with no two entries summing to 2n+1."""
+def a_in_b_index_sets(n: int, m: int) -> list[tuple[int, ...]]:
+    """Size-m subsets of 1..2n with no two entries summing to 2n+1, in
+    lexicographic order: m of the n mirror pairs {i, 2n+1-i}, one side of
+    each."""
     s = 2 * n + 1
-    for idx in combinations(range(1, 2 * n + 1), m):
-        chosen = set(idx)
-        if any(s - i in chosen for i in idx):
-            continue
-        yield idx
+    return sorted(
+        tuple(sorted(sides))
+        for small in combinations(range(1, n + 1), m)
+        for sides in product(*((i, s - i) for i in small))
+    )
 
 
 def b_in_b_index_sets(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -162,9 +164,8 @@ def b_in_b_index_sets(n: int, m: int) -> Iterator[tuple[int, ...]]:
 # Bytes of the largest kernel temporary for one block of host rows, so
 # memory stays flat for any batch size.
 _BLOCK_BYTES = 1 << 18
-# The kernel sums a code word in float64, which holds every integer up to
-# 2^53 exactly, so a word's digits' ranges may multiply to at most 2^53.
-_WORD_LIMIT = 1 << 53
+# Comparison bits per int64 word: bit 63 would be the sign.
+_WORD_BITS = 63
 
 # One search entry: (embedding kind, host size, target windows).  The size
 # is the host's degree for "A-in-A" (which also serves classical
@@ -177,7 +178,7 @@ def _plan(kind: EmbeddingKind, n: int, k: int) -> np.ndarray:
     """The index sets of one embedding kind, in lexicographic order, as a
     (K, k) array of 1-based positions."""
     if kind == "A-in-A":
-        sets: Iterator[tuple[int, ...]] = combinations(range(1, n + 1), k)
+        sets: Iterable[tuple[int, ...]] = combinations(range(1, n + 1), k)
     elif kind == "A-in-B":
         sets = a_in_b_index_sets(n, k)
     else:
@@ -185,54 +186,31 @@ def _plan(kind: EmbeddingKind, n: int, k: int) -> np.ndarray:
     return np.array(list(sets), dtype=np.intp).reshape(-1, k)
 
 
-@lru_cache(maxsize=64)
-def _weights(k: int) -> np.ndarray:
-    """(k(k-1)/2, words) int64 place values of the position pairs a < b of
-    k positions, in `combinations` order.
-
-    The Lehmer digit L_a = #{b > a : x_a > x_b} of a sequence of k distinct
-    values lies in 0..k-1-a, and the digits determine the relative order.
-    The pair (a, b) adds the place value of digit a to its word when
-    x_a > x_b.  Digits are grouped from the right into words whose ranges
-    multiply to at most 2^53, so every code of a word, and every partial
-    sum of one, is an integer below 2^53, which float64 adds exactly.  For
-    k <= 18 that is one word, where digit a has place value (k-1-a)!, so
-    the code is the Lehmer rank in 0..k!-1.
-    """
-    word, place = [0] * k, [0] * k
-    words, value = 0, 1
-    for a in reversed(range(k)):
-        if value * (k - a) > _WORD_LIMIT:
-            words, value = words + 1, 1
-        word[a], place[a] = words, value
-        value *= k - a
-    weights = np.zeros((k * (k - 1) // 2, words + 1), dtype=np.int64)
-    for t, (a, _) in enumerate(combinations(range(k), 2)):
-        weights[t, word[a]] = place[a]
-    weights.flags.writeable = False
-    return weights
-
-
 class _Query(NamedTuple):
     """The columns of one search, laid out for the one-pass kernel.  A
     global column numbers the index sets of all plans, plan by plan.
     Each index set is increasing, so its pair (a, b) of local positions
     compares host positions s_a < s_b: an entry of the upper triangle of
-    the host's comparisons, whose pairs `upper` lists.  `place` holds, at
-    row t and entry c * words + w, the place value that pair t adds to word
-    w of column c's code when the host is larger at its first position;
-    so the product of a row's upper-triangle bits with `place` is every
-    code of the row.  Each column is paired with every distinct target
-    code of its plan, held once with its least owner, and the pairs are
-    ordered by owner and then by column, so the first pair a row hits is
-    its least owner at that owner's first column.  A last pair, which no
-    code is compared with, and a last row of `sets` stand for no match."""
+    the host's comparisons, or in a type B host its mirror pair, which
+    compares alike; `upper` lists the kept pairs.  Row t of `powers` is
+    2^(t % 63) in word t // 63, so the product of a row's comparison bits
+    at `upper` with `powers` is the row's words, each a sum of distinct
+    powers of two below 2^63 and so exact in int64.  Each column
+    is paired with every distinct target of its plan, held once with its
+    least owner.  A pair's mask has the bits of the host pairs its column
+    covers, and its value the target's comparisons on them, so a row
+    matches the pair iff (word & mask) == value in every word.  The pairs
+    are ordered by owner and then by column, so the first pair a row hits
+    is its least owner at that owner's first column.  A last pair of mask
+    0 and value 0, which every row hits, and a last row of `sets` stand for
+    no match: a row hits it first only when it hits no other pair."""
 
     entries: int  # their number, the owner of a row that matches none
-    upper: np.ndarray  # (2, d(d-1)/2) host positions i < j, 0-based
-    place: np.ndarray  # (d(d-1)/2, C * words) float64 place values
+    upper: np.ndarray  # (2, P) host positions i < j, 0-based
+    powers: np.ndarray  # (P, words) int64 bit of each position pair
     pair_columns: np.ndarray  # (M + 1,) global column of each pair, then C
-    pair_codes: np.ndarray  # (M, words) float64 target code of each pair
+    masks: np.ndarray  # (words, M + 1) int64 bits each pair compares, then 0
+    values: np.ndarray  # (words, M + 1) int64 its target's bits there, then 0
     pair_owners: np.ndarray  # (M + 1,) owner of each pair, then entries
     sets: np.ndarray  # (C + 1, k) int16 index set of each column, zero-padded
     row_bytes: int  # the largest kernel temporary per host row
@@ -248,86 +226,99 @@ def _query(entries: tuple[_Entry | None, ...]) -> _Query:
         if entry is not None:
             kind, n, targets = entry
             by_plan.setdefault((len(targets[0]), kind, n), []).append(e)
-    plans, degree = [], 0
+    plans, degree, mirrored = [], 0, False
     for (k, kind, n), owners in sorted(by_plan.items()):
         if len(sets := _plan(kind, n, k)):
-            plans.append((k, sets, owners))
-            degree = n if kind == "A-in-A" else 2 * n
-    columns = sum(len(sets) for _, sets, _ in plans)
-    words = max((_weights(k).shape[1] for k, _, _ in plans), default=1)
-    upper = np.array(_position_pairs(degree), dtype=np.intp)
-    # the upper-triangle row of each host position pair i < j
+            plans.append((k, kind == "B-in-B", sets, owners))
+            degree, mirrored = (n, False) if kind == "A-in-A" else (2 * n, True)
+    i, j = _position_pairs(degree)
+    # a type B host keeps the pairs i + j <= d - 1 (0-based): the other of
+    # each mirror pair compares alike
+    own = i + j < degree if mirrored else np.ones(len(i), dtype=bool)
+    upper = np.array((i[own], j[own]), dtype=np.intp)
+    t = np.arange(upper.shape[1])
+    powers = np.zeros((len(t), max(1, -(-len(t) // _WORD_BITS))), dtype=np.int64)
+    powers[t, t // _WORD_BITS] = np.left_shift(1, t % _WORD_BITS)
+    # the kept pair, and so the bit, of each host position pair i < j
     triangle = np.zeros((degree, degree), dtype=np.intp)
-    triangle[upper[0], upper[1]] = np.arange(upper.shape[1])
-    place = np.zeros((upper.shape[1], columns, words), dtype=np.float64)
-    stacked = np.zeros((columns + 1, max((k for k, _, _ in plans), default=0)), dtype=np.int16)
-    found = []  # (owner, column, code) for each column and target code of its plan
+    triangle[upper[0], upper[1]] = t
+    if mirrored:
+        triangle[degree - 1 - upper[1], degree - 1 - upper[0]] = t
+    columns = sum(len(sets) for _, _, sets, _ in plans)
+    stacked = np.zeros((columns + 1, max((k for k, *_ in plans), default=0)), dtype=np.int16)
+    words = powers.shape[1]
+    # (owners, columns, masks, values) of the pairs, from the sentinel on:
+    # its owner, len(entries), sorts after every other
+    none = np.zeros((1, words), dtype=np.int64)
+    found = [([len(entries)], [columns], none, none)]
     c0 = 0
-    for k, sets, owners in plans:
-        weights = _weights(k)
+    for k, closed, sets, owners in plans:
         a, b = _position_pairs(k)
+        if closed:  # a mirror-closed set covers both pairs of a mirror pair: read one
+            a, b = a[a + b < k], b[a + b < k]
         column = np.arange(c0, c0 + len(sets))
         c0 += len(sets)
-        # each (pair, column) occurs once, so the place values are assigned;
-        # pair t adds to the one word where its weights row is nonzero
-        pairs = triangle[sets[:, a] - 1, sets[:, b] - 1]
-        place[pairs, column[:, None], weights.argmax(axis=1)] = weights.max(axis=1)
         stacked[column, :k] = sets
-        # a target's code is the same product, on its own position pairs
-        wins = [(t, e) for e in owners for t in entries[e][2]]
-        windows = np.array([t for t, _ in wins], dtype=np.int16)
-        least: dict[tuple[int, ...], int] = {}
-        for code, (_, e) in zip(((windows[:, a] > windows[:, b]) @ weights).tolist(), wins):
-            least.setdefault(tuple(code), e)  # owners ascend: the first is least
-        found += [
-            (e, c, list(code) + [0] * (words - len(code)))
-            for code, e in least.items()
-            for c in column.tolist()
-        ]
-    found.sort()
-    pair_columns = np.array([c for _, c, _ in found] + [columns], dtype=np.intp)
-    pair_codes = np.array([code for _, _, code in found], dtype=np.float64).reshape(-1, words)
-    pair_owners = np.array([e for e, _, _ in found] + [len(entries)], dtype=np.intp)
-    place = place.reshape(upper.shape[1], columns * words)
-    for arr in (upper, place, pair_columns, pair_codes, pair_owners, stacked):
+        # (K, pairs, words): the bit of each kept pair a column compares;
+        # a column's bits are distinct, so their sum is its mask
+        bit = powers[triangle[sets[:, a] - 1, sets[:, b] - 1]]
+        least: dict[Window, int] = {}
+        for e in owners:  # owners ascend: the first is least
+            for target in entries[e][2]:
+                least.setdefault(target, e)
+        targets = np.array(list(least), dtype=np.int16).reshape(len(least), k)
+        # (K, T, words): each target's comparisons on each column's bits
+        value = (targets[:, a] > targets[:, b]).astype(np.int64) @ bit
+        shape = value.shape[:2]
+        found.append((
+            np.broadcast_to(list(least.values()), shape).ravel(),
+            np.broadcast_to(column[:, None], shape).ravel(),
+            np.broadcast_to(bit.sum(axis=1)[:, None], value.shape).reshape(-1, words),
+            value.reshape(-1, words),
+        ))
+    owner, column, mask, value = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((column, owner))
+    pair_owners, pair_columns = owner[order], column[order]
+    masks, values = mask[order].T.copy(), value[order].T.copy()
+    for arr in (upper, powers, pair_columns, masks, values, pair_owners, stacked):
         arr.flags.writeable = False
-    # the upper-triangle bits, the (columns * words) codes, or one word of
-    # them gathered per pair, all float64
-    row_bytes = 8 * max(upper.shape[1], columns * words, len(found), 1)
+    # the upper-triangle bits, or one masked word per pair, all int64
+    row_bytes = 8 * max(len(t), len(pair_owners))
     return _Query(
-        len(entries), upper, place, pair_columns, pair_codes, pair_owners, stacked, row_bytes
+        len(entries), upper, powers, pair_columns, masks, values, pair_owners, stacked, row_bytes
     )
 
 
 def _first_matches(query: _Query, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The kernel, one pass over all columns.  For each row of `windows`:
-    the least entry index whose targets one of the row's codes hits, and
-    the global column where it first hits, whose row of `query.sets` is
-    the lexicographically first index set of that entry's plan; or
-    `query.entries` and the last row of `query.sets` if no entry matches.
-    Every code is one float64 matrix product of the row's upper-triangle
-    comparison bits with `query.place`, exact since each word's codes stay
-    below 2^53."""
-    rows, m = len(windows), len(query.pair_codes)
-    first = np.full(rows, m, dtype=np.intp)
-    if m:
-        step = max(1, _BLOCK_BYTES // query.row_bytes)
-        columns, words = query.pair_columns[:m], query.pair_codes.shape[1]
-        i, j = query.upper
-        bits = np.empty((min(step, rows), len(i)), dtype=np.float64)
-        codes = np.empty((min(step, rows), len(query.sets) - 1, words), dtype=np.float64)
-        # the last pair, never compared, is the first hit of a row with none
-        hits = np.ones((min(step, rows), m + 1), dtype=bool)
-        for start in range(0, rows, step):
-            part = windows[start : start + step]
-            bit, code, hit = bits[: len(part)], codes[: len(part)], hits[: len(part)]
-            np.greater(part[:, i], part[:, j], out=bit)
-            np.matmul(bit, query.place, out=code.reshape(len(part), -1))
-            # each pair's column code against its target, word by word
-            np.equal(code[:, :, 0].take(columns, axis=1), query.pair_codes[:, 0], out=hit[:, :m])
-            for w in range(1, words):
-                hit[:, :m] &= code[:, :, w].take(columns, axis=1) == query.pair_codes[:, w]
-            first[start : start + step] = hit.argmax(axis=1)
+    the least entry index whose targets the row matches at one of its
+    columns, and the global column where it first does, whose row of
+    `query.sets` is the lexicographically first index set of that entry's
+    plan; or `query.entries` and the last row of `query.sets` if no entry
+    matches.  A row's words are one integer product of its upper-triangle
+    comparison bits with `query.powers`, exact since each is a sum of
+    distinct powers of two below 2^63.  A row hits a pair iff
+    (word & mask) == value in every word; the pairs are ordered by owner
+    and then by column, so the row's first hit is its least owner at that
+    owner's first column, and the sentinel pair, hit by every row, is the
+    first hit only of a row that hits no other."""
+    rows = len(windows)
+    first = np.empty(rows, dtype=np.intp)
+    step = max(1, _BLOCK_BYTES // query.row_bytes)
+    i, j = query.upper
+    bits = np.empty((min(step, rows), len(i)), dtype=np.int64)
+    masked = np.empty((min(step, rows), len(query.pair_owners)), dtype=np.int64)
+    hits = np.empty(masked.shape, dtype=bool)
+    for start in range(0, rows, step):
+        part = windows[start : start + step]
+        bit, mask, hit = bits[: len(part)], masked[: len(part)], hits[: len(part)]
+        np.greater(part[:, i], part[:, j], out=bit)
+        words = bit @ query.powers
+        np.bitwise_and(words[:, :1], query.masks[0], out=mask)
+        np.equal(mask, query.values[0], out=hit)
+        for w in range(1, words.shape[1]):
+            hit &= np.bitwise_and(words[:, w, None], query.masks[w], out=mask) == query.values[w]
+        first[start : start + step] = hit.argmax(axis=1)
     return query.pair_owners[first], query.pair_columns[first]
 
 

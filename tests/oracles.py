@@ -40,14 +40,7 @@ from hultman.groups import (
     invert_window,
     signed_window,
 )
-from hultman.patterns import (
-    _BLOCK_BYTES,
-    ParabolicEmbedding,
-    _Entry,
-    _weights,
-    a_in_b_index_sets,
-    b_in_b_index_sets,
-)
+from hultman.patterns import _BLOCK_BYTES, ParabolicEmbedding, _Entry, b_in_b_index_sets
 
 RankGrid = tuple[tuple[int, ...], ...]
 
@@ -618,6 +611,52 @@ def dynkin_reverse(v: Element) -> Element:
     return Element(tuple(m + 1 - v.window[m - i] for i in range(1, m + 1)), v.ctx)
 
 
+def oracle_a_in_b_index_sets(n: int, m: int) -> list[tuple[int, ...]]:
+    """Size-m subsets of 1..2n with no two entries summing to 2n+1, by
+    definition: every m-subset, in lexicographic order, kept unless it
+    holds a mirror pair."""
+    s = 2 * n + 1
+    return [
+        idx
+        for idx in combinations(range(1, 2 * n + 1), m)
+        if not any(s - i in idx for i in idx)
+    ]
+
+
+# Each word of a Lehmer code holds digits whose ranges multiply to at most
+# 2^53.  Any bound up to 2^63 keeps the int64 products exact; this one
+# splits codes from 19 positions on, so the kernel's tests at 18 to 21
+# positions also cross the referee's word boundary.
+_WORD_LIMIT = 1 << 53
+
+
+@lru_cache(maxsize=64)
+def _weights(k: int) -> np.ndarray:
+    """(k(k-1)/2, words) int64 place values of the position pairs a < b of
+    k positions, in `combinations` order.
+
+    The Lehmer digit L_a = #{b > a : x_a > x_b} of a sequence of k distinct
+    values lies in 0..k-1-a, and the digits determine the relative order.
+    The pair (a, b) adds the place value of digit a to its word when
+    x_a > x_b.  Digits are grouped from the right into words whose ranges
+    multiply to at most `_WORD_LIMIT`.  For k <= 18 that is one word, where
+    digit a has place value (k-1-a)!, so the code is the Lehmer rank in
+    0..k!-1.
+    """
+    word, place = [0] * k, [0] * k
+    words, value = 0, 1
+    for a in reversed(range(k)):
+        if value * (k - a) > _WORD_LIMIT:
+            words, value = words + 1, 1
+        word[a], place[a] = words, value
+        value *= k - a
+    weights = np.zeros((k * (k - 1) // 2, words + 1), dtype=np.int64)
+    for t, (a, _) in enumerate(combinations(range(k), 2)):
+        weights[t, word[a]] = place[a]
+    weights.flags.writeable = False
+    return weights
+
+
 def _greater(windows: np.ndarray) -> np.ndarray:
     """(rows, d * d) comparison table: entry i * d + j says whether the row
     is larger at position i than at position j (0-based)."""
@@ -643,7 +682,7 @@ def _index_sets(kind: str, n: int, k: int) -> list[tuple[int, ...]]:
     if kind == "A-in-A":
         return list(combinations(range(1, n + 1), k))
     if kind == "A-in-B":
-        return list(a_in_b_index_sets(n, k))
+        return oracle_a_in_b_index_sets(n, k)
     return list(b_in_b_index_sets(n, k // 2))
 
 
@@ -651,12 +690,12 @@ def oracle_first_matches(
     entries: Sequence[_Entry | None], windows: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """`patterns._first_matches` entry by entry, by another method: each
-    entry's index sets listed here, and its codes as int64 products of the
-    comparison-table entries gathered at their pairs (not the kernel's
-    float64 upper-triangle product with a query's place values), compared
-    with the codes of its targets.  For each row: the least entry that one
-    of its index sets matches, and the first such index set; or
-    len(entries) and () for no match."""
+    entry's index sets listed here (the A-in-B ones by definition), and its
+    Lehmer codes as int64 products of the comparison-table entries gathered
+    at their pairs with `_weights` (not the kernel's masked comparison
+    bits), compared with the codes of its targets.  For each row: the
+    least entry that one of its index sets matches, and the first such
+    index set; or len(entries) and () for no match."""
     rows, d = windows.shape
     none = len(entries)
     best = np.full(rows, none, dtype=np.intp)

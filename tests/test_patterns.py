@@ -14,7 +14,6 @@ from hultman.patterns import (
     _bp_kind,
     _first_matches,
     _query,
-    _weights,
     a_in_b_index_sets,
     avoids_condition5_list,
     b_in_b_index_sets,
@@ -28,12 +27,18 @@ from hultman.patterns import (
     relative_order,
 )
 from oracles import (
+    _codes,
+    _greater,
+    _pair_index,
+    _weights,
     dynkin_reverse,
     embed_pattern,
     generator_images,
     inversion_reflections,
+    oracle_a_in_b_index_sets,
     oracle_first_matches,
 )
+from test_acceptance import OPT_IN
 
 A1 = context("A", 1)
 A3 = context("A", 3)
@@ -119,6 +124,14 @@ def test_index_set_enumeration():
     assert all(len(s) == 3 for s in a_in_b_index_sets(3, 3))
     assert len(list(a_in_b_index_sets(3, 3))) == 8
     assert list(b_in_b_index_sets(2, 1)) == [(1, 4), (2, 3)]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_a_in_b_index_sets_equal_the_filtering_definition(n):
+    # m mirror pairs and one side of each, sorted, against every m-subset
+    # of 1..2n without a mirror pair, in lexicographic order
+    for m in range(2 * n + 2):
+        assert a_in_b_index_sets(n, m) == oracle_a_in_b_index_sets(n, m), (n, m)
 
 
 def test_flatten_examples():
@@ -369,7 +382,7 @@ def test_codes_wider_than_one_word():
             assert bp_contains(host, v) == oracle_bp_contains(host, v), (host, v)
     # two windows of S_12 that differ only in the order of the adjacent
     # values 7, 8 at positions 11 and 12: their comparisons differ only in
-    # the last pair, and their Lehmer ranks by 1
+    # the last of the 66 pairs, bit 2 of a row's second word
     a12 = context("A", 12)
     w = parse_element("5b3916c2a487", a12)
     v = parse_element("5b3916c2a478", a12)
@@ -379,26 +392,45 @@ def test_codes_wider_than_one_word():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_codes_of_all_windows_are_their_lehmer_ranks(k):
-    # permutations come in lexicographic order, which is Lehmer rank order;
-    # one entry per window, so pair r holds window r's code, owned by r
+    # the referee's codes: permutations come in lexicographic order, which
+    # is Lehmer rank order, and each one's code at its index set 1..k is its
+    # rank
+    windows = np.array(list(permutations(range(1, k + 1))), dtype=np.int16)
+    codes = _codes(_greater(windows), _pair_index(np.arange(1, k + 1)[None], k), _weights(k))
+    assert codes.shape == (factorial(k), 1, 1)
+    assert np.array_equal(codes[:, 0, 0], np.arange(factorial(k)))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_every_window_is_hit_only_by_its_own_pair(k):
+    # one entry per window of S_k, in S_k: one column, 1..k, and pair r is
+    # window r's, owned by r
     windows = np.array(list(permutations(range(1, k + 1))), dtype=np.int16)
     query = _query(tuple(("A-in-A", k, (w,)) for w in map(tuple, windows.tolist())))
-    ranks = np.arange(factorial(k))
-    assert np.array_equal(query.pair_owners[:-1], ranks)
-    assert query.pair_codes.shape == (factorial(k), 1)
-    assert np.array_equal(query.pair_codes[:, 0], ranks)
-    # the kernel's codes: the upper-triangle bits times the place values
+    pairs = k * (k - 1) // 2
+    assert np.array_equal(query.pair_owners, np.arange(factorial(k) + 1))
+    assert query.masks.shape == query.values.shape == (1, factorial(k) + 1)
+    # every pair's mask holds all k(k-1)/2 comparisons; the sentinel's none
+    assert (query.masks[0, :-1] == (1 << pairs) - 1).all() and query.masks[0, -1] == 0
+    # so a row hits a pair iff its word is the pair's value: the values are
+    # the windows' own words, all distinct, and the sentinel's is 0
     i, j = query.upper
-    assert query.place.shape == (k * (k - 1) // 2, 1)
-    assert np.array_equal((windows[:, i] > windows[:, j]) @ query.place, ranks[:, None])
+    words = (windows[:, i] > windows[:, j]).astype(np.int64) @ query.powers
+    assert np.array_equal(query.values[0, :-1], words[:, 0])
+    assert len(np.unique(query.values[0, :-1])) == factorial(k) and query.values[0, -1] == 0
+    if k <= 6:
+        hit = (words & query.masks[0]) == query.values[0]
+        assert np.array_equal(hit[:, :-1], np.eye(factorial(k), dtype=bool)) and hit[:, -1].all()
+    owners, columns = _first_matches(query, windows)
+    assert np.array_equal(owners, np.arange(factorial(k))) and not columns.any()
 
 
 def test_one_code_word_up_to_eighteen_positions():
-    # 18! < 2^53 < 19!: the kernel sums each word in float64
+    # the referee's Lehmer codes: 18! < 2^53 < 19!
     ks = (1, 2, 18, 19, 20, 21, 22, 40)
     assert [_weights(k).shape[1] for k in ks] == [1, 1, 1, 2, 2, 2, 2, 4]
     # every word's largest code, the sum of its place values times digit
-    # ranges, stays below 2^53, so float64 holds every partial sum exactly
+    # ranges, stays below 2^53
     for k in (18, 19, 20, 21, 22, 40, 45, 64):
         top = [0] * _weights(k).shape[1]
         for (a, _), row in zip(combinations(range(k), 2), _weights(k).tolist()):
@@ -411,13 +443,58 @@ def test_one_code_word_up_to_eighteen_positions():
         assert ((_weights(k) > 0).sum(axis=1) == 1).all()
 
 
+@pytest.mark.parametrize(
+    "host",
+    [context("A", d) for d in (1, 2, 11, 12, 16, 17, 21)]
+    + [context("B", n) for n in (1, 5, 6, 7, 8, 11)],
+    ids=lambda ctx: ctx.name,
+)
+def test_a_host_row_has_one_word_per_63_comparisons(host):
+    # S_d compares its d(d-1)/2 position pairs: S_<=11 (at most 55) take
+    # one word, S_12 to S_16 two, S_21 (210) four.  A type B window is
+    # centrally symmetric, so of each mirror pair of position pairs a row
+    # keeps the one with i + j <= 2n - 1 (0-based), n^2 of n(2n-1):
+    # B_<=7 (at most 49) take one word, B_8 (64) and B_11 (121) two.
+    d = host.degree
+    i, j = np.triu_indices(d, 1)
+    if host.family == "B":
+        i, j = i[i + j < d], j[i + j < d]
+    pairs = len(i)
+    assert pairs == (host.rank**2 if host.family == "B" else d * (d - 1) // 2)
+    words = max(1, -(-pairs // 63))
+    query = _query((_bp_entry(host, context("A", 1).identity),))
+    assert np.array_equal(query.upper, [i, j])
+    assert query.powers.shape == (pairs, words)
+    assert query.masks.shape == query.values.shape == (words, len(query.pair_owners))
+    # pair t is bit t % 63 of word t // 63, so no word reaches the sign bit
+    t = np.arange(pairs)
+    want = np.zeros((pairs, words), dtype=np.int64)
+    want[t, t // 63] = 1 << (t % 63)
+    assert np.array_equal(query.powers, want)
+
+
+def test_a_type_b_row_reads_each_mirror_pair_once():
+    # every kept pair's comparison equals its mirror pair's on each row of
+    # B_4, and a mirror-closed column's mask holds each kept pair it covers
+    # once: B_3 in B_4 covers 15 position pairs, 9 up to mirroring
+    d, windows = B4.degree, B4.window_matrix
+    query = _query((_bp_entry(B4, B3.identity),))
+    i, j = query.upper
+    assert len(i) == 16
+    mirror = windows[:, d - 1 - j] > windows[:, d - 1 - i]
+    assert np.array_equal(windows[:, i] > windows[:, j], mirror)
+    assert len(query.pair_owners) == len(list(b_in_b_index_sets(4, 3))) + 1
+    assert (np.bitwise_count(query.masks[0, :-1]) == 9).all()
+
+
 def _neighbours(v, mirrored=False):
     """Windows that differ from v in the order of one pair of adjacent
     values: the value at position 1 exchanged with the next larger or
     smaller one, and the same at the middle and the last position.  With
     `mirrored`, the mirror values are exchanged too, which keeps a type B
     window centrally symmetric.  The change at position 1 alters Lehmer
-    digit 0, which has a code word of its own from 19 positions on."""
+    digit 0, which has a word of its own in the referee's codes from 19
+    positions on."""
     top = len(v) + 1
     out = []
     for pos in (0, len(v) // 2, len(v) - 1):
@@ -542,7 +619,9 @@ def _condition5_entries(ctx):
 
 @pytest.mark.parametrize(
     "ctx",
-    [context("A", n) for n in range(1, 8)] + [context("B", n) for n in range(1, 6)],
+    [context("A", n) for n in range(1, 9)]
+    + [context("B", n) for n in range(1, 7)]
+    + [pytest.param(ctx, marks=OPT_IN, id=ctx.name) for ctx in (context("B", 7), context("A", 9))],
     ids=lambda ctx: ctx.name,
 )
 def test_kernel_equals_the_per_block_oracle_on_every_row(ctx):
@@ -562,13 +641,14 @@ def test_kernel_equals_the_per_block_oracle_on_batches_of_one(family, rank):
 
 def _plan_shapes(query):
     """For each column of `query`, read off its arrays: the size of its
-    index set, the code words its place values fill, and the distinct
-    target codes it is paired with."""
+    index set, the words its masks fill, and the distinct targets it is
+    paired with."""
     columns = len(query.sets) - 1
     sizes = (query.sets[:-1] > 0).sum(axis=1)
-    words = query.place.reshape(len(query.place), columns, -1).any(axis=0).sum(axis=1)
+    filled = np.zeros((columns, query.masks.shape[0]), dtype=bool)
+    filled[query.pair_columns[:-1]] = (query.masks[:, :-1] != 0).T
     targets = np.bincount(query.pair_columns[:-1], minlength=columns)
-    return sizes, words, targets
+    return sizes, filled.sum(axis=1), targets
 
 
 def _mixed_patterns(rng, host):
@@ -627,9 +707,9 @@ def test_kernel_equals_the_oracles_on_blocks_of_every_pattern(host):
 
 
 def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
-    # one query with a one-word block of 18 positions and two-word blocks
-    # of 19, 20 and 21 in S_21: their code ranges add up past 2^63, so no
-    # one word could hold them all
+    # one query with blocks of 18, 19, 20 and 21 positions in S_21, whose
+    # 210 comparisons take four words: every mask holds each of its
+    # column's k(k-1)/2 comparisons once, none lost past bit 62
     rng = random.Random(2021)
     host = context("A", 21)
     rows = []
@@ -643,10 +723,13 @@ def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
         inside = relative_order([rows[k % 3][i] for i in keep])
         pats += [Element(v, context("A", k)) for v in [inside] + _neighbours(inside)[:2]]
     entries = tuple(_bp_entry(host, v) for v in pats)
-    sizes, words, _ = _plan_shapes(_query(entries))
-    words_by_size = dict(zip(sizes.tolist(), words.tolist()))
-    assert sum(factorial(k) for k in words_by_size) > 2**63
-    assert words_by_size == {18: 1, 19: 2, 20: 2, 21: 2}
+    query = _query(entries)
+    assert query.powers.shape == (210, 4)
+    sizes, words, _ = _plan_shapes(query)
+    assert dict(zip(sizes.tolist(), words.tolist())) == {18: 4, 19: 4, 20: 4, 21: 4}
+    k = sizes[query.pair_columns[:-1]]
+    assert np.array_equal(np.bitwise_count(query.masks[:, :-1]).sum(axis=0), k * (k - 1) // 2)
+    assert not (query.values & ~query.masks).any()
     windows = np.array(rows + [list(range(1, 22))], dtype=np.int16)
     best, _ = _assert_kernel_equals_oracle(entries, windows)
     for row, values in enumerate(windows.tolist()):
@@ -656,34 +739,59 @@ def test_kernel_keys_cannot_overflow_with_blocks_near_twenty_positions():
     assert (best[:3] < len(pats)).all()
 
 
+def _top_word_decoy(values, keep):
+    """The flattening of `values` (a window of S_21) at the 0-based
+    positions `keep`, and the same with the values r, r + 1 exchanged for
+    the least r whose two positions are both among the last seven; or None
+    if there is no such r.  The exchange changes one comparison, of two of
+    the last seven positions: one of the 21 pairs that S_21's top word
+    holds (bits 189 to 209 of 210)."""
+    inside = relative_order([values[i] for i in keep])
+    at = {x: keep[a] for a, x in enumerate(inside)}
+    r = next((r for r in range(1, len(inside)) if min(at[r], at[r + 1]) >= 14), None)
+    if r is None:
+        return None
+    swap = {r: r + 1, r + 1: r}
+    return inside, tuple(swap.get(x, x) for x in inside)
+
+
 def test_kernel_compares_the_top_code_word():
     # Each row's first listed patterns are its flattenings at 21 and at 19
-    # positions with Lehmer digit 0 changed: their codes equal the row's in
-    # the low word and differ only in the top word, which holds digit 0.
-    # The row's true flattenings come later, so a kernel that compared
-    # only word 0 would report a changed pattern as the first match.
+    # positions with one comparison changed in the top word: at its own
+    # column the row matches them in words 0 to 2 and not in word 3.  The
+    # row's true flattenings come later, so a kernel that compared only
+    # the low words would report a changed pattern as the first match.
     rng = random.Random(1921)
     host = context("A", 21)
-    rows, decoys, pats = [], [], []
-    for _ in range(3):
+    rows, decoys, pats, columns = [], [], [], []
+    while len(rows) < 3:
         values = list(range(1, 22))
         rng.shuffle(values)
-        rows.append(values)
         keep = sorted(rng.sample(range(21), 19))
-        for inside in (tuple(values), relative_order([values[i] for i in keep])):
-            decoy = _neighbours(inside)[0]
-            k = len(inside)
-            # the two target codes of one entry, in one column 1..k
-            codes = _query((("A-in-A", k, (inside, decoy)),)).pair_codes
-            assert codes.shape == (2, 2)
-            assert codes[0, 0] == codes[1, 0] and codes[0, 1] != codes[1, 1]
-            decoys.append(Element(decoy, context("A", k)))
-            pats.append(Element(inside, context("A", k)))
+        found = [_top_word_decoy(values, list(range(21))), _top_word_decoy(values, keep)]
+        if None in found:
+            continue
+        rows.append(values)
+        for (inside, decoy), where in zip(found, (range(21), keep)):
+            decoys.append(Element(decoy, context("A", len(decoy))))
+            pats.append(Element(inside, context("A", len(inside))))
+            columns.append([i + 1 for i in where])
     pats = decoys + pats
     entries = tuple(_bp_entry(host, v) for v in pats)
-    sizes, words, _ = _plan_shapes(_query(entries))
-    assert dict(zip(sizes.tolist(), words.tolist())) == {19: 2, 21: 2}
-    best, _ = _assert_kernel_equals_oracle(entries, np.array(rows, dtype=np.int16))
+    query = _query(entries)
+    sizes, words, _ = _plan_shapes(query)
+    assert dict(zip(sizes.tolist(), words.tolist())) == {19: 4, 21: 4}
+    windows = np.array(rows, dtype=np.int16)
+    i, j = query.upper
+    row_words = (windows[:, i] > windows[:, j]).astype(np.int64) @ query.powers
+    sets = query.sets.tolist()
+    for d, where in enumerate(columns):
+        column = sets.index(where + [0] * (21 - len(where)))
+        # the decoy's pair, or its diagram flip's, at the row's own column
+        pairs = np.flatnonzero((query.pair_owners == d) & (query.pair_columns == column))
+        agree = (row_words[d // 2, :, None] & query.masks[:, pairs]) == query.values[:, pairs]
+        assert [True, True, True, False] in agree.T.tolist(), d
+    best, _ = _assert_kernel_equals_oracle(entries, windows)
     for row, values in enumerate(rows):
         w = Element(tuple(values), host)
         hits = [i for i, v in enumerate(pats) if oracle_bp_contains(w, v) is not None]

@@ -120,20 +120,34 @@ def test_minimal_pattern_search_reads_condition_3_off_the_whole_group_kernel():
 
 
 def test_bp_codes_have_one_implementation_the_query_place_values():
-    # a query writes every column's place values and every target's code
-    # from `_weights` in one pass, and the kernel multiplies a row's
-    # upper-triangle bits by them; another reader of `_weights`, or the
-    # per-plan blocks and the gathered int64 codes of the test oracle,
-    # would be a second implementation of the same codes
-    uses = _uses(lambda node: isinstance(node, ast.Name) and node.id == "_weights")
-    assert set(uses) == {("patterns.py", "_query")}, uses
+    # a query writes every pair's mask and value, and the power of two of
+    # each host position pair, in one pass, and only the kernel reads the
+    # masks and values; the Lehmer place values `_weights` belong to the
+    # test oracle alone, so the kernel and its referee stay two methods
+    assert set(_uses(_calls_to("_Query"))) == {("patterns.py", "_query")}
+    assert not _uses(_calls_to("_replace")), "a query is never rewritten"
+    readers = _uses(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in {"masks", "values", "powers"}
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "query"
+    )
+    assert set(readers) == {("patterns.py", "_first_matches")}, readers
+    assert not _uses(lambda node: isinstance(node, ast.Name) and node.id == "_weights")
     tree = ast.parse((SOURCE / "patterns.py").read_text(encoding="utf-8"))
     defined = {
         node.name
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
     }
-    assert not defined & {"_Block", "_stack", "_greater", "_codes", "_pair_index"}, defined
+    gone = {"_weights", "_WORD_LIMIT", "_Block", "_stack", "_greater", "_codes", "_pair_index"}
+    assert not defined & gone, defined & gone
 
 
 def test_condition_3_kernel_reads_only_the_rank_table():
