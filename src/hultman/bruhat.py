@@ -3,12 +3,15 @@
 The tableau criterion drives everything: u <= w iff r_u(p,q) <= r_w(p,q)
 for all p, q, where r_w(p,q) = #{k <= q : w(k) >= p} is the SW rank
 function.  Only the coessential boxes of w need checking (Fulton's lemma).
-The production path holds one int8 rank table per group
-(`group_rank_grids`), stored by cell: the ranks r_u(p,q) of every u in
-the group form one contiguous row per cell (p,q).  `interval_mask` answers
+The ranks of many elements form a rank block (`rank_block`): an int8
+array stored by cell, in which the ranks r_u(p,q) of every row u form one
+contiguous row per cell (p,q), computed as a running sum down the
+positions for each p.  The group's rank table (`group_rank_grids`) is the
+block of the whole group, held once per group; `interval_mask` answers
 "which u lie below w" for the whole group at once, reading one row per
-coessential box of w, and condition 3's whole-group kernel in `diagrams`
-reads the table one block of elements at a time.
+coessential box of w.  Condition 3's whole-group kernel in `diagrams`
+reads the blocks of `rank_blocks` instead, a few thousand rows at a time,
+and never the table: at B_8 the table would take 2.6 GB.
 
 Whole-group data are arrays indexed by row of the group's enumeration,
 its window matrix (`ctx.window_matrix`) with lengths `BruhatGraph.lengths`;
@@ -19,11 +22,11 @@ binary-searches the group's sorted keys.  The Bruhat graph is one array
 of down-neighbours, `BruhatGraph.down`, each row sorted and padded with a
 sentinel.  It is built from the row maps of right multiplication: one
 `element_rows` call per generator, and two gathers per other reflection,
-a conjugate of one already mapped.  The generators' maps stay on the graph as
-`BruhatGraph.generator_rows`.  The distance sweep is a breadth-first
+a conjugate of one already mapped.  The maps stay on the graph as
+`BruhatGraph.reflection_rows`.  The distance sweep is a breadth-first
 search from w down the graph, one numpy step per depth, and it reaches
 exactly [id, w].  l_T(u, w) is l_T of the conjugate u w^{-1}, reached by
-l(w) gathers through the generators' maps and one from
+l_T(w) gathers through the reflections' maps and one from
 `group_absolute_lengths`.
 `symmetry_rows` gives the row maps of the graph automorphisms w -> w^{-1}
 (and, in type A, w -> w_0 w w_0), and `orbit_representatives` each row's
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +52,10 @@ from .groups import (
     compose_windows,
     invert_window,
 )
+
+# Rows per block of `rank_blocks`: a block of B_8 rows takes 512 kB, and
+# twice as many rows read up to 2.5 times slower on B_7.
+RANK_BLOCK_ROWS = 2048
 
 
 def window_rank(window: Window, p: int, q: int) -> int:
@@ -139,19 +146,36 @@ def element_rows(ctx: GroupContext, windows) -> np.ndarray:
     return order[pos]
 
 
+def rank_block(windows: np.ndarray) -> np.ndarray:
+    """The rank block of an (m x N) window array: a C-contiguous int8 array
+    of shape (N, N, m) with r_u(p,q) at [p-1, q-1, u] for every row u.  It
+    is stored by cell, so `block[p-1, q-1]` is one contiguous row of
+    r_u(p,q) over the rows.  Each cell row of a p is a running sum of
+    [u(k) >= p] down the positions, summed in int8, which cannot overflow
+    since ranks never exceed N."""
+    columns = windows.T  # [k-1, u] = u(k)
+    block = np.empty((windows.shape[1], *columns.shape), dtype=np.int8)
+    for p in range(1, windows.shape[1] + 1):
+        # [q-1, u] = #{k <= q : u(k) >= p}
+        np.add.accumulate((columns >= p).view(np.int8), axis=0, out=block[p - 1])
+    return block
+
+
+def rank_blocks(ctx: GroupContext) -> Iterator[np.ndarray]:
+    """The rank block of each run of RANK_BLOCK_ROWS rows of
+    ctx.window_matrix, in row order, so that a whole-group reader of the
+    ranks holds one block at a time and never the group's table."""
+    windows = ctx.window_matrix
+    for start in range(0, len(windows), RANK_BLOCK_ROWS):
+        yield rank_block(windows[start : start + RANK_BLOCK_ROWS])
+
+
 @lru_cache(maxsize=None)
 def group_rank_grids(ctx: GroupContext) -> np.ndarray:
-    """The group's rank table: a read-only, C-contiguous int8 array of
-    shape (N, N, order) with r_u(p,q) at [p-1, q-1, u] for every row u of
-    ctx.window_matrix.  The table is stored by cell, so `grids[p-1, q-1]`
-    is one contiguous row of r_u(p,q) over the whole group, and a reader of
-    a few cells reads only those rows.  Ranks never exceed the degree N, so
-    int8 cannot overflow."""
-    windows = ctx.window_matrix.T  # [k-1, u] = u(k)
-    grids = np.empty((ctx.degree, ctx.degree, ctx.order), dtype=np.int8)
-    for p in range(1, ctx.degree + 1):
-        # [q-1, u] = #{k <= q : u(k) >= p}
-        np.cumsum(windows >= p, axis=0, dtype=np.int8, out=grids[p - 1])
+    """The group's rank table: the read-only rank block of the whole of
+    ctx.window_matrix, shape (N, N, order).  A reader of a few cells, such
+    as `box_mask`, reads only their rows of the group."""
+    grids = rank_block(ctx.window_matrix)
     grids.flags.writeable = False
     return grids
 
@@ -233,16 +257,16 @@ class BruhatGraph:
     ch. 1), so the first l(u) entries of row u are its down-neighbours and
     the rest are N.
 
-    `generator_rows` is the n x N array of the generators' row maps of
-    right multiplication, in the order of ctx.generators: entry [k, u] is
-    the row of u s_k.  The graph is built from them, and
+    `reflection_rows` is the |T| x N array of the reflections' row maps of
+    right multiplication, in the order of ctx.reflections: entry [k, u] is
+    the row of u t_k.  The graph is built from them, and
     `interval_distances` walks them to multiply by w^{-1}.
     """
 
     ctx: GroupContext
     lengths: np.ndarray = field(repr=False)
     down: np.ndarray = field(repr=False)
-    generator_rows: np.ndarray = field(repr=False)
+    reflection_rows: np.ndarray = field(repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -260,27 +284,28 @@ def bruhat_graph(ctx: GroupContext) -> BruhatGraph:
     """
     windows = ctx.window_matrix
     lengths = ctx.lengths
-    unmapped = {t.window: k for k, t in enumerate(ctx.reflections)}  # -> column
-    down = np.empty((ctx.order, len(unmapped)), dtype=np.int32)
-    generator_rows = np.empty((len(ctx.generators), ctx.order), dtype=np.int32)
-    for k, s in enumerate(ctx.generators):
-        generator_rows[k] = element_rows(ctx, windows[:, np.array(s.window) - 1])
-    # one level of conjugates at a time, so only its maps are held at once
-    level = {s.window: rows for s, rows in zip(ctx.generators, generator_rows)}
-    generators = list(level.items())
-    while level:
-        for t, rows in level.items():
-            down[:, unmapped.pop(t)] = np.where(lengths[rows] < lengths, rows, ctx.order)
-        conjugates = {}
-        for t, r_t in level.items():
+    index = {t.window: k for k, t in enumerate(ctx.reflections)}  # -> row of the maps
+    reflection_rows = np.empty((len(index), ctx.order), dtype=np.int32)
+    generators = [(s.window, reflection_rows[index[s.window]]) for s in ctx.generators]
+    for s, r_s in generators:
+        r_s[:] = element_rows(ctx, windows[:, np.array(s) - 1])
+    level, mapped = generators, {s for s, _ in generators}
+    while level:  # the conjugates of one level at a time
+        conjugates = []
+        for t, r_t in level:
             for s, r_s in generators:
                 sts = compose_windows(s, compose_windows(t, s))
-                if sts in unmapped and sts not in conjugates:
-                    conjugates[sts] = r_s[r_t[r_s]]
+                if sts not in mapped:
+                    mapped.add(sts)
+                    conjugates.append((sts, reflection_rows[index[sts]]))
+                    np.take(r_s, r_t[r_s], out=conjugates[-1][1])
         level = conjugates
+    down = np.empty((ctx.order, len(reflection_rows)), dtype=np.int32)
+    for k, rows in enumerate(reflection_rows):
+        down[:, k] = np.where(lengths[rows] < lengths, rows, ctx.order)
     down.sort(axis=1)
-    down.flags.writeable = generator_rows.flags.writeable = False
-    return BruhatGraph(ctx, lengths, down, generator_rows)
+    down.flags.writeable = reflection_rows.flags.writeable = False
+    return BruhatGraph(ctx, lengths, down, reflection_rows)
 
 
 def directed_distances_to(graph: BruhatGraph, row: int) -> np.ndarray:
@@ -320,29 +345,35 @@ def interval_distances(
     the w of row `row`.
 
     l_T(u, w) = l_T(w^{-1} u) = l_T(u w^{-1}), because the two are
-    conjugate and l_T is constant on conjugacy classes.  Peeling right
-    descents off w gives w s_{a_1} ... s_{a_L} = id with L = l(w), so
-    u w^{-1} = u s_{a_1} ... s_{a_L}: L gathers of the interval's rows
-    through `generator_rows`, then one from `group_absolute_lengths`.
+    conjugate and l_T is constant on conjugacy classes.  Some reflection
+    lowers l_T by one from any v != id, so stepping down from w by such
+    reflections gives w t_1 ... t_k = id with k = l_T(w) <= n, and
+    u w^{-1} = u t_1 ... t_k: k gathers of the interval's rows through
+    `reflection_rows`, then one from `group_absolute_lengths`.
 
     Raises ArithmeticError unless l_D >= l_T for every u <= w (a directed
     path is a product of reflections) and l_D, l_T and l(w) - l(u) share a
-    parity (every reflection has odd length).
+    parity (every reflection has odd length), and when no reflection lowers
+    l_T from some v != id on the way down.
     """
     ctx = graph.ctx
     dist = directed_distances_to(graph, row)
     rows = np.flatnonzero(np.isfinite(dist))
     l_d = dist[rows].astype(np.int64)
-    # rows follow length, and l(vs) = l(v) +- 1, so the least row among
-    # v's products with the generators is v s for a descent s, while v != id
-    maps = graph.generator_rows
+    absolute = group_absolute_lengths(ctx)
+    maps = graph.reflection_rows
     products = rows
     v = row
     while v:  # row 0 is the identity, the one element of length 0
-        neighbours = maps[:, v].tolist()
-        v = min(neighbours)
-        products = maps[neighbours.index(v)].take(products)
-    l_t = group_absolute_lengths(ctx)[products]
+        # l_T falls by one at each step, so the walk ends within l_T(w) steps
+        lower = np.flatnonzero(absolute[maps[:, v]] == absolute[v] - 1)
+        if not len(lower):
+            raise ArithmeticError(
+                f"{ctx.element(v)}: no reflection lowers l_T = {absolute[v]}"
+            )
+        products = maps[lower[0]].take(products)
+        v = int(maps[lower[0], v])
+    l_t = absolute[products]
     steps = graph.lengths[row] - graph.lengths[rows]
     # the three share a parity iff both differences are even
     bad = (l_d < l_t) | ((((l_d - l_t) | (l_d - steps)) & 1) != 0)

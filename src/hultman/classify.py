@@ -242,14 +242,15 @@ class VerificationSummary:
     reports: list[ClassificationReport] = field(default_factory=list)
     elapsed: float = 0.0
     seconds: dict[str, float] = field(default_factory=dict)  # per condition
-    # element enumeration and each table built up front for conditions 1-3,
-    # outside `seconds`
+    # element enumeration and each table built up front for conditions 1
+    # and 2, outside `seconds`
     layer_seconds: dict[str, float] = field(default_factory=dict)
     # per condition: rows computed; the others took the least orbit row's
     rows_computed: dict[str, int] = field(default_factory=dict)
     # work counts: hull boards solved and cleared by the rank bound
-    # (condition 4), and pattern index sets scanned (condition 5, rows
-    # times the query's index sets)
+    # (condition 4); pattern index sets (condition 5, rows times the
+    # query's index sets), and the rows that missed the first pattern's
+    # pairs and went on to the kernel's second stage
     counters: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -288,7 +289,9 @@ def verify_equivalence(
     Each condition fills one verdict array by row of ctx.window_matrix, and
     `Element`s are built only for the rows that c1, c4 and reports read.
     Conditions 3 and 5 come from one whole-group pass each
-    (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`).
+    (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`),
+    which read only rows of the window matrix: the group's rank table is
+    built only for condition 1.
     Conditions 1 and 2 are computed at the least row of each orbit
     (`bruhat.orbit_representatives`) and gathered to the rest of it, with
     each member's own first distance witness.  Condition 4 runs on every
@@ -296,8 +299,9 @@ def verify_equivalence(
     reports are built for disagreeing rows, or all rows with `keep_reports`.
     Enumeration ("elements") and the shared tables are timed in `layer_seconds`.
     `counters` holds the hull boards that condition 4 solved and those its
-    rank bound cleared, and the pattern index sets that condition 5
-    scanned (rows times the query's index sets).
+    rank bound cleared, the pattern index sets of condition 5 (rows times
+    the query's index sets) and the rows that missed its first pattern's
+    pairs.
     """
     start = time.perf_counter()
     names = _condition_names(conditions)
@@ -309,7 +313,7 @@ def verify_equivalence(
     verdicts: dict[int, np.ndarray] = {}
     # the tables that conditions share are built (and cached) up front, so
     # that `layer_seconds` times them apart from the conditions
-    if 1 in names or 3 in names:
+    if 1 in names:
         _timed(layers, "group_rank_grids", bruhat.group_rank_grids, ctx)
     if 3 in names:
         verdicts[3] = _timed(seconds, names[3], diagrams.defined_by_inclusions_mask, ctx)
@@ -317,6 +321,9 @@ def verify_equivalence(
         matched, indices = _timed(seconds, names[5], patterns.condition5_matches, ctx)
         verdicts[5] = matched < 0
         summary.counters["pattern_index_sets"] = total * patterns.condition5_index_sets(ctx)
+        summary.counters["pattern_rows_second_stage"] = patterns.condition5_second_stage_rows(
+            ctx, matched
+        )
     if 2 in names:
         _timed(layers, "bruhat_graph", bruhat_graph, ctx)
         _timed(layers, "group_absolute_lengths", bruhat.group_absolute_lengths, ctx)

@@ -74,16 +74,27 @@ def build_parser() -> argparse.ArgumentParser:
             "w -> w^-1 (and, in type A, w -> w0 w w0), which keep c(w), s(w) "
             "and both distances, and gathered to the other elements of the "
             "orbit, each with its first distance witness mapped along.  "
-            "Condition 4 runs on every element.  "
+            "Condition 4 runs on every element.  Conditions 3 and 5 hold "
+            "no whole-group table, so they reach B_8 (about 70 s and 720 MB).  "
+            "The JSON summary counts, for condition 5, pattern_index_sets "
+            "(rows times the index sets of the BP query) and "
+            "pattern_rows_second_stage (the rows that miss the first listed "
+            "pattern with an embedding in the group, which the BP scan tries "
+            "first).  "
             "Confirmed Hultman counts (all five conditions): S_3..S_8 have 6, "
             "23, 101, 477, 2343 and 11762 and B_2..B_6 have 8, 38, 188, 949 "
             "and 4843.  Past them, S_9: 59786 and B_7: 24868 by conditions "
-            "3, 4 and 5, and S_10: 306132 by conditions 3 and 5."
+            "3, 4 and 5, and S_10: 306132 and B_8: 128154 by conditions 3 "
+            "and 5."
         ),
     )
     _ctx_args(p)
     p.add_argument("--conditions", type=_parse_conditions, default=ALL_CONDITIONS)
-    p.add_argument("--json", metavar="PATH", help="write per-element reports as JSON")
+    p.add_argument(
+        "--json", metavar="PATH",
+        help="write per-element reports as JSON; it keeps one report per "
+        "element in memory, 2.7 GB on B_7, so it is not for B_8",
+    )
 
     p = sub.add_parser(
         "minimal-patterns",

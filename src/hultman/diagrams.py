@@ -8,13 +8,15 @@ E'(w) and the violated boxes are tuples of such triples too, in the same
 sorted order.  The right hull H(w) is the pair (lo, hi) of `hull_bounds`.
 
 Condition 3 has two paths, chosen by input size.  For a whole group,
-`defined_by_inclusions_mask` reads only the group's rank table
-(`bruhat.group_rank_grids`): a box is coessential exactly when four
-neighbouring ranks say so, and the kernel marks and tests those boxes for
-a block of elements at a time.  For one element, `violated_boxes` reads
-`coessential_boxes`, computed afresh on each call, and the type B rule
-of `pseudo_inclusions_hold` reads the violated boxes; they need no group
-table at all.
+`defined_by_inclusions_mask` reads only ranks, from the rank blocks of a
+few thousand rows that `bruhat.rank_blocks` computes one at a time: a box
+is coessential exactly when four neighbouring ranks say so, and the kernel
+marks and tests those boxes block by block.  It never builds the group's
+rank table (`bruhat.group_rank_grids`, which condition 1 reads), so its
+memory stays one block's, whatever the group.  For one element,
+`violated_boxes` reads `coessential_boxes`, computed afresh on each call,
+and the type B rule of `pseudo_inclusions_hold` reads the violated boxes;
+they need no group table at all.
 
 The right hull tests are exact and always definite.  The bounds of H(w)
 are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
@@ -47,12 +49,12 @@ import numpy as np
 from .bruhat import (
     box_mask,
     coessential_boxes,
-    group_rank_grids,
     interval_mask,
+    rank_blocks,
     window_rank,
 )
 from .bruhat import window_leq  # noqa: F401  (perfbench counts calls at this binding)
-from .groups import BLOCK_ROWS, Element, GroupContext, Window
+from .groups import Element, GroupContext, Window
 
 Box = tuple[int, int, int]  # (p, q, r_w(p,q))
 
@@ -91,8 +93,9 @@ def is_defined_by_pseudo_inclusions(w: Element) -> bool:
 def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:
     """Condition 3 for the whole group, as a bool array by row of
     ctx.window_matrix: `is_defined_by_inclusions` in type A and
-    `is_defined_by_pseudo_inclusions` in type B.  The rank table of
-    `group_rank_grids` is its only input from the group.
+    `is_defined_by_pseudo_inclusions` in type B.  The group's rank blocks
+    (`bruhat.rank_blocks`), one block of rows at a time, are its only input
+    from the group, so it never holds the group's rank table.
 
     Take r(p,0) = r(N+1,q) = 0.  Each step of r along an axis is 0 or 1:
     r(p,q) - r(p,q-1) = [w(q) >= p] and r(p-1,q) - r(p,q) =
@@ -110,7 +113,7 @@ def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:
     when r(p-1,q) - 2 r(p,q) + r(p+1,q) is 1.  The box is violated iff it
     is coessential and r(p,q) also exceeds max(0, q-p+1), or 1 at the
     central box (n+1, n) in type B.  The masks run over p = 2..N and
-    q = 1..N-1, as int8 and bool arrays one block of elements at a time.
+    q = 1..N-1, as int8 and bool arrays one rank block at a time.
     """
     size = ctx.degree
     p = np.arange(2, size + 1, dtype=np.int8)[:, None, None]
@@ -118,18 +121,16 @@ def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:
     bound = np.maximum(q - p + 1, 0)
     if ctx.family == "B":
         bound[ctx.rank - 1, ctx.rank - 1] = 1  # the central box (n+1, n)
-    grids = group_rank_grids(ctx)
-    defined = np.empty(ctx.order, dtype=bool)
-    for k in range(0, ctx.order, BLOCK_ROWS):
-        block = grids[:, :, k : k + BLOCK_ROWS]
+    defined = []
+    for block in rank_blocks(ctx):
         # [p-1, q] = r(p,q) for p = 1..N+1 and q = 0..N, zero on the added edges
         r = np.zeros((size + 1, size + 1, block.shape[2]), dtype=np.int8)
         r[:-1, 1:] = block
         boxes = np.diff(r[1:-1], n=2, axis=1) == 1
         boxes &= np.diff(r[:, 1:-1], n=2, axis=0) == 1
         boxes &= r[1:-1, 1:-1] > bound
-        defined[k : k + BLOCK_ROWS] = ~boxes.any(axis=(0, 1))
-    return defined
+        defined.append(~boxes.any(axis=(0, 1)))
+    return np.concatenate(defined)
 
 
 def hull_bounds(w: Element) -> tuple[Window, Window]:

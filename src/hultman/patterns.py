@@ -40,22 +40,31 @@ on them, so a row matches the pair iff (word & mask) == value in every
 word.  A last sentinel pair, mask 0 and value 0, is hit by every row.
 For every row of a batch of host windows, the kernel returns the first
 entry whose targets the row matches at one of its columns, and the
-global column where it first does, in one pass over all columns: the
-row's upper-triangle bits, each computed once; one integer product of
-them with the power of two of each pair, which packs them into words;
-one masked comparison of each word with every pair's value; and the first
-hit of each row, which is its least owner at that owner's first column,
-or the sentinel when no other pair is hit.  Each word, mask and value is
-a sum of distinct powers of two below 2^63, so int64 holds it exactly and
-the kernel makes no floating-point call.
+global column where it first does: the row's upper-triangle bits, each
+computed once; one integer product of them with the power of two of each
+pair, which packs them into words; masked comparisons of the words with
+the pairs' values; and the first hit of each row, which is its least
+owner at that owner's first column, or the sentinel when no other pair
+is hit.  Each word, mask and value is a sum of distinct powers of two
+below 2^63, so int64 holds it exactly and the kernel makes no
+floating-point call.
 The query also holds every column's index set, so each caller reads the
 index set of a match there.  Rows go in blocks whose largest temporary
-stays under about 256 KiB (or one row), and a batch of one runs the same
-calls as a whole group.  `bp_contains` and `classical_contains` run the
-kernel on a batch of one, `first_bp_contained` on a batch of host
-windows against any patterns, and `condition5_matches` on a whole group
-(or on a batch of one, for `avoids_condition5_list`) against the 31
-listed patterns.
+stays under about 256 KiB (or one row).  A batch that fits one block is
+compared with every pair in one pass.  A larger batch goes in two stages
+per block: the rows' words, computed once, meet the least owner's pairs
+first (a prefix of the pairs, such as the 1120 pairs of 4231 among the
+8205 of B_8), and only the rows that hit none of them meet the rest, so
+most rows of a group never meet most pairs.  A hit in the prefix is the
+row's first hit overall, so both ways give the same answer.  Every
+single-element call fits one block, and so do the candidate sets of the
+minimal-pattern search up to S_6 and B_4.  `bp_contains` and
+`classical_contains` run the kernel on a batch of one,
+`first_bp_contained` on a batch of host windows against any patterns, and
+`condition5_matches` on a whole group (or on a batch of one, for
+`avoids_condition5_list`) against the 31 listed patterns.  An embedding
+read off a match skips the checks of `ParabolicEmbedding`, whose index
+sets the plans make valid.
 `relative_order` remains only for `flatten`.
 """
 from __future__ import annotations
@@ -131,6 +140,18 @@ class ParabolicEmbedding:
         return context("A", len(self.indices))
 
 
+def _plan_embedding(
+    host: GroupContext, kind: EmbeddingKind, indices: tuple[int, ...]
+) -> ParabolicEmbedding:
+    """The embedding at an index set of one of a query's plans, without
+    the checks of `ParabolicEmbedding.__post_init__`: a plan holds only
+    valid index sets of its kind and host, by construction."""
+    emb = object.__new__(ParabolicEmbedding)
+    for name, value in (("host", host), ("kind", kind), ("indices", indices)):
+        object.__setattr__(emb, name, value)
+    return emb
+
+
 def flatten(w: Element, emb: ParabolicEmbedding) -> Element:
     """The flattening of w to the parabolic, as a pattern-group element.
 
@@ -203,7 +224,9 @@ class _Query(NamedTuple):
     are ordered by owner and then by column, so the first pair a row hits
     is its least owner at that owner's first column.  A last pair of mask
     0 and value 0, which every row hits, and a last row of `sets` stand for
-    no match: a row hits it first only when it hits no other pair."""
+    no match: a row hits it first only when it hits no other pair.  The
+    least owner's pairs are the first `first_pairs` (the sentinel alone
+    when no entry has a pair)."""
 
     entries: int  # their number, the owner of a row that matches none
     upper: np.ndarray  # (2, P) host positions i < j, 0-based
@@ -212,8 +235,9 @@ class _Query(NamedTuple):
     masks: np.ndarray  # (words, M + 1) int64 bits each pair compares, then 0
     values: np.ndarray  # (words, M + 1) int64 its target's bits there, then 0
     pair_owners: np.ndarray  # (M + 1,) owner of each pair, then entries
+    first_pairs: int  # the pairs of pair_owners[0], a prefix of the pairs
     sets: np.ndarray  # (C + 1, k) int16 index set of each column, zero-padded
-    row_bytes: int  # the largest kernel temporary per host row
+    row_bytes: int  # the largest one-pass kernel temporary per host row
 
 
 @lru_cache(maxsize=256)
@@ -282,43 +306,71 @@ def _query(entries: tuple[_Entry | None, ...]) -> _Query:
     masks, values = mask[order].T.copy(), value[order].T.copy()
     for arr in (upper, powers, pair_columns, masks, values, pair_owners, stacked):
         arr.flags.writeable = False
+    first_pairs = int(np.searchsorted(pair_owners, pair_owners[0], side="right"))
     # the upper-triangle bits, or one masked word per pair, all int64
     row_bytes = 8 * max(len(t), len(pair_owners))
     return _Query(
-        len(entries), upper, powers, pair_columns, masks, values, pair_owners, stacked, row_bytes
+        len(entries), upper, powers, pair_columns, masks, values, pair_owners, first_pairs,
+        stacked, row_bytes,
     )
 
 
+def _hits(words: np.ndarray, masks: np.ndarray, values: np.ndarray, out: np.ndarray):
+    """The first of the given pairs that each row of `words` hits, by
+    (word & mask) == value in every word; `out` is a (rows, pairs) int64
+    buffer for the masked words.  A row that hits none reads 0."""
+    hit = np.bitwise_and(words[:, :1], masks[0], out=out) == values[0]
+    for w in range(1, words.shape[1]):
+        hit &= np.bitwise_and(words[:, w, None], masks[w], out=out) == values[w]
+    return hit.argmax(axis=1), hit
+
+
 def _first_matches(query: _Query, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel, one pass over all columns.  For each row of `windows`:
-    the least entry index whose targets the row matches at one of its
-    columns, and the global column where it first does, whose row of
-    `query.sets` is the lexicographically first index set of that entry's
-    plan; or `query.entries` and the last row of `query.sets` if no entry
-    matches.  A row's words are one integer product of its upper-triangle
-    comparison bits with `query.powers`, exact since each is a sum of
-    distinct powers of two below 2^63.  A row hits a pair iff
-    (word & mask) == value in every word; the pairs are ordered by owner
-    and then by column, so the row's first hit is its least owner at that
-    owner's first column, and the sentinel pair, hit by every row, is the
-    first hit only of a row that hits no other."""
-    rows = len(windows)
+    """The kernel.  For each row of `windows`: the least entry index whose
+    targets the row matches at one of its columns, and the global column
+    where it first does, whose row of `query.sets` is the lexicographically
+    first index set of that entry's plan; or `query.entries` and the last
+    row of `query.sets` if no entry matches.  A row's words are one integer
+    product of its upper-triangle comparison bits with `query.powers`,
+    exact since each is a sum of distinct powers of two below 2^63.  A row
+    hits a pair iff (word & mask) == value in every word; the pairs are
+    ordered by owner and then by column, so the row's first hit is its
+    least owner at that owner's first column, and the sentinel pair, hit by
+    every row, is the first hit only of a row that hits no other.
+
+    Rows that fit one block of `query.row_bytes` go through all pairs in
+    one pass.  More rows go in two stages, per block: each row's words,
+    computed once, are tested against the least owner's pairs (the first
+    `query.first_pairs`), and a hit there is the row's first hit overall;
+    only the rows that miss go on to the remaining pairs, which end with
+    the sentinel.  Every stage's temporaries stay under _BLOCK_BYTES."""
+    rows, pairs = len(windows), len(query.pair_owners)
+    i, j = query.upper
     first = np.empty(rows, dtype=np.intp)
     step = max(1, _BLOCK_BYTES // query.row_bytes)
-    i, j = query.upper
+    head = query.first_pairs if rows > step else pairs
+    if head < pairs:  # the first stage's temporaries: bits, or a word per head pair
+        step = max(1, _BLOCK_BYTES // (8 * max(len(i), head)))
+        rest = max(1, _BLOCK_BYTES // (8 * (pairs - head)))
+        tail_masks, tail_values = query.masks[:, head:], query.values[:, head:]
+        tail_masked = np.empty((min(rest, rows), pairs - head), dtype=np.int64)
     bits = np.empty((min(step, rows), len(i)), dtype=np.int64)
-    masked = np.empty((min(step, rows), len(query.pair_owners)), dtype=np.int64)
-    hits = np.empty(masked.shape, dtype=bool)
+    masked = np.empty((min(step, rows), head), dtype=np.int64)
+    masks, values = query.masks[:, :head], query.values[:, :head]
     for start in range(0, rows, step):
         part = windows[start : start + step]
-        bit, mask, hit = bits[: len(part)], masked[: len(part)], hits[: len(part)]
+        bit = bits[: len(part)]
         np.greater(part[:, i], part[:, j], out=bit)
         words = bit @ query.powers
-        np.bitwise_and(words[:, :1], query.masks[0], out=mask)
-        np.equal(mask, query.values[0], out=hit)
-        for w in range(1, words.shape[1]):
-            hit &= np.bitwise_and(words[:, w, None], query.masks[w], out=mask) == query.values[w]
-        first[start : start + step] = hit.argmax(axis=1)
+        found, hit = _hits(words, masks, values, masked[: len(part)])
+        first[start : start + step] = found
+        if head == pairs:
+            continue
+        missed = np.flatnonzero(~hit[np.arange(len(part)), found])
+        for k in range(0, len(missed), rest):
+            some = missed[k : k + rest]
+            found, _ = _hits(words[some], tail_masks, tail_values, tail_masked[: len(some)])
+            first[start + some] = head + found
     return query.pair_owners[first], query.pair_columns[first]
 
 
@@ -374,7 +426,7 @@ def bp_contains(w: Element, v: Element) -> ParabolicEmbedding | None:
     if entry is None:
         return None
     found = _first_embedding(w, _query((entry,)))
-    return None if found is None else ParabolicEmbedding(w.ctx, entry[0], found)
+    return None if found is None else _plan_embedding(w.ctx, entry[0], found)
 
 
 def classical_contains(w: Element, v: Element) -> tuple[int, ...] | None:
@@ -435,8 +487,19 @@ def _condition5_query(host: GroupContext) -> _Query:
 
 
 def condition5_index_sets(ctx: GroupContext) -> int:
-    """The index sets that `condition5_matches` scans in each row of ctx."""
+    """The index sets of the condition 5 query of ctx.  A whole-group scan
+    by `condition5_matches` tries the first pattern's sets on every row,
+    and all of them only on the rows that miss those."""
     return len(_condition5_query(ctx).sets) - 1
+
+
+def condition5_second_stage_rows(ctx: GroupContext, pattern: np.ndarray) -> int:
+    """The rows of a `condition5_matches` result for ctx whose first match
+    is not the query's least owner: those that miss its pairs, and so go on
+    to the kernel's second stage when it runs in two."""
+    query = _condition5_query(ctx)
+    owner = int(query.pair_owners[0])
+    return int((pattern != (owner if owner < query.entries else -1)).sum())
 
 
 def condition5_matches(
@@ -466,7 +529,7 @@ def condition5_embedding(
         return None
     v = condition5_patterns()[pattern]
     kind = _bp_kind(host.family, v.ctx.family)
-    return v, ParabolicEmbedding(host, kind, tuple(indices[: v.degree].tolist()))
+    return v, _plan_embedding(host, kind, tuple(indices[: v.degree].tolist()))
 
 
 def avoids_condition5_list(

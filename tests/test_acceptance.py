@@ -8,8 +8,8 @@ condition 5 alone and the sums of s(w) over S_7 and B_5 run in tier-1.
 The long sweeps are opt-in: set HULTMAN_B5=1.  They confirm those counts
 by conditions 3, 4 and 5, and by all five, pin the sums of s(w) over S_8
 and B_6, pin the counts past the paper's groups, S_9: 59786 and B_7: 24868
-by conditions 3, 4 and 5 and S_10: 306132 by conditions 3 and 5, and find
-no rank-7 obstruction.
+by conditions 3, 4 and 5 and S_10: 306132 and B_8: 128154 by conditions 3
+and 5, and find no rank-7 obstruction.
 """
 import math
 import os
@@ -156,12 +156,18 @@ def test_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultma
 @OPT_IN
 @pytest.mark.parametrize(
     "family, rank, order, hultman",
-    [("A", 9, 362880, 59786), ("A", 10, 3628800, 306132), ("B", 7, 645120, 24868)],
+    [
+        ("A", 9, 362880, 59786),
+        ("A", 10, 3628800, 306132),
+        ("B", 7, 645120, 24868),
+        ("B", 8, 10321920, 128154),
+    ],
 )
 def test_frontier_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultman):
     # past the groups the paper sweeps; three independent conditions agree
-    # on every element of S_9 and B_7, and two on S_10
-    conditions = (3, 5) if (family, rank) == ("A", 10) else (3, 4, 5)
+    # on every element of S_9 and B_7, and two on S_10 and B_8 (about 70 s
+    # and 720 MB for B_8)
+    conditions = (3, 5) if (family, rank) in {("A", 10), ("B", 8)} else (3, 4, 5)
     start = time.perf_counter()
     summary = verify_equivalence(context(family, rank), conditions)
     assert summary.ok, summary.disagreements

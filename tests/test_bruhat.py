@@ -111,6 +111,21 @@ def test_group_rank_grids_are_stored_by_cell(ctx):
         assert grids[:, :, i].tolist() == [list(row) for row in window_rank_grid(e.window)]
 
 
+@pytest.mark.parametrize("ctx", [A4, B3, context("A", 7)], ids=lambda c: c.name)
+def test_rank_blocks_are_the_table_in_runs_of_rows(ctx, monkeypatch):
+    # any window array has its rank block, equal to the table's columns of
+    # its rows, and rank_blocks cuts the group into runs of rows in order
+    grids = group_rank_grids(ctx)
+    rows = random.Random(ctx.order).sample(range(ctx.order), min(ctx.order, 300))
+    block = bruhat.rank_block(ctx.window_matrix[rows])
+    assert block.flags.c_contiguous and block.dtype == np.int8
+    assert np.array_equal(block, grids[:, :, rows])
+    monkeypatch.setattr(bruhat, "RANK_BLOCK_ROWS", 7)
+    blocks = list(bruhat.rank_blocks(ctx))
+    assert [b.shape[2] for b in blocks[:-1]] == [7] * (len(blocks) - 1)
+    assert np.array_equal(np.concatenate(blocks, axis=2), grids)
+
+
 def test_interval_sizes():
     assert interval_size(A4.identity) == 1
     assert interval_size(parse_element("4231", A4)) == 20
@@ -204,13 +219,14 @@ def test_down_rows_are_sorted_and_hold_one_entry_per_length(ctx):
 
 @pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
 def test_generator_rows_are_the_right_multiplication_maps(ctx):
-    # (u s)(i) = u(s(i)): u's window with its columns permuted by s
+    # (u t)(i) = u(t(i)): u's window with its columns permuted by t, for
+    # every reflection t, generators and conjugates alike
     g = bruhat_graph(ctx)
-    assert g.generator_rows.shape == (len(ctx.generators), ctx.order)
-    assert not g.generator_rows.flags.writeable
-    for k, s in enumerate(ctx.generators):
-        products = ctx.window_matrix[:, np.array(s.window) - 1]
-        assert g.generator_rows[k].tolist() == element_rows(ctx, products).tolist()
+    assert g.reflection_rows.shape == (len(ctx.reflections), ctx.order)
+    assert not g.reflection_rows.flags.writeable
+    for k, t in enumerate(ctx.reflections):
+        products = ctx.window_matrix[:, np.array(t.window) - 1]
+        assert g.reflection_rows[k].tolist() == element_rows(ctx, products).tolist()
 
 
 @pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)

@@ -503,13 +503,22 @@ def test_whole_group_harnesses_never_build_the_elements_tuple():
 
 
 def test_verify_counts_agree_with_the_verdict_arrays():
+    tables = bruhat.group_rank_grids.cache_info()
     summary = verify_equivalence(context("A", 5), (3, 5))
-    # condition 3 reads the rank grids; no table of conditions 1 and 2 is built
-    assert set(summary.layer_seconds) == {"elements", "group_rank_grids"}
+    # conditions 3 and 5 read rows of the window matrix, condition 3 through
+    # its rank blocks: no table is built or read, the rank table included
+    assert set(summary.layer_seconds) == {"elements"}
+    assert bruhat.group_rank_grids.cache_info() == tables
     defined = diagrams.defined_by_inclusions_mask(context("A", 5))
     pattern, _ = patterns.condition5_matches(context("A", 5))
     assert np.array_equal(defined, pattern < 0)
     assert summary.ok and summary.hultman_count == int(defined.sum()) == 101
+
+
+def test_minimal_pattern_search_builds_no_rank_table():
+    tables = bruhat.group_rank_grids.cache_info()
+    assert len(find_minimal_non_hultman(max_a=5, max_b=3)) == 13
+    assert bruhat.group_rank_grids.cache_info() == tables
 
 
 def test_minimal_patterns_type_a_only():
@@ -662,9 +671,13 @@ def test_verify_counts_hull_boards_and_pattern_index_sets(ctx):
             sets += len(list(patterns.a_in_b_index_sets(n, m)))
         else:
             sets += len(list(patterns.b_in_b_index_sets(n, m)))
+    # second stage: the rows that miss the least listed pattern with an
+    # embedding in the host, 4231 in S_4 and 563412 in B_3; each has the
+    # host's rank, so only the pattern itself contains it
     summary = verify_equivalence(ctx, (4, 5))
     assert summary.counters == {
         "pattern_index_sets": ctx.order * sets,
+        "pattern_rows_second_stage": ctx.order - 1,
         "hull_boards": boards,
         "hull_boards_cleared": cleared,
     }

@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from hultman import patterns
 from hultman.bruhat import bruhat_leq
 from hultman.groups import Element, compose, context, element_from_signed, parse_element
 from hultman.patterns import (
@@ -637,6 +638,54 @@ def test_kernel_equals_the_per_block_oracle_on_batches_of_one(family, rank):
         best, _ = _assert_kernel_equals_oracle(entries, ctx.window_matrix[row : row + 1])
         found += int(best[0] < len(entries))
     assert 0 < found < 300
+
+
+ROW_GROUPS = [context("A", n) for n in range(1, 8)] + [context("B", n) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("ctx", ROW_GROUPS, ids=lambda ctx: ctx.name)
+def test_a_batch_of_one_equals_the_whole_group_row(ctx, monkeypatch):
+    # a batch of one always takes the one-pass scan; the whole group takes
+    # two stages once its rows outgrow one block (S_7 and B_5 here), and
+    # every batch of more than one row does with a block bound of one byte
+    pattern, indices = condition5_matches(ctx)
+    for row in range(ctx.order):
+        one, one_indices = condition5_matches(ctx, ctx.window_matrix[row : row + 1])
+        assert one[0] == pattern[row] and np.array_equal(one_indices[0], indices[row]), row
+    monkeypatch.setattr(patterns, "_BLOCK_BYTES", 1)
+    staged, staged_indices = condition5_matches(ctx)
+    assert np.array_equal(staged, pattern) and np.array_equal(staged_indices, indices)
+
+
+@pytest.mark.parametrize("ctx", ROW_GROUPS + [A8, context("B", 6)], ids=lambda ctx: ctx.name)
+def test_the_staged_prefix_is_exactly_the_least_owners_pairs(ctx):
+    rng = random.Random(ctx.degree)
+    queries = [_query(_condition5_entries(ctx)), _query(())]
+    queries += [_query(tuple(_bp_entry(ctx, v) for v in _mixed_patterns(rng, ctx)))]
+    for query in queries:
+        owners, head = query.pair_owners, query.first_pairs
+        assert (owners[:head] == owners[0]).all()
+        assert (owners[head:] > owners[0]).all()
+        # the sentinel, owned by `entries`, stands alone only when no entry has a pair
+        assert (head == len(owners)) == (owners[0] == query.entries)
+
+
+@pytest.mark.parametrize(
+    "ctx", [context("A", n) for n in range(1, 7)] + [context("B", n) for n in range(1, 5)],
+    ids=lambda ctx: ctx.name,
+)
+def test_kernel_embeddings_equal_the_validated_construction(ctx):
+    pattern, indices = condition5_matches(ctx)
+    pats = condition5_patterns()
+    for row in range(ctx.order):
+        matched = condition5_embedding(ctx, int(pattern[row]), indices[row])
+        if matched is None:
+            continue
+        v, emb = matched
+        validated = ParabolicEmbedding(ctx, _bp_kind(ctx.family, v.ctx.family), emb.indices)
+        assert emb == validated and type(emb.indices) is tuple, row
+        assert bp_contains(ctx.element(row), v) == validated
+        assert v == pats[pattern[row]]
 
 
 def _plan_shapes(query):
