@@ -9,16 +9,20 @@ contiguous row per cell (p,q), computed as a running sum down the
 positions for each p.  The group's rank table (`group_rank_grids`) is the
 block of the whole group, held once per group; `interval_mask` answers
 "which u lie below w" for the whole group at once, reading one row per
-coessential box of w.  Condition 3's whole-group kernel in `diagrams`
-reads the blocks of `rank_blocks` instead, a few thousand rows at a time,
-and never the table: at B_8 the table would take 2.6 GB.
+coessential box of w.  Condition 3's kernel in `diagrams` reads the
+blocks of `rank_blocks` instead, a few thousand rows at a time, of the
+whole group or of any window array, such as the children that the
+minimal-pattern search grows; it never builds the table, which at B_8
+would take 2.6 GB.  Once condition 1 has built a group's table, the
+group's blocks are slices of it, so no rank is computed twice.
 
 Whole-group data are arrays indexed by row of the group's enumeration,
 its window matrix (`ctx.window_matrix`) with lengths `BruhatGraph.lengths`;
 `group_absolute_lengths` is one kernel call over that matrix.  Only an
 error message builds an `Element` (`ctx.element(row)`).  The one map from
 windows to rows, `element_rows`, packs each window into an int64 key and
-binary-searches the group's sorted keys.  The Bruhat graph is one array
+binary-searches the group's sorted keys; one window given as a tuple, as
+`classify` gives it, is keyed in Python with one scalar search.  The Bruhat graph is one array
 of down-neighbours, `BruhatGraph.down`, each row sorted and padded with a
 sentinel.  It is built from the row maps of right multiplication: one
 `element_rows` call per generator, and two gathers per other reflection,
@@ -37,6 +41,7 @@ the same window-level test serves both families.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -118,12 +123,14 @@ def _window_keys(windows: np.ndarray, degree: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _sorted_keys(ctx: GroupContext) -> tuple[np.ndarray, np.ndarray]:
     """The keys of the group's windows in increasing order, and the row of
-    ctx.window_matrix that each one belongs to."""
+    ctx.window_matrix that each one belongs to, both read-only."""
     if (ctx.degree + 1) ** ctx.degree >= 2**63:
         raise ValueError(f"windows of degree {ctx.degree} do not fit an int64 key")
     keys = _window_keys(ctx.window_matrix, ctx.degree)
     order = np.argsort(keys)
-    return keys[order], order
+    keys = keys[order]
+    keys.flags.writeable = order.flags.writeable = False
+    return keys, order
 
 
 def element_rows(ctx: GroupContext, windows) -> np.ndarray:
@@ -131,9 +138,13 @@ def element_rows(ctx: GroupContext, windows) -> np.ndarray:
     (m x degree) array of them.  This is the one map from windows to rows;
     it raises ValueError for a window that is not in the group, and for a
     group whose windows do not fit an int64 key (degree 16 and up), before
-    the group is enumerated."""
-    windows = np.atleast_2d(windows)
+    the group is enumerated.  One window given as a tuple is keyed in
+    Python and found by one scalar binary search."""
     sorted_keys, order = _sorted_keys(ctx)
+    if isinstance(windows, tuple):
+        pos = _window_position(ctx, windows, sorted_keys)
+        return order[pos : pos + 1]
+    windows = np.atleast_2d(windows)
     keys = _window_keys(windows, ctx.degree)
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
     missing = sorted_keys[pos] != keys
@@ -144,6 +155,23 @@ def element_rows(ctx: GroupContext, windows) -> np.ndarray:
         window = tuple(windows[np.argmax(missing)].tolist())
         raise ValueError(f"{window} is not a window of {ctx.name}")
     return order[pos]
+
+
+def _window_position(ctx: GroupContext, window: Window, sorted_keys: np.ndarray) -> int:
+    """The index in sorted_keys of one window's `_window_keys` key, or
+    ValueError if the window is not in the group."""
+    degree = ctx.degree
+    key = 0
+    for value in window:
+        if not 1 <= value <= degree:
+            break
+        key = key * (degree + 1) + value
+    else:
+        if len(window) == degree:
+            pos = int(sorted_keys.searchsorted(key))
+            if pos < len(sorted_keys) and sorted_keys[pos] == key:
+                return pos
+    raise ValueError(f"{window} is not a window of {ctx.name}")
 
 
 def rank_block(windows: np.ndarray) -> np.ndarray:
@@ -161,13 +189,25 @@ def rank_block(windows: np.ndarray) -> np.ndarray:
     return block
 
 
-def rank_blocks(ctx: GroupContext) -> Iterator[np.ndarray]:
-    """The rank block of each run of RANK_BLOCK_ROWS rows of
-    ctx.window_matrix, in row order, so that a whole-group reader of the
-    ranks holds one block at a time and never the group's table."""
-    windows = ctx.window_matrix
+# The rank table of each group that `group_rank_grids` has built, while its
+# cache holds it: a record for `rank_blocks`, which keeps no table alive.
+_rank_tables: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def rank_blocks(ctx: GroupContext, windows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The rank block of each run of RANK_BLOCK_ROWS rows of `windows` (by
+    default ctx.window_matrix), in row order, so that a reader of the ranks
+    of many rows holds one block at a time and never the group's table.
+    For the whole group, once its rank table is built, the blocks are
+    slices of the table, and no rank is computed a second time."""
+    table = _rank_tables.get(ctx) if windows is None else None
+    if windows is None:
+        windows = ctx.window_matrix
     for start in range(0, len(windows), RANK_BLOCK_ROWS):
-        yield rank_block(windows[start : start + RANK_BLOCK_ROWS])
+        if table is not None:
+            yield table[:, :, start : start + RANK_BLOCK_ROWS]
+        else:
+            yield rank_block(windows[start : start + RANK_BLOCK_ROWS])
 
 
 @lru_cache(maxsize=None)
@@ -177,6 +217,7 @@ def group_rank_grids(ctx: GroupContext) -> np.ndarray:
     as `box_mask`, reads only their rows of the group."""
     grids = rank_block(ctx.window_matrix)
     grids.flags.writeable = False
+    _rank_tables[ctx] = grids
     return grids
 
 

@@ -18,6 +18,12 @@ Condition numbering (CLI `--conditions`):
                       exceed is cleared by two counts, with no program
   5 bp_avoidance      BP avoidance of the 31 listed patterns (type A: the
                       four classical patterns)
+
+The minimal-pattern search (`find_minimal_non_hultman`) scans S_4 and B_3
+whole and every higher group only as a generating tree: the children of
+the previous rank's condition-3 holders, built as window arrays, so no
+group above S_4 and B_3 is ever enumerated.  Conditions 3 and 5 read those
+arrays directly, and the patterns found are built from their windows.
 """
 from __future__ import annotations
 
@@ -33,8 +39,10 @@ from .groups import (
     Element,
     GroupContext,
     Window,
+    _row_element,
     context,
     coxeter_length,
+    coxeter_lengths,
     format_window,
     parse_element,
 )
@@ -405,20 +413,66 @@ def _check_scan_bounds(max_a: int, max_b: int) -> None:
         )
 
 
+def _children(family: str, parents: np.ndarray) -> np.ndarray:
+    """The children of each row of `parents`, windows of S_{n-1} (family
+    "A") or of B_{n-1} embedded in S_{2n-2} ("B"), in the generating tree
+    that deletes an element's largest entry (West, Discrete Math. 1995):
+    rank n windows, parent by parent.
+
+    Type A inserts n at each of the n positions.  Type B adds 1 to every
+    value, then puts 1 and 2n, in either order, at each of the n mirrored
+    position pairs (a, 2n+1-a): 2n children.  Deleting the largest entry,
+    n in type A and the mirror pair holding 1 and 2n in type B, gives the
+    parent back, so the children of distinct parents are distinct, and the
+    children of the whole of S_{n-1} (B_{n-1}) are the whole of S_n (B_n).
+    """
+    m, width = parents.shape
+    if family == "A":
+        n = width + 1
+        out = np.empty((m, n, n), dtype=parents.dtype)
+        for a in range(n):
+            out[:, a, :a] = parents[:, :a]
+            out[:, a, a] = n
+            out[:, a, a + 1 :] = parents[:, a:]
+        return out.reshape(-1, n)
+    degree = width + 2
+    shifted = (parents + 1)[:, None]
+    out = np.empty((m, degree // 2, 2, degree), dtype=parents.dtype)
+    for a in range(degree // 2):
+        b = degree - 1 - a  # 0-based, the mirror of a
+        out[:, a, :, :a] = shifted[..., :a]
+        out[:, a, :, a + 1 : b] = shifted[..., a : b - 1]
+        out[:, a, :, b + 1 :] = shifted[..., b - 1 :]
+        out[:, a, :, a] = 1, degree
+        out[:, a, :, b] = degree, 1
+    return out.reshape(-1, degree)
+
+
 def find_minimal_non_hultman(
     max_a: int = 6, max_b: int = 5
 ) -> tuple[Element, ...]:
     """BP-containment-minimal elements not defined by (pseudo-)inclusions,
-    over S_4..S_{max_a} and B_3..B_{max_b}, in scan order.
+    over S_4..S_{max_a} and B_3..B_{max_b}, in scan order: group by group,
+    and by (Coxeter length, window) within a group.
 
-    The candidates of a group come from one pass of the whole-group
-    kernel `diagrams.defined_by_inclusions_mask`.  Groups are scanned
-    small-to-large, and a candidate that BP contains a pattern found in an
-    earlier group is dominated.  Within one group the only containments
-    are an element and its diagram flip, which are mutual, so same-group
-    patterns never dominate each other; hence the domination step is one
-    batched pass per group (`first_bp_contained`) of every candidate
-    against the patterns of the earlier groups.
+    Groups are scanned small-to-large, and a candidate (an element that
+    fails condition 3) that BP contains a pattern found in an earlier group
+    is dominated.  Within one group the only containments are an element
+    and its diagram flip, which are mutual, so same-group patterns never
+    dominate each other; hence the domination step is one batched pass per
+    group (`first_bp_contained`) of every candidate against the patterns of
+    the earlier groups.  The candidates come from one pass of the kernel
+    `diagrams.defined_by_inclusions_mask` over the group's rows.
+
+    S_4 and B_3 are scanned whole.  Every higher group is scanned only as
+    the children (`_children`) of the previous rank's elements that satisfy
+    condition 3, and is never enumerated.  This misses no minimal element,
+    by one step of transitivity.  Say the parent w' of a child w fails
+    condition 3.  Scanning ranks upward, w' is then minimal or dominated,
+    so w' BP contains a pattern already found.  Deleting w's largest entry
+    makes w' a B-in-B pattern of w (type A: a classical one), and BP
+    containment is transitive (Billey-Postnikov, Adv. Appl. Math. 2005), so
+    w contains that pattern too and is dominated.
 
     An A_m pattern BP embeds in a B_n host when m <= n, so the B_{max_b}
     candidates are only checked against every obstruction if the type A
@@ -426,15 +480,18 @@ def find_minimal_non_hultman(
     Raises ValueError when max_a < max_b and max_b >= 4.
     """
     _check_scan_bounds(max_a, max_b)
-    contexts = [context("A", m) for m in range(4, max_a + 1)]
-    contexts += [context("B", m) for m in range(3, max_b + 1)]
     minimal: list[Element] = []
-    for ctx in contexts:
-        candidates = np.flatnonzero(~diagrams.defined_by_inclusions_mask(ctx))
-        first = patterns.first_bp_contained(
-            ctx, ctx.window_matrix[candidates], tuple(minimal)
-        )
-        minimal += [ctx.element(row) for row in candidates[first < 0].tolist()]
+    for family, base, top in (("A", 4, max_a), ("B", 3, max_b)):
+        for rank in range(base, top + 1):
+            ctx = context(family, rank)
+            windows = ctx.window_matrix if rank == base else _children(family, holders)
+            defined = diagrams.defined_by_inclusions_mask(ctx, windows)
+            candidates = windows[~defined]
+            new = candidates[patterns.first_bp_contained(ctx, candidates, tuple(minimal)) < 0]
+            new = new[np.lexsort((*new.T[::-1], coxeter_lengths(new, family)))]
+            minimal += [_row_element(tuple(window), ctx) for window in new.tolist()]
+            if rank < top:
+                holders = windows[defined]
     return tuple(minimal)
 
 

@@ -7,16 +7,18 @@ A coessential box is the triple (p, q, r_w(p,q)) that
 E'(w) and the violated boxes are tuples of such triples too, in the same
 sorted order.  The right hull H(w) is the pair (lo, hi) of `hull_bounds`.
 
-Condition 3 has two paths, chosen by input size.  For a whole group,
-`defined_by_inclusions_mask` reads only ranks, from the rank blocks of a
-few thousand rows that `bruhat.rank_blocks` computes one at a time: a box
-is coessential exactly when four neighbouring ranks say so, and the kernel
-marks and tests those boxes block by block.  It never builds the group's
-rank table (`bruhat.group_rank_grids`, which condition 1 reads), so its
-memory stays one block's, whatever the group.  For one element,
-`violated_boxes` reads `coessential_boxes`, computed afresh on each call,
-and the type B rule of `pseudo_inclusions_hold` reads the violated boxes;
-they need no group table at all.
+Condition 3 has two paths, chosen by input size.  For a whole group, or
+any array of its windows such as the children that the minimal-pattern
+search grows, `defined_by_inclusions_mask` reads only ranks, from the rank
+blocks of a few thousand rows that `bruhat.rank_blocks` gives one at a
+time: a box is coessential exactly when four neighbouring ranks say so,
+and the kernel marks and tests those boxes block by block.  It never
+builds the group's rank table (`bruhat.group_rank_grids`, which condition
+1 reads), so its memory stays one block's, whatever the group; once
+condition 1 has built the table, the whole group's blocks are its slices.
+For one element, `violated_boxes` reads `coessential_boxes`, computed
+afresh on each call, and the type B rule of `pseudo_inclusions_hold` reads
+the violated boxes; they need no group table at all.
 
 The right hull tests are exact and always definite.  The bounds of H(w)
 are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
@@ -90,12 +92,15 @@ def is_defined_by_pseudo_inclusions(w: Element) -> bool:
     return pseudo_inclusions_hold(violated_boxes(w), w.ctx.rank)
 
 
-def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:
-    """Condition 3 for the whole group, as a bool array by row of
-    ctx.window_matrix: `is_defined_by_inclusions` in type A and
-    `is_defined_by_pseudo_inclusions` in type B.  The group's rank blocks
-    (`bruhat.rank_blocks`), one block of rows at a time, are its only input
-    from the group, so it never holds the group's rank table.
+def defined_by_inclusions_mask(
+    ctx: GroupContext, windows: np.ndarray | None = None
+) -> np.ndarray:
+    """Condition 3 for many elements of ctx, as a bool array by row of
+    `windows` (by default ctx.window_matrix): `is_defined_by_inclusions` in
+    type A and `is_defined_by_pseudo_inclusions` in type B.  The rank
+    blocks of the rows (`bruhat.rank_blocks`), one block at a time, are its
+    only input, so it never builds the group's rank table; for the whole
+    group they are the table's slices once condition 1 has built it.
 
     Take r(p,0) = r(N+1,q) = 0.  Each step of r along an axis is 0 or 1:
     r(p,q) - r(p,q-1) = [w(q) >= p] and r(p-1,q) - r(p,q) =
@@ -122,7 +127,7 @@ def defined_by_inclusions_mask(ctx: GroupContext) -> np.ndarray:
     if ctx.family == "B":
         bound[ctx.rank - 1, ctx.rank - 1] = 1  # the central box (n+1, n)
     defined = []
-    for block in rank_blocks(ctx):
+    for block in rank_blocks(ctx, windows):
         # [p-1, q] = r(p,q) for p = 1..N+1 and q = 0..N, zero on the added edges
         r = np.zeros((size + 1, size + 1, block.shape[2]), dtype=np.int8)
         r[:-1, 1:] = block

@@ -27,7 +27,14 @@ from hultman.bruhat import (
     window_leq,
     window_rank,
 )
-from hultman.diagrams import Box, _best_hull_window, _mirror_box, hull_bounds, identity_rank
+from hultman.diagrams import (
+    Box,
+    _best_hull_window,
+    _mirror_box,
+    defined_by_inclusions_mask,
+    hull_bounds,
+    identity_rank,
+)
 from hultman.groups import (
     Element,
     GroupContext,
@@ -35,12 +42,19 @@ from hultman.groups import (
     absolute_length,
     compose,
     compose_windows,
+    context,
     coxeter_lengths,
     inverse,
     invert_window,
     signed_window,
 )
-from hultman.patterns import _BLOCK_BYTES, ParabolicEmbedding, _Entry, b_in_b_index_sets
+from hultman.patterns import (
+    _BLOCK_BYTES,
+    ParabolicEmbedding,
+    _Entry,
+    b_in_b_index_sets,
+    first_bp_contained,
+)
 
 RankGrid = tuple[tuple[int, ...], ...]
 
@@ -725,3 +739,21 @@ def oracle_first_matches(
             for row, column in zip(part[matched].tolist(), hit[matched].argmax(axis=1).tolist()):
                 first[row] = sets[column]
     return best, first
+
+
+# --- the minimal-pattern search ---------------------------------------------
+
+
+def oracle_find_minimal_non_hultman(max_a: int = 6, max_b: int = 5) -> tuple[Element, ...]:
+    """`find_minimal_non_hultman` by scanning every element of S_4..S_max_a
+    and B_3..B_max_b, with no generating tree: each group's candidates are
+    its rows that fail condition 3, and those that BP contain no pattern of
+    an earlier group are minimal, in row order."""
+    contexts = [context("A", m) for m in range(4, max_a + 1)]
+    contexts += [context("B", m) for m in range(3, max_b + 1)]
+    minimal: list[Element] = []
+    for ctx in contexts:
+        candidates = np.flatnonzero(~defined_by_inclusions_mask(ctx))
+        first = first_bp_contained(ctx, ctx.window_matrix[candidates], tuple(minimal))
+        minimal += [ctx.element(row) for row in candidates[first < 0].tolist()]
+    return tuple(minimal)

@@ -2,14 +2,14 @@
 its elapsed time (run with `pytest -s tests/test_acceptance.py` to see them
 as they complete).
 
-The B_5 equivalence sweep (all five conditions), the rank-6
-minimal-pattern search, the S_8 (11762) and B_6 (4843) counts by
+The B_5 equivalence sweep (all five conditions), the minimal-pattern
+searches to rank 6 and rank 7, the S_8 (11762) and B_6 (4843) counts by
 condition 5 alone and the sums of s(w) over S_7 and B_5 run in tier-1.
 The long sweeps are opt-in: set HULTMAN_B5=1.  They confirm those counts
 by conditions 3, 4 and 5, and by all five, pin the sums of s(w) over S_8
 and B_6, pin the counts past the paper's groups, S_9: 59786 and B_7: 24868
 by conditions 3, 4 and 5 and S_10: 306132 and B_8: 128154 by conditions 3
-and 5, and find no rank-7 obstruction.
+and 5, and find no obstruction of rank 7-11 in type A or 6-9 in type B.
 """
 import math
 import os
@@ -217,15 +217,25 @@ def test_no_rank_6_obstruction():
     _report("no rank-6 obstruction (31 patterns)", time.perf_counter() - start)
 
 
-@OPT_IN
-def test_no_rank_7_obstruction_opt_in():
-    # scans S_4..S_8 and B_3..B_7; about 15 s and 210 MB on 2 CPUs
+def test_no_rank_7_obstruction():
+    # S_5..S_8 and B_4..B_7 are read as the children of the previous rank's
+    # condition-3 holders; about 0.2 s on 2 CPUs
     start = time.perf_counter()
     found = find_minimal_non_hultman(max_a=8, max_b=7)
     assert found == find_minimal_non_hultman(max_a=6, max_b=5)
     assert len(found) == 31
     assert set(found) == set(condition5_patterns())
     _report("no rank-7 obstruction (31 patterns)", time.perf_counter() - start)
+
+
+@OPT_IN
+def test_no_obstruction_up_to_rank_11_opt_in():
+    # S_11 grows from the 306132 holders of S_10, B_9 from the 128154 of
+    # B_8; about 30 s and 155 MB on 2 CPUs
+    start = time.perf_counter()
+    found = find_minimal_non_hultman(max_a=11, max_b=9)
+    assert found == find_minimal_non_hultman(max_a=6, max_b=5)
+    _report("no obstruction of rank 7-11 (A) or 6-9 (B)", time.perf_counter() - start)
 
 
 def test_criterion_4_minimal_pattern_reproduction():

@@ -24,6 +24,7 @@ from hultman.bruhat import (
 from hultman.classify import classify
 from hultman.groups import (
     Element,
+    GroupContext,
     absolute_length,
     compose_windows,
     context,
@@ -114,16 +115,20 @@ def test_group_rank_grids_are_stored_by_cell(ctx):
 @pytest.mark.parametrize("ctx", [A4, B3, context("A", 7)], ids=lambda c: c.name)
 def test_rank_blocks_are_the_table_in_runs_of_rows(ctx, monkeypatch):
     # any window array has its rank block, equal to the table's columns of
-    # its rows, and rank_blocks cuts the group into runs of rows in order
+    # its rows, and rank_blocks cuts the rows into runs in order: computed
+    # for a window array, and the table's slices for the built group
     grids = group_rank_grids(ctx)
     rows = random.Random(ctx.order).sample(range(ctx.order), min(ctx.order, 300))
     block = bruhat.rank_block(ctx.window_matrix[rows])
     assert block.flags.c_contiguous and block.dtype == np.int8
     assert np.array_equal(block, grids[:, :, rows])
     monkeypatch.setattr(bruhat, "RANK_BLOCK_ROWS", 7)
-    blocks = list(bruhat.rank_blocks(ctx))
-    assert [b.shape[2] for b in blocks[:-1]] == [7] * (len(blocks) - 1)
-    assert np.array_equal(np.concatenate(blocks, axis=2), grids)
+    for windows in (ctx.window_matrix, None):
+        blocks = list(bruhat.rank_blocks(ctx, windows))
+        assert [b.shape[2] for b in blocks[:-1]] == [7] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks, axis=2), grids)
+    blocks = list(bruhat.rank_blocks(ctx, ctx.window_matrix[rows]))
+    assert np.array_equal(np.concatenate(blocks, axis=2), grids[:, :, rows])
 
 
 def test_interval_sizes():
@@ -255,14 +260,42 @@ def test_element_rows_maps_each_window_to_its_row(ctx):
         assert element_rows(ctx, e.window).tolist() == [i]
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [context("A", n) for n in range(1, 7)] + [context("B", n) for n in range(1, 5)],
+    ids=lambda c: c.name,
+)
+def test_one_window_lookup_equals_the_array_path(ctx):
+    # a tuple is keyed in Python and found by one scalar search; a list or
+    # an array goes through the block kernel
+    rows = element_rows(ctx, ctx.window_matrix)
+    for window, row in zip(ctx.window_matrix.tolist(), rows.tolist()):
+        assert element_rows(ctx, tuple(window)).tolist() == [row]
+        assert element_rows(ctx, window).tolist() == [row]
+
+
 def test_element_rows_rejects_windows_outside_the_group():
-    with pytest.raises(ValueError):
-        element_rows(B2, (2, 1, 3, 4))  # in S_4, not centrally symmetric
+    # one window as a tuple (keyed in Python) and as an array (the kernel)
+    for one in (tuple, np.array):
+        with pytest.raises(ValueError, match="not a window of B_2"):
+            element_rows(B2, one((2, 1, 3, 4)))  # in S_4, not centrally symmetric
+        with pytest.raises(ValueError, match="not a window of B_2"):
+            element_rows(B2, one((1, 2, 3)))  # too short
+        with pytest.raises(ValueError, match="not a window of B_2"):
+            element_rows(B2, one((1, 2, 3, 4, 5)))  # too long
+        with pytest.raises(ValueError, match="not a window of B_2"):
+            element_rows(B2, one((1, 2, 3, 5)))  # an entry above the degree
+        with pytest.raises(ValueError, match="not a window of S_2"):
+            # digits (2, -1) in radix 3 pack to the key of (1, 2)
+            element_rows(context("A", 2), one((2, -1)))
+        with pytest.raises(ValueError, match="not a window of S_2"):
+            element_rows(context("A", 2), one((0, 5)))  # packs to the key of (1, 2)
+        ctx = GroupContext("A", 16)  # never enumerated: the key check comes first
+        with pytest.raises(ValueError, match="int64 key"):
+            element_rows(ctx, one(tuple(range(1, 17))))
+        assert "_enumeration" not in vars(ctx)
     with pytest.raises(ValueError):
         element_rows(B2, [(1, 2, 3, 4), (1, 2, 3, 5)])
-    with pytest.raises(ValueError):
-        # digits (2, -1) in radix 3 pack to the key of (1, 2)
-        element_rows(context("A", 2), (2, -1))
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from hultman.classify import (
     ALL_CONDITIONS,
     CONDITION_NAMES,
     REFERENCE_WITNESS_ROWS,
+    _children,
     classify,
     find_minimal_non_hultman,
     verify_equivalence,
@@ -38,7 +39,12 @@ from hultman.groups import (
     parse_element,
 )
 from hultman.patterns import condition5_patterns
-from oracles import oracle_hull_rank_bound, undirected_distance, window_in_hull
+from oracles import (
+    oracle_find_minimal_non_hultman,
+    oracle_hull_rank_bound,
+    undirected_distance,
+    window_in_hull,
+)
 
 B2 = context("B", 2)
 B3 = context("B", 3)
@@ -544,6 +550,95 @@ def test_minimal_patterns_b3_only():
 def test_minimal_patterns_reject_a_type_a_scan_short_of_max_b(max_a, max_b):
     with pytest.raises(ValueError, match="type A scan must reach"):
         find_minimal_non_hultman(max_a=max_a, max_b=max_b)
+
+
+@pytest.mark.parametrize(
+    "max_a, max_b",
+    [(6, 5), (7, 6), (6, 2), (3, 3), (5, 3)]
+    + [
+        pytest.param(8, 7, marks=pytest.mark.skipif(
+            not os.environ.get("HULTMAN_B5"),
+            reason="opt-in: set HULTMAN_B5=1; the scan of S_8 and B_7 takes about 2.5 s",
+        ))
+    ],
+)
+def test_minimal_pattern_tree_equals_the_whole_group_scan(max_a, max_b):
+    # the same patterns in the same order: group by group, and by (length,
+    # window) within a group, which is the row order of the scan
+    assert find_minimal_non_hultman(max_a, max_b) == oracle_find_minimal_non_hultman(
+        max_a, max_b
+    )
+
+
+def _parents(family: str, windows: np.ndarray) -> np.ndarray:
+    """Each window with its largest entry deleted: n in type A, and in type
+    B the mirror pair holding 1 and 2n, with every other value lowered by 1."""
+    degree = windows.shape[1]
+    if family == "A":
+        return windows[windows != degree].reshape(-1, degree - 1)
+    return windows[(windows != 1) & (windows != degree)].reshape(-1, degree - 2) - 1
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", n) for n in range(2, 9)] + [("B", n) for n in range(2, 7)]
+)
+def test_children_of_a_whole_group_are_the_next_group(family, rank):
+    # every row of the next group, each once, and each child's parent is
+    # the row it grew from
+    parents = context(family, rank - 1).window_matrix
+    children = _children(family, parents)
+    ctx = context(family, rank)
+    assert children.shape == (ctx.order, ctx.degree)
+    assert np.sort(bruhat.element_rows(ctx, children)).tolist() == list(range(ctx.order))
+    per_parent = len(children) // len(parents)
+    assert np.array_equal(_parents(family, children), np.repeat(parents, per_parent, axis=0))
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", n) for n in range(2, 8)] + [("B", n) for n in range(2, 6)]
+)
+def test_children_of_the_holders_are_the_rows_whose_parent_holds(family, rank):
+    below = context(family, rank - 1)
+    holds = diagrams.defined_by_inclusions_mask(below)
+    ctx = context(family, rank)
+    grown = bruhat.element_rows(ctx, _children(family, below.window_matrix[holds]))
+    parent_rows = bruhat.element_rows(below, _parents(family, ctx.window_matrix))
+    assert np.sort(grown).tolist() == np.flatnonzero(holds[parent_rows]).tolist()
+
+
+def test_minimal_pattern_search_never_enumerates_a_grown_group():
+    # a fresh interpreter, so no other test has enumerated a group: above
+    # S_4 and B_3 the search reads only children of condition-3 holders
+    script = (
+        "from hultman.classify import find_minimal_non_hultman\n"
+        "from hultman.groups import context\n"
+        "assert len(find_minimal_non_hultman(8, 7)) == 31\n"
+        "groups = [('A', m) for m in range(5, 9)] + [('B', m) for m in range(4, 8)]\n"
+        "print([g for g in groups if '_enumeration' in vars(context(*g))])\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_condition_3_reads_condition_1s_rank_table(monkeypatch):
+    # with condition 1, verify builds the rank table first; condition 3 then
+    # reads the table's slices and computes no rank block of its own
+    ctx = context("B", 3)
+    expected = diagrams.defined_by_inclusions_mask(ctx, ctx.window_matrix)
+    bruhat.group_rank_grids(ctx)
+
+    def no_block(windows):
+        raise AssertionError("a rank block was computed")
+
+    monkeypatch.setattr(bruhat, "rank_block", no_block)
+    assert np.array_equal(diagrams.defined_by_inclusions_mask(ctx), expected)
+    summary = verify_equivalence(ctx, (1, 3))
+    assert summary.ok and summary.hultman_count == 38
 
 
 @pytest.mark.parametrize("conditions", [(1, 2), (2, 1)])

@@ -126,6 +126,10 @@ def test_defined_by_inclusions_mask_matches_per_element():
         else:
             expected = [is_defined_by_pseudo_inclusions(w) for w in ctx.elements]
         assert defined_by_inclusions_mask(ctx).tolist() == expected, ctx
+        # any array of the group's windows, here a shuffled third of them
+        rows = random.Random(rank).sample(range(ctx.order), 1 + ctx.order // 3)
+        got = defined_by_inclusions_mask(ctx, ctx.window_matrix[rows])
+        assert got.tolist() == [expected[row] for row in rows], ctx
     # the Hultman counts of S_8 and B_6, confirmed by conditions 3, 4 and 5
     assert defined_by_inclusions_mask(context("A", 8)).sum() == 11762
     assert defined_by_inclusions_mask(context("B", 6)).sum() == 4843
