@@ -164,11 +164,13 @@ def _orbit_values(
     return values
 
 
-def _hull_counterexample(w: Element) -> Window | None:
-    """Condition 4's counterexample window, or None if w satisfies it."""
+def _hull_counterexample(w: Element, boxes: tuple[diagrams.Box, ...]) -> Window | None:
+    """Condition 4's counterexample window, or None if w satisfies it, from
+    w's coessential boxes `boxes`, through the public hull test of w's type
+    (the entry points that perfbench times as the hull layer)."""
     if w.ctx.family == "A":
-        return diagrams.right_hull_counterexample(w)
-    return diagrams.hull_relaxed_counterexample(w)
+        return diagrams.right_hull_counterexample(w, boxes)
+    return diagrams.hull_relaxed_counterexample(w, boxes)
 
 
 def classify(
@@ -188,6 +190,12 @@ def classify(
     2: {orbit member's row: its first distance witness}}.  A call adds what
     the entry of w's orbit lacks, computed at its least row; without a
     cache, w's values are computed at w.
+
+    E(w) (`bruhat.coessential_boxes`) is read once when condition 3 or 4
+    is asked for, and both read that one tuple: condition 3 its violated
+    boxes, condition 4 the boxes its hull test runs over.  They stay
+    independent tests, as both are pure functions of the same E(w);
+    condition 1 reads its own through `bruhat.interval_mask`.
     """
     names = _condition_names(conditions)
     report = ClassificationReport(w)
@@ -200,6 +208,8 @@ def classify(
             key = (ctx, int(bruhat.orbit_representatives(ctx)[row]))
             values = chamber_cache[key] = chamber_cache.get(key, {})
             _orbit_values(*key, names, graph, values)
+    if 3 in names or 4 in names:
+        boxes = bruhat.coessential_boxes(w.window)
     for num, name in names.items():
         if num == 1:
             report.c, report.s = values[1]
@@ -211,7 +221,7 @@ def classify(
             report.distance_witness = witness
             report.conditions[name] = witness is None
         elif num == 3:
-            report.violations = diagrams.violated_boxes(w)
+            report.violations = diagrams.violated_boxes(w, boxes)
             if w.ctx.family == "A":
                 report.conditions[name] = not report.violations
             else:
@@ -219,7 +229,7 @@ def classify(
                     report.violations, w.ctx.rank
                 )
         elif num == 4:
-            report.hull_counterexample = _hull_counterexample(w)
+            report.hull_counterexample = _hull_counterexample(w, boxes)
             report.conditions[name] = report.hull_counterexample is None
         else:
             ok, matched = patterns.avoids_condition5_list(w)
@@ -304,7 +314,9 @@ def verify_equivalence(
     (`bruhat.orbit_representatives`) and gathered to the rest of it, with
     each member's own first distance witness.  Condition 4 runs on every
     row, as only the theorem under test makes it constant on orbits.  Full
-    reports are built for disagreeing rows, or all rows with `keep_reports`.
+    reports are built for disagreeing rows, or all rows with `keep_reports`;
+    then condition 4 also reads each row's violations (condition 3) off the
+    E(w) it reads, within its `seconds`, so each row's E(w) is computed once.
     Enumeration ("elements") and the shared tables are timed in `layer_seconds`.
     `counters` holds the hull boards that condition 4 solved and those its
     rank bound cleared, the pattern index sets of condition 5 (rows times
@@ -356,15 +368,22 @@ def verify_equivalence(
             verdicts[2] = witness[rep, 0] < 0
     # with keep_reports, c4 and the reports share one Element per row, as w or u
     element = list(map(ctx.element, range(total))).__getitem__ if keep_reports else ctx.element
+    # with keep_reports and condition 3, the violations of every row in
+    # order, read off the E(w) that condition 4 reads
+    read: list[tuple[diagrams.Box, ...]] = []
     if 4 in names:
         clock = time.perf_counter()
         verdicts[4] = np.ones(total, dtype=bool)
         kept: dict[int, Window] = {}  # counterexamples, with keep_reports
         boards = cleared = 0
         for row in range(total):
-            cex, solved, skipped = diagrams.hull_test(element(row))
+            w = element(row)
+            boxes = bruhat.coessential_boxes(w.window)
+            cex, solved, skipped = diagrams.hull_test(w, boxes)
             boards += solved
             cleared += skipped
+            if keep_reports and 3 in names:
+                read.append(diagrams.violated_boxes(w, boxes))
             if cex is not None:
                 verdicts[4][row] = False
                 if keep_reports:
@@ -386,7 +405,7 @@ def verify_equivalence(
             u_row, l_d, l_t = witness[row].tolist()
             report.distance_witness = (element(u_row), l_d, l_t)
         if 3 in names:
-            report.violations = diagrams.violated_boxes(w)
+            report.violations = read[row] if read else diagrams.violated_boxes(w)
         if 4 in names:
             report.hull_counterexample = (
                 kept.get(row) if keep_reports else diagrams.hull_test(w)[0]

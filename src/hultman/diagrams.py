@@ -16,9 +16,12 @@ and the kernel marks and tests those boxes block by block.  It never
 builds the group's rank table (`bruhat.group_rank_grids`, which condition
 1 reads), so its memory stays one block's, whatever the group; once
 condition 1 has built the table, the whole group's blocks are its slices.
-For one element, `violated_boxes` reads `coessential_boxes`, computed
-afresh on each call, and the type B rule of `pseudo_inclusions_hold` reads
-the violated boxes; they need no group table at all.
+For one element, `violated_boxes` filters E(w), and the type B rule of
+`pseudo_inclusions_hold` reads the violated boxes; they need no group
+table at all.  E(w) is never memoised: `violated_boxes` and the hull tests
+read `coessential_boxes` afresh unless the caller hands them the E(w) it
+has already read, as `classify` does once per element for conditions 3
+and 4 and `verify --json` once per row.
 
 The right hull tests are exact and always definite.  The bounds of H(w)
 are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
@@ -65,13 +68,12 @@ def identity_rank(p: int, q: int) -> int:
     return max(0, q - p + 1)
 
 
-def violated_boxes(w: Element) -> tuple[Box, ...]:
-    """Coessential boxes whose rank exceeds the identity bound."""
-    return tuple(
-        (p, q, r)
-        for p, q, r in coessential_boxes(w.window)
-        if r != identity_rank(p, q)
-    )
+def violated_boxes(w: Element, boxes: Sequence[Box] | None = None) -> tuple[Box, ...]:
+    """Coessential boxes whose rank exceeds the identity bound.  `boxes` is
+    E(w) when the caller has already read it, and is read here otherwise."""
+    if boxes is None:
+        boxes = coessential_boxes(w.window)
+    return tuple((p, q, r) for p, q, r in boxes if r != identity_rank(p, q))
 
 
 def is_defined_by_inclusions(w: Element) -> bool:
@@ -215,11 +217,12 @@ def _hull_rank_bound(lo: Sequence[int], hi: Sequence[int], p: int, q: int) -> in
 
 
 def _hull_counterexample(
-    w: Element, central: int | None
+    w: Element, central: int | None, boxes: Sequence[Box] | None = None
 ) -> tuple[Window | None, int, int]:
     """A window inside H(w), with r_u(n+1,n) <= 1 when `central` = n, that
     is not <= w, or None; the number of boards the dynamic program solved;
-    and the number that `_hull_rank_bound` cleared without it.
+    and the number that `_hull_rank_bound` cleared without it.  `boxes` is
+    E(w), read here when the caller has not.
 
     u <= w fails exactly when r_u(p,q) > r for some coessential box (p,q,r)
     of w, so one maximising window per box decides the question.  The
@@ -244,7 +247,7 @@ def _hull_counterexample(
     # every box of a type A element has (p,q) < (N,N)
     last = (w.ctx.rank + 1, w.ctx.rank) if w.ctx.family == "B" else (w.degree, w.degree)
     solved = cleared = 0
-    for p, q, r in coessential_boxes(w.window):
+    for p, q, r in coessential_boxes(w.window) if boxes is None else boxes:
         if (p, q) > last:  # this box and the rest mirror boxes already decided
             break
         if _hull_rank_bound(lo, hi, p, q) <= r:
@@ -257,25 +260,33 @@ def _hull_counterexample(
     return None, solved, cleared
 
 
-def right_hull_counterexample(w: Element) -> Window | None:
+def right_hull_counterexample(
+    w: Element, boxes: Sequence[Box] | None = None
+) -> Window | None:
     """A permutation inside H(w) that is not <= w, or None when the right
     hull condition holds.  Exact, with one dynamic program per coessential
     box (per mirror pair of boxes in type B) that the rank bound does not
-    clear."""
-    return _hull_counterexample(w, None)[0]
+    clear.  `boxes` is E(w), as for `hull_test`."""
+    return _hull_counterexample(w, None, boxes)[0]
 
 
-def hull_test(w: Element) -> tuple[Window | None, int, int]:
+def hull_test(
+    w: Element, boxes: Sequence[Box] | None = None
+) -> tuple[Window | None, int, int]:
     """Condition 4 for w: a window refuting the right hull condition in
     type A or its relaxation in type B (None when it holds), the number of
     boards the dynamic program solved, and the number the rank bound
-    cleared."""
+    cleared.  `boxes` is E(w) when the caller has already read it, as
+    `classify` does once for conditions 3 and 4 together, and is read here
+    otherwise."""
     n = w.ctx.rank
     relaxed = w.ctx.family == "B" and window_rank(w.window, n + 1, n) == 1
-    return _hull_counterexample(w, n if relaxed else None)
+    return _hull_counterexample(w, n if relaxed else None, boxes)
 
 
-def hull_relaxed_counterexample(w: Element) -> Window | None:
+def hull_relaxed_counterexample(
+    w: Element, boxes: Sequence[Box] | None = None
+) -> Window | None:
     """A window refuting the type B relaxed right hull condition, or None
     when it holds.
 
@@ -290,11 +301,11 @@ def hull_relaxed_counterexample(w: Element) -> Window | None:
     `_best_hull_window`).  Either way there is one board per mirror pair
     of coessential boxes that the rank bound does not clear (see
     `_hull_counterexample`).  Windows range over all of S_{2n}, not only
-    over B_n.
+    over B_n.  `boxes` is E(w), as for `hull_test`.
     """
     if w.ctx.family != "B":
         raise ValueError("the relaxed right hull condition is a type B notion")
-    return hull_test(w)[0]
+    return hull_test(w, boxes)[0]
 
 
 def _mirror_box(box: tuple[int, int], n: int) -> tuple[int, int]:

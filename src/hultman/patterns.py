@@ -50,21 +50,20 @@ below 2^63, so int64 holds it exactly and the kernel makes no
 floating-point call.
 The query also holds every column's index set, so each caller reads the
 index set of a match there.  Rows go in blocks whose largest temporary
-stays under about 256 KiB (or one row).  A batch that fits one block is
-compared with every pair in one pass.  A larger batch goes in two stages
-per block: the rows' words, computed once, meet the least owner's pairs
-first (a prefix of the pairs, such as the 1120 pairs of 4231 among the
-8205 of B_8), and only the rows that hit none of them meet the rest, so
-most rows of a group never meet most pairs.  A hit in the prefix is the
-row's first hit overall, so both ways give the same answer.  Every
-single-element call fits one block, and so do the candidate sets of the
-minimal-pattern search up to S_6 and B_4.  `bp_contains` and
-`classical_contains` run the kernel on a batch of one,
-`first_bp_contained` on a batch of host windows against any patterns, and
-`condition5_matches` on a whole group (or on a batch of one, for
-`avoids_condition5_list`) against the 31 listed patterns.  An embedding
-read off a match skips the checks of `ParabolicEmbedding`, whose index
-sets the plans make valid.
+stays under about 256 KiB.  A batch that fits one block, as a batch of one
+always does, meets every pair in one expression, with no buffer.  A larger
+batch goes in two stages per block: the rows' words, computed once, meet
+the least owner's pairs first (a prefix of the pairs, such as the 1120
+pairs of 4231 among the 8205 of B_8), and only the rows that hit none of
+them meet the rest, so most rows of a group never meet most pairs.  A hit
+in the prefix is the row's first hit overall, so both ways give the same
+answer.  `bp_contains` and `classical_contains` run the kernel on a batch
+of one, `first_bp_contained` on a batch of host windows against any
+patterns, and `condition5_matches` on a whole group against the 31 listed
+patterns; `avoids_condition5_list` runs that query on a batch of one and
+reads its owner and column as scalars.  Only the condition 5 query of a
+host is memoised.  An embedding read off a match skips the checks of
+`ParabolicEmbedding`, whose index sets the plans make valid.
 `relative_order` remains only for `flatten`.
 """
 from __future__ import annotations
@@ -240,7 +239,6 @@ class _Query(NamedTuple):
     row_bytes: int  # the largest one-pass kernel temporary per host row
 
 
-@lru_cache(maxsize=256)
 def _query(entries: tuple[_Entry | None, ...]) -> _Query:
     """The columns of each distinct plan among the entries (None entries
     have no parabolic in the host and never match), ordered by pattern
@@ -315,13 +313,13 @@ def _query(entries: tuple[_Entry | None, ...]) -> _Query:
     )
 
 
-def _hits(words: np.ndarray, masks: np.ndarray, values: np.ndarray, out: np.ndarray):
+def _hits(words: np.ndarray, masks: np.ndarray, values: np.ndarray):
     """The first of the given pairs that each row of `words` hits, by
-    (word & mask) == value in every word; `out` is a (rows, pairs) int64
-    buffer for the masked words.  A row that hits none reads 0."""
-    hit = np.bitwise_and(words[:, :1], masks[0], out=out) == values[0]
+    (word & mask) == value in every word, and the (rows, pairs) hits.  A
+    row that hits none reads 0."""
+    hit = (words[:, :1] & masks[0]) == values[0]
     for w in range(1, words.shape[1]):
-        hit &= np.bitwise_and(words[:, w, None], masks[w], out=out) == values[w]
+        hit &= (words[:, w, None] & masks[w]) == values[w]
     return hit.argmax(axis=1), hit
 
 
@@ -338,38 +336,32 @@ def _first_matches(query: _Query, windows: np.ndarray) -> tuple[np.ndarray, np.n
     least owner at that owner's first column, and the sentinel pair, hit by
     every row, is the first hit only of a row that hits no other.
 
-    Rows that fit one block of `query.row_bytes` go through all pairs in
-    one pass.  More rows go in two stages, per block: each row's words,
-    computed once, are tested against the least owner's pairs (the first
-    `query.first_pairs`), and a hit there is the row's first hit overall;
-    only the rows that miss go on to the remaining pairs, which end with
-    the sentinel.  Every stage's temporaries stay under _BLOCK_BYTES."""
-    rows, pairs = len(windows), len(query.pair_owners)
+    A batch that fits one block of `query.row_bytes` (a batch of one
+    always does) meets every pair in one expression, with no buffer.  A
+    larger batch goes in two stages, per block: each row's words, computed
+    once, meet the least owner's pairs (the first `query.first_pairs`), and
+    a hit there is the row's first hit overall; only the rows that miss go
+    on to the remaining pairs, which end with the sentinel (a query whose
+    only pair is the sentinel has no remaining pairs, and no row misses).
+    Every stage's temporaries stay under _BLOCK_BYTES."""
     i, j = query.upper
-    first = np.empty(rows, dtype=np.intp)
-    step = max(1, _BLOCK_BYTES // query.row_bytes)
-    head = query.first_pairs if rows > step else pairs
-    if head < pairs:  # the first stage's temporaries: bits, or a word per head pair
-        step = max(1, _BLOCK_BYTES // (8 * max(len(i), head)))
-        rest = max(1, _BLOCK_BYTES // (8 * (pairs - head)))
-        tail_masks, tail_values = query.masks[:, head:], query.values[:, head:]
-        tail_masked = np.empty((min(rest, rows), pairs - head), dtype=np.int64)
-    bits = np.empty((min(step, rows), len(i)), dtype=np.int64)
-    masked = np.empty((min(step, rows), head), dtype=np.int64)
-    masks, values = query.masks[:, :head], query.values[:, :head]
-    for start in range(0, rows, step):
+    if len(windows) <= max(1, _BLOCK_BYTES // query.row_bytes):
+        words = np.greater(windows[:, i], windows[:, j]) @ query.powers
+        first = _hits(words, query.masks, query.values)[0]
+        return query.pair_owners[first], query.pair_columns[first]
+    head, pairs = query.first_pairs, len(query.pair_owners)
+    step = max(1, _BLOCK_BYTES // (8 * max(len(i), head)))
+    rest = max(1, _BLOCK_BYTES // (8 * max(1, pairs - head)))
+    first = np.empty(len(windows), dtype=np.intp)
+    for start in range(0, len(windows), step):
         part = windows[start : start + step]
-        bit = bits[: len(part)]
-        np.greater(part[:, i], part[:, j], out=bit)
-        words = bit @ query.powers
-        found, hit = _hits(words, masks, values, masked[: len(part)])
+        words = np.greater(part[:, i], part[:, j]) @ query.powers
+        found, hit = _hits(words, query.masks[:, :head], query.values[:, :head])
         first[start : start + step] = found
-        if head == pairs:
-            continue
         missed = np.flatnonzero(~hit[np.arange(len(part)), found])
         for k in range(0, len(missed), rest):
             some = missed[k : k + rest]
-            found, _ = _hits(words[some], tail_masks, tail_values, tail_masked[: len(some)])
+            found = _hits(words[some], query.masks[:, head:], query.values[:, head:])[0]
             first[start + some] = head + found
     return query.pair_owners[first], query.pair_columns[first]
 
@@ -537,8 +529,11 @@ def avoids_condition5_list(
 ) -> tuple[bool, tuple[Element, ParabolicEmbedding] | None]:
     """Whether w BP avoids all 31 listed patterns (a type A host: the four
     type A patterns, since a B pattern has no parabolic in S_n); on failure,
-    the first matched pattern in list order and its first embedding.  A
-    batch of one of `condition5_matches`."""
-    pattern, indices = condition5_matches(w.ctx, _host_rows((w,), w.degree))
-    matched = condition5_embedding(w.ctx, int(pattern[0]), indices[0])
-    return matched is None, matched
+    the first matched pattern in list order and its first embedding.  The
+    kernel of `condition5_matches` on a batch of one, whose one owner and
+    column are read as scalars; the embedding is built only on a match."""
+    query = _condition5_query(w.ctx)
+    best, column = _first_matches(query, _host_rows((w,), w.degree))
+    if best[0] == query.entries:
+        return True, None
+    return False, condition5_embedding(w.ctx, int(best[0]), query.sets[column[0]])

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from hultman import patterns
 from hultman.arrangements import Plane, inversion_arrangement
 from hultman.bruhat import (
     BruhatGraph,
@@ -596,6 +597,14 @@ def coxeter_coessential(w: Element) -> tuple[Element, ...]:
 
 
 # --- patterns ---------------------------------------------------------------
+
+
+def memoise_queries(monkeypatch) -> None:
+    """For one test, memoise `patterns._query` by its entries.  The package
+    builds a query afresh for each `bp_contains` and `classical_contains`
+    call; a test that calls them for every pair of two groups meets the
+    same few host and pattern pairs thousands of times."""
+    monkeypatch.setattr(patterns, "_query", lru_cache(maxsize=None)(patterns._query))
 
 
 def embed_pattern(emb: ParabolicEmbedding, v: Element) -> Element:

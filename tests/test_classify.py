@@ -385,12 +385,8 @@ def test_verify_reports_equal_classify(ctx, conditions):
         assert list(report.conditions) == list(expected.conditions)
 
 
-@pytest.mark.parametrize(
-    "w", [parse_element("362514", B3), parse_element("35142", context("A", 5))], ids=str
-)
-def test_classify_computes_the_coessential_boxes_once_per_condition(monkeypatch, w):
-    # conditions 1, 3 and 4 each read E(w) once, so they stay independent:
-    # in type B condition 3 takes its verdict from the violations it reports
+def _count_coessential_boxes(monkeypatch):
+    """The windows of every E(w) read from here on, at both bindings."""
     calls = []
     boxes = bruhat.coessential_boxes
 
@@ -400,14 +396,38 @@ def test_classify_computes_the_coessential_boxes_once_per_condition(monkeypatch,
 
     monkeypatch.setattr(bruhat, "coessential_boxes", counted)
     monkeypatch.setattr(diagrams, "coessential_boxes", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "w", [parse_element("362514", B3), parse_element("35142", context("A", 5))], ids=str
+)
+def test_classify_computes_the_coessential_boxes_once_per_element(monkeypatch, w):
+    # conditions 3 and 4 read one E(w) between them, and condition 1 its
+    # own through interval_mask; in type B condition 3 takes its verdict
+    # from the violations it reports
+    calls = _count_coessential_boxes(monkeypatch)
     if w.ctx.family == "B":  # only the central box (n+1, n) is violated
         assert diagrams.violated_boxes(w) == ((4, 3, 1),)
     else:
         assert diagrams.violated_boxes(w)
-    for conditions in [(3,), (3, 4), (1, 3, 4)]:
+    for conditions, reads in [((3,), 1), ((4,), 1), ((3, 4), 1), ((1, 3, 4), 2)]:
         calls.clear()
         classify(w, conditions)
-        assert calls == [w.window] * len(conditions), conditions
+        assert calls == [w.window] * reads, conditions
+
+
+@pytest.mark.parametrize(
+    "conditions", [(3, 4), (4,), (3,), (3, 4, 5)], ids=lambda c: "c" + "".join(map(str, c))
+)
+def test_verify_reports_compute_the_coessential_boxes_once_per_row(monkeypatch, conditions):
+    # with every report kept, condition 3's violations are read off the E(w)
+    # that condition 4 read; the whole-group condition 3 reads no E(w)
+    ctx = context("B", 4)
+    calls = _count_coessential_boxes(monkeypatch)
+    summary = verify_equivalence(ctx, conditions, keep_reports=True)
+    assert len(calls) == ctx.order == len(summary.reports)
+    assert sorted(calls) == sorted(w.window for w in ctx.elements)
 
 
 def test_a_whole_group_sweep_keeps_nothing_per_row():

@@ -13,6 +13,7 @@ from hultman.patterns import (
     ParabolicEmbedding,
     _bp_entry,
     _bp_kind,
+    _condition5_query,
     _first_matches,
     _query,
     a_in_b_index_sets,
@@ -23,6 +24,7 @@ from hultman.patterns import (
     condition5_embedding,
     condition5_matches,
     condition5_patterns,
+    condition5_second_stage_rows,
     first_bp_contained,
     flatten,
     relative_order,
@@ -36,6 +38,7 @@ from oracles import (
     embed_pattern,
     generator_images,
     inversion_reflections,
+    memoise_queries,
     oracle_a_in_b_index_sets,
     oracle_first_matches,
 )
@@ -178,7 +181,8 @@ def test_a_pattern_in_b_host_covers_both_isomorphisms():
         assert (bp_contains(w, v) is None) == (bp_contains(w, rev) is None)
 
 
-def test_a_in_a_bp_equals_classical_with_flip():
+def test_a_in_a_bp_equals_classical_with_flip(monkeypatch):
+    memoise_queries(monkeypatch)
     pats = [Element(p, A3) for p in ((1, 3, 2), (3, 1, 2), (2, 3, 1))]
     for w in A5.elements:
         for v in pats:
@@ -291,7 +295,8 @@ def test_avoids_condition5_examples():
     assert ok
 
 
-def test_avoids_condition5_type_a_is_classical_avoidance():
+def test_avoids_condition5_type_a_is_classical_avoidance(monkeypatch):
+    memoise_queries(monkeypatch)
     # the four type A patterns are closed under the diagram flip
     type_a = [v for v in condition5_patterns() if v.ctx.family == "A"]
     assert len(type_a) == 4
@@ -300,7 +305,8 @@ def test_avoids_condition5_type_a_is_classical_avoidance():
         assert avoids_condition5_list(w)[0] == classical, w
 
 
-def test_bp_containment_is_transitive_sampled():
+def test_bp_containment_is_transitive_sampled(monkeypatch):
+    memoise_queries(monkeypatch)
     rng = random.Random(5)
     b4 = list(B4.elements)
     b3 = list(B3.elements)
@@ -340,10 +346,11 @@ def test_avoids_condition5_matches_oracle_on_b5_sample():
         assert avoids_condition5_list(w) == oracle_avoids_condition5_list(w), w
 
 
-def test_containment_matches_oracle_on_all_small_pairs():
+def test_containment_matches_oracle_on_all_small_pairs(monkeypatch):
     # hosts S_5 and B_3; patterns include the identity of A_1 (a code with
     # no bits), type B patterns in type A hosts, and patterns larger than
     # the host (S_4 in B_3 has no A-in-B embedding; B_3 has degree 6 > 5)
+    memoise_queries(monkeypatch)
     hosts = context("A", 5).elements + B3.elements
     pats = [e for r in range(1, 5) for e in context("A", r).elements]
     pats += [e for r in range(1, 4) for e in context("B", r).elements]
@@ -655,6 +662,43 @@ def test_a_batch_of_one_equals_the_whole_group_row(ctx, monkeypatch):
     monkeypatch.setattr(patterns, "_BLOCK_BYTES", 1)
     staged, staged_indices = condition5_matches(ctx)
     assert np.array_equal(staged, pattern) and np.array_equal(staged_indices, indices)
+
+
+def test_a_batch_of_one_equals_the_two_stage_scan_on_a_two_word_host(monkeypatch):
+    # a B_8 host keeps 64 position pairs, two words a row: each seeded
+    # window classified alone meets every pair in one pass, and all of them
+    # together, with a block bound of one byte, go in two stages block by block
+    b8 = context("B", 8)
+    assert _condition5_query(b8).powers.shape == (64, 2)
+    rng = random.Random(808)
+    hosts = [_random_signed(8, rng) for _ in range(300)]
+    alone = [avoids_condition5_list(w) for w in hosts]
+    monkeypatch.setattr(patterns, "_BLOCK_BYTES", 1)
+    windows = np.array([w.window for w in hosts], dtype=np.int16)
+    _assert_kernel_equals_oracle(_condition5_entries(b8), windows)
+    staged, indices = condition5_matches(b8, windows)
+    assert [ok for ok, _ in alone] == (staged < 0).tolist()
+    assert [matched for _, matched in alone] == [
+        condition5_embedding(b8, int(pattern), row) for pattern, row in zip(staged, indices)
+    ]
+    # some rows avoid every pattern, and some reach the second stage
+    assert (staged < 0).any() and condition5_second_stage_rows(b8, staged) > (staged < 0).sum()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_a_query_of_the_sentinel_alone_scans_in_two_stages(rank, monkeypatch):
+    # S_1 to S_3 host no listed pattern, and a query of no entries has no
+    # pair either: in each query the sentinel is the only pair, so the
+    # staged scan's first stage holds every pair and no row reaches a second
+    ctx = context("A", rank)
+    queries = (_condition5_query(ctx), _query(()))
+    assert all(q.first_pairs == len(q.pair_owners) == 1 for q in queries)
+    monkeypatch.setattr(patterns, "_BLOCK_BYTES", 1)
+    pattern, indices = condition5_matches(ctx)
+    assert (pattern == -1).all() and not indices.any()
+    owners, columns = _first_matches(_query(()), ctx.window_matrix)
+    assert not owners.any() and not columns.any()
+    assert avoids_condition5_list(ctx.element(ctx.order - 1)) == (True, None)
 
 
 @pytest.mark.parametrize("ctx", ROW_GROUPS + [A8, context("B", 6)], ids=lambda ctx: ctx.name)
