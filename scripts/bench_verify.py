@@ -4,28 +4,31 @@
     python3 scripts/bench_verify.py --label base --root ../other-checkout
     python3 scripts/bench_verify.py --label frontier --large
 
-Each group runs the number of times GROUPS gives it (three for every
-group: on a shared machine one run of B_6 or S_8 can read a third slower
-than the next), every run `hultman verify --json` in a fresh
-interpreter, because the package memoises its group tables.  Each child
-runs with CHILD_ENV, which pins OpenBLAS to one thread.  The package makes
-no BLAS call any more (condition 5 compares integer bitmasks; its former
-float64 product now and then took 1.1-1.4 s instead of about 0.2 s on B_6
-with two threads), so the pin stays only to keep BENCH files comparable.
+The groups run round-robin, B_5, S_7, B_6, S_8 and again, for ROUNDS
+rounds, every run `hultman verify --json` in a fresh interpreter, because
+the package memoises its group tables.  On a shared machine one run of
+B_6 or S_8 can read a third slower than the next, and a load phase can
+last several runs; taking a group's runs in different rounds keeps one
+phase from covering all of them.  Each child runs with CHILD_ENV, which
+pins OpenBLAS to one thread.  The package makes no BLAS call any more
+(condition 5 compares integer bitmasks; its former float64 product now
+and then took 1.1-1.4 s instead of about 0.2 s on B_6 with two threads),
+so the pin stays only to keep BENCH files comparable.
 The result is written to BENCH_<label>.json beside this script's
 checkout: the measured checkout's git SHA and dirty flag, the Python and
 numpy versions, the CPU count, CHILD_ENV, and per group each run's
 `elapsed_s`, per-condition `seconds`, `layer_seconds` (the tables built
-up front, where the checkout reports them) and peak RSS, with each at
-its least over the runs, and the work `counters` (hull boards solved,
-pattern index sets scanned) where the checkout reports them.
+up front, where the checkout reports them) and the child's own peak RSS,
+with each at its least over the runs, and the work `counters` (hull
+boards solved, pattern index sets scanned) where the checkout reports
+them.
 `elapsed_s` includes building every row's report, which --json asks for.
 --root selects the source tree to measure (default: this checkout), so
 two commits can be timed with the same script.  Exits 1 if a run fails
 or its conditions disagree.
 
 --large (opt-in, about two minutes) times the frontier instead: B_7 and
-S_9, once each, with `--conditions 3,4,5` and without --json, whose
+S_9, in one round, with `--conditions 3,4,5` and without --json, whose
 per-element reports would fill a 623 MB file on B_7.  Their counts and
 per-condition seconds are read from verify's text summary, so their
 groups record no `layer_seconds`, `rows_computed` or `counters`.
@@ -45,12 +48,19 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-GROUPS = (("B", 5, 3), ("A", 7, 3), ("B", 6, 3), ("A", 8, 3))  # (family, rank, runs)
+GROUPS = (("B", 5), ("A", 7), ("B", 6), ("A", 8))  # (family, rank)
+ROUNDS = 3
 # with --large: the frontier, by the conditions that decide each row alone
-LARGE_GROUPS = (("B", 7, 1), ("A", 9, 1))
+LARGE_GROUPS = (("B", 7), ("A", 9))
+LARGE_ROUNDS = 1
 LARGE_CONDITIONS = "3,4,5"
 # set in every child's environment, and recorded in the BENCH file
 CHILD_ENV = {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1"}
+# prints the summary of a `verify --json` file without its per-element reports
+DROP_REPORTS = (
+    "import json, sys; summary = json.load(open(sys.argv[1])); "
+    "summary.pop('elements', None); print(json.dumps(summary))"
+)
 
 
 def git_state(root: Path) -> dict:
@@ -112,7 +122,14 @@ def run_verify(
     peak = {"peak_rss_mb": usage.ru_maxrss / 1024}  # kilobytes on Linux
     if conditions is not None:
         return {**text_summary(log.read_text()), **peak}
-    summary = json.loads(out.read_text())
+    # a child's ru_maxrss starts at this process's own peak, which it
+    # inherits at exec, so the report file, tens of MB of JSON on B_6 and
+    # S_8, is read in a throwaway interpreter that passes on the summary
+    done = subprocess.run([sys.executable, "-c", DROP_REPORTS, str(out)],
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"could not read {out}:\n{done.stderr[-4000:]}")
+    summary = json.loads(done.stdout)
     return {
         "total": summary["total"],
         "hultman_count": summary["hultman_count"],
@@ -126,11 +143,7 @@ def run_verify(
     }
 
 
-def bench_group(
-    root: Path, family: str, rank: int, count: int, conditions: str | None = None
-) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        runs = [run_verify(root, family, rank, Path(tmp), conditions) for _ in range(count)]
+def summarise_group(family: str, rank: int, runs: list[dict]) -> dict:
     first = runs[0]
     if any((r["total"], r["hultman_count"]) != (first["total"], first["hultman_count"])
            for r in runs):
@@ -180,10 +193,17 @@ def main(argv: list[str] | None = None) -> int:
         "child_env": CHILD_ENV,
         "groups": [],
     }
-    groups, conditions = (LARGE_GROUPS, LARGE_CONDITIONS) if args.large else (GROUPS, None)
+    groups, rounds, conditions = (
+        (LARGE_GROUPS, LARGE_ROUNDS, LARGE_CONDITIONS) if args.large else (GROUPS, ROUNDS, None)
+    )
+    runs: dict[tuple[str, int], list[dict]] = {group: [] for group in groups}
     try:
-        for family, rank, count in groups:
-            group = bench_group(root, family, rank, count, conditions)
+        with tempfile.TemporaryDirectory() as tmp:
+            for _ in range(rounds):
+                for family, rank in groups:
+                    runs[family, rank].append(run_verify(root, family, rank, Path(tmp), conditions))
+        for (family, rank), group_runs in runs.items():
+            group = summarise_group(family, rank, group_runs)
             result["groups"].append(group)
             seconds = ", ".join(f"{k} {v:.2f}" for k, v in group["seconds"].items())
             print(f"{group['group']}: {group['hultman_count']} Hultman, "

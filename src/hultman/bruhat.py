@@ -9,12 +9,12 @@ contiguous row per cell (p,q), computed as a running sum down the
 positions for each p.  The group's rank table (`group_rank_grids`) is the
 block of the whole group, held once per group; `interval_mask` answers
 "which u lie below w" for the whole group at once, reading one row per
-coessential box of w.  Condition 3's kernel in `diagrams` reads the
-blocks of `rank_blocks` instead, a few thousand rows at a time, of the
+coessential box of w.  Condition 3's kernel in `diagrams` computes its
+own blocks instead, a few thousand rows at a time (`rank_blocks`), of the
 whole group or of any window array, such as the children that the
-minimal-pattern search grows; it never builds the table, which at B_8
-would take 2.6 GB.  Once condition 1 has built a group's table, the
-group's blocks are slices of it, so no rank is computed twice.
+minimal-pattern search grows; it never reads the table, which at B_8
+would take 2.6 GB, so its verdicts and its memory do not depend on
+whether condition 1 ran first.
 
 Whole-group data are arrays indexed by row of the group's enumeration,
 its window matrix (`ctx.window_matrix`) with lengths `BruhatGraph.lengths`;
@@ -41,7 +41,6 @@ the same window-level test serves both families.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -189,35 +188,23 @@ def rank_block(windows: np.ndarray) -> np.ndarray:
     return block
 
 
-# The rank table of each group that `group_rank_grids` has built, while its
-# cache holds it: a record for `rank_blocks`, which keeps no table alive.
-_rank_tables: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def rank_blocks(ctx: GroupContext, windows: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """The rank block of each run of RANK_BLOCK_ROWS rows of `windows` (by
-    default ctx.window_matrix), in row order, so that a reader of the ranks
-    of many rows holds one block at a time and never the group's table.
-    For the whole group, once its rank table is built, the blocks are
-    slices of the table, and no rank is computed a second time."""
-    table = _rank_tables.get(ctx) if windows is None else None
-    if windows is None:
-        windows = ctx.window_matrix
+def rank_blocks(windows: np.ndarray) -> Iterator[np.ndarray]:
+    """The rank block of each run of RANK_BLOCK_ROWS rows of an (m x N)
+    window array, in row order, so that a reader of the ranks of many rows
+    holds one block at a time and never the group's table."""
     for start in range(0, len(windows), RANK_BLOCK_ROWS):
-        if table is not None:
-            yield table[:, :, start : start + RANK_BLOCK_ROWS]
-        else:
-            yield rank_block(windows[start : start + RANK_BLOCK_ROWS])
+        yield rank_block(windows[start : start + RANK_BLOCK_ROWS])
 
 
 @lru_cache(maxsize=None)
 def group_rank_grids(ctx: GroupContext) -> np.ndarray:
     """The group's rank table: the read-only rank block of the whole of
     ctx.window_matrix, shape (N, N, order).  A reader of a few cells, such
-    as `box_mask`, reads only their rows of the group."""
+    as `box_mask`, reads only their rows of the group.  Of the five
+    conditions only condition 1 reads it; condition 3 computes its own
+    blocks (`rank_blocks`)."""
     grids = rank_block(ctx.window_matrix)
     grids.flags.writeable = False
-    _rank_tables[ctx] = grids
     return grids
 
 

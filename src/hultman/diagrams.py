@@ -10,12 +10,12 @@ sorted order.  The right hull H(w) is the pair (lo, hi) of `hull_bounds`.
 Condition 3 has two paths, chosen by input size.  For a whole group, or
 any array of its windows such as the children that the minimal-pattern
 search grows, `defined_by_inclusions_mask` reads only ranks, from the rank
-blocks of a few thousand rows that `bruhat.rank_blocks` gives one at a
+blocks of a few thousand rows that `bruhat.rank_blocks` computes one at a
 time: a box is coessential exactly when four neighbouring ranks say so,
 and the kernel marks and tests those boxes block by block.  It never
-builds the group's rank table (`bruhat.group_rank_grids`, which condition
-1 reads), so its memory stays one block's, whatever the group; once
-condition 1 has built the table, the whole group's blocks are its slices.
+reads the group's rank table (`bruhat.group_rank_grids`, which condition
+1 reads), so its memory stays one block's, whatever the group, and its
+work is the same whether or not condition 1 ran first.
 For one element, `violated_boxes` filters E(w), and the type B rule of
 `pseudo_inclusions_hold` reads the violated boxes; they need no group
 table at all.  E(w) is never memoised: `violated_boxes` and the hull tests
@@ -100,9 +100,8 @@ def defined_by_inclusions_mask(
     """Condition 3 for many elements of ctx, as a bool array by row of
     `windows` (by default ctx.window_matrix): `is_defined_by_inclusions` in
     type A and `is_defined_by_pseudo_inclusions` in type B.  The rank
-    blocks of the rows (`bruhat.rank_blocks`), one block at a time, are its
-    only input, so it never builds the group's rank table; for the whole
-    group they are the table's slices once condition 1 has built it.
+    blocks of the rows (`bruhat.rank_blocks`), computed one block at a time,
+    are its only input, so it never builds or reads the group's rank table.
 
     Take r(p,0) = r(N+1,q) = 0.  Each step of r along an axis is 0 or 1:
     r(p,q) - r(p,q-1) = [w(q) >= p] and r(p-1,q) - r(p,q) =
@@ -129,7 +128,7 @@ def defined_by_inclusions_mask(
     if ctx.family == "B":
         bound[ctx.rank - 1, ctx.rank - 1] = 1  # the central box (n+1, n)
     defined = []
-    for block in rank_blocks(ctx, windows):
+    for block in rank_blocks(ctx.window_matrix if windows is None else windows):
         # [p-1, q] = r(p,q) for p = 1..N+1 and q = 0..N, zero on the added edges
         r = np.zeros((size + 1, size + 1, block.shape[2]), dtype=np.int8)
         r[:-1, 1:] = block

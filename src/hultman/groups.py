@@ -124,14 +124,22 @@ class GroupContext:
     def _enumeration(self) -> tuple[np.ndarray, np.ndarray]:
         """(window matrix, lengths), sorted by (Coxeter length, window).
 
-        Raises ValueError, before any allocation, for a group whose int8
-        window matrix alone is larger than the machine's memory.
+        Raises ValueError, before any allocation, for a group whose
+        enumeration would not fit in the machine's memory.  The bound counts
+        every array that building and sorting the matrix allocates as if all
+        were alive at once, since the allocator may keep what is freed: per
+        row, the int8 window and its sorted copy, the int64 length and its
+        sorted copy, lexsort's int16 key, its int16 and int64 buffers and its
+        int64 order, and in type B the two int8 halves that hstack joins.
         """
-        need = self.order * self.degree
+        row_bytes = 2 * self.degree + 2 * 8 + 2 + 2 + 8 + 8
+        if self.family == "B":
+            row_bytes += self.degree
+        need = self.order * row_bytes
         if need > _memory_bytes():
             raise ValueError(
                 f"{self.name} has {self.order} elements, too many to enumerate: "
-                f"its window matrix alone would take {need / 2**30:.3g} GiB"
+                f"building its window matrix would take {need / 2**30:.3g} GiB"
             )
         n = self.rank
         perms = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))

@@ -403,9 +403,10 @@ def first_bp_contained(
 ) -> np.ndarray:
     """For each row of `windows` (elements of host, such as rows of
     host.window_matrix), the index in `pats` of the first pattern it BP
-    contains, or -1: one kernel pass over every row."""
-    if not len(windows):
-        return np.zeros(0, dtype=np.intp)
+    contains, or -1: one kernel pass over every row, and none when there
+    is no row or no pattern."""
+    if not len(windows) or not pats:
+        return np.full(len(windows), -1, dtype=np.intp)
     query = _query(tuple(_bp_entry(host, v) for v in pats))
     best, _ = _first_matches(query, windows)
     return np.where(best < len(pats), best, -1)

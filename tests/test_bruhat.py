@@ -115,19 +115,19 @@ def test_group_rank_grids_are_stored_by_cell(ctx):
 @pytest.mark.parametrize("ctx", [A4, B3, context("A", 7)], ids=lambda c: c.name)
 def test_rank_blocks_are_the_table_in_runs_of_rows(ctx, monkeypatch):
     # any window array has its rank block, equal to the table's columns of
-    # its rows, and rank_blocks cuts the rows into runs in order: computed
-    # for a window array, and the table's slices for the built group
+    # its rows, and rank_blocks cuts the rows into runs in order, each block
+    # computed from the windows even once the group's table is built
     grids = group_rank_grids(ctx)
     rows = random.Random(ctx.order).sample(range(ctx.order), min(ctx.order, 300))
     block = bruhat.rank_block(ctx.window_matrix[rows])
     assert block.flags.c_contiguous and block.dtype == np.int8
     assert np.array_equal(block, grids[:, :, rows])
     monkeypatch.setattr(bruhat, "RANK_BLOCK_ROWS", 7)
-    for windows in (ctx.window_matrix, None):
-        blocks = list(bruhat.rank_blocks(ctx, windows))
-        assert [b.shape[2] for b in blocks[:-1]] == [7] * (len(blocks) - 1)
-        assert np.array_equal(np.concatenate(blocks, axis=2), grids)
-    blocks = list(bruhat.rank_blocks(ctx, ctx.window_matrix[rows]))
+    blocks = list(bruhat.rank_blocks(ctx.window_matrix))
+    assert [b.shape[2] for b in blocks[:-1]] == [7] * (len(blocks) - 1)
+    assert not any(np.shares_memory(b, grids) for b in blocks)
+    assert np.array_equal(np.concatenate(blocks, axis=2), grids)
+    blocks = list(bruhat.rank_blocks(ctx.window_matrix[rows]))
     assert np.array_equal(np.concatenate(blocks, axis=2), grids[:, :, rows])
 
 

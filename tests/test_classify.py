@@ -645,20 +645,26 @@ def test_minimal_pattern_search_never_enumerates_a_grown_group():
     assert done.stdout.strip() == "[]"
 
 
-def test_condition_3_reads_condition_1s_rank_table(monkeypatch):
-    # with condition 1, verify builds the rank table first; condition 3 then
-    # reads the table's slices and computes no rank block of its own
-    ctx = context("B", 3)
-    expected = diagrams.defined_by_inclusions_mask(ctx, ctx.window_matrix)
-    bruhat.group_rank_grids(ctx)
+@pytest.mark.parametrize("ctx", SMALL_GROUPS, ids=lambda c: c.name)
+def test_condition_3_computes_its_own_rank_blocks(ctx, monkeypatch):
+    # condition 3 reads only the rank blocks it computes from the windows:
+    # whether condition 1 has built the group's rank table changes neither
+    # its verdicts nor its blocks, none of which is a view of the table
+    bruhat.group_rank_grids.cache_clear()
+    before = diagrams.defined_by_inclusions_mask(ctx)
+    grids = bruhat.group_rank_grids(ctx)
+    blocks = []
 
-    def no_block(windows):
-        raise AssertionError("a rank block was computed")
+    def recorded(windows):
+        for block in bruhat.rank_blocks(windows):
+            blocks.append(block)
+            yield block
 
-    monkeypatch.setattr(bruhat, "rank_block", no_block)
-    assert np.array_equal(diagrams.defined_by_inclusions_mask(ctx), expected)
+    monkeypatch.setattr(diagrams, "rank_blocks", recorded)
+    assert np.array_equal(diagrams.defined_by_inclusions_mask(ctx), before)
+    assert blocks and not any(np.shares_memory(b, grids) for b in blocks)
     summary = verify_equivalence(ctx, (1, 3))
-    assert summary.ok and summary.hultman_count == 38
+    assert summary.ok and summary.hultman_count == int(before.sum())
 
 
 @pytest.mark.parametrize("conditions", [(1, 2), (2, 1)])

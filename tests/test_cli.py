@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hultman import cli
+from hultman import cli, groups
 from hultman.cli import main
 
 
@@ -290,16 +290,19 @@ def test_windows_too_wide_for_an_int64_key_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "family, rank, name",
-    [("A", 16, "S_16"), ("A", 30, "S_30"), ("B", 20, "B_20")],
+    [("A", 16, "S_16"), ("A", 30, "S_30"), ("B", 20, "B_20"), ("A", 12, "S_12")],
 )
 def test_verify_on_a_group_too_large_to_enumerate_exits_2(
     capsys, monkeypatch, family, rank, name
 ):
     # S_16's window matrix would take 304 TiB, and the orders of S_30 and
-    # B_20 overflow an int64 count; each fails before any memory is touched
+    # B_20 overflow an int64 count; S_12's matrix (5.35 GiB) fits in 8 GiB,
+    # but building and sorting it would not.  Each fails before any memory
+    # is touched
     def allocation(*args, **kwargs):
         pytest.fail(f"{name} began to enumerate")
 
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 8 * 2**30)
     monkeypatch.setattr(np, "fromiter", allocation)
     argv = ["verify", "--family", family, "--rank", str(rank), "--conditions", "3"]
     assert main(argv) == 2

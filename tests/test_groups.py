@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hultman import groups
 from hultman.bruhat import bruhat_graph, group_absolute_lengths
 from hultman.groups import (
     Element,
@@ -418,6 +419,28 @@ def test_format_parse_roundtrip(perm):
     ctx = context("A", 6)
     w = Element(tuple(perm), ctx)
     assert parse_element(format_window(w.window), ctx) == w
+
+
+def test_the_enumeration_guard_counts_the_sort_as_well(monkeypatch):
+    # building and sorting a window matrix also holds its sorted copy, the
+    # int64 lengths and lexsort's arrays: on an 8 GiB machine B_8 and S_11
+    # may be enumerated, but not B_9, whose matrix alone would fit (S_12 is
+    # a case of test_verify_on_a_group_too_large_to_enumerate_exits_2)
+    class Enumerating(Exception):
+        pass
+
+    def allocation(*args, **kwargs):
+        raise Enumerating
+
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 8 * 2**30)
+    monkeypatch.setattr(np, "fromiter", allocation)
+    for family, rank in (("B", 8), ("A", 11)):
+        with pytest.raises(Enumerating):
+            GroupContext(family, rank).window_matrix
+    ctx = GroupContext("B", 9)
+    assert ctx.order * ctx.degree < 8 * 2**30
+    with pytest.raises(ValueError, match="too many to enumerate"):
+        ctx.window_matrix
 
 
 def test_group_enumeration_sizes():

@@ -759,10 +759,16 @@ def _mixed_patterns(rng, host):
 
 
 @pytest.mark.parametrize("host", [A5, B3, B4], ids=lambda ctx: ctx.name)
-def test_first_bp_contained_equals_the_per_block_oracle(host):
+def test_first_bp_contained_equals_the_per_block_oracle(host, monkeypatch):
     rng = random.Random(host.degree)
     windows = host.window_matrix
-    assert (first_bp_contained(host, windows, []) == -1).all()
+    with monkeypatch.context() as patch:
+        # no pattern: every row contains none, and no query is built
+        def no_query(entries):
+            raise AssertionError(f"a query was built for {entries}")
+
+        patch.setattr(patterns, "_query", no_query)
+        assert np.array_equal(first_bp_contained(host, windows, []), np.full(host.order, -1))
     _assert_kernel_equals_oracle((), windows)
     for _ in range(12):
         pats = _mixed_patterns(rng, host)

@@ -152,21 +152,29 @@ def test_bp_codes_have_one_implementation_the_query_place_values():
 
 def test_condition_3_kernel_reads_only_the_rank_table():
     # the whole-group kernel finds coessential boxes from the neighbouring
-    # ranks of the group's rank table; reading or inverting the window
-    # matrix there would be a second source of the same boxes, and a
-    # reshape or a flattened cell index such as (p - 1) * N + q - 1 would
-    # tie diagrams to the table's layout, which only bruhat knows
+    # ranks of the rank blocks it has computed; the window matrix may only
+    # be handed to rank_blocks, since reading or inverting it anywhere else
+    # there would be a second source of the same boxes, and a reshape or a
+    # flattened cell index such as (p - 1) * N + q - 1 would tie diagrams
+    # to the blocks' layout, which only bruhat knows
     tree = ast.parse((SOURCE / "diagrams.py").read_text(encoding="utf-8"))
     kernel = next(
         node
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name == "defined_by_inclusions_mask"
     )
+    fed = {
+        id(sub)
+        for node in ast.walk(kernel)
+        if _calls_to("rank_blocks")(node)
+        for sub in ast.walk(node)
+        if sub is not node.func
+    }
     window_reads = [
         node.lineno
         for node in ast.walk(kernel)
-        if getattr(node, "id", getattr(node, "attr", None))
-        in {"window_matrix", "put_along_axis"}
+        if getattr(node, "id", getattr(node, "attr", None)) == "put_along_axis"
+        or getattr(node, "attr", None) == "window_matrix" and id(node) not in fed
     ]
     assert window_reads == [], window_reads
 
@@ -185,6 +193,35 @@ def test_condition_3_kernel_reads_only_the_rank_table():
         and (names_degree(node.left) or names_degree(node.right))
     ]
     assert flattening == [], flattening
+
+
+def test_only_box_mask_reads_the_group_rank_table():
+    # condition 1 reads the group's rank table through box_mask, and
+    # condition 3 computes its own rank blocks, so its work does not depend
+    # on which condition ran first; anywhere else the table may only be
+    # built with its value thrown away, as verify does to time it apart
+    readers = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        built = {
+            id(sub)
+            for statement in ast.walk(tree)
+            if isinstance(statement, ast.Expr)
+            for sub in ast.walk(statement)
+        }
+        for function, line in _functions_where(
+            tree,
+            lambda node: getattr(node, "id", getattr(node, "attr", None)) == "group_rank_grids"
+            and id(node) not in built,
+        ):
+            readers[(path.name, function)] = line
+    assert set(readers) == {("bruhat.py", "box_mask")}, readers
+    imports = _uses(
+        lambda node: isinstance(node, ast.Import)
+        and any(alias.name == "weakref" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "weakref"
+    )
+    assert imports == {}, "no registry of weak references to tables"
 
 
 def test_hull_enumeration_and_hungarian_solver_stay_oracles():
