@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from . import arrangements, bruhat, diagrams, patterns
+from . import arrangements, bruhat, diagrams, groups, patterns
 from .bruhat import BruhatGraph, bruhat_graph
 from .bruhat import group_absolute_lengths  # noqa: F401  (still importable from here)
 from .groups import (
@@ -40,6 +41,7 @@ from .groups import (
     GroupContext,
     Window,
     _row_element,
+    check_memory,
     context,
     coxeter_length,
     coxeter_lengths,
@@ -129,113 +131,38 @@ def _timed(seconds: dict[str, float], name: str, call, *args):
     return out
 
 
-def _orbit_values(
-    ctx: GroupContext, row: int, conditions, graph: BruhatGraph | None, values: dict
-) -> dict:
-    """`values` with what it lacked of conditions 1 and 2 among `conditions`
-    added, computed at the w of `row`: (c, s) under 1, and under 2 {row of
-    v: first distance witness (row, l_D, l_T) of v, or None} for w and its
-    images v under `bruhat.symmetry_rows`, which keep distances.  Only c1
-    needs w's `Element`.  Raises ArithmeticError if c(w) > s(w), or if s(w)
-    is at hand and the distance sweep reached another number of rows."""
-    if 1 in conditions and 1 not in values:
-        w = ctx.element(row)
-        c, s = arrangements.chamber_count(w), bruhat.interval_size(w)
-        if c > s:
-            # c(w) <= s(w) holds for every w (Hultman, JCTA 2011;
-            # Hultman-Linusson-Shareshian-Sjostrand, JCTA 2009)
-            raise ArithmeticError(f"{w}: c(w) = {c} > s(w) = {s}")
-        values[1] = (c, s)
-    if 2 in conditions and 2 not in values:
-        graph = graph or bruhat_graph(ctx)
-        if graph.ctx != ctx:
-            raise ValueError(f"{ctx.name} is not the graph's group")
-        rows, l_d, l_t = bruhat.interval_distances(graph, row)
-        size = values[1][1] if 1 in values else len(rows)
-        if len(rows) != size:
-            # the tableau criterion and the graph search find [id, w] apart
-            w = ctx.element(row)
-            raise ArithmeticError(f"{w}: s(w) = {size}, the sweep reached {len(rows)} rows")
-        found = l_d != l_t
-        rows, l_d, l_t = rows[found], l_d[found], l_t[found]
-        values[2] = {row: _first_witness(rows, l_d, l_t)}
-        for phi in bruhat.symmetry_rows(ctx):
-            values[2][int(phi[row])] = _first_witness(phi[rows], l_d, l_t)
-    return values
+def _chambers(w: Element) -> tuple[int, int]:
+    """Condition 1's witness for w: (c(w), s(w)).  Raises ArithmeticError
+    if c(w) > s(w)."""
+    c, s = arrangements.chamber_count(w), bruhat.interval_size(w)
+    if c > s:
+        # c(w) <= s(w) holds for every w (Hultman, JCTA 2011;
+        # Hultman-Linusson-Shareshian-Sjostrand, JCTA 2009)
+        raise ArithmeticError(f"{w}: c(w) = {c} > s(w) = {s}")
+    return c, s
 
 
-def _hull_counterexample(w: Element, boxes: tuple[diagrams.Box, ...]) -> Window | None:
-    """Condition 4's counterexample window, or None if w satisfies it, from
-    w's coessential boxes `boxes`, through the public hull test of w's type
-    (the entry points that perfbench times as the hull layer)."""
-    if w.ctx.family == "A":
-        return diagrams.right_hull_counterexample(w, boxes)
-    return diagrams.hull_relaxed_counterexample(w, boxes)
-
-
-def classify(
-    w: Element,
-    conditions: tuple[int, ...] = ALL_CONDITIONS,
-    *,
-    graph: BruhatGraph | None = None,
-    chamber_cache: dict[tuple[GroupContext, int], dict[int, object]] | None = None,
-) -> ClassificationReport:
-    """Evaluate the requested conditions independently and cross-check.
-    Every verdict is a definite bool.  Raises ValueError for an unknown
-    condition number.
-
-    `chamber_cache` holds conditions 1 and 2 for the calls of one sweep.
-    They are constant on orbits, so its keys are (ctx, least row of an
-    orbit, from `bruhat.orbit_representatives`) and its entries {1: (c, s),
-    2: {orbit member's row: its first distance witness}}.  A call adds what
-    the entry of w's orbit lacks, computed at its least row; without a
-    cache, w's values are computed at w.
-
-    E(w) (`bruhat.coessential_boxes`) is read once when condition 3 or 4
-    is asked for, and both read that one tuple: condition 3 its violated
-    boxes, condition 4 the boxes its hull test runs over.  They stay
-    independent tests, as both are pure functions of the same E(w);
-    condition 1 reads its own through `bruhat.interval_mask`.
-    """
-    names = _condition_names(conditions)
-    report = ClassificationReport(w)
-    ctx = w.ctx
-    if 1 in names or 2 in names:
-        row = int(bruhat.element_rows(ctx, w.window)[0])
-        if chamber_cache is None:
-            values = _orbit_values(ctx, row, names, graph, {})
-        else:  # keyed by ctx too: groups share row numbers
-            key = (ctx, int(bruhat.orbit_representatives(ctx)[row]))
-            values = chamber_cache[key] = chamber_cache.get(key, {})
-            _orbit_values(*key, names, graph, values)
-    if 3 in names or 4 in names:
-        boxes = bruhat.coessential_boxes(w.window)
-    for num, name in names.items():
-        if num == 1:
-            report.c, report.s = values[1]
-            report.conditions[name] = report.c == report.s
-        elif num == 2:
-            witness = values[2][row]
-            if witness is not None:
-                witness = (ctx.element(witness[0]), *witness[1:])
-            report.distance_witness = witness
-            report.conditions[name] = witness is None
-        elif num == 3:
-            report.violations = diagrams.violated_boxes(w, boxes)
-            if w.ctx.family == "A":
-                report.conditions[name] = not report.violations
-            else:
-                report.conditions[name] = diagrams.pseudo_inclusions_hold(
-                    report.violations, w.ctx.rank
-                )
-        elif num == 4:
-            report.hull_counterexample = _hull_counterexample(w, boxes)
-            report.conditions[name] = report.hull_counterexample is None
-        else:
-            ok, matched = patterns.avoids_condition5_list(w)
-            report.conditions[name] = ok
-            report.matched_pattern = matched
-    return report
+def _distance_witnesses(
+    graph: BruhatGraph, row: int, size: int | None
+) -> dict[int, tuple[int, int, int] | None]:
+    """Condition 2's witnesses: {row of v: first distance witness (row,
+    l_D, l_T) of v, or None} for the w of `row` and its images v under
+    `bruhat.symmetry_rows`, which keep distances.  Raises ArithmeticError
+    if `size`, s(w) when at hand, is not the number of rows the sweep
+    reached."""
+    ctx = graph.ctx
+    rows, l_d, l_t = bruhat.interval_distances(graph, row)
+    if size is not None and len(rows) != size:
+        # the tableau criterion and the graph search find [id, w] apart
+        raise ArithmeticError(
+            f"{ctx.element(row)}: s(w) = {size}, the sweep reached {len(rows)} rows"
+        )
+    found = l_d != l_t
+    rows, l_d, l_t = rows[found], l_d[found], l_t[found]
+    witnesses = {row: _first_witness(rows, l_d, l_t)}
+    for phi in bruhat.symmetry_rows(ctx):
+        witnesses[int(phi[row])] = _first_witness(phi[rows], l_d, l_t)
+    return witnesses
 
 
 def _first_witness(
@@ -248,6 +175,86 @@ def _first_witness(
         return None
     k = int(np.argmin(rows))
     return int(rows[k]), int(l_d[k]), int(l_t[k])
+
+
+def _hull_counterexample(w: Element, boxes: tuple[diagrams.Box, ...]) -> Window | None:
+    """Condition 4's counterexample window, or None if w satisfies it, from
+    w's coessential boxes `boxes`, through the public hull test of w's type
+    (the entry points that perfbench times as the hull layer)."""
+    if w.ctx.family == "A":
+        return diagrams.right_hull_counterexample(w, boxes)
+    return diagrams.hull_relaxed_counterexample(w, boxes)
+
+
+# `check_memory` for classify, once per group and set of tables
+_tables_fit = lru_cache(maxsize=None)(check_memory)
+
+
+def classify(
+    w: Element,
+    conditions: tuple[int, ...] = ALL_CONDITIONS,
+    *,
+    graph: BruhatGraph | None = None,
+    chamber_cache: dict[tuple[GroupContext, int], dict[int, object]] | None = None,
+) -> ClassificationReport:
+    """Compute the witness of each requested condition for w, then read
+    every verdict off them: c = s, no distance witness, pseudo-inclusions
+    (no type A box is (n+1, n)), no hull counterexample, no pattern.
+    Raises ValueError for an unknown condition number, or once per group
+    if the tables of conditions 1 and 2 would not fit (`check_memory`).
+
+    `chamber_cache` holds the witnesses of conditions 1 and 2 (`_chambers`,
+    `_distance_witnesses`, as in `verify_equivalence`) for the calls of one
+    sweep.  They are constant on orbits, so its keys are (ctx, least row of
+    an orbit, from `bruhat.orbit_representatives`) and its entries {1: (c,
+    s), 2: {orbit member's row: its first distance witness}}.  A call adds
+    what the entry of w's orbit lacks, computed at its least row; without a
+    cache, w's values are computed at w.
+
+    E(w) (`bruhat.coessential_boxes`) is read once for conditions 3 and 4:
+    condition 3 reads its violated boxes, condition 4 runs its hull test
+    over it.  Both are pure functions of E(w), so they stay independent;
+    condition 1 reads its own through `bruhat.interval_mask`.
+    """
+    names = _condition_names(conditions)
+    report = ClassificationReport(w)
+    ctx = w.ctx
+    tables = tuple(num for num in (1, 2) if num in names)
+    if tables:
+        _tables_fit(ctx, tables)
+        row = int(bruhat.element_rows(ctx, w.window)[0])
+        at = row if chamber_cache is None else int(bruhat.orbit_representatives(ctx)[row])
+        # keyed by ctx too: groups share row numbers
+        values = {} if chamber_cache is None else chamber_cache.setdefault((ctx, at), {})
+        if 1 in names and 1 not in values:
+            values[1] = _chambers(ctx.element(at))
+        if 2 in names and 2 not in values:
+            graph = graph or bruhat_graph(ctx)
+            if graph.ctx != ctx:
+                raise ValueError(f"{ctx.name} is not the graph's group")
+            values[2] = _distance_witnesses(graph, at, values[1][1] if 1 in values else None)
+        if 1 in names:
+            report.c, report.s = values[1]
+        if 2 in names and values[2][row] is not None:
+            u, l_d, l_t = values[2][row]
+            report.distance_witness = (ctx.element(u), l_d, l_t)
+    if 3 in names or 4 in names:
+        boxes = bruhat.coessential_boxes(w.window)
+    if 3 in names:
+        report.violations = diagrams.violated_boxes(w, boxes)
+    if 4 in names:
+        report.hull_counterexample = _hull_counterexample(w, boxes)
+    if 5 in names:
+        report.matched_pattern = patterns.avoids_condition5_list(w)[1]
+    verdicts = {
+        1: report.c == report.s,
+        2: report.distance_witness is None,
+        3: diagrams.pseudo_inclusions_hold(report.violations, ctx.rank),
+        4: report.hull_counterexample is None,
+        5: report.matched_pattern is None,
+    }
+    report.conditions = {name: verdicts[num] for num, name in names.items()}
+    return report
 
 
 @dataclass
@@ -302,29 +309,30 @@ def verify_equivalence(
     keep_reports: bool = False,
 ) -> VerificationSummary:
     """Decide every requested condition on every group element and check
-    that they agree.
+    that they agree.  Raises ValueError, before enumerating, when the group
+    and the tables of conditions 1 and 2 would not fit (`check_memory`).
 
-    Each condition fills one verdict array by row of ctx.window_matrix, and
-    `Element`s are built only for the rows that c1, c4 and reports read.
+    Each condition fills one verdict array by row of ctx.window_matrix.
     Conditions 3 and 5 come from one whole-group pass each
     (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`),
     which read only rows of the window matrix: the group's rank table is
-    built only for condition 1.
-    Conditions 1 and 2 are computed at the least row of each orbit
-    (`bruhat.orbit_representatives`) and gathered to the rest of it, with
-    each member's own first distance witness.  Condition 4 runs on every
-    row, as only the theorem under test makes it constant on orbits.  Full
-    reports are built for disagreeing rows, or all rows with `keep_reports`;
-    then condition 4 also reads each row's violations (condition 3) off the
-    E(w) it reads, within its `seconds`, so each row's E(w) is computed once.
-    Enumeration ("elements") and the shared tables are timed in `layer_seconds`.
-    `counters` holds the hull boards that condition 4 solved and those its
-    rank bound cleared, the pattern index sets of condition 5 (rows times
-    the query's index sets) and the rows that missed its first pattern's
-    pairs.
+    built only for condition 1.  Conditions 1 and 2 are `classify`'s
+    witnesses, computed at the least row of each orbit
+    (`bruhat.orbit_representatives`) and gathered to the rest of it.
+    Condition 4 runs on every row, as only the theorem under test makes it
+    constant on orbits.  `report` builds the report of each disagreeing
+    row, or of every row with `keep_reports`; condition 4 hands it the E(w)
+    and counterexample it read, so each row's E(w) is computed once.
+    `seconds` times each condition (condition 4: each row's `Element`, E(w)
+    and hull test), `layer_seconds` the enumeration ("elements") and the
+    shared tables.  `counters` holds the hull boards that condition 4
+    solved and those its rank bound cleared, the pattern index sets of
+    condition 5 (rows times the query's index sets) and the rows that
+    missed its first pattern's pairs.
     """
     start = time.perf_counter()
     names = _condition_names(conditions)
+    check_memory(ctx, conditions)
     layers: dict[str, float] = {}
     total = len(_timed(layers, "elements", lambda: ctx.window_matrix))
     summary = VerificationSummary(ctx, tuple(conditions), total, layer_seconds=layers)
@@ -345,7 +353,7 @@ def verify_equivalence(
             ctx, matched
         )
     if 2 in names:
-        _timed(layers, "bruhat_graph", bruhat_graph, ctx)
+        graph = _timed(layers, "bruhat_graph", bruhat_graph, ctx)
         _timed(layers, "group_absolute_lengths", bruhat.group_absolute_lengths, ctx)
     shared = [num for num in (1, 2) if num in names]
     if shared:
@@ -356,68 +364,66 @@ def verify_equivalence(
         # each row's first distance witness (row, l_D, l_T); -1s for none
         witness = np.full((total, 3), -1, dtype=np.int64)
         for row in reps:
-            values: dict[int, object] = {}
-            for num in shared:  # 1 first: 2 checks the sweep against s(w)
-                _timed(seconds, names[num], _orbit_values, ctx, row, (num,), None, values)
-            chambers[row] = values.get(1, 0)
-            for member, found in values.get(2, {}).items():
-                witness[member] = found or -1
+            if 1 in names:
+                chambers[row] = _timed(seconds, names[1], _chambers, ctx.element(row))
+            if 2 in names:  # checked against s(w) when condition 1 ran
+                size = int(chambers[row, 1]) if 1 in names else None
+                found = _timed(seconds, names[2], _distance_witnesses, graph, row, size)
+                for member, first in found.items():
+                    witness[member] = first or -1
         if 1 in names:
             verdicts[1] = (chambers[:, 0] == chambers[:, 1])[rep]
         if 2 in names:
             verdicts[2] = witness[rep, 0] < 0
     # with keep_reports, c4 and the reports share one Element per row, as w or u
     element = list(map(ctx.element, range(total))).__getitem__ if keep_reports else ctx.element
-    # with keep_reports and condition 3, the violations of every row in
-    # order, read off the E(w) that condition 4 reads
-    read: list[tuple[diagrams.Box, ...]] = []
+
+    def report(w: Element, row: int, boxes: tuple | None, cex: Window | None) -> None:
+        """File w's report: kept with keep_reports, a disagreement when its
+        verdicts differ.  boxes and cex: condition 4's E(w) and witness."""
+        out = ClassificationReport(w)
+        out.conditions = {name: bool(verdicts[c][row]) for c, name in names.items()}
+        if 1 in names:
+            out.c, out.s = chambers[rep[row]].tolist()
+        if 2 in names and witness[row, 0] >= 0:
+            u_row, l_d, l_t = witness[row].tolist()
+            out.distance_witness = (element(u_row), l_d, l_t)
+        if 3 in names:
+            out.violations = diagrams.violated_boxes(w, boxes)
+        out.hull_counterexample = cex
+        if 5 in names:
+            pattern = int(matched[row])
+            out.matched_pattern = patterns.condition5_embedding(ctx, pattern, indices[row])
+        if not out.consistent:
+            summary.disagreements.append(out)
+        if keep_reports:
+            summary.reports.append(out)
+
+    # whether some, and whether every, verdict but condition 4's is True: a
+    # row disagrees when some of its verdicts are True but not every one
+    rest = np.array([verdicts[c] for c in names if c != 4], dtype=bool).reshape(-1, total)
+    some, every = rest.any(axis=0), rest.all(axis=0)
     if 4 in names:
-        clock = time.perf_counter()
-        verdicts[4] = np.ones(total, dtype=bool)
-        kept: dict[int, Window] = {}  # counterexamples, with keep_reports
+        verdicts[4] = np.empty(total, dtype=bool)
         boards = cleared = 0
         for row in range(total):
+            begin = time.perf_counter()
             w = element(row)
             boxes = bruhat.coessential_boxes(w.window)
             cex, solved, skipped = diagrams.hull_test(w, boxes)
+            seconds[names[4]] += time.perf_counter() - begin
             boards += solved
             cleared += skipped
-            if keep_reports and 3 in names:
-                read.append(diagrams.violated_boxes(w, boxes))
-            if cex is not None:
-                verdicts[4][row] = False
-                if keep_reports:
-                    kept[row] = cex
+            ok = verdicts[4][row] = cex is None
+            if keep_reports or ((some[row] or ok) and not (every[row] and ok)):
+                report(w, row, boxes, cex)
         summary.counters["hull_boards"] = boards
         summary.counters["hull_boards_cleared"] = cleared
-        seconds[names[4]] = time.perf_counter() - clock
-    stack = np.array([verdicts[c] for c in names], dtype=bool).reshape(len(names), total)
-    hultman = stack.all(axis=0)
-    disagree = ~hultman & stack.any(axis=0)
-    summary.hultman_count = int(hultman.sum()) if names else 0
-    for row in range(total) if keep_reports else np.flatnonzero(disagree).tolist():
-        w = element(row)
-        report = ClassificationReport(w)
-        report.conditions = {name: bool(verdicts[c][row]) for c, name in names.items()}
-        if 1 in names:
-            report.c, report.s = chambers[rep[row]].tolist()
-        if 2 in names and witness[row, 0] >= 0:
-            u_row, l_d, l_t = witness[row].tolist()
-            report.distance_witness = (element(u_row), l_d, l_t)
-        if 3 in names:
-            report.violations = read[row] if read else diagrams.violated_boxes(w)
-        if 4 in names:
-            report.hull_counterexample = (
-                kept.get(row) if keep_reports else diagrams.hull_test(w)[0]
-            )
-        if 5 in names:
-            report.matched_pattern = patterns.condition5_embedding(
-                ctx, int(matched[row]), indices[row]
-            )
-        if disagree[row]:
-            summary.disagreements.append(report)
-        if keep_reports:
-            summary.reports.append(report)
+        every &= verdicts[4]
+    else:
+        for row in range(total) if keep_reports else np.flatnonzero(some & ~every).tolist():
+            report(element(row), row, None, None)
+    summary.hultman_count = int(every.sum()) if names else 0
     summary.elapsed = time.perf_counter() - start
     return summary
 
@@ -444,17 +450,26 @@ def _children(family: str, parents: np.ndarray) -> np.ndarray:
     n in type A and the mirror pair holding 1 and 2n in type B, gives the
     parent back, so the children of distinct parents are distinct, and the
     children of the whole of S_{n-1} (B_{n-1}) are the whole of S_n (B_n).
+
+    Raises ValueError, before any allocation, when the children would not
+    fit in the machine's memory.
     """
     m, width = parents.shape
+    degree = width + 1 if family == "A" else width + 2
+    need = m * degree * degree * parents.itemsize  # degree children a parent
+    if need > groups._memory_bytes():
+        rank = degree if family == "A" else degree // 2
+        raise ValueError(
+            f"the {m * degree} children of {m} elements in the scan of "
+            f"{context(family, rank).name} would take {need / 2**30:.3g} GiB"
+        )
     if family == "A":
-        n = width + 1
-        out = np.empty((m, n, n), dtype=parents.dtype)
-        for a in range(n):
+        out = np.empty((m, degree, degree), dtype=parents.dtype)
+        for a in range(degree):
             out[:, a, :a] = parents[:, :a]
-            out[:, a, a] = n
+            out[:, a, a] = degree
             out[:, a, a + 1 :] = parents[:, a:]
-        return out.reshape(-1, n)
-    degree = width + 2
+        return out.reshape(-1, degree)
     shifted = (parents + 1)[:, None]
     out = np.empty((m, degree // 2, 2, degree), dtype=parents.dtype)
     for a in range(degree // 2):

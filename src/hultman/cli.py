@@ -75,7 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
             "and both distances, and gathered to the other elements of the "
             "orbit, each with its first distance witness mapped along.  "
             "Condition 4 runs on every element.  Conditions 3 and 5 hold "
-            "no whole-group table, so they reach B_8 (about 70 s and 720 MB).  "
+            "no whole-group table, so they reach B_8 (about 65 s and 730 MiB).  "
+            "Before it enumerates, verify checks that the group's enumeration "
+            "and the tables of conditions 1 and 2 (the rank table, degree^2 "
+            "bytes an element, and the Bruhat graph, 8 bytes per reflection "
+            "an element) fit in memory, and exits 2 if they do not: on an "
+            "8 GiB machine B_8 with both, and S_11 with condition 2, exit 2.  "
             "The JSON summary counts, for condition 5, pattern_index_sets "
             "(rows times the index sets of the BP query) and "
             "pattern_rows_second_stage (the rows that miss the first listed "

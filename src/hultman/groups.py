@@ -19,6 +19,8 @@ its `lengths`; `bruhat` builds its tables from them.  `ctx.element(row)`
 builds one row's `Element`; `ctx.elements`, every row's, only on request.
 Rows are windows of the group by construction, so these two skip the
 checks that `Element(...)` and `parse_element` make on every other input.
+`check_memory` decides, before any allocation, whether a group's
+enumeration and the whole-group tables of conditions 1 and 2 fit in memory.
 """
 from __future__ import annotations
 
@@ -49,6 +51,48 @@ def _memory_bytes() -> int:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return sys.maxsize
+
+
+def check_memory(ctx: "GroupContext", conditions: Sequence[int] = ()) -> None:
+    """Raise ValueError, before any allocation, when the enumeration of ctx,
+    and with it the whole-group tables of conditions 1 and 2 among
+    `conditions`, would not fit in the machine's memory.
+
+    The enumeration's bound counts every array that building and sorting
+    the matrix allocates as if all were alive at once, since the allocator
+    may keep what is freed: per row, the int8 window and its sorted copy,
+    the int64 length and its sorted copy, lexsort's int16 key, its int16 and
+    int64 buffers and its int64 order, and in type B the two int8 halves
+    that hstack joins.  Condition 1 adds the rank table, degree^2 int8
+    ranks a row.  Condition 2 adds the Bruhat graph, 8 |T| bytes a row
+    (int32 `reflection_rows` and `down`), and eleven int64 arrays by row:
+    the window keys and their order, l_T, up to three symmetry maps, the
+    orbit representatives, a sweep's distances and verify's three-column
+    witness table.
+    """
+    row_bytes = 2 * ctx.degree + 2 * 8 + 2 + 2 + 8 + 8
+    if ctx.family == "B":
+        row_bytes += ctx.degree
+    need, memory = ctx.order * row_bytes, _memory_bytes()
+    if need > memory:
+        raise ValueError(
+            f"{ctx.name} has {ctx.order} elements, too many to enumerate: "
+            f"building its window matrix would take {need / 2**30:.3g} GiB"
+        )
+    table_bytes = 0  # a row
+    if 1 in conditions:
+        table_bytes += ctx.degree**2
+    if 2 in conditions:
+        reflections = ctx.rank * (ctx.rank - 1) // 2 if ctx.family == "A" else ctx.rank**2
+        table_bytes += 8 * reflections + 11 * 8
+    if need + ctx.order * table_bytes > memory:
+        asked = [str(num) for num in (1, 2) if num in conditions]
+        raise ValueError(
+            f"the tables of condition{'s' * (len(asked) - 1)} {' and '.join(asked)} "
+            f"on {ctx.name} would take "
+            f"{ctx.order * table_bytes / 2**30:.3g} GiB beside its enumeration's "
+            f"{need / 2**30:.3g} GiB, more than the machine's {memory / 2**30:.3g} GiB"
+        )
 
 
 @dataclass(frozen=True)
@@ -125,22 +169,9 @@ class GroupContext:
         """(window matrix, lengths), sorted by (Coxeter length, window).
 
         Raises ValueError, before any allocation, for a group whose
-        enumeration would not fit in the machine's memory.  The bound counts
-        every array that building and sorting the matrix allocates as if all
-        were alive at once, since the allocator may keep what is freed: per
-        row, the int8 window and its sorted copy, the int64 length and its
-        sorted copy, lexsort's int16 key, its int16 and int64 buffers and its
-        int64 order, and in type B the two int8 halves that hstack joins.
+        enumeration would not fit in the machine's memory (`check_memory`).
         """
-        row_bytes = 2 * self.degree + 2 * 8 + 2 + 2 + 8 + 8
-        if self.family == "B":
-            row_bytes += self.degree
-        need = self.order * row_bytes
-        if need > _memory_bytes():
-            raise ValueError(
-                f"{self.name} has {self.order} elements, too many to enumerate: "
-                f"building its window matrix would take {need / 2**30:.3g} GiB"
-            )
+        check_memory(self)
         n = self.rank
         perms = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
         matrix = np.fromiter(perms, np.int8, n * factorial(n)).reshape(-1, n)
@@ -149,6 +180,7 @@ class GroupContext:
             signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int8)
             second = np.where(signs[:, None] > 0, n + matrix, n + 1 - matrix).reshape(-1, n)
             matrix = np.hstack([2 * n + 1 - second[:, ::-1], second])
+            del second  # freed before the sort's arrays are allocated
         lengths = coxeter_lengths(matrix, self.family)
         # lengths (< 2^13 at degree < 128) are the primary key, as int16 to save memory
         order = np.lexsort((*matrix.T[::-1], lengths.astype(np.int16)))

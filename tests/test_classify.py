@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hultman import arrangements, bruhat, diagrams, patterns
+from hultman import arrangements, bruhat, diagrams, groups, patterns
 from hultman.bruhat import (
     bruhat_graph,
     bruhat_leq,
@@ -482,6 +482,49 @@ def test_verify_reports_a_whole_group_disagreement(monkeypatch, flipped):
         assert report.matched_pattern == expected.matched_pattern
     else:
         assert report.matched_pattern is None
+
+
+@pytest.mark.parametrize("ctx", [context("A", n) for n in range(1, 7)], ids=lambda c: c.name)
+def test_pseudo_inclusions_are_plain_inclusions_in_type_a(ctx):
+    # classify reads condition 3 by the type B rule in both families: its
+    # one allowed violation, at (n+1, n), is no box of S_n
+    for w in ctx.elements:
+        violations = diagrams.violated_boxes(w)
+        assert diagrams.pseudo_inclusions_hold(violations, ctx.rank) == (not violations), w
+
+
+def test_verify_checks_the_tables_before_enumerating(monkeypatch):
+    # a fresh context, whose enumeration a tripwire forbids
+    def enumerate_group(ctx):
+        pytest.fail(f"{ctx.name} began to enumerate")
+
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 8 * 2**30)
+    monkeypatch.setattr(GroupContext, "_enumeration", property(enumerate_group))
+    with pytest.raises(ValueError, match="the tables of conditions 1 and 2 on B_8"):
+        verify_equivalence(GroupContext("B", 8))
+
+
+def test_classify_checks_the_tables_once_per_group(monkeypatch):
+    calls = []
+    memory = groups._memory_bytes
+
+    def counted():
+        calls.append(1)
+        return memory()
+
+    B3.window_matrix  # enumerated, so that only the table check counts
+    monkeypatch.setattr(groups, "_memory_bytes", counted)
+    for w in B3.elements[:10]:
+        classify(w, (1, 2))
+    assert len(calls) <= 1
+
+
+def test_the_minimal_pattern_tree_is_guarded(monkeypatch):
+    # S_8's children, 2343 * 8 * 8 bytes, do not fit in 128 kiB
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 2**17)
+    with pytest.raises(ValueError, match="the 18744 children of 2343 elements"):
+        find_minimal_non_hultman(8, 7)
+    assert len(find_minimal_non_hultman(7, 5)) == 31
 
 
 def test_verify_never_decides_conditions_3_and_5_per_element(monkeypatch):

@@ -312,6 +312,41 @@ def test_verify_on_a_group_too_large_to_enumerate_exits_2(
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--family", "B", "--rank", "8"], "conditions 1 and 2 on B_8"),
+        (["verify", "--family", "A", "--rank", "11", "--conditions", "2"], "condition 2 on S_11"),
+        (
+            ["classify", "--family", "B", "--rank", "8", "--element", "123456789abcdefg"],
+            "conditions 1 and 2 on B_8",
+        ),
+    ],
+)
+def test_tables_too_large_for_memory_exit_2_before_enumerating(capsys, monkeypatch, argv, message):
+    # on an 8 GiB machine the tables of conditions 1 and 2 do not fit beside
+    # the enumeration of B_8, nor condition 2's beside that of S_11
+    def enumerate_group(ctx):
+        pytest.fail(f"{ctx.name} began to enumerate")
+
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 8 * 2**30)
+    monkeypatch.setattr(groups.GroupContext, "_enumeration", property(enumerate_group))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the tables of {message} would take ")
+    assert err.count("\n") == 1
+
+
+def test_a_minimal_pattern_tree_too_large_for_memory_exits_2(capsys, monkeypatch):
+    # the children of S_7's 2343 condition-3 holders take 2343 * 8 * 8
+    # bytes, more than 128 kiB
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 2**17)
+    assert main(["minimal-patterns", "--max-a", "8", "--max-b", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the 18744 children of 2343 elements in the scan of S_8 ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["classify", "--family", "B", "--rank", "2", "--element", "1234"],

@@ -443,6 +443,36 @@ def test_the_enumeration_guard_counts_the_sort_as_well(monkeypatch):
         ctx.window_matrix
 
 
+@pytest.mark.parametrize(
+    "family, rank, conditions, fits",
+    [
+        ("B", 8, (1, 2, 3, 4, 5), False),
+        ("B", 8, (1, 2), False),
+        ("A", 11, (2,), False),
+        ("B", 8, (3, 5), True),
+        ("A", 11, (3, 5), True),
+        ("B", 7, (1, 2, 3, 4, 5), True),
+        ("A", 10, (1, 2, 3, 4, 5), True),
+    ],
+)
+def test_the_table_guard_counts_conditions_1_and_2(monkeypatch, family, rank, conditions, fits):
+    # on an 8 GiB machine B_8's rank table (2.46 GiB) and Bruhat graph
+    # (4.92 GiB) do not fit beside its enumeration, nor S_11's graph
+    # (16.4 GiB); B_7 and S_10 with every table do.  The check computes
+    # nothing: it never enumerates
+    def enumerate_group(ctx):
+        pytest.fail(f"{ctx.name} began to enumerate")
+
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 8 * 2**30)
+    monkeypatch.setattr(GroupContext, "_enumeration", property(enumerate_group))
+    ctx = GroupContext(family, rank)
+    if fits:
+        groups.check_memory(ctx, conditions)
+    else:
+        with pytest.raises(ValueError, match=f"the tables of condition.* on {ctx.name}"):
+            groups.check_memory(ctx, conditions)
+
+
 def test_group_enumeration_sizes():
     assert len(A4.elements) == 24
     assert len(B2.elements) == 8

@@ -65,6 +65,19 @@ def test_relative_order_serves_only_flatten():
     assert set(calls) == {("patterns.py", "flatten")}, calls
 
 
+def test_conditions_1_and_2_have_one_witness_function_each():
+    # classify and verify_equivalence reach c(w) and the distance sweep only
+    # through _chambers and _distance_witnesses, so both drivers read the
+    # same witness; the witness table lists every u below each pattern, not
+    # a verdict
+    calls = {**_uses(_calls_to("chamber_count")), **_uses(_calls_to("interval_distances"))}
+    assert {key for key in calls if key[0] == "classify.py"} == {
+        ("classify.py", "_chambers"),
+        ("classify.py", "_distance_witnesses"),
+        ("classify.py", "witness_table"),
+    }, calls
+
+
 def test_down_is_read_only_by_the_sweep():
     # Bruhat-graph distances have one implementation, the breadth-first
     # search of directed_distances_to; another reader of the neighbour array
