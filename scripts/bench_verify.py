@@ -30,8 +30,8 @@ or its conditions disagree.
 --large (opt-in, about two minutes) times the frontier instead: B_7 and
 S_9, in one round, with `--conditions 3,4,5` and without --json, whose
 per-element reports would fill a 623 MB file on B_7.  Their counts and
-per-condition seconds are read from verify's text summary, so their
-groups record no `layer_seconds`, `rows_computed` or `counters`.
+per-condition and per-layer seconds are read from verify's text summary,
+so their groups record no `rows_computed` or `counters`.
 """
 from __future__ import annotations
 
@@ -79,11 +79,13 @@ def git_state(root: Path) -> dict:
 
 
 def text_summary(text: str) -> dict:
-    """The counts, elapsed seconds and per-condition seconds of the text
-    summary that `hultman verify` prints."""
+    """The counts, elapsed seconds, per-condition seconds and layer seconds
+    (the enumeration and the shared tables) of the text summary that
+    `hultman verify` prints."""
     head = re.search(r"^\S+: (\d+) elements, conditions \[(.*)\]$", text, re.M)
     hultman = re.search(r"^  Hultman elements: (\d+)$", text, re.M)
     elapsed = re.search(r"^  elapsed: ([\d.]+)s$", text, re.M)
+    layers = re.search(r"^  layers: (.*)$", text, re.M)  # none in older checkouts
     if not (head and hultman and elapsed):
         raise RuntimeError("verify printed no summary:\n" + text[-4000:])
     return {
@@ -93,6 +95,10 @@ def text_summary(text: str) -> dict:
         "elapsed_s": float(elapsed[1]),
         "seconds": {
             name: float(value) for name, value in re.findall(r"^    (\w+): ([\d.]+)s$", text, re.M)
+        },
+        "layer_seconds": {
+            name: float(value)
+            for name, value in re.findall(r"(\w+) ([\d.]+)s", layers[1] if layers else "")
         },
     }
 

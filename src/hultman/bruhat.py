@@ -53,6 +53,8 @@ from .groups import (
     GroupContext,
     Window,
     absolute_lengths,
+    check_memory,
+    check_window_keys,
     compose_windows,
     invert_window,
 )
@@ -123,8 +125,7 @@ def _window_keys(windows: np.ndarray, degree: int) -> np.ndarray:
 def _sorted_keys(ctx: GroupContext) -> tuple[np.ndarray, np.ndarray]:
     """The keys of the group's windows in increasing order, and the row of
     ctx.window_matrix that each one belongs to, both read-only."""
-    if (ctx.degree + 1) ** ctx.degree >= 2**63:
-        raise ValueError(f"windows of degree {ctx.degree} do not fit an int64 key")
+    check_window_keys(ctx.degree)
     keys = _window_keys(ctx.window_matrix, ctx.degree)
     order = np.argsort(keys)
     keys = keys[order]
@@ -199,10 +200,11 @@ def rank_blocks(windows: np.ndarray) -> Iterator[np.ndarray]:
 @lru_cache(maxsize=None)
 def group_rank_grids(ctx: GroupContext) -> np.ndarray:
     """The group's rank table: the read-only rank block of the whole of
-    ctx.window_matrix, shape (N, N, order).  A reader of a few cells, such
-    as `box_mask`, reads only their rows of the group.  Of the five
-    conditions only condition 1 reads it; condition 3 computes its own
-    blocks (`rank_blocks`)."""
+    ctx.window_matrix, shape (N, N, order).  Of the five conditions only
+    condition 1 reads it, a few cells' rows (`box_mask`); condition 3
+    computes its own blocks.  Raises ValueError, before enumerating, where
+    `check_memory` refuses condition 1."""
+    check_memory(ctx, (1,))
     grids = rank_block(ctx.window_matrix)
     grids.flags.writeable = False
     return grids

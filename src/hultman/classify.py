@@ -33,13 +33,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import arrangements, bruhat, diagrams, groups, patterns
+from . import arrangements, bruhat, diagrams, patterns
 from .bruhat import BruhatGraph, bruhat_graph
 from .bruhat import group_absolute_lengths  # noqa: F401  (still importable from here)
 from .groups import (
     Element,
     GroupContext,
     Window,
+    _children,
     _row_element,
     check_memory,
     context,
@@ -438,50 +439,6 @@ def _check_scan_bounds(max_a: int, max_b: int) -> None:
         )
 
 
-def _children(family: str, parents: np.ndarray) -> np.ndarray:
-    """The children of each row of `parents`, windows of S_{n-1} (family
-    "A") or of B_{n-1} embedded in S_{2n-2} ("B"), in the generating tree
-    that deletes an element's largest entry (West, Discrete Math. 1995):
-    rank n windows, parent by parent.
-
-    Type A inserts n at each of the n positions.  Type B adds 1 to every
-    value, then puts 1 and 2n, in either order, at each of the n mirrored
-    position pairs (a, 2n+1-a): 2n children.  Deleting the largest entry,
-    n in type A and the mirror pair holding 1 and 2n in type B, gives the
-    parent back, so the children of distinct parents are distinct, and the
-    children of the whole of S_{n-1} (B_{n-1}) are the whole of S_n (B_n).
-
-    Raises ValueError, before any allocation, when the children would not
-    fit in the machine's memory.
-    """
-    m, width = parents.shape
-    degree = width + 1 if family == "A" else width + 2
-    need = m * degree * degree * parents.itemsize  # degree children a parent
-    if need > groups._memory_bytes():
-        rank = degree if family == "A" else degree // 2
-        raise ValueError(
-            f"the {m * degree} children of {m} elements in the scan of "
-            f"{context(family, rank).name} would take {need / 2**30:.3g} GiB"
-        )
-    if family == "A":
-        out = np.empty((m, degree, degree), dtype=parents.dtype)
-        for a in range(degree):
-            out[:, a, :a] = parents[:, :a]
-            out[:, a, a] = degree
-            out[:, a, a + 1 :] = parents[:, a:]
-        return out.reshape(-1, degree)
-    shifted = (parents + 1)[:, None]
-    out = np.empty((m, degree // 2, 2, degree), dtype=parents.dtype)
-    for a in range(degree // 2):
-        b = degree - 1 - a  # 0-based, the mirror of a
-        out[:, a, :, :a] = shifted[..., :a]
-        out[:, a, :, a + 1 : b] = shifted[..., a : b - 1]
-        out[:, a, :, b + 1 :] = shifted[..., b - 1 :]
-        out[:, a, :, a] = 1, degree
-        out[:, a, :, b] = degree, 1
-    return out.reshape(-1, degree)
-
-
 def find_minimal_non_hultman(
     max_a: int = 6, max_b: int = 5
 ) -> tuple[Element, ...]:
@@ -503,7 +460,7 @@ def find_minimal_non_hultman(
     condition 3, and is never enumerated.  This misses no minimal element,
     by one step of transitivity.  Say the parent w' of a child w fails
     condition 3.  Scanning ranks upward, w' is then minimal or dominated,
-    so w' BP contains a pattern already found.  Deleting w's largest entry
+    so w' BP contains a pattern already found.  Deleting w's first entry
     makes w' a B-in-B pattern of w (type A: a classical one), and BP
     containment is transitive (Billey-Postnikov, Adv. Appl. Math. 2005), so
     w contains that pattern too and is dominated.

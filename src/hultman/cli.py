@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and both distances, and gathered to the other elements of the "
             "orbit, each with its first distance witness mapped along.  "
             "Condition 4 runs on every element.  Conditions 3 and 5 hold "
-            "no whole-group table, so they reach B_8 (about 65 s and 730 MiB).  "
+            "no whole-group table, so they reach B_8 (about 60 s and 730 MiB).  "
             "Before it enumerates, verify checks that the group's enumeration "
             "and the tables of conditions 1 and 2 (the rank table, degree^2 "
             "bytes an element, and the Bruhat graph, 8 bytes per reflection "
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
             "them with the 31 listed patterns.  S_4 and B_3 are scanned "
             "whole; each higher group is read only as the children of the "
             "previous rank's elements defined by (pseudo-)inclusions, those "
-            "made by inserting a new largest entry, since every other element "
+            "made by putting a new first entry in front, since every other element "
             "contains a pattern already found.  The defaults (6, 5) give the "
             "31; --max-a 8 --max-b 7 gives the same 31 in about 0.2 s, and "
             "--max-a 11 --max-b 9 in about 30 s at a 155 MB peak, so no "
@@ -197,6 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"  elapsed: {summary.elapsed:.2f}s")
     for name, seconds in summary.seconds.items():
         print(f"    {name}: {seconds:.2f}s")
+    print("  layers: " + ", ".join(f"{k} {s:.2f}s" for k, s in summary.layer_seconds.items()))
     gathered = [c for c in (1, 2) if c in summary.conditions]
     if gathered:
         # both are computed at the same rows, the least of each orbit;

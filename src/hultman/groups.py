@@ -13,18 +13,18 @@ Conventions used throughout the package:
 Each length is one numpy kernel over an (m x degree) window array, run in
 blocks of rows: `coxeter_lengths` counts inversions, `absolute_lengths`
 counts cycles by pointer doubling.  `coxeter_length(w)` and
-`absolute_length(w)` are batches of one.  A group's one enumeration is its
-int8 `window_matrix`, built in numpy and sorted by (length, window), with
-its `lengths`; `bruhat` builds its tables from them.  `ctx.element(row)`
-builds one row's `Element`; `ctx.elements`, every row's, only on request.
-Rows are windows of the group by construction, so these two skip the
-checks that `Element(...)` and `parse_element` make on every other input.
+`absolute_length(w)` are batches of one.  One generating tree, `_children`,
+grows every window array by a new first entry; a group's one enumeration,
+its int8 `window_matrix`, is that tree from the empty window sorted by
+(length, window), with its `lengths`.  `ctx.element(row)` builds one row's
+`Element`; `ctx.elements`, every row's, only on request.  Rows are windows
+of the group by construction, so these two skip the checks that
+`Element(...)` and `parse_element` make on every other input.
 `check_memory` decides, before any allocation, whether a group's
-enumeration and the whole-group tables of conditions 1 and 2 fit in memory.
+enumeration and the tables and keys of conditions 1 and 2 fit.
 """
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -53,26 +53,32 @@ def _memory_bytes() -> int:
         return sys.maxsize
 
 
+def check_window_keys(degree: int) -> None:
+    """Raise ValueError for windows too wide for `bruhat`'s int64 keys."""
+    if (degree + 1) ** degree >= 2**63:
+        raise ValueError(f"windows of degree {degree} do not fit an int64 key")
+
+
 def check_memory(ctx: "GroupContext", conditions: Sequence[int] = ()) -> None:
     """Raise ValueError, before any allocation, when the enumeration of ctx,
     and with it the whole-group tables of conditions 1 and 2 among
-    `conditions`, would not fit in the machine's memory.
+    `conditions`, would not fit in the machine's memory, or their window
+    keys in an int64 (`check_window_keys`).
 
-    The enumeration's bound counts every array that building and sorting
-    the matrix allocates as if all were alive at once, since the allocator
-    may keep what is freed: per row, the int8 window and its sorted copy,
-    the int64 length and its sorted copy, lexsort's int16 key, its int16 and
-    int64 buffers and its int64 order, and in type B the two int8 halves
-    that hstack joins.  Condition 1 adds the rank table, degree^2 int8
-    ranks a row.  Condition 2 adds the Bruhat graph, 8 |T| bytes a row
-    (int32 `reflection_rows` and `down`), and eleven int64 arrays by row:
-    the window keys and their order, l_T, up to three symmetry maps, the
-    orbit representatives, a sweep's distances and verify's three-column
-    witness table.
+    The enumeration's bound counts every array that growing and sorting the
+    matrix allocates as if all were alive at once, since the allocator may
+    keep what is freed: per row, the tree's last level of int8 windows and
+    its sorted copy, that level's two comparison masks (under degree bytes
+    each) and its parents (under a byte), the int64 lengths, their int16
+    copy and its sorted copy, the stable argsort's int64 order and buffer,
+    and the sorted int64 lengths.  Condition 1 adds the rank table,
+    degree^2 int8 ranks a row.  Condition 2 adds the Bruhat graph, 8 |T|
+    bytes a row (int32 `reflection_rows` and `down`), and eleven int64
+    arrays by row: the window keys and their order, l_T, up to three
+    symmetry maps, the orbit representatives, a sweep's distances and
+    verify's three-column witness table.
     """
-    row_bytes = 2 * ctx.degree + 2 * 8 + 2 + 2 + 8 + 8
-    if ctx.family == "B":
-        row_bytes += ctx.degree
+    row_bytes = 4 * ctx.degree + 1 + 8 + 2 * 2 + 2 * 8 + 8
     need, memory = ctx.order * row_bytes, _memory_bytes()
     if need > memory:
         raise ValueError(
@@ -93,6 +99,40 @@ def check_memory(ctx: "GroupContext", conditions: Sequence[int] = ()) -> None:
             f"{ctx.order * table_bytes / 2**30:.3g} GiB beside its enumeration's "
             f"{need / 2**30:.3g} GiB, more than the machine's {memory / 2**30:.3g} GiB"
         )
+    if 1 in conditions or 2 in conditions:
+        check_window_keys(ctx.degree)
+
+
+def _children(family: str, parents: np.ndarray) -> np.ndarray:
+    """The children of each row of `parents`, int8 windows of S_{n-1}
+    (family "A") or of B_{n-1} in S_{2n-2} ("B"), in a generating tree
+    (West, Discrete Math. 1995): a child puts v first, for each v in
+    1..degree (in type B, with 2n+1-v last), and renumbers its parent's
+    values in order around it.  Children are laid out v by v.  Deleting the
+    first entry (in type B, with the last) gives back the parent, a BP
+    pattern of the child, so S_{n-1} (B_{n-1}) grows into S_n (B_n), each
+    element once, and lexicographically sorted parents into sorted children.
+    Raises ValueError, before any allocation, when the children and their
+    comparison masks would not fit in the machine's memory.
+    """
+    m, width = parents.shape
+    ctx = context(family, width + 1 if family == "A" else width // 2 + 1)  # the children's
+    degree = ctx.degree
+    need = m * degree * (degree + 2 * width)  # degree children a parent, two masks
+    if need > _memory_bytes():
+        raise ValueError(
+            f"the {m * degree} children of {m} elements in the scan of "
+            f"{ctx.name} would take {need / 2**30:.3g} GiB"
+        )
+    out = np.empty((degree, m, degree), dtype=parents.dtype)
+    first = np.arange(1, degree + 1, dtype=parents.dtype)[:, None, None]  # v
+    out[:, :, :1] = first
+    low = first if family == "A" else np.minimum(first, degree + 1 - first)
+    np.add(parents, parents >= low, out=out[:, :, 1 : width + 1])
+    if family == "B":
+        out[:, :, -1:] = degree + 1 - first
+        out[:, :, 1:-1] += parents >= degree - low
+    return out.reshape(-1, degree)
 
 
 @dataclass(frozen=True)
@@ -166,27 +206,24 @@ class GroupContext:
 
     @cached_property
     def _enumeration(self) -> tuple[np.ndarray, np.ndarray]:
-        """(window matrix, lengths), sorted by (Coxeter length, window).
+        """(window matrix, lengths), sorted by (Coxeter length, window):
+        `_children` grown from the empty window, in lexicographic order, and
+        one stable sort by length.
 
         Raises ValueError, before any allocation, for a group whose
         enumeration would not fit in the machine's memory (`check_memory`).
         """
         check_memory(self)
-        n = self.rank
-        perms = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
-        matrix = np.fromiter(perms, np.int8, n * factorial(n)).reshape(-1, n)
-        if self.family == "B":
-            # σ = sign·perm at positions n+1..2n: n + σ(k), or n + 1 + σ(k) if < 0
-            signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int8)
-            second = np.where(signs[:, None] > 0, n + matrix, n + 1 - matrix).reshape(-1, n)
-            matrix = np.hstack([2 * n + 1 - second[:, ::-1], second])
-            del second  # freed before the sort's arrays are allocated
-        lengths = coxeter_lengths(matrix, self.family)
-        # lengths (< 2^13 at degree < 128) are the primary key, as int16 to save memory
-        order = np.lexsort((*matrix.T[::-1], lengths.astype(np.int16)))
-        matrix, lengths = matrix[order], lengths[order]
-        matrix.flags.writeable = lengths.flags.writeable = False
-        return matrix, lengths
+        windows = np.empty((1, 0), dtype=np.int8)
+        for _ in range(self.rank):
+            windows = _children(self.family, windows)
+        # lengths are < 2^13 at degree < 128: int16 saves memory and sorts by radix
+        lengths = coxeter_lengths(windows, self.family).astype(np.int16)
+        order = np.argsort(lengths, kind="stable")
+        windows = windows[order]  # the unsorted windows are freed first
+        lengths = lengths[order].astype(np.int64)
+        windows.flags.writeable = lengths.flags.writeable = False
+        return windows, lengths
 
     @property
     def window_matrix(self) -> np.ndarray:

@@ -24,7 +24,6 @@ from hultman.classify import (
     ALL_CONDITIONS,
     CONDITION_NAMES,
     REFERENCE_WITNESS_ROWS,
-    _children,
     classify,
     find_minimal_non_hultman,
     verify_equivalence,
@@ -33,6 +32,7 @@ from hultman.classify import (
 from hultman.diagrams import hull_bounds
 from hultman.groups import (
     GroupContext,
+    _children,
     compose_windows,
     context,
     invert_window,
@@ -520,7 +520,8 @@ def test_classify_checks_the_tables_once_per_group(monkeypatch):
 
 
 def test_the_minimal_pattern_tree_is_guarded(monkeypatch):
-    # S_8's children, 2343 * 8 * 8 bytes, do not fit in 128 kiB
+    # S_8's children and their masks, 2343 * 8 * (8 + 2 * 7) bytes, do not
+    # fit in 128 kiB
     monkeypatch.setattr(groups, "_memory_bytes", lambda: 2**17)
     with pytest.raises(ValueError, match="the 18744 children of 2343 elements"):
         find_minimal_non_hultman(8, 7)
@@ -634,12 +635,14 @@ def test_minimal_pattern_tree_equals_the_whole_group_scan(max_a, max_b):
 
 
 def _parents(family: str, windows: np.ndarray) -> np.ndarray:
-    """Each window with its largest entry deleted: n in type A, and in type
-    B the mirror pair holding 1 and 2n, with every other value lowered by 1."""
-    degree = windows.shape[1]
+    """Each window with its first entry deleted, in type B with the mirror
+    pair of its first and last entries, and the other values renumbered in
+    order."""
     if family == "A":
-        return windows[windows != degree].reshape(-1, degree - 1)
-    return windows[(windows != 1) & (windows != degree)].reshape(-1, degree - 2) - 1
+        rest = windows[:, 1:]
+        return rest - (rest > windows[:, :1])
+    rest = windows[:, 1:-1]
+    return rest - (rest > windows[:, :1]) - (rest > windows[:, -1:])
 
 
 @pytest.mark.parametrize(
@@ -647,14 +650,23 @@ def _parents(family: str, windows: np.ndarray) -> np.ndarray:
 )
 def test_children_of_a_whole_group_are_the_next_group(family, rank):
     # every row of the next group, each once, and each child's parent is
-    # the row it grew from
+    # the row it grew from; growing from the empty window gives the group
+    # in lexicographic order, and lexicographically sorted parents give
+    # lexicographically sorted children
     parents = context(family, rank - 1).window_matrix
     children = _children(family, parents)
     ctx = context(family, rank)
     assert children.shape == (ctx.order, ctx.degree)
     assert np.sort(bruhat.element_rows(ctx, children)).tolist() == list(range(ctx.order))
     per_parent = len(children) // len(parents)
-    assert np.array_equal(_parents(family, children), np.repeat(parents, per_parent, axis=0))
+    assert np.array_equal(_parents(family, children), np.tile(parents, (per_parent, 1)))
+    lexicographic = ctx.window_matrix[np.lexsort(ctx.window_matrix.T[::-1])]
+    grown = np.empty((1, 0), dtype=np.int8)
+    for _ in range(rank):
+        grown = _children(family, grown)
+    assert np.array_equal(grown, lexicographic)
+    sorted_parents = parents[np.lexsort(parents.T[::-1])]
+    assert np.array_equal(_children(family, sorted_parents), lexicographic)
 
 
 @pytest.mark.parametrize(

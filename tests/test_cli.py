@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from hultman import cli, groups
@@ -130,6 +129,17 @@ def test_verify_reports_seconds_per_condition(tmp_path, capsys):
     )
     for name in names:
         assert f"    {name}: " in out
+
+
+def test_verify_prints_its_layer_seconds(capsys):
+    # the enumeration and the shared tables on one line, so that a run
+    # without --json shows them too
+    assert main(["verify", "--family", "B", "--rank", "3", "--conditions", "1,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    layers = [line for line in lines if line.startswith("  layers: ")]
+    assert len(layers) == 1
+    names = [part.split()[0] for part in layers[0].removeprefix("  layers: ").split(", ")]
+    assert names == ["elements", "group_rank_grids", "orbit_representatives"]
 
 
 @pytest.mark.parametrize(
@@ -303,7 +313,7 @@ def test_verify_on_a_group_too_large_to_enumerate_exits_2(
         pytest.fail(f"{name} began to enumerate")
 
     monkeypatch.setattr(groups, "_memory_bytes", lambda: 8 * 2**30)
-    monkeypatch.setattr(np, "fromiter", allocation)
+    monkeypatch.setattr(groups, "_children", allocation)
     argv = ["verify", "--family", family, "--rank", str(rank), "--conditions", "3"]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -336,9 +346,40 @@ def test_tables_too_large_for_memory_exit_2_before_enumerating(capsys, monkeypat
     assert err.count("\n") == 1
 
 
+def test_verify_on_windows_too_wide_for_an_int64_key_exits_2_before_enumerating(
+    capsys, monkeypatch
+):
+    # with memory to spare, condition 1 still cannot read B_8's rows by
+    # their degree-16 windows, so verify stops before it enumerates
+    def enumerate_group(ctx):
+        pytest.fail(f"{ctx.name} began to enumerate")
+
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 2**40)
+    monkeypatch.setattr(groups.GroupContext, "_enumeration", property(enumerate_group))
+    assert main(["verify", "--family", "B", "--rank", "8", "--conditions", "1"]) == 2
+    assert capsys.readouterr().err == "error: windows of degree 16 do not fit an int64 key\n"
+
+
+def test_explaining_a_type_b_element_checks_the_rank_table_before_enumerating(
+    capsys, monkeypatch
+):
+    # E'(w) reads the group's rank table, 2.46 GiB on B_8, whatever the
+    # conditions asked
+    def enumerate_group(ctx):
+        pytest.fail(f"{ctx.name} began to enumerate")
+
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 2 * 2**30)
+    monkeypatch.setattr(groups.GroupContext, "_enumeration", property(enumerate_group))
+    argv = ["classify", "--family", "B", "--rank", "8", "--element", "123456789abcdefg"]
+    assert main(argv + ["--conditions", "5", "--explain"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the tables of condition 1 on B_8 would take ")
+    assert err.count("\n") == 1
+
+
 def test_a_minimal_pattern_tree_too_large_for_memory_exits_2(capsys, monkeypatch):
-    # the children of S_7's 2343 condition-3 holders take 2343 * 8 * 8
-    # bytes, more than 128 kiB
+    # the children of S_7's 2343 condition-3 holders and their comparison
+    # masks take 2343 * 8 * (8 + 2 * 7) bytes, more than 128 kiB
     monkeypatch.setattr(groups, "_memory_bytes", lambda: 2**17)
     assert main(["minimal-patterns", "--max-a", "8", "--max-b", "7"]) == 2
     err = capsys.readouterr().err

@@ -422,8 +422,8 @@ def test_format_parse_roundtrip(perm):
 
 
 def test_the_enumeration_guard_counts_the_sort_as_well(monkeypatch):
-    # building and sorting a window matrix also holds its sorted copy, the
-    # int64 lengths and lexsort's arrays: on an 8 GiB machine B_8 and S_11
+    # growing and sorting a window matrix also holds its sorted copy, the
+    # lengths and the sort's arrays: on an 8 GiB machine B_8 and S_11
     # may be enumerated, but not B_9, whose matrix alone would fit (S_12 is
     # a case of test_verify_on_a_group_too_large_to_enumerate_exits_2)
     class Enumerating(Exception):
@@ -433,7 +433,7 @@ def test_the_enumeration_guard_counts_the_sort_as_well(monkeypatch):
         raise Enumerating
 
     monkeypatch.setattr(groups, "_memory_bytes", lambda: 8 * 2**30)
-    monkeypatch.setattr(np, "fromiter", allocation)
+    monkeypatch.setattr(groups, "_children", allocation)
     for family, rank in (("B", 8), ("A", 11)):
         with pytest.raises(Enumerating):
             GroupContext(family, rank).window_matrix
@@ -471,6 +471,22 @@ def test_the_table_guard_counts_conditions_1_and_2(monkeypatch, family, rank, co
     else:
         with pytest.raises(ValueError, match=f"the tables of condition.* on {ctx.name}"):
             groups.check_memory(ctx, conditions)
+
+
+def test_the_table_guard_refuses_window_keys_wider_than_int64(monkeypatch):
+    # with memory to spare, conditions 1 and 2 still read rows by int64
+    # window keys, which degree-16 windows of B_8 do not fit; conditions 3,
+    # 4 and 5 need no key
+    def enumerate_group(ctx):
+        pytest.fail(f"{ctx.name} began to enumerate")
+
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 2**40)
+    monkeypatch.setattr(GroupContext, "_enumeration", property(enumerate_group))
+    ctx = GroupContext("B", 8)
+    for conditions in ((1,), (2,)):
+        with pytest.raises(ValueError, match="windows of degree 16 do not fit an int64 key"):
+            groups.check_memory(ctx, conditions)
+    groups.check_memory(ctx, (3, 4, 5))
 
 
 def test_group_enumeration_sizes():
