@@ -7,14 +7,15 @@ The ranks of many elements form a rank block (`rank_block`): an int8
 array stored by cell, in which the ranks r_u(p,q) of every row u form one
 contiguous row per cell (p,q), computed as a running sum down the
 positions for each p.  The group's rank table (`group_rank_grids`) is the
-block of the whole group, held once per group; `interval_mask` answers
-"which u lie below w" for the whole group at once, reading one row per
-coessential box of w.  Condition 3's kernel in `diagrams` computes its
-own blocks instead, a few thousand rows at a time (`rank_blocks`), of the
-whole group or of any window array, such as the children that the
-minimal-pattern search grows; it never reads the table, which at B_8
-would take 2.6 GB, so its verdicts and its memory do not depend on
-whether condition 1 ran first.
+block of the whole group, held once per group.  Its one reader is
+`interval_mask`, which answers "which u lie below w" for the whole group
+at once, one row per coessential box of w, and which the package reaches
+only through condition 1's `interval_size`.  Condition 3's kernel in
+`diagrams` computes its own blocks instead, a few thousand rows at a time
+(`rank_blocks`), of the whole group or of any window array, such as the
+children that the minimal-pattern search grows; it never reads the table,
+which at B_8 would take 2.6 GB, so its verdicts and its memory do not
+depend on whether condition 1 ran first.
 
 Whole-group data are arrays indexed by row of the group's enumeration,
 its window matrix (`ctx.window_matrix`) with lengths `BruhatGraph.lengths`;
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -201,7 +202,7 @@ def rank_blocks(windows: np.ndarray) -> Iterator[np.ndarray]:
 def group_rank_grids(ctx: GroupContext) -> np.ndarray:
     """The group's rank table: the read-only rank block of the whole of
     ctx.window_matrix, shape (N, N, order).  Of the five conditions only
-    condition 1 reads it, a few cells' rows (`box_mask`); condition 3
+    condition 1 reads it, a few cells' rows (`interval_mask`); condition 3
     computes its own blocks.  Raises ValueError, before enumerating, where
     `check_memory` refuses condition 1."""
     check_memory(ctx, (1,))
@@ -210,21 +211,16 @@ def group_rank_grids(ctx: GroupContext) -> np.ndarray:
     return grids
 
 
-def box_mask(ctx: GroupContext, boxes: Sequence[tuple[int, int, int]]) -> np.ndarray:
-    """Boolean mask by row of ctx.window_matrix: r_u(p,q) <= r for every
-    box (p, q, r).  The one rank test over a whole group; it reads the rank
-    table's row of each box's cell, one int8 comparison per row."""
-    grids = group_rank_grids(ctx)
-    mask = np.ones(ctx.order, dtype=bool)
-    for p, q, r in boxes:
+def interval_mask(w: Element) -> np.ndarray:
+    """[id, w] as a boolean mask over the rows of w.ctx.window_matrix: the
+    rows u with r_u(p,q) <= r for every coessential box (p, q, r) of w.  The
+    one rank test over a whole group; it reads the rank table's row of each
+    box's cell, one int8 comparison per row."""
+    grids = group_rank_grids(w.ctx)
+    mask = np.ones(w.ctx.order, dtype=bool)
+    for p, q, r in coessential_boxes(w.window):
         mask &= grids[p - 1, q - 1] <= r
     return mask
-
-
-def interval_mask(w: Element) -> np.ndarray:
-    """[id, w] as a boolean mask over the rows of w.ctx.window_matrix, by
-    the coessential boxes of w."""
-    return box_mask(w.ctx, coessential_boxes(w.window))
 
 
 def interval_size(w: Element) -> int:

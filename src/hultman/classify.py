@@ -215,7 +215,7 @@ def classify(
     E(w) (`bruhat.coessential_boxes`) is read once for conditions 3 and 4:
     condition 3 reads its violated boxes, condition 4 runs its hull test
     over it.  Both are pure functions of E(w), so they stay independent;
-    condition 1 reads its own through `bruhat.interval_mask`.
+    condition 1 reads its own through `bruhat.interval_size`.
     """
     names = _condition_names(conditions)
     report = ClassificationReport(w)

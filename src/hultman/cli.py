@@ -60,7 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     _ctx_args(p)
     p.add_argument("--element", required=True, help=ELEMENT_HELP)
     p.add_argument("--conditions", type=_parse_conditions, default=ALL_CONDITIONS)
-    p.add_argument("--explain", action="store_true", help="print supporting data")
+    p.add_argument(
+        "--explain", action="store_true",
+        help="print supporting data; in type B, E'(w) comes from E(w) "
+        "without enumerating the group",
+    )
     p.add_argument("--json", metavar="PATH", help="write the report as JSON")
 
     p = sub.add_parser(

@@ -23,6 +23,7 @@ from hultman.bruhat import (
     coessential_boxes,
     element_rows,
     group_absolute_lengths,
+    group_rank_grids,
     interval_distances,
     interval_mask,
     window_leq,
@@ -523,15 +524,51 @@ def basic_element_bruteforce(p: int, q: int, r: int, ctx: GroupContext) -> Eleme
     return minimal[0]
 
 
+def reduced_coessential_scan(w: Element) -> tuple[Box, ...]:
+    """E'(w) by definition: drop each mirror pair of boxes of E(w) in turn,
+    in sorted order, while the rank conditions of the boxes left still cut
+    out exactly [id, w] within B_n, compared row by row over the group's
+    rank table.
+
+    The rows that the conditions cut out only shrink as boxes are added,
+    and every u <= w meets them all, so a pair that cannot go at its turn
+    could not go later either: the scan ends at a minimal set.  That the
+    minimal set is unique, so that the order of the turns does not matter,
+    is checked on B_3 (`test_reduced_coessential_is_unique_minimal`)."""
+    if w.ctx.family != "B":
+        raise ValueError("E'(w) is defined for type B elements only")
+    grids = group_rank_grids(w.ctx)
+
+    def cut(boxes):
+        mask = np.ones(w.ctx.order, dtype=bool)
+        for p, q, r in boxes:
+            mask &= grids[p - 1, q - 1] <= r
+        return mask
+
+    active = coessential_boxes(w.window)
+    below = cut(active)
+    for p, q, _ in coessential_boxes(w.window):
+        mirror = _mirror_box((p, q), w.ctx.rank)
+        if mirror < (p, q):  # the pair had its turn at the mirror
+            continue
+        trial = tuple(box for box in active if box[:2] not in {(p, q), mirror})
+        if (cut(trial) == below).all():
+            active = trial
+    return active
+
+
 def reduced_coessential_closed_form(
     w: Element, offset: str = "p-n-1", strict_domain: bool = True
 ) -> tuple[Box, ...]:
-    """Closed-form redundancy filter for E'(w), kept for comparison only.
+    """The published closed-form redundancy filters for E'(w), kept for
+    comparison only.
 
     `offset` selects which shift relates r_w(2n+2-p, q) to r_w(p, q) in the
     redundancy test; the three published variants do not agree, so none is
     treated as ground truth.  `strict_domain` keeps the literal p,q < n
-    restriction; the corrected reading uses p <= n, q < n.
+    restriction; the corrected reading uses p <= n, q < n.  With "p-n-1"
+    and the corrected domain this is `diagrams.reduced_coessential`, which
+    the tests check against `reduced_coessential_scan` instead.
     """
     if w.ctx.family != "B":
         raise ValueError("E'(w) is defined for type B elements only")

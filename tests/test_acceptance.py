@@ -188,7 +188,7 @@ def test_frontier_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, orde
     ],
 )
 def test_interval_size_sum(family, rank, total):
-    # sum of s(w) = #[id, w] over the group, one box_mask call per element
+    # sum of s(w) = #[id, w] over the group, one interval_mask call per element
     start = time.perf_counter()
     assert sum(interval_size(w) for w in context(family, rank).elements) == total
     _report(f"{family}_{rank} sum of s(w)", time.perf_counter() - start)

@@ -103,7 +103,7 @@ def test_fast_path_equals_full_tableau(ctx):
 @pytest.mark.parametrize("ctx", [A4, B3])
 def test_group_rank_grids_are_stored_by_cell(ctx):
     # the table is (N, N, order): each cell's ranks over the group are one
-    # contiguous row, the layout box_mask and the condition 3 kernel read
+    # contiguous row, the layout interval_mask and the condition 3 kernel read
     grids = group_rank_grids(ctx)
     assert grids.shape == (ctx.degree, ctx.degree, ctx.order)
     assert grids.dtype == np.int8

@@ -360,18 +360,22 @@ def test_verify_on_windows_too_wide_for_an_int64_key_exits_2_before_enumerating(
     assert capsys.readouterr().err == "error: windows of degree 16 do not fit an int64 key\n"
 
 
-def test_explaining_a_type_b_element_checks_the_rank_table_before_enumerating(
-    capsys, monkeypatch
-):
-    # E'(w) reads the group's rank table, 2.46 GiB on B_8, whatever the
-    # conditions asked
+def test_explaining_a_type_b_element_never_enumerates_the_group(capsys, monkeypatch):
+    # E'(w) is read off E(w), so conditions 3 to 5 explain an element of B_8
+    # in 1 MiB, room for neither its enumeration nor its tables; condition 1
+    # still needs the rank table, 2.46 GiB on B_8, and says so before
+    # enumerating
     def enumerate_group(ctx):
         pytest.fail(f"{ctx.name} began to enumerate")
 
-    monkeypatch.setattr(groups, "_memory_bytes", lambda: 2 * 2**30)
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 2**20)
     monkeypatch.setattr(groups.GroupContext, "_enumeration", property(enumerate_group))
     argv = ["classify", "--family", "B", "--rank", "8", "--element", "123456789abcdefg"]
-    assert main(argv + ["--conditions", "5", "--explain"]) == 2
+    assert main(argv + ["--conditions", "3,4,5", "--explain"]) == 0
+    out = capsys.readouterr().out
+    assert "  E'(w) = [(2, 1, 0), " in out
+    monkeypatch.setattr(groups, "_memory_bytes", lambda: 2 * 2**30)
+    assert main(argv + ["--conditions", "1", "--explain"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the tables of condition 1 on B_8 would take ")
     assert err.count("\n") == 1

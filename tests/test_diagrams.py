@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -39,6 +40,7 @@ from oracles import (
     oracle_hull_counterexample,
     oracle_hull_rank_bound,
     reduced_coessential_closed_form,
+    reduced_coessential_scan,
     window_in_hull,
     window_rank_grid,
 )
@@ -652,13 +654,30 @@ def test_coessential_sets_are_centrally_symmetric(ctx):
             assert pqs == {(2 * n + 2 - p, 2 * n - q) for p, q in pqs}
 
 
-@pytest.mark.parametrize("ctx", [B2, B3, B4, context("B", 5)])
+@pytest.mark.parametrize(
+    "ctx",
+    [context("B", 1), B2, B3, B4, context("B", 5)]
+    + [
+        pytest.param(context("B", 6), marks=pytest.mark.skipif(
+            not os.environ.get("HULTMAN_B5"),
+            reason="opt-in: set HULTMAN_B5=1; the scan of all of B_6 takes about 13 s",
+        ))
+    ],
+)
 def test_closed_form_with_corrected_domain_matches_oracle(ctx):
+    # the package's closed form, read off E(w) alone, is the published
+    # "p-n-1" variant on the corrected domain, and equals the greedy scan
+    # over the group's rank table
     for w in ctx.elements:
-        corrected = reduced_coessential_closed_form(
-            w, offset="p-n-1", strict_domain=False
-        )
-        assert corrected == reduced_coessential(w)
+        found = reduced_coessential(w)
+        assert found == reduced_coessential_closed_form(w, "p-n-1", strict_domain=False)
+        assert found == reduced_coessential_scan(w), w
+
+
+def test_closed_form_matches_the_scan_on_a_seeded_b6_sample():
+    ctx = context("B", 6)
+    for w in random.Random(6).sample(ctx.elements, 1000):
+        assert reduced_coessential(w) == reduced_coessential_scan(w), w
 
 
 def test_literal_closed_form_misses_the_worked_example():
@@ -666,13 +685,13 @@ def test_literal_closed_form_misses_the_worked_example():
     # literal reading disagrees with the minimality oracle
     w = parse_element("426153", B3)
     literal = reduced_coessential_closed_form(w, offset="p-n-1", strict_domain=True)
-    assert literal != reduced_coessential(w)
+    assert literal != reduced_coessential_scan(w)
 
 
 def test_other_published_offsets_disagree_somewhere_on_b3():
     oracle_differs = {"n-p+1": False, "p-q-1": False}
     for w in B3.elements:
-        target = reduced_coessential(w)
+        target = reduced_coessential_scan(w)
         for offset in oracle_differs:
             got = reduced_coessential_closed_form(w, offset=offset, strict_domain=False)
             if got != target:

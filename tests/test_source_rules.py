@@ -208,8 +208,8 @@ def test_condition_3_kernel_reads_only_the_rank_table():
     assert flattening == [], flattening
 
 
-def test_only_box_mask_reads_the_group_rank_table():
-    # condition 1 reads the group's rank table through box_mask, and
+def test_only_interval_mask_reads_the_group_rank_table():
+    # condition 1 reads the group's rank table through interval_mask, and
     # condition 3 computes its own rank blocks, so its work does not depend
     # on which condition ran first; anywhere else the table may only be
     # built with its value thrown away, as verify does to time it apart
@@ -228,13 +228,37 @@ def test_only_box_mask_reads_the_group_rank_table():
             and id(node) not in built,
         ):
             readers[(path.name, function)] = line
-    assert set(readers) == {("bruhat.py", "box_mask")}, readers
+    assert set(readers) == {("bruhat.py", "interval_mask")}, readers
     imports = _uses(
         lambda node: isinstance(node, ast.Import)
         and any(alias.name == "weakref" for alias in node.names)
         or isinstance(node, ast.ImportFrom) and node.module == "weakref"
     )
     assert imports == {}, "no registry of weak references to tables"
+
+
+def test_interval_mask_serves_only_condition_1():
+    # "which u lie below w" has one primitive, and the package reaches it
+    # only through s(w) = #[id, w]
+    calls = _uses(_calls_to("interval_mask"))
+    assert set(calls) == {("bruhat.py", "interval_size")}, calls
+
+
+def test_reduced_coessential_reads_no_group_table():
+    # E'(w) is a closed form in E(w), so classify --explain never enumerates
+    tree = ast.parse((SOURCE / "diagrams.py").read_text(encoding="utf-8"))
+    (function,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "reduced_coessential"
+    ]
+    calls = [
+        (name, node.lineno)
+        for name in ("interval_mask", "group_rank_grids")
+        for node in ast.walk(function)
+        if _calls_to(name)(node)
+    ]
+    assert calls == [], calls
 
 
 def test_hull_enumeration_and_hungarian_solver_stay_oracles():
