@@ -27,6 +27,17 @@ them.
 two commits can be timed with the same script.  Exits 1 if a run fails
 or its conditions disagree.
 
+--against ROOT times a second tree, the parent of the change under
+--root, in the same rounds: each round runs every group on both trees
+back to back, the change first in even rounds and the parent first in
+odd ones, so a load phase falls on both sides alike.  Each group then
+also records the parent's summary and runs (`against`) and, under
+`paired`, for `elapsed_s`, `peak_rss_mb` and each condition's seconds,
+every pair's change/parent ratio (round by round), their median and the
+number of pairs that favour the change (ratio below 1).  A ratio whose
+parent figure is 0 is null and left out of both.  The top level records
+the parent's git state under `against`.
+
 --large (opt-in, about two minutes) times the frontier instead: B_7 and
 S_9, in one round, with `--conditions 3,4,5` and without --json, whose
 per-element reports would fill a 623 MB file on B_7.  Their counts and
@@ -149,6 +160,44 @@ def run_verify(
     }
 
 
+def schedule(
+    groups: tuple[tuple[str, int], ...], rounds: int, paired: bool
+) -> list[tuple[str, str, int]]:
+    """(side, family, rank) of every run, in order: round by round, every
+    group in turn; paired, on both sides back to back, "change" first in
+    even rounds and "parent" first in odd ones."""
+    order = []
+    for round_ in range(rounds):
+        sides = ("change", "parent")[:: -1 if round_ % 2 else 1] if paired else ("change",)
+        for family, rank in groups:
+            order += [(side, family, rank) for side in sides]
+    return order
+
+
+def paired_ratios(change: list[dict], parent: list[dict]) -> dict:
+    """For elapsed_s, peak_rss_mb and each condition's seconds: the
+    change/parent ratio of each pair of runs (the i-th of each side), their
+    median and how many favour the change.  A ratio is None where the
+    parent's figure is 0 or missing, and counts in neither."""
+    def figure(run: dict, name: str) -> float | None:
+        return run[name] if name in ("elapsed_s", "peak_rss_mb") else run["seconds"].get(name)
+
+    out = {}
+    for name in ("elapsed_s", "peak_rss_mb", *change[0]["seconds"]):
+        ratios = []
+        for ours, theirs in zip(change, parent, strict=True):
+            before = figure(theirs, name)
+            ratios.append(figure(ours, name) / before if before else None)
+        known = [r for r in ratios if r is not None]
+        out[name] = {
+            "ratios": ratios,
+            "median": float(np.median(known)) if known else None,
+            "favour_change": sum(r < 1 for r in known),
+            "pairs": len(known),
+        }
+    return out
+
+
 def summarise_group(family: str, rank: int, runs: list[dict]) -> dict:
     first = runs[0]
     if any((r["total"], r["hultman_count"]) != (first["total"], first["hultman_count"])
@@ -181,15 +230,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
     parser.add_argument(
+        "--against", type=Path, metavar="ROOT",
+        help="a second checkout, the parent, run in the same rounds in alternating order",
+    )
+    parser.add_argument(
         "--large", action="store_true",
         help=f"time B_7 and S_9 once each, by conditions {LARGE_CONDITIONS} only",
     )
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error(f"label {args.label!r} must be letters, digits, '.', '_' or '-'")
-    root = args.root.resolve()
-    if not (root / "src" / "hultman").is_dir():
-        parser.error(f"{root} holds no src/hultman")
+    trees = {"change": args.root.resolve()}
+    if args.against is not None:
+        trees["parent"] = args.against.resolve()
+    for tree in trees.values():
+        if not (tree / "src" / "hultman").is_dir():
+            parser.error(f"{tree} holds no src/hultman")
+    root = trees["change"]
     result = {
         "label": args.label,
         **git_state(root),
@@ -199,22 +256,36 @@ def main(argv: list[str] | None = None) -> int:
         "child_env": CHILD_ENV,
         "groups": [],
     }
+    if "parent" in trees:
+        result["against"] = {"root": str(trees["parent"]), **git_state(trees["parent"])}
     groups, rounds, conditions = (
         (LARGE_GROUPS, LARGE_ROUNDS, LARGE_CONDITIONS) if args.large else (GROUPS, ROUNDS, None)
     )
-    runs: dict[tuple[str, int], list[dict]] = {group: [] for group in groups}
+    runs: dict[tuple[str, str, int], list[dict]] = {
+        (side, family, rank): [] for side in trees for family, rank in groups
+    }
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            for _ in range(rounds):
-                for family, rank in groups:
-                    runs[family, rank].append(run_verify(root, family, rank, Path(tmp), conditions))
-        for (family, rank), group_runs in runs.items():
-            group = summarise_group(family, rank, group_runs)
+            for side, family, rank in schedule(groups, rounds, "parent" in trees):
+                runs[side, family, rank].append(
+                    run_verify(trees[side], family, rank, Path(tmp), conditions)
+                )
+        for family, rank in groups:
+            group = summarise_group(family, rank, runs["change", family, rank])
             result["groups"].append(group)
             seconds = ", ".join(f"{k} {v:.2f}" for k, v in group["seconds"].items())
             print(f"{group['group']}: {group['hultman_count']} Hultman, "
                   f"elapsed {group['elapsed_s']:.2f} s ({seconds}), "
                   f"peak RSS {group['peak_rss_mb']:.1f} MB")
+            if "parent" in trees:
+                parent_runs = runs["parent", family, rank]
+                group["against"] = summarise_group(family, rank, parent_runs)
+                group["paired"] = paired_ratios(group["runs"], parent_runs)
+                ratios = ", ".join(
+                    f"{name} {pair['median']:.3f} ({pair['favour_change']}/{pair['pairs']})"
+                    for name, pair in group["paired"].items() if pair["median"] is not None
+                )
+                print(f"  change/parent medians (pairs favouring the change): {ratios}")
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1

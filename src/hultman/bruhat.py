@@ -78,9 +78,9 @@ def coessential_boxes(window: Window) -> tuple[tuple[int, int, int], ...]:
     r_w(p,q) is one bit count of a running bitmask whose bit k-1 is set
     while w(k) >= p: as p steps up, position w^{-1}(p-1) leaves it.
 
-    Not memoised.  A whole-group sweep asks once per row and never again,
-    so a cache would only hold every row's boxes and window until the
-    process ends; one element's `classify` asks once per condition.
+    Not memoised.  A whole-group sweep asks once per row (and a kept
+    report once more), so a cache would only hold every row's boxes and
+    window until the process ends; one element's `classify` asks once.
     """
     n = len(window)
     inv = invert_window(window)

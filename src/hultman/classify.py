@@ -3,19 +3,20 @@ verification, minimal-pattern, and witness-table harnesses.
 
 The five conditions are computed by independent code paths; their
 agreement is the content of the theorem being verified, so a disagreement
-is report material, never silently reconciled.
+is report material, never silently reconciled.  `verify_equivalence`
+decides every condition on the whole group before it builds any report,
+conditions 3, 4 and 5 by one row kernel each, which returns its verdict
+or witness by row; the reports then read those arrays.
 
 Condition numbering (CLI `--conditions`):
   1 chambers          c(w) = s(w)
   2 distance          l_D(u,w) = l_T(u,w) for all u <= w
   3 pseudo_inclusions defined by (pseudo-)inclusions
   4 relaxed_hull      (relaxed) right hull condition, decided exactly by
-                      one order-preserving dynamic program per coessential
-                      box (per mirror pair of boxes in type B), O(N^2)
-                      each, cut at the central box for the type B
-                      relaxation (type A: the plain right hull condition);
-                      a box whose rank no window of the hull bounds can
-                      exceed is cleared by two counts, with no program
+                      one O(N^2) dynamic program per coessential box (per
+                      mirror pair in type B) that two counts do not clear,
+                      cut at the central box for the type B relaxation
+                      (type A: the plain right hull condition)
   5 bp_avoidance      BP avoidance of the 31 listed patterns (type A: the
                       four classical patterns)
 
@@ -313,23 +314,19 @@ def verify_equivalence(
     that they agree.  Raises ValueError, before enumerating, when the group
     and the tables of conditions 1 and 2 would not fit (`check_memory`).
 
-    Each condition fills one verdict array by row of ctx.window_matrix.
-    Conditions 3 and 5 come from one whole-group pass each
-    (`diagrams.defined_by_inclusions_mask`, `patterns.condition5_matches`),
-    which read only rows of the window matrix: the group's rank table is
-    built only for condition 1.  Conditions 1 and 2 are `classify`'s
-    witnesses, computed at the least row of each orbit
-    (`bruhat.orbit_representatives`) and gathered to the rest of it.
-    Condition 4 runs on every row, as only the theorem under test makes it
-    constant on orbits.  `report` builds the report of each disagreeing
-    row, or of every row with `keep_reports`; condition 4 hands it the E(w)
-    and counterexample it read, so each row's E(w) is computed once.
-    `seconds` times each condition (condition 4: each row's `Element`, E(w)
-    and hull test), `layer_seconds` the enumeration ("elements") and the
-    shared tables.  `counters` holds the hull boards that condition 4
-    solved and those its rank bound cleared, the pattern index sets of
-    condition 5 (rows times the query's index sets) and the rows that
-    missed its first pattern's pairs.
+    Every verdict array, by row of ctx.window_matrix, is filled before any
+    report is built.  Conditions 3, 4 and 5 are one row-kernel call each
+    (`diagrams.defined_by_inclusions_mask`, `diagrams.hull_counterexamples`,
+    `patterns.condition5_matches`), which read only rows of the window
+    matrix: the group's rank table is built only for condition 1.
+    Conditions 1 and 2 are `classify`'s witnesses at the least row of each
+    orbit (`bruhat.orbit_representatives`), gathered to the rest of it;
+    condition 4 is not, as only the theorem under test makes it constant
+    on orbits.  Then one loop builds, from the witness arrays, the report
+    of each disagreeing row, or of every row with `keep_reports`; condition
+    3's violations read E(w) once more.  `seconds` times each condition,
+    `layer_seconds` the enumeration ("elements") and the shared tables,
+    and `counters` holds the work counts that `VerificationSummary` lists.
     """
     start = time.perf_counter()
     names = _condition_names(conditions)
@@ -339,6 +336,7 @@ def verify_equivalence(
     summary = VerificationSummary(ctx, tuple(conditions), total, layer_seconds=layers)
     seconds = summary.seconds = dict.fromkeys(names.values(), 0.0)
     summary.rows_computed = dict.fromkeys(names.values(), total)
+    counters = summary.counters
     verdicts: dict[int, np.ndarray] = {}
     # the tables that conditions share are built (and cached) up front, so
     # that `layer_seconds` times them apart from the conditions
@@ -347,12 +345,15 @@ def verify_equivalence(
     if 3 in names:
         verdicts[3] = _timed(seconds, names[3], diagrams.defined_by_inclusions_mask, ctx)
     if 5 in names:
-        matched, indices = _timed(seconds, names[5], patterns.condition5_matches, ctx)
+        matched, column = _timed(seconds, names[5], patterns.condition5_matches, ctx)
         verdicts[5] = matched < 0
-        summary.counters["pattern_index_sets"] = total * patterns.condition5_index_sets(ctx)
-        summary.counters["pattern_rows_second_stage"] = patterns.condition5_second_stage_rows(
-            ctx, matched
+        counters["pattern_index_sets"] = total * patterns.condition5_index_sets(ctx)
+        counters["pattern_rows_second_stage"] = patterns.condition5_second_stage_rows(ctx, matched)
+    if 4 in names:
+        hull, counters["hull_boards"], counters["hull_boards_cleared"] = _timed(
+            seconds, names[4], diagrams.hull_counterexamples, ctx
         )
+        verdicts[4] = ~hull.any(axis=1)
     if 2 in names:
         graph = _timed(layers, "bruhat_graph", bruhat_graph, ctx)
         _timed(layers, "group_absolute_lengths", bruhat.group_absolute_lengths, ctx)
@@ -376,12 +377,15 @@ def verify_equivalence(
             verdicts[1] = (chambers[:, 0] == chambers[:, 1])[rep]
         if 2 in names:
             verdicts[2] = witness[rep, 0] < 0
-    # with keep_reports, c4 and the reports share one Element per row, as w or u
+    # a row disagrees when some of its verdicts are True but not every one
+    held = np.array([verdicts[c] for c in names], dtype=bool).reshape(-1, total)
+    every = held.all(axis=0)
+    # with keep_reports, the reports share one Element per row, as w or u
     element = list(map(ctx.element, range(total))).__getitem__ if keep_reports else ctx.element
 
-    def report(w: Element, row: int, boxes: tuple | None, cex: Window | None) -> None:
-        """File w's report: kept with keep_reports, a disagreement when its
-        verdicts differ.  boxes and cex: condition 4's E(w) and witness."""
+    def report(row: int) -> ClassificationReport:
+        """The report of `row`, read off the witness arrays."""
+        w = element(row)
         out = ClassificationReport(w)
         out.conditions = {name: bool(verdicts[c][row]) for c, name in names.items()}
         if 1 in names:
@@ -390,40 +394,18 @@ def verify_equivalence(
             u_row, l_d, l_t = witness[row].tolist()
             out.distance_witness = (element(u_row), l_d, l_t)
         if 3 in names:
-            out.violations = diagrams.violated_boxes(w, boxes)
-        out.hull_counterexample = cex
+            out.violations = diagrams.violated_boxes(w)
+        if 4 in names and not verdicts[4][row]:
+            out.hull_counterexample = tuple(hull[row].tolist())
         if 5 in names:
-            pattern = int(matched[row])
-            out.matched_pattern = patterns.condition5_embedding(ctx, pattern, indices[row])
-        if not out.consistent:
-            summary.disagreements.append(out)
-        if keep_reports:
-            summary.reports.append(out)
+            out.matched_pattern = patterns.condition5_embedding(ctx, matched[row], column[row])
+        return out
 
-    # whether some, and whether every, verdict but condition 4's is True: a
-    # row disagrees when some of its verdicts are True but not every one
-    rest = np.array([verdicts[c] for c in names if c != 4], dtype=bool).reshape(-1, total)
-    some, every = rest.any(axis=0), rest.all(axis=0)
-    if 4 in names:
-        verdicts[4] = np.empty(total, dtype=bool)
-        boards = cleared = 0
-        for row in range(total):
-            begin = time.perf_counter()
-            w = element(row)
-            boxes = bruhat.coessential_boxes(w.window)
-            cex, solved, skipped = diagrams.hull_test(w, boxes)
-            seconds[names[4]] += time.perf_counter() - begin
-            boards += solved
-            cleared += skipped
-            ok = verdicts[4][row] = cex is None
-            if keep_reports or ((some[row] or ok) and not (every[row] and ok)):
-                report(w, row, boxes, cex)
-        summary.counters["hull_boards"] = boards
-        summary.counters["hull_boards_cleared"] = cleared
-        every &= verdicts[4]
-    else:
-        for row in range(total) if keep_reports else np.flatnonzero(some & ~every).tolist():
-            report(element(row), row, None, None)
+    rows = range(total) if keep_reports else np.flatnonzero(held.any(axis=0) & ~every).tolist()
+    reports = [report(row) for row in rows]
+    summary.disagreements = [out for out in reports if not out.consistent]
+    if keep_reports:
+        summary.reports = reports
     summary.hultman_count = int(every.sum()) if names else 0
     summary.elapsed = time.perf_counter() - start
     return summary

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and both distances, and gathered to the other elements of the "
             "orbit, each with its first distance witness mapped along.  "
             "Condition 4 runs on every element.  Conditions 3 and 5 hold "
-            "no whole-group table, so they reach B_8 (about 60 s and 730 MiB).  "
+            "no whole-group table, so they reach B_8 (about 60 s and 525 MiB).  "
             "Before it enumerates, verify checks that the group's enumeration "
             "and the tables of conditions 1 and 2 (the rank table, degree^2 "
             "bytes an element, and the Bruhat graph, 8 bytes per reflection "

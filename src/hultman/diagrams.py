@@ -23,7 +23,9 @@ For one element, `violated_boxes` filters E(w), and the type B rule of
 table at all.  E(w) is never memoised: `violated_boxes` and the hull tests
 read `coessential_boxes` afresh unless the caller hands them the E(w) it
 has already read, as `classify` does once per element for conditions 3
-and 4 and `verify --json` once per row.
+and 4.  For a whole group, `hull_counterexamples` runs `hull_test` on
+every row and returns the counterexamples as one array by row, reading
+each row's E(w) once; a verify report of condition 3 reads it once more.
 
 The right hull tests are exact and always definite.  The bounds of H(w)
 are nondecreasing (a skew Ferrers board), so uncrossing lets one O(N^2)
@@ -55,7 +57,7 @@ import numpy as np
 
 from .bruhat import coessential_boxes, rank_blocks, window_rank
 from .bruhat import window_leq  # noqa: F401  (perfbench counts calls at this binding)
-from .groups import Element, GroupContext, Window
+from .groups import BLOCK_ROWS, Element, GroupContext, Window, _row_element
 
 Box = tuple[int, int, int]  # (p, q, r_w(p,q))
 
@@ -279,6 +281,22 @@ def hull_test(
     return _hull_counterexample(w, n if relaxed else None, boxes)
 
 
+def hull_counterexamples(ctx: GroupContext) -> tuple[np.ndarray, int, int]:
+    """Condition 4 for every element of ctx, `hull_test` row by row over
+    blocks of ctx.window_matrix: the counterexample windows by row as int8,
+    all zero where it holds, and the boards solved and cleared in sum."""
+    windows = ctx.window_matrix
+    found = np.zeros(windows.shape, dtype=np.int8)
+    solved = cleared = 0
+    for start in range(0, len(windows), BLOCK_ROWS):
+        for row, window in enumerate(windows[start : start + BLOCK_ROWS].tolist(), start):
+            cex, boards, skipped = hull_test(_row_element(tuple(window), ctx))
+            solved, cleared = solved + boards, cleared + skipped
+            if cex is not None:
+                found[row] = cex
+    return found, solved, cleared
+
+
 def hull_relaxed_counterexample(
     w: Element, boxes: Sequence[Box] | None = None
 ) -> Window | None:
@@ -289,10 +307,7 @@ def hull_relaxed_counterexample(
     when r_w(n+1,n) = 1 and every u inside H(w) with r_u(n+1,n) <= 1 is
     <= w.  Those windows are some of H(w)'s, so the plain test decides
     unless r_w(n+1,n) = 1, and then the dynamic program cuts its states
-    after position n to the windows with r_u(n+1,n) <= 1.  The cut is
-    exact: the uncrossing swaps keep u inside H(w) and keep r_u(p,q), but
-    move u down in Bruhat order, so they never raise r_u(n+1,n); and in
-    the uncrossed form the state after position n fixes r_u(n+1,n) (see
+    after position n to the windows with r_u(n+1,n) <= 1, exactly (see
     `_best_hull_window`).  Either way there is one board per mirror pair
     of coessential boxes that the rank bound does not clear (see
     `_hull_counterexample`).  Windows range over all of S_{2n}, not only

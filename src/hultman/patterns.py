@@ -48,8 +48,8 @@ owner at that owner's first column, or the sentinel when no other pair
 is hit.  Each word, mask and value is a sum of distinct powers of two
 below 2^63, so int64 holds it exactly and the kernel makes no
 floating-point call.
-The query also holds every column's index set, so each caller reads the
-index set of a match there.  Rows go in blocks whose largest temporary
+The query also holds every column's index set: a caller keeps a match's
+column and reads the set there.  Rows go in blocks whose largest temporary
 stays under about 256 KiB.  A batch that fits one block, as a batch of one
 always does, meets every pair in one expression, with no buffer.  A larger
 batch goes in two stages per block: the rows' words, computed once, meet
@@ -500,29 +500,32 @@ def condition5_matches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Condition 5 for many elements of ctx in one kernel pass.
 
-    For each row of `windows` (by default ctx.window_matrix): the
-    index in `condition5_patterns()` of the first listed pattern the row BP
-    contains, or -1; and that pattern's first index set, as an int16 row
-    of 1-based positions whose first v.degree entries are the set (the
-    rest, and the whole row for -1, are zeros).
+    For each row of `windows` (by default ctx.window_matrix): the index in
+    `condition5_patterns()` of the first listed pattern the row BP
+    contains, or -1, as int8; and as int32 the global column of ctx's
+    query where it first does, whose index set `condition5_embedding`
+    reads (for -1, the sentinel's all-zero set).
     """
     if windows is None:
         windows = ctx.window_matrix
     query = _condition5_query(ctx)
     best, column = _first_matches(query, windows)
-    return np.where(best < query.entries, best, -1), query.sets[column]
+    pattern = best.astype(np.int8)
+    pattern[best == query.entries] = -1
+    return pattern, column.astype(np.int32)
 
 
 def condition5_embedding(
-    host: GroupContext, pattern: int, indices: np.ndarray
+    host: GroupContext, pattern: int, column: int
 ) -> tuple[Element, ParabolicEmbedding] | None:
     """One row of `condition5_matches` as (pattern, first embedding), or
-    None for -1."""
+    None for -1, with the index set read at `column` of host's query."""
     if pattern < 0:
         return None
     v = condition5_patterns()[pattern]
     kind = _bp_kind(host.family, v.ctx.family)
-    return v, _plan_embedding(host, kind, tuple(indices[: v.degree].tolist()))
+    indices = _condition5_query(host).sets[column, : v.degree]
+    return v, _plan_embedding(host, kind, tuple(indices.tolist()))
 
 
 def avoids_condition5_list(
@@ -537,4 +540,4 @@ def avoids_condition5_list(
     best, column = _first_matches(query, _host_rows((w,), w.degree))
     if best[0] == query.entries:
         return True, None
-    return False, condition5_embedding(w.ctx, int(best[0]), query.sets[column[0]])
+    return False, condition5_embedding(w.ctx, int(best[0]), column[0])

@@ -166,8 +166,8 @@ def test_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultma
 )
 def test_frontier_count_by_inclusions_and_bp_avoidance_opt_in(family, rank, order, hultman):
     # past the groups the paper sweeps; three independent conditions agree
-    # on every element of S_9 and B_7, and two on S_10 and B_8 (about 70 s
-    # and 720 MB for B_8)
+    # on every element of S_9 and B_7, and two on S_10 and B_8 (about 60 s
+    # and 525 MB for B_8)
     conditions = (3, 5) if (family, rank) in {("A", 10), ("B", 8)} else (3, 4, 5)
     start = time.perf_counter()
     summary = verify_equivalence(context(family, rank), conditions)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -421,13 +422,15 @@ def test_classify_computes_the_coessential_boxes_once_per_element(monkeypatch, w
     "conditions", [(3, 4), (4,), (3,), (3, 4, 5)], ids=lambda c: "c" + "".join(map(str, c))
 )
 def test_verify_reports_compute_the_coessential_boxes_once_per_row(monkeypatch, conditions):
-    # with every report kept, condition 3's violations are read off the E(w)
-    # that condition 4 read; the whole-group condition 3 reads no E(w)
+    # condition 4's kernel reads each row's E(w) once, and a kept report
+    # reads it once more for condition 3's violations; the whole-group
+    # condition 3 and the rest of the report read no E(w)
     ctx = context("B", 4)
     calls = _count_coessential_boxes(monkeypatch)
     summary = verify_equivalence(ctx, conditions, keep_reports=True)
-    assert len(calls) == ctx.order == len(summary.reports)
-    assert sorted(calls) == sorted(w.window for w in ctx.elements)
+    reads = (3 in conditions) + (4 in conditions)
+    assert len(calls) == reads * ctx.order and len(summary.reports) == ctx.order
+    assert Counter(calls) == {w.window: reads for w in ctx.elements}
 
 
 def test_a_whole_group_sweep_keeps_nothing_per_row():
@@ -461,10 +464,11 @@ def test_verify_reports_a_whole_group_disagreement(monkeypatch, flipped):
         monkeypatch.setattr(diagrams, "defined_by_inclusions_mask", wrong)
     else:
         def wrong(ctx):
-            pattern, indices = matches(ctx)
-            pattern, indices = pattern.copy(), indices.copy()
-            pattern[row], indices[row] = -1, 0
-            return pattern, indices
+            pattern, column = matches(ctx)
+            pattern, column = pattern.copy(), column.copy()
+            # no match: the sentinel's column, the query's last
+            pattern[row], column[row] = -1, len(patterns._condition5_query(ctx).sets) - 1
+            return pattern, column
         monkeypatch.setattr(patterns, "condition5_matches", wrong)
     summary = verify_equivalence(B3, (1, 3, 5))
     assert set(summary.layer_seconds) == {
@@ -534,10 +538,17 @@ def test_verify_never_decides_conditions_3_and_5_per_element(monkeypatch):
 
     monkeypatch.setattr(patterns, "avoids_condition5_list", per_element)
     monkeypatch.setattr(diagrams, "is_defined_by_pseudo_inclusions", per_element)
+    # condition 4 too: its kernel calls hull_test on each row, never the
+    # per-element entry points that classify calls
+    monkeypatch.setattr(diagrams, "right_hull_counterexample", per_element)
+    monkeypatch.setattr(diagrams, "hull_relaxed_counterexample", per_element)
     # nor through classify, which verify no longer calls at all
     monkeypatch.setattr(importlib.import_module("hultman.classify"), "classify", per_element)
     summary = verify_equivalence(B3, keep_reports=True)
     assert summary.ok and summary.hultman_count == 38
+    # a type A group, whose per-element hull test is the plain one
+    summary = verify_equivalence(context("A", 4), keep_reports=True)
+    assert summary.ok and summary.hultman_count == 23
 
 
 @pytest.mark.parametrize("family, rank, hultman", [("B", 3, 38), ("A", 4, 23)])

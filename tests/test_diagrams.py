@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,9 @@ from hultman.diagrams import (
     _hull_rank_bound,
     defined_by_inclusions_mask,
     hull_bounds,
+    hull_counterexamples,
     hull_relaxed_counterexample,
+    hull_test,
     identity_rank,
     is_defined_by_inclusions,
     is_defined_by_pseudo_inclusions,
@@ -250,6 +253,28 @@ def _assert_hull_test_matches_oracle(w):
 def test_hull_matching_agrees_with_enumeration(family, rank):
     for w in context(family, rank).elements:
         _assert_hull_test_matches_oracle(w)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [context("A", n) for n in range(1, 7)] + [context("B", n) for n in range(1, 5)],
+    ids=lambda ctx: ctx.name,
+)
+def test_hull_kernel_equals_the_per_element_hull_test(ctx):
+    # the whole-group kernel is hull_test row by row: the same window or
+    # None on every row, and the same boards solved and cleared in sum
+    found, solved, cleared = hull_counterexamples(ctx)
+    assert found.dtype == np.int8 and found.shape == ctx.window_matrix.shape
+    boards = [0, 0]
+    for row, w in enumerate(ctx.elements):
+        cex, *counts = hull_test(w)
+        boards = [total + count for total, count in zip(boards, counts)]
+        if cex is None:
+            assert not found[row].any(), w
+        else:
+            assert tuple(found[row].tolist()) == cex, w
+    assert [solved, cleared] == boards
+    assert type(solved) is int and type(cleared) is int
 
 
 def test_hull_matching_agrees_with_enumeration_on_b5_sample():

@@ -555,7 +555,8 @@ def test_type_b_containment_past_twenty_positions_matches_oracle():
 
 
 def _assert_matches_equal_per_element(ctx, rows):
-    pattern, indices = condition5_matches(ctx)
+    pattern, column = condition5_matches(ctx)
+    indices = _condition5_query(ctx).sets[column]  # the index sets gathered
     pats = condition5_patterns()
     for row in rows:
         w = ctx.elements[row]
@@ -569,7 +570,7 @@ def _assert_matches_equal_per_element(ctx, rows):
         assert v == pats[p], w
         assert emb.indices == tuple(indices[row, : v.degree].tolist()), w
         assert not indices[row, v.degree :].any(), w
-        assert condition5_embedding(ctx, p, indices[row]) == matched
+        assert condition5_embedding(ctx, p, column[row]) == matched
     return pattern
 
 
@@ -597,11 +598,24 @@ def test_condition5_matches_on_a_sample(family, rank):
 def test_condition5_matches_take_a_batch_of_windows():
     ctx = context("B", 4)
     rows = [5, 0, 383, 200]
-    pattern, indices = condition5_matches(ctx, ctx.window_matrix[rows])
-    whole, whole_indices = condition5_matches(ctx)
+    pattern, column = condition5_matches(ctx, ctx.window_matrix[rows])
+    whole, whole_column = condition5_matches(ctx)
     assert np.array_equal(pattern, whole[rows])
-    assert np.array_equal(indices, whole_indices[rows])
-    assert condition5_embedding(ctx, -1, indices[0]) is None
+    assert np.array_equal(column, whole_column[rows])
+    assert condition5_embedding(ctx, -1, column[0]) is None
+
+
+@pytest.mark.parametrize("ctx", [context("A", 7), context("B", 5)], ids=lambda ctx: ctx.name)
+def test_condition5_matches_keep_five_bytes_a_row(ctx):
+    # the pattern as int8 and the query's column as int32: an index set is
+    # gathered only for a row that is read, never for the whole group
+    pattern, column = condition5_matches(ctx)
+    assert pattern.dtype == np.int8 and column.dtype == np.int32
+    assert pattern.shape == column.shape == (ctx.order,)
+    assert pattern.itemsize + column.itemsize <= 5
+    assert pattern.min() == -1 and pattern.max() < len(condition5_patterns())
+    sentinel = len(_condition5_query(ctx).sets) - 1
+    assert np.array_equal(column == sentinel, pattern == -1)
 
 
 def _assert_kernel_equals_oracle(entries, windows):
@@ -655,13 +669,13 @@ def test_a_batch_of_one_equals_the_whole_group_row(ctx, monkeypatch):
     # a batch of one always takes the one-pass scan; the whole group takes
     # two stages once its rows outgrow one block (S_7 and B_5 here), and
     # every batch of more than one row does with a block bound of one byte
-    pattern, indices = condition5_matches(ctx)
+    pattern, column = condition5_matches(ctx)
     for row in range(ctx.order):
-        one, one_indices = condition5_matches(ctx, ctx.window_matrix[row : row + 1])
-        assert one[0] == pattern[row] and np.array_equal(one_indices[0], indices[row]), row
+        one, one_column = condition5_matches(ctx, ctx.window_matrix[row : row + 1])
+        assert one[0] == pattern[row] and one_column[0] == column[row], row
     monkeypatch.setattr(patterns, "_BLOCK_BYTES", 1)
-    staged, staged_indices = condition5_matches(ctx)
-    assert np.array_equal(staged, pattern) and np.array_equal(staged_indices, indices)
+    staged, staged_column = condition5_matches(ctx)
+    assert np.array_equal(staged, pattern) and np.array_equal(staged_column, column)
 
 
 def test_a_batch_of_one_equals_the_two_stage_scan_on_a_two_word_host(monkeypatch):
@@ -676,10 +690,10 @@ def test_a_batch_of_one_equals_the_two_stage_scan_on_a_two_word_host(monkeypatch
     monkeypatch.setattr(patterns, "_BLOCK_BYTES", 1)
     windows = np.array([w.window for w in hosts], dtype=np.int16)
     _assert_kernel_equals_oracle(_condition5_entries(b8), windows)
-    staged, indices = condition5_matches(b8, windows)
+    staged, columns = condition5_matches(b8, windows)
     assert [ok for ok, _ in alone] == (staged < 0).tolist()
     assert [matched for _, matched in alone] == [
-        condition5_embedding(b8, int(pattern), row) for pattern, row in zip(staged, indices)
+        condition5_embedding(b8, int(pattern), column) for pattern, column in zip(staged, columns)
     ]
     # some rows avoid every pattern, and some reach the second stage
     assert (staged < 0).any() and condition5_second_stage_rows(b8, staged) > (staged < 0).sum()
@@ -694,8 +708,8 @@ def test_a_query_of_the_sentinel_alone_scans_in_two_stages(rank, monkeypatch):
     queries = (_condition5_query(ctx), _query(()))
     assert all(q.first_pairs == len(q.pair_owners) == 1 for q in queries)
     monkeypatch.setattr(patterns, "_BLOCK_BYTES", 1)
-    pattern, indices = condition5_matches(ctx)
-    assert (pattern == -1).all() and not indices.any()
+    pattern, column = condition5_matches(ctx)
+    assert (pattern == -1).all() and not _condition5_query(ctx).sets[column].any()
     owners, columns = _first_matches(_query(()), ctx.window_matrix)
     assert not owners.any() and not columns.any()
     assert avoids_condition5_list(ctx.element(ctx.order - 1)) == (True, None)
@@ -719,10 +733,10 @@ def test_the_staged_prefix_is_exactly_the_least_owners_pairs(ctx):
     ids=lambda ctx: ctx.name,
 )
 def test_kernel_embeddings_equal_the_validated_construction(ctx):
-    pattern, indices = condition5_matches(ctx)
+    pattern, column = condition5_matches(ctx)
     pats = condition5_patterns()
     for row in range(ctx.order):
-        matched = condition5_embedding(ctx, int(pattern[row]), indices[row])
+        matched = condition5_embedding(ctx, int(pattern[row]), column[row])
         if matched is None:
             continue
         v, emb = matched

@@ -285,6 +285,34 @@ def test_hull_dp_solves_one_board_per_coessential_box():
     assert set(calls) == {("diagrams.py", "_hull_counterexample")}, calls
 
 
+def test_verify_reaches_condition_4_only_through_its_kernel():
+    # verify fills condition 4's witness array by one call of the row
+    # kernel; naming a per-element hull test or E(w) in the driver would
+    # bring back its per-row loop.  Reports read E(w) only for condition
+    # 3's violations, through violated_boxes
+    tree = ast.parse((SOURCE / "classify.py").read_text(encoding="utf-8"))
+    (driver,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_equivalence"
+    ]
+    per_element = {
+        "hull_test", "_hull_counterexample", "right_hull_counterexample",
+        "hull_relaxed_counterexample", "coessential_boxes", "classify",
+    }
+    named = [
+        (getattr(node, "id", getattr(node, "attr", None)), node.lineno)
+        for node in ast.walk(driver)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    assert [(name, line) for name, line in named if name in per_element] == []
+    assert [name for name, _ in named].count("hull_counterexamples") == 1
+    assert set(_uses(_calls_to("hull_test"))) == {
+        ("diagrams.py", "hull_counterexamples"),
+        ("diagrams.py", "hull_relaxed_counterexample"),
+    }
+
+
 PERFBENCH = SOURCE.parents[1] / "perfbench"
 
 # The one-element library API that only the tests call today.  Each stays in
