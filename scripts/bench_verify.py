@@ -3,6 +3,7 @@
     python3 scripts/bench_verify.py --label 4610314
     python3 scripts/bench_verify.py --label base --root ../other-checkout
     python3 scripts/bench_verify.py --label frontier --large
+    python3 scripts/bench_verify.py --label change --against ../parent-checkout
 
 The groups run round-robin, B_5, S_7, B_6, S_8 and again, for ROUNDS
 rounds, every run `hultman verify --json` in a fresh interpreter, because

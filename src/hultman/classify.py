@@ -350,9 +350,8 @@ def verify_equivalence(
         counters["pattern_index_sets"] = total * patterns.condition5_index_sets(ctx)
         counters["pattern_rows_second_stage"] = patterns.condition5_second_stage_rows(ctx, matched)
     if 4 in names:
-        hull, counters["hull_boards"], counters["hull_boards_cleared"] = _timed(
-            seconds, names[4], diagrams.hull_counterexamples, ctx
-        )
+        hull, solved, cleared = _timed(seconds, names[4], diagrams.hull_counterexamples, ctx)
+        counters.update(hull_boards=solved, hull_boards_cleared=cleared)
         verdicts[4] = ~hull.any(axis=1)
     if 2 in names:
         graph = _timed(layers, "bruhat_graph", bruhat_graph, ctx)
